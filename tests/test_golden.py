@@ -1,0 +1,67 @@
+"""Golden snapshots of the JSON reports, compared byte for byte.
+
+The inputs in ``golden/inputs`` are the corpus fields (written from the
+builders in ``dulac.corpus``) and two small grid fields.  ``normalize``
+and ``diagnose`` run on each field at its own truncation order,
+``diagnose`` with the commuting field where the corpus has one, and
+``centralizer`` runs on the normal form that ``normalize`` printed for
+it.  Exact arithmetic makes every report a function of its input, so
+any change in these bytes is a change in behaviour.
+
+After a deliberate output change, re-pin with
+``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from dulac.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+INPUTS = GOLDEN / "inputs"
+
+# field name -> truncation order (and centralizer degree bound)
+ORDERS = {
+    "horn": 12,
+    "linearizable-3d": 8,
+    "so2": 7,
+    "holomorphic": 6,
+    "saddle": 7,
+    "grid-d2-o6": 6,
+    "grid-d3-o6": 6,
+}
+WITH_SYMMETRY = {"so2", "holomorphic"}
+COMMANDS = ("normalize", "diagnose", "centralizer")
+CASES = [(name, command) for name in ORDERS for command in COMMANDS]
+
+
+def _argv(name: str, command: str, out: Path) -> list:
+    order = str(ORDERS[name])
+    if command == "centralizer":
+        argv = [command, "--input", str(INPUTS / f"{name}.normal-form.json"),
+                "--degree", order]
+    else:
+        argv = [command, "--input", str(INPUTS / f"{name}.json"),
+                "--order", order]
+    if command == "diagnose" and name in WITH_SYMMETRY:
+        argv += ["--symmetry", str(INPUTS / f"{name}-symmetry.json")]
+    return argv + ["--json", "--out", str(out)]
+
+
+def _snapshot(name: str, command: str) -> Path:
+    return GOLDEN / f"{name}.{command}.json"
+
+
+@pytest.mark.parametrize("name,command", CASES,
+                         ids=[f"{n}-{c}" for n, c in CASES])
+def test_json_report_matches_snapshot(name, command, tmp_path):
+    out = tmp_path / "report.json"
+    assert main(_argv(name, command, out)) == 0
+    assert out.read_bytes() == _snapshot(name, command).read_bytes()
+
+
+if __name__ == "__main__":
+    for name, command in CASES:
+        if main(_argv(name, command, _snapshot(name, command))) != 0:
+            raise SystemExit(f"{name} {command} failed")
