@@ -149,9 +149,10 @@ def _run_horn() -> EntryOutcome:
         (0, (2, 0), 1), (1, (0, 1), 1)])
     if result.normal_form != expected_nf:
         return False, "unexpected normal form", [str(result.normal_form)]
-    total = result.transformation.compose(
-        NearIdentityMap.from_linear(HORN_CONJUGATION, order))
-    inverse = total.invert_to_order()
+    # The map to normal coordinates is Psi . T, so its inverse is T^-1 . Phi.
+    t_inverse = NearIdentityMap.from_linear(
+        HORN_CONJUGATION, order).invert_to_order()
+    inverse = t_inverse.compose(result.inverse)
     coeffs = restrict_to_axis(inverse.component_polys()[1], 0)
     expected = [as_scalar(0)] + [as_scalar(math.factorial(k - 1))
                                  for k in range(1, order + 1)]

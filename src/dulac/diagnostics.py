@@ -833,8 +833,7 @@ def _transformation_growth(
     along every axis; factorial beats geometric beats inconclusive.
     """
     best: Optional[GrowthClassification] = None
-    for nmap in (result.transformation,
-                 result.transformation.invert_to_order()):
+    for nmap in (result.transformation, result.inverse):
         for comp in nmap.component_polys():
             for axis in range(comp.dim):
                 try:

@@ -111,27 +111,27 @@ class NearIdentityMap:
         return NearIdentityMap.from_components(comps)
 
     def invert_to_order(self) -> "NearIdentityMap":
-        """The map Phi with Psi(Phi(y)) = y through the truncation order."""
+        """The map Phi with Psi(Phi(y)) = y through the truncation order.
+
+        Phi is the fixed point of Phi = Linv (y - h(Phi)), found degree by
+        degree from Phi = Linv y.  Since h starts at degree 2, an error of
+        degree d in Phi moves h(Phi) only from degree d + 1 on; so if Phi
+        is right through degree w - 1, one pass makes it right through
+        degree w, and nothing above w can be right yet.  Each pass
+        therefore works at truncation order w = 2, 3, ..., N only.
+        """
         linv = mat_inverse(self.linear)
         if self.h.is_zero():
             return NearIdentityMap(linv, order=self.order)
-        dim, order = self.dim, self.order
-        ys = [PolyScalar.variable(dim, order, i) for i in range(dim)]
-        # Fixed point of Phi = Linv (y - h(Phi)); each pass is correct to
-        # one degree higher, starting exact at degree 1.
+        dim = self.dim
+        ys = [PolyScalar.variable(dim, 1, j) for j in range(dim)]
         phi = [_linear_combo(linv[i], ys) for i in range(dim)]
-        for _ in range(order - 1):
-            h_of_phi = [c.substitute(phi) for c in self.h.components]
-            new_phi = []
-            for i in range(dim):
-                acc = PolyScalar.zero(dim, order)
-                for j in range(dim):
-                    if linv[i][j]:
-                        acc = acc + (ys[j] - h_of_phi[j]) * linv[i][j]
-                new_phi.append(acc)
-            if new_phi == phi:
-                break
-            phi = new_phi
+        for work in range(2, self.order + 1):
+            lifted = [PolyScalar(dim, work, p.terms) for p in phi]
+            rhs = [PolyScalar.variable(dim, work, j)
+                   - c.truncated(work).substitute(lifted)
+                   for j, c in enumerate(self.h.components)]
+            phi = [_linear_combo(linv[i], rhs) for i in range(dim)]
         return NearIdentityMap.from_components(phi)
 
     def __eq__(self, other) -> bool:

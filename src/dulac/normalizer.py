@@ -8,10 +8,12 @@ the substitution x = y + h_k(y) whose generator divides each removable
 coefficient by its eigenvalue.  Generators carry no kernel component,
 the usual distinguished choice, which pins the outcome uniquely.
 
-The returned transformation Psi maps original to normalized coordinates,
-f_hat = push_forward(Psi, f) through the truncation order, with the
-individual steps composed outermost-last (the highest-degree step is the
-outermost function).
+Both directions of the normalizing map come out of one pass.  The steps
+compose, outermost-last (the highest-degree step is the outermost
+function), into the inverse Phi, x = Phi(y), from normal back to original
+coordinates, so f_hat = pull_back(Phi, f).  One truncated inversion of Phi
+then gives the transformation Psi, y = Psi(x), with f_hat =
+push_forward(Psi, f) through the truncation order.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .errors import (
     NonDiagonalLinearPartError,
     TruncationOrderError,
 )
-from .maps import NearIdentityMap, pull_back, push_forward
+from .maps import NearIdentityMap, pull_back
 from .poly import PolyVectorField, lie_bracket, linear_field
 from .resonance import kernel_dimension_at_degree
 
@@ -44,8 +46,9 @@ class DegreeRecord:
 @dataclass(frozen=True)
 class NormalFormResult:
     normal_form: PolyVectorField
-    transformation: NearIdentityMap
+    transformation: NearIdentityMap   # y = Psi(x), original -> normal
     per_degree: Tuple[DegreeRecord, ...]
+    inverse: NearIdentityMap          # x = Phi(y), the inverse of Psi
 
 
 def normalize(f: PolyVectorField, order: int,
@@ -85,9 +88,9 @@ def normalize(f: PolyVectorField, order: int,
             step = NearIdentityMap.from_generator(h)
             cur = pull_back(step, cur)
             phi_total = phi_total.compose(step)
-    transformation = phi_total.invert_to_order()
-    normal_form = cur.with_spectrum(spectrum)
-    return NormalFormResult(normal_form, transformation, tuple(records))
+    return NormalFormResult(cur.with_spectrum(spectrum),
+                            phi_total.invert_to_order(), tuple(records),
+                            phi_total)
 
 
 def check_commute(f: PolyVectorField, g: PolyVectorField,
@@ -135,7 +138,7 @@ def normalize_with_symmetry(f: PolyVectorField, g: PolyVectorField,
             f"fields do not commute; first nonzero bracket degree is {first}",
             first_degree=first)
     result = normalize(g, order)
-    transformed = push_forward(result.transformation, f)
+    transformed = pull_back(result.inverse, f)
     b_linear = linear_field(result.normal_form.spectrum, transformed.order)
     residual = lie_bracket(b_linear, transformed)
     return SymmetryNormalization(result, transformed, residual)

@@ -8,10 +8,13 @@ a positive denominator, so values are canonical by construction.
 The string form is ``a/b`` for real values and ``a/b+c/d*i`` in general
 (denominator omitted when 1, real part omitted when 0).  ``parse`` accepts
 that form plus the usual liberties: bare ``i``, ``-i``, ``3i``, ``2*i``.
+Each rational part must read ``[+-]digits[/digits]``; decimals, exponents
+and digit separators are rejected.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Union
 
@@ -20,10 +23,18 @@ from .errors import ScalarParseError
 ScalarLike = Union["GaussianRational", Fraction, int, str]
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def _frac(text: str) -> Fraction:
+    # Only the documented a/b form: Fraction itself would also take
+    # decimals, underscores and exponents such as "1e999999999".
+    if not _RATIONAL.fullmatch(text):
+        raise ScalarParseError(
+            f"bad rational {text!r}: expected an integer or a/b")
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError as exc:
         raise ScalarParseError(f"bad rational {text!r}: {exc}") from None
 
 

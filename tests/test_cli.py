@@ -246,3 +246,14 @@ def test_version(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.strip() == "dulac 0.1.0"
+
+
+def test_decimal_coefficient_is_an_input_format_error(tmp_path, capsys):
+    path = tmp_path / "decimal.json"
+    path.write_text(json.dumps({
+        "dim": 2, "order": 4, "eigenvalues": ["1", "-1"],
+        "terms": [{"coeff": "0.25", "exps": [2, 0], "comp": 1}]}))
+    assert main(["normalize", "--input", str(path), "--order", "4"]) == 2
+    err = capsys.readouterr().err
+    assert "dulac: error [input-format]:" in err
+    assert "terms[0].coeff: bad rational '0.25'" in err

@@ -32,6 +32,14 @@ def test_parse_rejects_garbage():
             GaussianRational.parse(text)
 
 
+@pytest.mark.parametrize("text", ["1e3", "0.25", "1_000", "1e999999999"])
+def test_parse_rejects_forms_outside_the_grammar(text):
+    # Fraction would take each of these; the grammar is [+-]digits[/digits]
+    for spelling in (text, f"{text}*i", f"1+{text}*i", f"{text}-2*i"):
+        with pytest.raises(ScalarParseError, match="expected an integer or a/b"):
+            GaussianRational.parse(spelling)
+
+
 def test_constructor_accepts_strings_and_fractions():
     assert GaussianRational("1/2-3/4*i") == GaussianRational(
         Fraction(1, 2), Fraction(-3, 4))
