@@ -25,7 +25,7 @@ from .errors import (
     ParameterCountError,
 )
 from .linalg import mat_det
-from .poly import Exponents, PolyScalar, PolyVectorField, Spectrum
+from .poly import PolyScalar, PolyVectorField, Spectrum
 from .scalars import ZERO, GaussianRational, as_scalar
 
 
@@ -118,10 +118,6 @@ class DMatrix:
 
     entries: Tuple[Tuple[GaussianRational, ...], ...]
     layout: str
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
 
     def determinant(self) -> GaussianRational:
         return mat_det([list(row) for row in self.entries])

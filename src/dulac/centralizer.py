@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import (
     DegenerateEigenvaluesError,
@@ -62,6 +62,20 @@ class CentralizerBasis:
     @property
     def dimension(self) -> int:
         return len(self.elements)
+
+    @property
+    def linear_dimension(self) -> int:
+        """Dimension of the linear fields in the centralizer.
+
+        Counts the basis elements whose terms all have degree 1.  The
+        count is exact: ``_unknown_pairs`` lists the degree-1 unknowns
+        first, and ``nullspace`` returns the canonical reduced row echelon
+        basis, whose vector for a free column is nonzero only at that
+        column and at pivot columns to its left.  So the element of a free
+        degree-1 column is linear, every other element has a nonlinear
+        term, and the linear elements span exactly the linear centralizer.
+        """
+        return sum(1 for e in self.elements if e.max_degree() == 1)
 
     def confirmed_elements(self) -> List[PolyVectorField]:
         return [e for e, u in zip(self.elements, self.unconfirmed) if not u]

@@ -19,8 +19,8 @@ from .centralizer import centralizer_basis, kernel_intersection
 from .corpus import run_corpus
 from .diagnostics import DEFAULT_TUPLE_BUDGET, diagnose
 from .errors import DulacError, InputFormatError, NonDiagonalLinearPartError
-from .fieldfile import Document, dump_document, field_to_dict, load_document
-from .normalizer import NORMALIZATION_STYLES, normalize
+from .fieldfile import dump_document, field_to_dict, load_document
+from .normalizer import normalize
 from .poly import PolyScalar, PolyVectorField, Spectrum, format_poly, grlex_key
 from .resonance import resonant_monomials
 from .scalars import GaussianRational, ScalarParseError
@@ -105,13 +105,13 @@ def _exps_str(exps: Sequence[int]) -> str:
 
 def _cmd_normalize(args) -> int:
     field = _load_field(args.input)
-    result = normalize(field, args.order, style=args.style)
+    result = normalize(field, args.order)
     if args.json:
         payload = {
             "version": __version__,
             "command": "normalize",
             "order": args.order,
-            "style": args.style,
+            "style": "distinguished",
             "eigenvalues": [str(v) for v in field.spectrum],
             "normal_form": field_to_dict(result.normal_form),
             "transformation": {
@@ -130,7 +130,7 @@ def _cmd_normalize(args) -> int:
         return 0
     lines = [f"dulac {__version__} normalization report",
              f"order: {args.order}",
-             f"style: {args.style}",
+             "style: distinguished",
              "eigenvalues: " + ", ".join(str(v) for v in field.spectrum),
              "normal form:"]
     lines += _field_lines(result.normal_form)
@@ -367,8 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
                                          "and the transformation behind it")
     p.add_argument("--input", required=True, metavar="FILE")
     p.add_argument("--order", required=True, type=int)
-    p.add_argument("--style", default="distinguished",
-                   choices=sorted(NORMALIZATION_STYLES))
     _add_common(p)
     p.set_defaults(func=_cmd_normalize)
 

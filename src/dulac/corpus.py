@@ -302,10 +302,6 @@ ENTRIES: Tuple[Tuple[str, str, Callable[[], EntryOutcome]], ...] = (
 )
 
 
-def entry_ids() -> List[str]:
-    return [entry_id for entry_id, _, _ in ENTRIES]
-
-
 def run_corpus(pattern: Optional[str] = None) -> List[CorpusResult]:
     """Run every entry whose id contains ``pattern`` (all when None)."""
     results = []

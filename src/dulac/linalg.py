@@ -122,11 +122,3 @@ def nullspace(rows: Sequence[SparseRow], ncols: int) -> List[SparseRow]:
                 vec[lead] = -coeff
         basis.append(vec)
     return basis
-
-
-def solve_exact(matrix: Sequence[Sequence[GaussianRational]],
-                rhs: Sequence[GaussianRational]) -> List[GaussianRational]:
-    """Solve a square nonsingular system exactly."""
-    inv = mat_inverse(matrix)
-    return [sum((inv[i][j] * rhs[j] for j in range(len(rhs))), ZERO)
-            for i in range(len(rhs))]

@@ -16,9 +16,9 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from .errors import DimensionMismatchError
-from .linalg import identity_matrix, mat_inverse, mat_mul
+from .linalg import identity_matrix, mat_inverse
 from .poly import PolyScalar, PolyVectorField, jacobian
-from .scalars import ONE, ZERO, GaussianRational, as_scalar
+from .scalars import GaussianRational, as_scalar
 
 
 class NearIdentityMap:
@@ -154,13 +154,6 @@ def _linear_combo(coeffs: Sequence[GaussianRational],
     return acc
 
 
-def compose_scalar(phi: PolyScalar, nmap: NearIdentityMap) -> PolyScalar:
-    """phi(Psi(x)): substitute the map components into the scalar."""
-    if phi.dim != nmap.dim:
-        raise DimensionMismatchError("scalar and map dimensions differ")
-    return phi.substitute(nmap.component_polys())
-
-
 def pull_back(phi_map: NearIdentityMap, f: PolyVectorField) -> PolyVectorField:
     """Field in y-coordinates when x = Phi(y) and xdot = f(x).
 
@@ -212,11 +205,6 @@ def pull_back(phi_map: NearIdentityMap, f: PolyVectorField) -> PolyVectorField:
 def push_forward(psi_map: NearIdentityMap, f: PolyVectorField) -> PolyVectorField:
     """Field in y-coordinates when y = Psi(x) and xdot = f(x)."""
     return pull_back(psi_map.invert_to_order(), f)
-
-
-def transform_by_generator(f: PolyVectorField, h: PolyVectorField) -> PolyVectorField:
-    """Transport f through the substitution x = y + h(y)."""
-    return pull_back(NearIdentityMap.from_generator(h), f)
 
 
 def linear_conjugate(matrix: Sequence[Sequence], f: PolyVectorField) -> PolyVectorField:

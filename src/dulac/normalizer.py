@@ -31,8 +31,6 @@ from .maps import NearIdentityMap, pull_back
 from .poly import PolyVectorField, lie_bracket, linear_field
 from .resonance import kernel_dimension_at_degree
 
-NORMALIZATION_STYLES = ("distinguished",)
-
 
 @dataclass(frozen=True)
 class DegreeRecord:
@@ -51,15 +49,12 @@ class NormalFormResult:
     inverse: NearIdentityMap          # x = Phi(y), the inverse of Psi
 
 
-def normalize(f: PolyVectorField, order: int,
-              style: str = "distinguished") -> NormalFormResult:
+def normalize(f: PolyVectorField, order: int) -> NormalFormResult:
     """Normalize f = Ax + F through the given order.
 
     Requires an attached spectrum (diagonal linear part) and order >= 2;
     the field must be known at least to that order.
     """
-    if style not in NORMALIZATION_STYLES:
-        raise ValueError(f"unknown normalization style {style!r}")
     if f.spectrum is None:
         raise NonDiagonalLinearPartError(
             "normalize needs a field with an attached spectrum")

@@ -37,10 +37,6 @@ TermMap = Dict[Exponents, GaussianRational]
 _COEFF_TYPES = (GaussianRational, int, Fraction)
 
 
-def monomial_degree(exps: Exponents) -> int:
-    return sum(exps)
-
-
 def monomial_mul(a: Exponents, b: Exponents) -> Exponents:
     return tuple(x + y for x, y in zip(a, b))
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .errors import BudgetExceededError, TruncationOrderError
-from .poly import Exponents, Spectrum, enumerate_monomials, grlex_key
+from .poly import Exponents, Spectrum, enumerate_monomials
 
 DEFAULT_TUPLE_BUDGET = 10 ** 7
 
@@ -193,11 +193,15 @@ def omega_condition(spectrum: Spectrum, max_k: int,
     if max_k < 1:
         raise TruncationOrderError("need at least one doubling step")
     n = len(spectrum)
-    top = 2 ** max_k - 1
-    needed = _count_tuples_upto(n, top) - _count_tuples_upto(n, 1)
-    if needed > budget:
+    # The scan visits at least 2**max_k - 2 tuples (their number in
+    # dimension 1), so a max_k past the budget's bit length is rejected
+    # before 2**max_k is built.
+    if (max_k >= (budget + 2).bit_length()
+            or _count_tuples_upto(n, 2 ** max_k - 1)
+            - _count_tuples_upto(n, 1) > budget):
         raise BudgetExceededError(
-            f"scan needs {needed} tuples, budget is {budget}")
+            f"scan to k = {max_k} in dimension {n} needs more than the "
+            f"budget of {budget} tuples")
     q = common_denominator(spectrum)
     bound_sq = Fraction(1, q * q)
     best: Optional[Fraction] = None
@@ -222,7 +226,3 @@ def omega_condition(spectrum: Spectrum, max_k: int,
         records.append(OmegaRecord(k, best, running))
     return OmegaReport(tuple(records), "holds-by-rational-bound",
                        bound_sq, scanned, budget)
-
-
-def sort_relations(relations: List[ResonanceRelation]) -> List[ResonanceRelation]:
-    return sorted(relations, key=lambda r: (grlex_key(r.exps), r.component))

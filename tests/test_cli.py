@@ -230,6 +230,15 @@ def test_omega_budget_env(normal_form_path, monkeypatch, capsys):
     assert "DULAC_OMEGA_BUDGET: expected an integer, found 'abc'" in err
 
 
+def test_large_omega_k_is_a_budget_error(normal_form_path, capsys):
+    # 2**k - 2 tuples already exceed the budget; the scan never starts
+    assert main(["diagnose", "--input", normal_form_path, "--order", "3",
+                 "--omega-k", "100000"]) == 2
+    err = capsys.readouterr().err
+    assert "dulac: error [enumeration-budget-exceeded]:" in err
+    assert "k = 100000" in err
+
+
 def test_internal_error_exit_code(normal_form_path, monkeypatch, capsys):
     import dulac.cli as cli
 

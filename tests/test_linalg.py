@@ -11,7 +11,6 @@ from dulac.linalg import (
     mat_inverse,
     mat_mul,
     nullspace,
-    solve_exact,
 )
 from dulac.scalars import GaussianRational, I, ONE, ZERO, as_scalar
 
@@ -61,13 +60,6 @@ def test_inverse_rejects_singular():
     with pytest.raises(SingularLinearPartError):
         mat_inverse(singular)
     assert mat_det(singular) == ZERO
-
-
-def test_solve_exact():
-    m = [[as_scalar(2), ZERO], [ONE, ONE]]
-    rhs = [as_scalar(4), as_scalar(5)]
-    solution = solve_exact(m, rhs)
-    assert solution == [as_scalar(2), as_scalar(3)]
 
 
 def test_nullspace_known_kernel():

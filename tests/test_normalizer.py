@@ -43,8 +43,6 @@ def test_normalize_requires_spectrum_and_order():
         normalize(g, 1)
     with pytest.raises(TruncationOrderError):
         normalize(g, 8)  # field only known to order 6
-    with pytest.raises(ValueError):
-        normalize(g, 4, style="fancy")
 
 
 def test_saddle_normal_form_frozen():

@@ -6,6 +6,9 @@
 * ``normalize`` returns both directions of one map: its ``inverse`` is
   the truncated inverse of its ``transformation``, and pulling the input
   back along it gives the normal form.
+* ``CentralizerBasis.linear_dimension``, read off the one graded bracket
+  system, is the dimension of the linear fields commuting with the normal
+  form, which the test solves for from the degree-1 system alone.
 """
 
 from fractions import Fraction
@@ -13,10 +16,18 @@ from fractions import Fraction
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from dulac.linalg import mat_det
+from dulac.centralizer import centralizer_basis
+from dulac.linalg import mat_det, nullspace
 from dulac.maps import NearIdentityMap, pull_back
 from dulac.normalizer import normalize
-from dulac.poly import PolyVectorField, Spectrum, linear_field
+from dulac.poly import (
+    PolyVectorField,
+    Spectrum,
+    enumerate_monomials,
+    lie_bracket,
+    linear_field,
+    monomial_field,
+)
 from dulac.scalars import GaussianRational
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,
@@ -69,6 +80,38 @@ def diagonal_fields(draw):
     return (f + linear_field(spectrum, order)).with_spectrum(spectrum)
 
 
+@st.composite
+def resonant_fields(draw):
+    """Ax + F whose spectrum has resonances or repeated eigenvalues.
+
+    Zero eigenvalues make some centralizer elements mix linear and
+    nonlinear terms, the case a count by lowest degree gets wrong.
+    """
+    values = draw(st.sampled_from([(1, 1, -2), (1, -1), (1, 2), (0, 0),
+                                   (0, 0, 1), (1, -1, 0)]))
+    dim = len(values)
+    order = draw(st.integers(min_value=3, max_value=6))
+    spectrum = Spectrum(values)
+    # terms of degree 2 and 3 meet in the brackets already at bound 3
+    f = (PolyVectorField.from_terms(dim, order, draw(terms(dim, 2, 3, 4)))
+         + PolyVectorField.from_terms(dim, order,
+                                      draw(terms(dim, 2, order, 2))))
+    return (f + linear_field(spectrum, order)).with_spectrum(spectrum)
+
+
+def linear_centralizer_dimension(fhat, degree_bound):
+    """Solve [fhat, Bx] = 0 through the bound over all linear fields Bx."""
+    dim = fhat.dim
+    work = fhat.truncated(degree_bound).without_spectrum()
+    columns = [lie_bracket(work, monomial_field(dim, degree_bound, exps, j))
+               for exps in enumerate_monomials(dim, 1) for j in range(dim)]
+    rows = {}
+    for col, column in enumerate(columns):
+        for comp, exps, coeff in column.terms():
+            rows.setdefault((exps, comp), {})[col] = coeff
+    return len(nullspace(list(rows.values()), len(columns)))
+
+
 @PROPERTY_SETTINGS
 @given(near_identity_maps())
 def test_invert_to_order_is_a_two_sided_inverse(psi):
@@ -83,3 +126,13 @@ def test_normalize_returns_both_directions_of_one_map(f):
     result = normalize(f, f.order)
     assert result.inverse == result.transformation.invert_to_order()
     assert pull_back(result.inverse, f) == result.normal_form
+
+
+@PROPERTY_SETTINGS
+@given(resonant_fields())
+def test_linear_dimension_is_the_linear_centralizer(f):
+    fhat = normalize(f, f.order).normal_form
+    for degree_bound in range(1, f.order + 1):
+        basis = centralizer_basis(fhat, degree_bound)
+        assert basis.linear_dimension == \
+            linear_centralizer_dimension(fhat, degree_bound)
