@@ -26,7 +26,7 @@ from .errors import (
 )
 from .linalg import mat_det
 from .poly import PolyScalar, PolyVectorField, Spectrum
-from .scalars import ZERO, GaussianRational, as_scalar
+from .scalars import ZERO, GaussianRational, add_scaled, as_scalar
 
 
 class ParamFamily:
@@ -84,8 +84,7 @@ class ParamFamily:
                 raise InputFormatError(
                     "nonlinear terms must have x-degree at least 2 "
                     "(the linear-in-x part belongs to the matrix)")
-            exps = tuple(exps)
-            comps[comp][exps] = comps[comp].get(exps, ZERO) + as_scalar(coeff)
+            add_scaled(comps[comp], {tuple(exps): as_scalar(coeff)})
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "order", order)
@@ -233,14 +232,11 @@ def suspend(family: ParamFamily) -> PolyVectorField:
     eta_map = list(range(n, total))
     components = []
     for i in range(n):
-        comp = PolyScalar.zero(total, order)
+        comp = dict(family.f_components[i].terms)
         for j in range(n):
-            entry = family.a_entries[i][j]
-            if entry.is_zero():
-                continue
-            lifted = entry.lift(total, eta_map)
-            comp = comp + lifted * PolyScalar.variable(total, order, j)
-        components.append(comp + family.f_components[i])
+            lifted = family.a_entries[i][j].lift(total, eta_map)
+            add_scaled(comp, (lifted * PolyScalar.variable(total, order, j)).terms)
+        components.append(PolyScalar(total, order, comp))
     components.extend(PolyScalar.zero(total, order) for _ in range(p))
     spectrum = Spectrum(list(family.eigenvalues()) + [ZERO] * p)
     return PolyVectorField(components, spectrum)

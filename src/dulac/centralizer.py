@@ -161,6 +161,8 @@ def kernel_intersection(spec_a: Spectrum, spec_b: Spectrum,
     """
     if len(spec_a) != len(spec_b):
         raise DimensionMismatchError("spectra of different lengths")
+    if max_degree < 2:
+        raise TruncationOrderError(f"maximum degree {max_degree} is below 2")
     out = []
     for exps in enumerate_monomials_upto(len(spec_a), max_degree, 2):
         va = spec_a.dot(exps)

@@ -79,9 +79,12 @@ def _omega_budget() -> int:
 def _emit(text: str, out: Optional[str]) -> None:
     if out is None:
         print(text, end="" if text.endswith("\n") else "\n")
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text if text.endswith("\n") else text + "\n")
+    except OSError as exc:
+        raise InputFormatError(f"{out}: {exc.strerror or exc}") from exc
 
 
 def _poly_terms(poly: PolyScalar, comp: int) -> List[dict]:

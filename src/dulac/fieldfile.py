@@ -51,7 +51,7 @@ from .poly import (
     grlex_key,
     linear_field,
 )
-from .scalars import GaussianRational, ZERO, as_scalar
+from .scalars import GaussianRational, add_scaled, as_scalar
 
 
 @dataclass(frozen=True)
@@ -275,7 +275,7 @@ def family_from_dict(data: Any, where: str = "family"
                     _fail(item_where, "missing required key 'coeff' or 'exps'")
                 coeff = _parse_scalar(item["coeff"], f"{item_where}.coeff")
                 exps = _parse_exps(item["exps"], p, f"{item_where}.exps")
-                terms[exps] = terms.get(exps, ZERO) + coeff
+                add_scaled(terms, {exps: coeff})
             out_row.append(PolyScalar(p, order, terms))
         entries.append(out_row)
 

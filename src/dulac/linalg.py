@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence
 
 from .errors import SingularLinearPartError
-from .scalars import ONE, ZERO, GaussianRational
+from .scalars import ONE, ZERO, GaussianRational, add_scaled
 
 Matrix = List[List[GaussianRational]]
 SparseRow = Dict[int, GaussianRational]
@@ -92,25 +92,13 @@ def nullspace(rows: Sequence[SparseRow], ncols: int) -> List[SparseRow]:
                 inv = row[lead].inverse()
                 pivots[lead] = {c: v * inv for c, v in row.items()}
                 break
-            factor = row[lead]
-            for c, v in pivot.items():
-                acc = row.get(c, ZERO) - factor * v
-                if acc:
-                    row[c] = acc
-                elif c in row:
-                    del row[c]
+            add_scaled(row, pivot, -row[lead])
     # Back substitution to full reduced form.
     for lead in sorted(pivots, reverse=True):
         prow = pivots[lead]
         for other_lead, other in pivots.items():
             if other_lead < lead and lead in other:
-                factor = other[lead]
-                for c, v in prow.items():
-                    acc = other.get(c, ZERO) - factor * v
-                    if acc:
-                        other[c] = acc
-                    elif c in other:
-                        del other[c]
+                add_scaled(other, prow, -other[lead])
     basis: List[SparseRow] = []
     for col in range(ncols):
         if col in pivots:

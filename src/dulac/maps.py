@@ -17,8 +17,8 @@ from typing import List, Optional, Sequence
 
 from .errors import DimensionMismatchError
 from .linalg import identity_matrix, mat_inverse
-from .poly import PolyScalar, PolyVectorField, jacobian
-from .scalars import GaussianRational, as_scalar
+from .poly import PolyScalar, PolyVectorField, TermMap, jacobian
+from .scalars import GaussianRational, add_scaled, as_scalar
 
 
 class NearIdentityMap:
@@ -147,11 +147,11 @@ class NearIdentityMap:
 
 def _linear_combo(coeffs: Sequence[GaussianRational],
                   polys: Sequence[PolyScalar]) -> PolyScalar:
-    acc = PolyScalar.zero(polys[0].dim, polys[0].order)
+    acc: TermMap = {}
     for c, p in zip(coeffs, polys):
         if c:
-            acc = acc + p * c
-    return acc
+            add_scaled(acc, p.terms, c)
+    return PolyScalar(polys[0].dim, polys[0].order, acc)
 
 
 def pull_back(phi_map: NearIdentityMap, f: PolyVectorField) -> PolyVectorField:
@@ -169,37 +169,29 @@ def pull_back(phi_map: NearIdentityMap, f: PolyVectorField) -> PolyVectorField:
     rhs = [c.substitute(comps) for c in f.components]
     linv = mat_inverse(phi_map.linear)
     acc = [_linear_combo(linv[i], rhs) for i in range(f.dim)]
-    total = list(acc)
+    total = [dict(a.terms) for a in acc]
     if not phi_map.h.is_zero():
         # Map components are exact polynomials, so differentiating them
         # loses nothing; re-tag the Jacobian entries at the working order.
         dh = [[PolyScalar(f.dim, order, entry.terms) for entry in row]
               for row in jacobian(phi_map.h)]
         # M = -Linv Dh, entries of degree >= 1
-        m_rows = []
-        for i in range(f.dim):
-            row = []
-            for j in range(f.dim):
-                entry = PolyScalar.zero(f.dim, order)
-                for k in range(f.dim):
-                    if linv[i][k] and not dh[k][j].is_zero():
-                        entry = entry - dh[k][j] * linv[i][k]
-                row.append(entry)
-            m_rows.append(row)
+        m_rows = [[_linear_combo([-c for c in row], column)
+                   for column in zip(*dh)] for row in linv]
         for _ in range(order):
             nxt = []
             for i in range(f.dim):
-                entry = PolyScalar.zero(f.dim, order)
+                entry: TermMap = {}
                 for j in range(f.dim):
                     if not m_rows[i][j].is_zero() and not acc[j].is_zero():
-                        entry = entry + m_rows[i][j] * acc[j]
-                nxt.append(entry)
+                        add_scaled(entry, (m_rows[i][j] * acc[j]).terms)
+                nxt.append(PolyScalar(f.dim, order, entry))
             acc = nxt
             if all(a.is_zero() for a in acc):
                 break
-            total = [t + a for t, a in zip(total, acc)]
-    return PolyVectorField([t.truncated(order) if t.order > order else t
-                            for t in total])
+            for t, a in zip(total, acc):
+                add_scaled(t, a.terms)
+    return PolyVectorField([PolyScalar(f.dim, order, t) for t in total])
 
 
 def push_forward(psi_map: NearIdentityMap, f: PolyVectorField) -> PolyVectorField:

@@ -29,7 +29,7 @@ from .errors import (
     NonDiagonalLinearPartError,
     TruncationOrderError,
 )
-from .scalars import ONE, ZERO, GaussianRational, ScalarLike, as_scalar
+from .scalars import ONE, ZERO, GaussianRational, ScalarLike, add_scaled, as_scalar
 
 Exponents = Tuple[int, ...]
 TermMap = Dict[Exponents, GaussianRational]
@@ -156,13 +156,7 @@ class PolyScalar:
         self._check_dim(other)
         order = min(self.order, other.order)
         out = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            acc = out.get(exps)
-            total = coeff if acc is None else acc + coeff
-            if total:
-                out[exps] = total
-            elif acc is not None:
-                del out[exps]
+        add_scaled(out, other.terms)
         return PolyScalar(self.dim, order, out)
 
     __radd__ = __add__
@@ -193,17 +187,10 @@ class PolyScalar:
             da = sum(ea)
             if da > order:
                 continue
-            for eb, cb in other.terms.items():
-                if da + sum(eb) > order:
-                    continue
-                exps = monomial_mul(ea, eb)
-                coeff = ca * cb
-                acc = out.get(exps)
-                total = coeff if acc is None else acc + coeff
-                if total:
-                    out[exps] = total
-                elif acc is not None:
-                    del out[exps]
+            # monomial_mul(ea, .) is injective, so these keys never collide.
+            add_scaled(out, {monomial_mul(ea, eb): cb
+                             for eb, cb in other.terms.items()
+                             if da + sum(eb) <= order}, ca)
         return PolyScalar(self.dim, order, out)
 
     __rmul__ = __mul__
@@ -282,12 +269,7 @@ class PolyScalar:
                 piece = factor if piece is None else piece * factor
             if piece is None:
                 piece = PolyScalar.constant(vdim, order, 1)
-            for e2, c2 in piece.terms.items():
-                total = acc.get(e2, ZERO) + coeff * c2
-                if total:
-                    acc[e2] = total
-                elif e2 in acc:
-                    del acc[e2]
+            add_scaled(acc, piece.terms, coeff)
         return PolyScalar(vdim, order, acc)
 
     def lift(self, new_dim: int, var_map: Sequence[int]) -> "PolyScalar":
@@ -432,9 +414,7 @@ class PolyVectorField:
         """Build from (component, exponents, coefficient) triples, 0-based."""
         buckets: List[TermMap] = [{} for _ in range(dim)]
         for comp, exps, coeff in terms:
-            key = tuple(exps)
-            bucket = buckets[comp]
-            bucket[key] = bucket.get(key, ZERO) + as_scalar(coeff)
+            add_scaled(buckets[comp], {tuple(exps): as_scalar(coeff)})
         comps = [PolyScalar(dim, order, b) for b in buckets]
         return cls(comps, spectrum)
 
@@ -590,11 +570,11 @@ def apply_derivation(f: PolyVectorField, phi: PolyScalar) -> PolyScalar:
     if f.dim != phi.dim:
         raise DimensionMismatchError("field and scalar dimensions differ")
     order = min(f.order, phi.order)
-    total = PolyScalar.zero(phi.dim, order)
+    total: TermMap = {}
     for i in range(f.dim):
-        dphi = phi.partial(i)
-        total = total + f.components[i] * PolyScalar(phi.dim, order, dphi.terms)
-    return total
+        dphi = PolyScalar(phi.dim, order, phi.partial(i).terms)
+        add_scaled(total, (f.components[i] * dphi).terms)
+    return PolyScalar(phi.dim, order, total)
 
 
 def lie_bracket(f: PolyVectorField, g: PolyVectorField) -> PolyVectorField:
@@ -611,21 +591,21 @@ def lie_bracket(f: PolyVectorField, g: PolyVectorField) -> PolyVectorField:
     order = min(f.order, g.order)
     comps = []
     for i in range(f.dim):
-        acc = PolyScalar.zero(f.dim, order)
+        acc: TermMap = {}
         for j in range(f.dim):
-            dg = g.components[i].partial(j)
-            df = f.components[i].partial(j)
-            acc = acc + PolyScalar(f.dim, order, dg.terms) * f.components[j]
-            acc = acc - PolyScalar(f.dim, order, df.terms) * g.components[j]
-        comps.append(acc)
+            dg = PolyScalar(f.dim, order, g.components[i].partial(j).terms)
+            df = PolyScalar(f.dim, order, f.components[i].partial(j).terms)
+            add_scaled(acc, (dg * f.components[j]).terms)
+            add_scaled(acc, (df * g.components[j]).terms, -ONE)
+        comps.append(PolyScalar(f.dim, order, acc))
     return PolyVectorField(comps)
 
 
 def divergence(f: PolyVectorField) -> PolyScalar:
-    total = PolyScalar.zero(f.dim, max(f.order - 1, 0))
+    total: TermMap = {}
     for i in range(f.dim):
-        total = total + f.components[i].partial(i)
-    return total
+        add_scaled(total, f.components[i].partial(i).terms)
+    return PolyScalar(f.dim, max(f.order - 1, 0), total)
 
 
 def restrict_to_axis(phi: PolyScalar, axis: int) -> List[GaussianRational]:

@@ -56,6 +56,8 @@ def resonant_monomials(spectrum: Spectrum, max_degree: int) -> List[ResonanceRel
     Sorted by total degree, then lexicographically by exponent tuple,
     then by component index.
     """
+    if max_degree < 2:
+        raise TruncationOrderError(f"maximum degree {max_degree} is below 2")
     out = []
     for degree in range(2, max_degree + 1):
         for exps in enumerate_monomials(len(spectrum), degree):

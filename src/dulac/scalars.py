@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Union
+from typing import Mapping, Optional, Union
 
 from .errors import ScalarParseError
 
@@ -186,3 +186,20 @@ def as_scalar(value: ScalarLike) -> GaussianRational:
     if isinstance(value, str):
         return GaussianRational.parse(value)
     raise TypeError(f"cannot interpret {value!r} as an exact scalar")
+
+
+def add_scaled(acc: dict, terms: Mapping, factor: Optional[GaussianRational] = None) -> None:
+    """acc += factor * terms key by key, in place (no factor means 1).
+
+    Both map any keys to GaussianRational values.  Entries that cancel to
+    zero are deleted.  ``acc`` must not be ``terms``.
+    """
+    for key, value in terms.items():
+        if factor is not None:
+            value = factor * value
+        old = acc.get(key)
+        total = value if old is None else old + value
+        if total:
+            acc[key] = total
+        elif old is not None:
+            del acc[key]

@@ -266,3 +266,32 @@ def test_decimal_coefficient_is_an_input_format_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "dulac: error [input-format]:" in err
     assert "terms[0].coeff: bad rational '0.25'" in err
+
+
+@pytest.mark.parametrize("target", ["missing-dir/report.txt", "."])
+def test_unwritable_out_is_an_input_format_error(saddle_path, tmp_path,
+                                                 capsys, target):
+    # a path under a directory that does not exist, and a directory
+    out = tmp_path / target
+    assert main(["normalize", "--input", saddle_path, "--order", "3",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"dulac: error [input-format]: {out}:" in err
+
+
+@pytest.mark.parametrize("max_degree", ["1", "-1"])
+def test_resonances_max_degree_below_two(normal_form_path, capsys, max_degree):
+    assert main(["resonances", "--input", normal_form_path,
+                 "--max-degree", max_degree]) == 2
+    captured = capsys.readouterr()
+    assert "dulac: error [truncation-order]:" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("max_degree", ["1", "-5"])
+def test_kernel_intersection_max_degree_below_two(capsys, max_degree):
+    assert main(["kernel-intersection", "--spec-a", "1,2", "--spec-b", "1,3",
+                 "--max-degree", max_degree]) == 2
+    captured = capsys.readouterr()
+    assert "dulac: error [truncation-order]:" in captured.err
+    assert captured.out == ""

@@ -9,6 +9,8 @@
 * ``CentralizerBasis.linear_dimension``, read off the one graded bracket
   system, is the dimension of the linear fields commuting with the normal
   form, which the test solves for from the degree-1 system alone.
+* ``add_scaled``, through which every coefficient sum of the kernel runs,
+  is the plain sum with the zeros dropped, and never stores a zero.
 """
 
 from fractions import Fraction
@@ -28,7 +30,7 @@ from dulac.poly import (
     linear_field,
     monomial_field,
 )
-from dulac.scalars import GaussianRational
+from dulac.scalars import ZERO, GaussianRational, add_scaled
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,
                              database=None,
@@ -136,3 +138,26 @@ def test_linear_dimension_is_the_linear_centralizer(f):
         basis = centralizer_basis(fhat, degree_bound)
         assert basis.linear_dimension == \
             linear_centralizer_dimension(fhat, degree_bound)
+
+
+# Few keys and values that cancel one another, so that sums often hit zero.
+cancelling = st.sampled_from([GaussianRational(v) for v in
+                              (1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2))]
+                             + [GaussianRational(0, 1), GaussianRational(0, -1)])
+sparse_terms = st.dictionaries(st.sampled_from([(0, 1), (1, 0), (1, 1)]),
+                               cancelling, max_size=3)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=200)
+@given(sparse_terms,
+       st.lists(st.tuples(sparse_terms, st.none() | cancelling), max_size=4))
+def test_add_scaled_is_the_sum_without_zeros(start, steps):
+    acc = dict(start)
+    naive = dict(start)
+    for terms, factor in steps:
+        add_scaled(acc, terms, factor)
+        for key, value in terms.items():
+            scaled = value if factor is None else factor * value
+            naive[key] = naive.get(key, ZERO) + scaled
+    assert acc == {key: value for key, value in naive.items() if value}
+    assert all(acc.values())
