@@ -309,6 +309,9 @@ def load_document(path: str) -> Document:
         raise InputFormatError(
             f"{path}: invalid JSON at line {exc.lineno}, column "
             f"{exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:
+        # an integer literal with more digits than int() converts
+        raise InputFormatError(f"{path}: {exc}") from exc
     if isinstance(data, dict) and "params" in data:
         family, var_names, param_names = family_from_dict(data, where=path)
         return Document("family", None, family, var_names, param_names)

@@ -1,9 +1,12 @@
 """Exact arithmetic in Q(i), the field of Gaussian rationals.
 
-Every coefficient in this package is a number a + b*i with rational a, b
-held as ``fractions.Fraction``.  All operations are exact; nothing here
-ever rounds.  ``Fraction`` keeps numerators and denominators coprime with
-a positive denominator, so values are canonical by construction.
+Every coefficient in this package is a number (a + b*i)/d held as one
+triple of Python ints ``(a, b, d)``.  The triple is canonical: ``d > 0``
+and ``gcd(a, b, d) == 1``, so zero is ``(0, 0, 1)`` and two values are
+equal exactly when their triples are.  Arithmetic works on the ints and
+reduces each result once; ``real`` and ``imag`` give the two parts as
+reduced ``fractions.Fraction``.  All operations are exact; nothing here
+ever rounds.
 
 The string form is ``a/b`` for real values and ``a/b+c/d*i`` in general
 (denominator omitted when 1, real part omitted when 0).  ``parse`` accepts
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 from typing import Mapping, Optional, Union
 
 from .errors import ScalarParseError
@@ -36,20 +40,39 @@ def _frac(text: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError as exc:
         raise ScalarParseError(f"bad rational {text!r}: {exc}") from None
+    except ValueError as exc:
+        # more digits than int() converts; too long to echo back
+        raise ScalarParseError(
+            f"bad rational of {len(text)} characters: {exc}") from None
 
 
 class GaussianRational:
-    __slots__ = ("real", "imag")
+    """The value (re + im*i)/den, held as the canonical triple ``_t``."""
+
+    __slots__ = ("_t",)
 
     def __init__(self, real: Union[Fraction, int, str] = 0, imag: Union[Fraction, int] = 0):
         if isinstance(real, str):
-            parsed = GaussianRational.parse(real)
-            real, imag = parsed.real, parsed.imag
-        object.__setattr__(self, "real", Fraction(real))
-        object.__setattr__(self, "imag", Fraction(imag))
+            triple = GaussianRational.parse(real)._t
+        else:
+            real, imag = Fraction(real), Fraction(imag)
+            triple = _make(real.numerator * imag.denominator,
+                           imag.numerator * real.denominator,
+                           real.denominator * imag.denominator)._t
+        _set_triple(self, triple)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
+
+    @property
+    def real(self) -> Fraction:
+        re, _, den = self._t
+        return Fraction(re, den)
+
+    @property
+    def imag(self) -> Fraction:
+        _, im, den = self._t
+        return Fraction(im, den)
 
     @classmethod
     def parse(cls, text: str) -> "GaussianRational":
@@ -83,35 +106,47 @@ class GaussianRational:
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other: ScalarLike) -> "GaussianRational":
-        other = as_scalar(other)
-        return GaussianRational(self.real + other.real, self.imag + other.imag)
+        if not isinstance(other, GaussianRational):
+            other = as_scalar(other)
+        a, b, d = self._t
+        c, e, f = other._t
+        if d == f:
+            return _make(a + c, b + e, d)
+        return _make(a * f + c * d, b * f + e * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other: ScalarLike) -> "GaussianRational":
-        other = as_scalar(other)
-        return GaussianRational(self.real - other.real, self.imag - other.imag)
+        if not isinstance(other, GaussianRational):
+            other = as_scalar(other)
+        a, b, d = self._t
+        c, e, f = other._t
+        if d == f:
+            return _make(a - c, b - e, d)
+        return _make(a * f - c * d, b * f - e * d, d * f)
 
     def __rsub__(self, other: ScalarLike) -> "GaussianRational":
         return as_scalar(other) - self
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.real, -self.imag)
+        a, b, d = self._t
+        return _wrap((-a, -b, d))
 
     def __mul__(self, other: ScalarLike) -> "GaussianRational":
-        other = as_scalar(other)
-        a, b, c, d = self.real, self.imag, other.real, other.imag
-        if not b and not d:
-            return GaussianRational(a * c)
-        return GaussianRational(a * c - b * d, a * d + b * c)
+        if not isinstance(other, GaussianRational):
+            other = as_scalar(other)
+        a, b, d = self._t
+        c, e, f = other._t
+        return _make(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "GaussianRational":
-        den = self.real * self.real + self.imag * self.imag
-        if not den:
+        a, b, d = self._t
+        if not (a or b):
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(self.real / den, -self.imag / den)
+        # d/(a + b*i) = d*(a - b*i)/(a^2 + b^2), the sign on the numerator
+        return _make(d * a, -d * b, a * a + b * b)
 
     def __truediv__(self, other: ScalarLike) -> "GaussianRational":
         return self * as_scalar(other).inverse()
@@ -135,41 +170,70 @@ class GaussianRational:
         return result
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.real, -self.imag)
+        a, b, d = self._t
+        return _wrap((a, -b, d))
 
     def abs2(self) -> Fraction:
         """Squared modulus, an exact rational."""
-        return self.real * self.real + self.imag * self.imag
+        a, b, d = self._t
+        return Fraction(a * a + b * b, d * d)
 
     # -- comparisons ---------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.real) or bool(self.imag)
+        a, b, _ = self._t
+        return bool(a or b)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, GaussianRational):
-            return self.real == other.real and self.imag == other.imag
+            return self._t == other._t
         if isinstance(other, (int, Fraction)):
-            return self.imag == 0 and self.real == other
+            return self._t == (other.numerator, 0, other.denominator)
         return NotImplemented
 
     def __hash__(self):
-        if not self.imag:
+        # the hash of the equal int or Fraction for real values
+        if not self._t[1]:
             return hash(self.real)
         return hash((self.real, self.imag))
 
     def __str__(self) -> str:
-        if not self.imag:
-            return str(self.real)
-        imag_str = f"{self.imag}*i"
-        if not self.real:
+        real, imag = self.real, self.imag
+        if not imag:
+            return str(real)
+        imag_str = f"{imag}*i"
+        if not real:
             return imag_str
-        if self.imag > 0:
-            return f"{self.real}+{imag_str}"
-        return f"{self.real}-{-self.imag}*i"
+        if imag > 0:
+            return f"{real}+{imag_str}"
+        return f"{real}-{-imag}*i"
 
     def __repr__(self) -> str:
         return f"GaussianRational({str(self)!r})"
+
+
+_new = object.__new__
+_set_triple = GaussianRational._t.__set__
+
+
+def _wrap(triple) -> GaussianRational:
+    """A GaussianRational holding ``triple``, which must be canonical."""
+    value = _new(GaussianRational)
+    _set_triple(value, triple)
+    return value
+
+
+def _make(re: int, im: int, den: int) -> GaussianRational:
+    """(re + im*i)/den for ints with den > 0, reduced to its canonical triple."""
+    g = gcd(re, im, den)
+    if g != 1:
+        re //= g
+        im //= g
+        den //= g
+    # _wrap inlined: this is the constructor of every arithmetic result
+    value = _new(GaussianRational)
+    _set_triple(value, (re, im, den))
+    return value
 
 
 ZERO = GaussianRational(0)
@@ -182,7 +246,7 @@ def as_scalar(value: ScalarLike) -> GaussianRational:
     if isinstance(value, GaussianRational):
         return value
     if isinstance(value, (int, Fraction)):
-        return GaussianRational(value)
+        return _wrap((value.numerator, 0, value.denominator))
     if isinstance(value, str):
         return GaussianRational.parse(value)
     raise TypeError(f"cannot interpret {value!r} as an exact scalar")

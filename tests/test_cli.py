@@ -268,6 +268,23 @@ def test_decimal_coefficient_is_an_input_format_error(tmp_path, capsys):
     assert "terms[0].coeff: bad rational '0.25'" in err
 
 
+@pytest.mark.parametrize("coeff", ['"1{zeros}"', "1{zeros}"],
+                         ids=["string", "bare-integer"])
+def test_oversized_integer_is_an_input_format_error(tmp_path, capsys, coeff):
+    # 5000 digits, past int()'s 4300-digit limit: as a string and as a
+    # bare JSON integer, which json.dumps itself could not write
+    coeff = coeff.format(zeros="0" * 4999)
+    path = tmp_path / "huge.json"
+    path.write_text('{"dim": 2, "order": 4, "eigenvalues": ["1", "-1"], '
+                    '"terms": [{"coeff": ' + coeff
+                    + ', "exps": [2, 0], "comp": 1}]}')
+    assert main(["normalize", "--input", str(path), "--order", "4"]) == 2
+    err = capsys.readouterr().err
+    assert "dulac: error [input-format]:" in err
+    assert "Exceeds the limit" in err
+    assert len(err) < 1000
+
+
 @pytest.mark.parametrize("target", ["missing-dir/report.txt", "."])
 def test_unwritable_out_is_an_input_format_error(saddle_path, tmp_path,
                                                  capsys, target):

@@ -11,10 +11,15 @@
   form, which the test solves for from the degree-1 system alone.
 * ``add_scaled``, through which every coefficient sum of the kernel runs,
   is the plain sum with the zeros dropped, and never stores a zero.
+* ``GaussianRational`` arithmetic on integer triples agrees with a plain
+  pair of ``Fraction`` parts, also against int and Fraction operands, and
+  leaves every result canonical.
 """
 
+import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -161,3 +166,97 @@ def test_add_scaled_is_the_sum_without_zeros(start, steps):
             naive[key] = naive.get(key, ZERO) + scaled
     assert acc == {key: value for key, value in naive.items() if value}
     assert all(acc.values())
+
+
+# A reference Q(i): a value is a pair (real, imag) of Fractions.
+
+def ref_add(x, y):
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def ref_sub(x, y):
+    return (x[0] - y[0], x[1] - y[1])
+
+
+def ref_mul(x, y):
+    (a, b), (c, d) = x, y
+    return (a * c - b * d, a * d + b * c)
+
+
+def ref_inverse(x):
+    a, b = x
+    norm = a * a + b * b
+    return (a / norm, -b / norm)
+
+
+def ref_pow(x, n):
+    base = ref_inverse(x) if n < 0 else x
+    out = (Fraction(1), Fraction(0))
+    for _ in range(abs(n)):
+        out = ref_mul(out, base)
+    return out
+
+
+def ref_str(x):
+    re, im = x
+    if not im:
+        return str(re)
+    if not re:
+        return f"{im}*i"
+    return f"{re}+{im}*i" if im > 0 else f"{re}-{-im}*i"
+
+
+def assert_matches(value, ref):
+    """``value`` is the canonical triple of the reference pair ``ref``."""
+    assert type(value) is GaussianRational
+    re, im, den = value._t
+    assert all(type(n) is int for n in (re, im, den))
+    assert den > 0 and math.gcd(re, im, den) == 1
+    assert (Fraction(re, den), Fraction(im, den)) == ref
+    assert (value.real, value.imag) == ref
+    assert bool(value) == bool(ref[0] or ref[1])
+    assert str(value) == ref_str(ref)
+
+
+rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+# general, purely real, purely imaginary and zero values
+pairs = st.one_of(st.tuples(rationals, rationals),
+                  st.tuples(rationals, st.just(Fraction(0))),
+                  st.tuples(st.just(Fraction(0)), rationals),
+                  st.just((Fraction(0), Fraction(0))))
+gaussians = pairs.map(lambda p: (GaussianRational(*p), p))
+# operands as the kernel meets them: Gaussian rationals, ints, Fractions
+operands = st.one_of(
+    gaussians,
+    st.integers(-6, 6).map(lambda n: (n, (Fraction(n), Fraction(0)))),
+    rationals.map(lambda q: (q, (q, Fraction(0)))))
+
+
+@settings(PROPERTY_SETTINGS, max_examples=300)
+@given(gaussians, operands, st.integers(-4, 4))
+def test_gaussian_rational_matches_a_fraction_pair(x, y, n):
+    (gx, rx), (oy, ry) = x, y
+    zero = (Fraction(0), Fraction(0))
+    assert_matches(gx, rx)
+    assert_matches(gx + oy, ref_add(rx, ry))
+    assert_matches(oy + gx, ref_add(rx, ry))
+    assert_matches(gx - oy, ref_sub(rx, ry))
+    assert_matches(oy - gx, ref_sub(ry, rx))
+    assert_matches(gx * oy, ref_mul(rx, ry))
+    assert_matches(oy * gx, ref_mul(rx, ry))
+    assert_matches(-gx, ref_sub(zero, rx))
+    if ry != zero:
+        assert_matches(gx / oy, ref_mul(rx, ref_inverse(ry)))
+    if rx != zero:
+        assert_matches(gx.inverse(), ref_inverse(rx))
+        assert_matches(oy / gx, ref_mul(ry, ref_inverse(rx)))
+        assert_matches(gx ** n, ref_pow(rx, n))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            gx.inverse()
+        assert_matches(gx ** abs(n), ref_pow(rx, abs(n)))
+    assert (gx == oy) == (rx == ry)
+    assert (oy == gx) == (rx == ry)
+    assert (gx != oy) == (rx != ry)
+    if rx == ry:
+        assert hash(gx) == hash(oy)

@@ -90,6 +90,21 @@ def test_equality_and_hash():
     assert I
 
 
+def test_real_values_hash_like_int_and_fraction():
+    # equal values must hash equal across the three types
+    assert hash(GaussianRational(Fraction(1, 3))) == hash(Fraction(1, 3))
+    assert hash(GaussianRational(Fraction(-6, 4))) == hash(Fraction(-3, 2))
+    assert hash(GaussianRational(2)) == hash(2)
+    assert GaussianRational(2) == 2
+    assert {GaussianRational(2): "x"}[2] == "x"
+    a = GaussianRational(Fraction(2, 6), Fraction(-1, 2))
+    assert type(a.real) is Fraction and a.real == Fraction(1, 3)
+    assert type(a.imag) is Fraction and a.imag == Fraction(-1, 2)
+    for part in ("real", "imag"):
+        with pytest.raises(AttributeError):
+            setattr(a, part, Fraction(1))
+
+
 def test_immutability():
     with pytest.raises(AttributeError):
         ONE.real = Fraction(2)
