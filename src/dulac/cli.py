@@ -122,7 +122,7 @@ def _cmd_normalize(args) -> int:
                               "push-forward of the input along Psi",
                 "components": [
                     _poly_terms(poly, i) for i, poly in
-                    enumerate(result.transformation.component_polys())],
+                    enumerate(result.transformation.components)],
             },
             "per_degree": [
                 {"degree": rec.degree, "resonant_dimension": rec.kernel_dim,
@@ -139,7 +139,7 @@ def _cmd_normalize(args) -> int:
     lines += _field_lines(result.normal_form)
     lines.append("transformation y = Psi(x) (normal form = push-forward "
                  "of the input):")
-    for i, poly in enumerate(result.transformation.component_polys()):
+    for i, poly in enumerate(result.transformation.components):
         lines.append(f"  y{i + 1} = {format_poly(poly)}")
     lines.append("per-degree summary:")
     for rec in result.per_degree:

@@ -153,7 +153,7 @@ def _run_horn() -> EntryOutcome:
     t_inverse = NearIdentityMap.from_linear(
         HORN_CONJUGATION, order).invert_to_order()
     inverse = t_inverse.compose(result.inverse)
-    coeffs = restrict_to_axis(inverse.component_polys()[1], 0)
+    coeffs = restrict_to_axis(inverse.components[1], 0)
     expected = [as_scalar(0)] + [as_scalar(math.factorial(k - 1))
                                  for k in range(1, order + 1)]
     table = ", ".join(str(coeffs[k]) for k in range(1, order + 1))

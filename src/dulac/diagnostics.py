@@ -390,7 +390,8 @@ class CriterionCheck:
 
 
 def _small_divisor_text(omega: OmegaReport) -> str:
-    return (f"small divisors obey omega_k^2 >= {omega.rational_bound_sq} "
+    return (f"small divisors obey omega_k^2 >= "
+            f"{as_scalar(omega.rational_bound_sq)} "
             f"for every k (common-denominator bound)")
 
 
@@ -676,12 +677,14 @@ class DiagnosticsReport:
             "verdict": self.omega.verdict,
             "rational_bound_sq": (None if self.omega.rational_bound_sq
                                   is None
-                                  else str(self.omega.rational_bound_sq)),
+                                  else str(as_scalar(
+                                      self.omega.rational_bound_sq))),
             "omega_floor": self.omega.omega_floor(),
             "tuples_scanned": self.omega.tuples_scanned,
             "records": [{
                 "k": r.k,
-                "omega_sq": None if r.omega_sq is None else str(r.omega_sq),
+                "omega_sq": (None if r.omega_sq is None
+                             else str(as_scalar(r.omega_sq))),
                 "partial_sum": r.partial_sum,
             } for r in self.omega.records],
         }
@@ -794,7 +797,7 @@ def _transformation_growth(
     """
     best: Optional[GrowthClassification] = None
     for nmap in (result.transformation, result.inverse):
-        for comp in nmap.component_polys():
+        for comp in nmap.components:
             for axis in range(comp.dim):
                 try:
                     found = growth_classify(restrict_to_axis(comp, axis))

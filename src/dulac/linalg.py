@@ -93,12 +93,12 @@ def nullspace(rows: Sequence[SparseRow], ncols: int) -> List[SparseRow]:
                 pivots[lead] = {c: v * inv for c, v in row.items()}
                 break
             add_scaled(row, pivot, -row[lead])
-    # Back substitution to full reduced form.
+    # Back substitution to full reduced form.  Rows with larger leads are
+    # reduced already, so subtracting one brings in no pivot column.
     for lead in sorted(pivots, reverse=True):
-        prow = pivots[lead]
-        for other_lead, other in pivots.items():
-            if other_lead < lead and lead in other:
-                add_scaled(other, prow, -other[lead])
+        row = pivots[lead]
+        for col in [c for c in row if c != lead and c in pivots]:
+            add_scaled(row, pivots[col], -row[col])
     basis: List[SparseRow] = []
     for col in range(ncols):
         if col in pivots:

@@ -1,8 +1,10 @@
 """Polynomial coordinate changes with invertible linear part.
 
-A near-identity map is y = Psi(x) = Lx + h(x) with L invertible and h a
-truncated field of degree >= 2 terms.  Maps compose, invert to the
-truncation order, and transport vector fields:
+A near-identity map y = Psi(x) = Lx + h(x), with L invertible and h of
+degree >= 2, is held as its n component polynomials Psi_1..Psi_n and
+nothing else; L^-1 is computed once, when the map is built, and kept as
+``linear_inverse``.  Maps compose, invert to the truncation order, and
+transport vector fields:
 
     push_forward(Psi, f) is the field g with ydot = g(y) when xdot = f(x),
 
@@ -13,102 +15,66 @@ outermost-last: compose(outer, inner) applies inner first, so the map for
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Sequence
 
 from .errors import DimensionMismatchError
-from .linalg import identity_matrix, mat_inverse
-from .poly import PolyScalar, PolyVectorField, TermMap, jacobian
+from .linalg import mat_inverse
+from .poly import PolyScalar, PolyVectorField, TermMap
 from .scalars import GaussianRational, add_scaled, as_scalar
 
 
 class NearIdentityMap:
-    """y = Lx + h(x), L invertible, h of degree >= 2."""
+    """y = Psi(x) given by its components, L = DPsi(0) invertible."""
 
-    __slots__ = ("dim", "order", "linear", "h")
+    __slots__ = ("dim", "order", "components", "linear_inverse")
 
-    def __init__(self, linear: Sequence[Sequence], h: Optional[PolyVectorField] = None,
-                 order: Optional[int] = None):
-        rows = tuple(tuple(as_scalar(v) for v in row) for row in linear)
-        dim = len(rows)
-        if any(len(row) != dim for row in rows):
-            raise DimensionMismatchError("linear part must be square")
-        if h is None:
-            if order is None:
-                raise DimensionMismatchError(
-                    "need a truncation order when no higher-order part is given")
-            h = PolyVectorField.zero(dim, order)
-        if h.dim != dim:
-            raise DimensionMismatchError("linear part and h dimensions differ")
-        if not h.is_zero() and h.min_degree() < 2:
-            raise DimensionMismatchError(
-                "higher-order part of a near-identity map must start at degree 2")
-        mat_inverse(rows)  # raises SingularLinearPartError if not invertible
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "order", h.order)
-        object.__setattr__(self, "linear", rows)
-        object.__setattr__(self, "h", h)
+    def __init__(self, components: Sequence[PolyScalar]):
+        # one dimension and one truncation order for all n components
+        field = PolyVectorField(components)
+        if any(c.coefficient((0,) * field.dim) for c in field.components):
+            raise DimensionMismatchError("coordinate changes must fix the origin")
+        # raises SingularLinearPartError if L is not invertible
+        linv = mat_inverse(field.linear_matrix())
+        object.__setattr__(self, "dim", field.dim)
+        object.__setattr__(self, "order", field.order)
+        object.__setattr__(self, "components", field.components)
+        object.__setattr__(self, "linear_inverse", tuple(map(tuple, linv)))
 
     def __setattr__(self, name, value):
         raise AttributeError("NearIdentityMap is immutable")
 
     @classmethod
     def identity(cls, dim: int, order: int) -> "NearIdentityMap":
-        return cls(identity_matrix(dim), order=order)
+        return cls([PolyScalar.variable(dim, order, i) for i in range(dim)])
 
     @classmethod
     def from_linear(cls, matrix: Sequence[Sequence], order: int) -> "NearIdentityMap":
-        return cls(matrix, order=order)
+        dim = len(matrix)
+        if any(len(row) != dim for row in matrix):
+            raise DimensionMismatchError("linear part must be square")
+        xs = [PolyScalar.variable(dim, order, j) for j in range(dim)]
+        return cls([_linear_combo([as_scalar(v) for v in row], xs)
+                    for row in matrix])
 
     @classmethod
     def from_generator(cls, h: PolyVectorField) -> "NearIdentityMap":
         """The map x + h(x) for a generator h of degree >= 2."""
-        return cls(identity_matrix(h.dim), h)
-
-    @classmethod
-    def from_components(cls, components: Sequence[PolyScalar]) -> "NearIdentityMap":
-        """Split explicit component polynomials into linear part and rest."""
-        dim = len(components)
-        order = components[0].order
-        zero_exps = (0,) * dim
-        linear = []
-        rest = []
-        for comp in components:
-            if comp.coefficient(zero_exps):
-                raise DimensionMismatchError(
-                    "coordinate changes must fix the origin")
-            row = []
-            for j in range(dim):
-                exps = tuple(1 if k == j else 0 for k in range(dim))
-                row.append(comp.coefficient(exps))
-            linear.append(row)
-            rest.append(comp.degree_range(2))
-        return cls(linear, PolyVectorField(rest))
+        if not h.is_zero() and h.min_degree() < 2:
+            raise DimensionMismatchError(
+                "higher-order part of a near-identity map must start at degree 2")
+        return cls([PolyScalar.variable(h.dim, h.order, i) + c
+                    for i, c in enumerate(h.components)])
 
     def is_identity(self) -> bool:
-        return (self.h.is_zero()
-                and all(self.linear[i][j] == (1 if i == j else 0)
-                        for i in range(self.dim) for j in range(self.dim)))
-
-    def component_polys(self) -> List[PolyScalar]:
-        """The map's components Lx + h(x) as scalar polynomials."""
-        out = []
-        for i in range(self.dim):
-            terms = {}
-            for j in range(self.dim):
-                if self.linear[i][j]:
-                    exps = tuple(1 if k == j else 0 for k in range(self.dim))
-                    terms[exps] = self.linear[i][j]
-            comp = PolyScalar(self.dim, self.order, terms) + self.h.components[i]
-            out.append(comp)
-        return out
+        return all(c == PolyScalar.variable(self.dim, self.order, i)
+                   for i, c in enumerate(self.components))
 
     def compose(self, inner: "NearIdentityMap") -> "NearIdentityMap":
         """self after inner: (self . inner)(x) = self(inner(x))."""
         if self.dim != inner.dim:
             raise DimensionMismatchError("composed maps must share a dimension")
-        inner_comps = inner.component_polys()
-        comps = [poly.substitute(inner_comps) for poly in self.component_polys()]
-        return NearIdentityMap.from_components(comps)
+        return NearIdentityMap([c.substitute(inner.components)
+                                for c in self.components])
 
     def invert_to_order(self) -> "NearIdentityMap":
         """The map Phi with Psi(Phi(y)) = y through the truncation order.
@@ -120,29 +86,27 @@ class NearIdentityMap:
         degree w, and nothing above w can be right yet.  Each pass
         therefore works at truncation order w = 2, 3, ..., N only.
         """
-        linv = mat_inverse(self.linear)
-        if self.h.is_zero():
-            return NearIdentityMap(linv, order=self.order)
+        linv = self.linear_inverse
         dim = self.dim
+        h = [c.degree_range(2) for c in self.components]
         ys = [PolyScalar.variable(dim, 1, j) for j in range(dim)]
         phi = [_linear_combo(linv[i], ys) for i in range(dim)]
         for work in range(2, self.order + 1):
             lifted = [PolyScalar(dim, work, p.terms) for p in phi]
             rhs = [PolyScalar.variable(dim, work, j)
                    - c.truncated(work).substitute(lifted)
-                   for j, c in enumerate(self.h.components)]
+                   for j, c in enumerate(h)]
             phi = [_linear_combo(linv[i], rhs) for i in range(dim)]
-        return NearIdentityMap.from_components(phi)
+        return NearIdentityMap(phi)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, NearIdentityMap):
             return NotImplemented
-        return (self.linear == other.linear and self.h == other.h
-                and self.order == other.order)
+        return self.components == other.components
 
     def __repr__(self) -> str:
         return (f"NearIdentityMap(dim={self.dim}, order={self.order}, "
-                f"components={[str(c) for c in self.component_polys()]})")
+                f"components={[str(c) for c in self.components]})")
 
 
 def _linear_combo(coeffs: Sequence[GaussianRational],
@@ -164,33 +128,31 @@ def pull_back(phi_map: NearIdentityMap, f: PolyVectorField) -> PolyVectorField:
     if phi_map.dim != f.dim:
         raise DimensionMismatchError("map and field dimensions differ")
     order = min(phi_map.order, f.order)
-    comps = [c.truncated(order) if c.order > order else c
-             for c in phi_map.component_polys()]
+    comps = [c.truncated(order) for c in phi_map.components]
     rhs = [c.substitute(comps) for c in f.components]
-    linv = mat_inverse(phi_map.linear)
+    linv = phi_map.linear_inverse
     acc = [_linear_combo(linv[i], rhs) for i in range(f.dim)]
     total = [dict(a.terms) for a in acc]
-    if not phi_map.h.is_zero():
-        # Map components are exact polynomials, so differentiating them
-        # loses nothing; re-tag the Jacobian entries at the working order.
-        dh = [[PolyScalar(f.dim, order, entry.terms) for entry in row]
-              for row in jacobian(phi_map.h)]
-        # M = -Linv Dh, entries of degree >= 1
-        m_rows = [[_linear_combo([-c for c in row], column)
-                   for column in zip(*dh)] for row in linv]
-        for _ in range(order):
-            nxt = []
-            for i in range(f.dim):
-                entry: TermMap = {}
-                for j in range(f.dim):
-                    if not m_rows[i][j].is_zero() and not acc[j].is_zero():
-                        add_scaled(entry, (m_rows[i][j] * acc[j]).terms)
-                nxt.append(PolyScalar(f.dim, order, entry))
-            acc = nxt
-            if all(a.is_zero() for a in acc):
-                break
-            for t, a in zip(total, acc):
-                add_scaled(t, a.terms)
+    # Map components are exact polynomials, so differentiating h loses
+    # nothing; re-tag the Jacobian entries at the working order.
+    dh = [[PolyScalar(f.dim, order, h.partial(j).terms) for j in range(f.dim)]
+          for h in (c.degree_range(2) for c in phi_map.components)]
+    # M = -Linv Dh, entries of degree >= 1
+    m_rows = [[_linear_combo([-c for c in row], column)
+               for column in zip(*dh)] for row in linv]
+    for _ in range(order):
+        nxt = []
+        for i in range(f.dim):
+            entry: TermMap = {}
+            for j in range(f.dim):
+                if not m_rows[i][j].is_zero() and not acc[j].is_zero():
+                    add_scaled(entry, (m_rows[i][j] * acc[j]).terms)
+            nxt.append(PolyScalar(f.dim, order, entry))
+        acc = nxt
+        if all(a.is_zero() for a in acc):
+            break
+        for t, a in zip(total, acc):
+            add_scaled(t, a.terms)
     return PolyVectorField([PolyScalar(f.dim, order, t) for t in total])
 
 

@@ -181,6 +181,17 @@ def _count_tuples_upto(dim: int, total: int) -> int:
     return math.comb(total + dim, dim)
 
 
+def _log_inverse_root(square: Fraction) -> float:
+    """ln(1/omega) for omega^2 = square, also outside the float range."""
+    try:
+        as_float = float(square)
+    except OverflowError:
+        as_float = 0.0
+    if as_float:
+        return math.log(1.0 / math.sqrt(as_float))
+    return (math.log(square.denominator) - math.log(square.numerator)) / 2
+
+
 def omega_condition(spectrum: Spectrum, max_k: int,
                     budget: int = DEFAULT_TUPLE_BUDGET) -> OmegaReport:
     """Scan the smallest divisors over degree ranges 1 < |Q| < 2**k.
@@ -224,7 +235,7 @@ def omega_condition(spectrum: Spectrum, max_k: int,
                         if best is None or d2 < best:
                             best = d2
         if best is not None:
-            running += (2.0 ** -k) * math.log(1.0 / math.sqrt(float(best)))
+            running += (2.0 ** -k) * _log_inverse_root(best)
         records.append(OmegaRecord(k, best, running))
     return OmegaReport(tuple(records), "holds-by-rational-bound",
                        bound_sq, scanned, budget)

@@ -18,11 +18,12 @@ and digit separators are rejected.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import gcd
 from typing import Mapping, Optional, Union
 
-from .errors import ScalarParseError
+from .errors import BudgetExceededError, ScalarParseError
 
 ScalarLike = Union["GaussianRational", Fraction, int, str]
 
@@ -198,15 +199,23 @@ class GaussianRational:
         return hash((self.real, self.imag))
 
     def __str__(self) -> str:
+        # The one place where a computed value becomes text.
         real, imag = self.real, self.imag
-        if not imag:
-            return str(real)
-        imag_str = f"{imag}*i"
-        if not real:
-            return imag_str
-        if imag > 0:
-            return f"{real}+{imag_str}"
-        return f"{real}-{-imag}*i"
+        try:
+            if not imag:
+                return str(real)
+            imag_str = f"{imag}*i"
+            if not real:
+                return imag_str
+            if imag > 0:
+                return f"{real}+{imag_str}"
+            return f"{real}-{-imag}*i"
+        except ValueError:
+            # past the interpreter's limit on int-to-text conversion
+            raise BudgetExceededError(
+                "a coefficient's numerator or denominator has more than "
+                f"{sys.get_int_max_str_digits()} digits, too many to print"
+            ) from None
 
     def __repr__(self) -> str:
         return f"GaussianRational({str(self)!r})"

@@ -75,7 +75,7 @@ def test_criterion_1_factorial_divergence_witness():
         total = result.transformation.compose(
             NearIdentityMap.from_linear(HORN_CONJUGATION, 12))
         inverse = total.invert_to_order()
-        coeffs = restrict_to_axis(inverse.component_polys()[1], 0)
+        coeffs = restrict_to_axis(inverse.components[1], 0)
         expected = [as_scalar(0)] + [
             as_scalar(math.factorial(k - 1)) for k in range(1, 13)]
         assert coeffs == expected

@@ -1,6 +1,7 @@
 """End-to-end runs of the command line entry point, in process."""
 
 import json
+import math
 
 import pytest
 
@@ -312,3 +313,42 @@ def test_kernel_intersection_max_degree_below_two(capsys, max_degree):
     captured = capsys.readouterr()
     assert "dulac: error [truncation-order]:" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_coefficient_past_the_print_limit_is_a_budget_error(tmp_path, capsys,
+                                                            as_json):
+    # 2500 digits parse, but the order-4 normalizing map holds their
+    # squares and cubes, past the 4300 digits that int() can print
+    data = {"dim": 2, "order": 4, "eigenvalues": ["1", "-3"],
+            "terms": [{"coeff": "7" * 2500, "exps": [2, 0], "comp": 1}]}
+    path = tmp_path / "tall.json"
+    path.write_text(json.dumps(data))
+    argv = ["normalize", "--input", str(path), "--order", "4"]
+    assert main(argv + ["--json"] if as_json else argv) == 2
+    captured = capsys.readouterr()
+    assert "dulac: error [enumeration-budget-exceeded]:" in captured.err
+    assert "4300 digits" in captured.err
+    assert len(captured.err) < 1000
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("eigenvalues, omega_sq, partial_sum", [
+    # omega_2^2 = 10^-340 is 0.0 as a float
+    (["1/1" + "0" * 170, "-3"], "1/1" + "0" * 340, 170 * math.log(10) / 4),
+    # omega_2^2 = (10^400 - 1)^2 is too large for a float
+    (["1" + "0" * 400, "1" + "0" * 399 + "1"], str((10 ** 400 - 1) ** 2),
+     -400 * math.log(10) / 4),
+], ids=["underflow", "overflow"])
+def test_small_divisor_outside_float_range(tmp_path, capsys, eigenvalues,
+                                           omega_sq, partial_sum):
+    # ln(1/omega_k) comes from the integers where a float cannot hold
+    # omega_k^2
+    data = {"dim": 2, "order": 3, "eigenvalues": eigenvalues, "terms": []}
+    path = tmp_path / "spectrum.json"
+    path.write_text(json.dumps(data))
+    assert main(["diagnose", "--input", str(path), "--order", "3",
+                 "--omega-k", "2", "--json"]) == 0
+    records = json.loads(capsys.readouterr().out)["small_divisors"]["records"]
+    assert records[1]["omega_sq"] == omega_sq
+    assert records[1]["partial_sum"] == pytest.approx(partial_sum)

@@ -25,14 +25,14 @@ def quadratic_shift(order=6):
 def test_identity_map():
     ident = NearIdentityMap.identity(2, 5)
     assert ident.is_identity()
-    comps = ident.component_polys()
+    comps = ident.components
     assert comps[0] == PolyScalar.variable(2, 5, 0)
     f = random_field(random.Random(1), 2, 5, 3, 4, min_degree=1)
     assert push_forward(ident, f) == f
 
 
 def test_component_polys_of_generator_map():
-    comps = quadratic_shift().component_polys()
+    comps = quadratic_shift().components
     assert comps[0] == PolyScalar.variable(2, 6, 0)
     assert comps[1].coefficient((2, 0)) == ONE
     assert comps[1].coefficient((0, 1)) == ONE
@@ -40,7 +40,7 @@ def test_component_polys_of_generator_map():
 
 def test_from_components_round_trip():
     original = quadratic_shift()
-    rebuilt = NearIdentityMap.from_components(original.component_polys())
+    rebuilt = NearIdentityMap(original.components)
     assert rebuilt == original
 
 
@@ -48,7 +48,7 @@ def test_from_components_rejects_constant_terms():
     bad = [PolyScalar(2, 4, {(0, 0): ONE, (1, 0): ONE}),
            PolyScalar.variable(2, 4, 1)]
     with pytest.raises(DimensionMismatchError):
-        NearIdentityMap.from_components(bad)
+        NearIdentityMap(bad)
 
 
 def test_from_linear_requires_invertible_matrix():
@@ -73,8 +73,7 @@ def test_compose_is_substitution():
     x = syms(2)
     inner_exprs = [
         sympy_to_poly(e, x, 2, 6) for e in (x[0], -x[0] + x[1])]
-    for comp, expect_base in zip(composed.component_polys(),
-                                 outer.component_polys()):
+    for comp, expect_base in zip(composed.components, outer.components):
         assert comp == expect_base.substitute(inner_exprs)
 
 

@@ -72,7 +72,7 @@ def test_horn_transformation_coefficients():
     assert result.normal_form == PolyVectorField.from_terms(2, 6, [
         (0, (2, 0), 1), (1, (0, 1), 1)])
     coeffs = restrict_to_axis(
-        result.transformation.component_polys()[1], 0)
+        result.transformation.components[1], 0)
     # y2 = x2 - x1^2 - 2 x1^3 - 6 x1^4 - 24 x1^5 - 120 x1^6
     assert coeffs == [ZERO, ZERO, as_scalar(-1), as_scalar(-2),
                       as_scalar(-6), as_scalar(-24), as_scalar(-120)]

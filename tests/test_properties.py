@@ -1,5 +1,8 @@
 """Property tests for the identities that the normalizing pipeline leans on.
 
+* A ``NearIdentityMap`` is its component polynomials: rebuilding it
+  from them gives the same map, its stored ``linear_inverse`` is L^-1,
+  and composition is associative.
 * ``invert_to_order`` is a two-sided inverse through the truncation order,
   also when the linear part is neither the identity nor diagonal, so
   that every graded pass runs under a mixing L^-1.
@@ -24,10 +27,11 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from dulac.centralizer import centralizer_basis
-from dulac.linalg import mat_det, nullspace
+from dulac.linalg import identity_matrix, mat_det, mat_mul, nullspace
 from dulac.maps import NearIdentityMap, pull_back
 from dulac.normalizer import normalize
 from dulac.poly import (
+    PolyScalar,
     PolyVectorField,
     Spectrum,
     enumerate_monomials,
@@ -62,18 +66,23 @@ def terms(draw, dim, min_degree, max_degree, max_terms):
 
 
 @st.composite
-def near_identity_maps(draw):
+def near_identity_maps(draw, dim=None, max_order=None):
     """Lx + h(x) with L invertible, non-diagonal, and h nonzero."""
-    dim = draw(st.integers(min_value=2, max_value=4))
+    dim = dim or draw(st.integers(min_value=2, max_value=4))
     # dense dim-4 maps at order 6 cost seconds per example to compose
-    order = draw(st.integers(min_value=2, max_value=6 if dim < 4 else 5))
+    order = draw(st.integers(min_value=2,
+                             max_value=max_order or (6 if dim < 4 else 5)))
     linear = [[GaussianRational(draw(small_ints)) for _ in range(dim)]
               for _ in range(dim)]
     assume(any(linear[i][j] for i in range(dim) for j in range(dim) if i != j))
     assume(mat_det(linear))
     h = PolyVectorField.from_terms(dim, order, draw(terms(dim, 2, order, 3)))
     assume(not h.is_zero())
-    return NearIdentityMap(linear, h)
+    # component i is row i of L times x, plus h_i
+    return NearIdentityMap([
+        sum((PolyScalar.variable(dim, order, j) * linear[i][j]
+             for j in range(dim)), h.components[i])
+        for i in range(dim)])
 
 
 @st.composite
@@ -125,6 +134,22 @@ def test_invert_to_order_is_a_two_sided_inverse(psi):
     phi = psi.invert_to_order()
     assert psi.compose(phi).is_identity()
     assert phi.compose(psi).is_identity()
+
+
+@PROPERTY_SETTINGS
+@given(near_identity_maps())
+def test_map_is_its_components_with_the_inverse_linear_part(psi):
+    assert NearIdentityMap(psi.components) == psi
+    linear = PolyVectorField(psi.components).linear_matrix()
+    assert mat_mul(linear, psi.linear_inverse) == identity_matrix(psi.dim)
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(min_value=2, max_value=3).flatmap(
+    lambda dim: st.lists(near_identity_maps(dim, 5), min_size=3, max_size=3)))
+def test_compose_is_associative(maps):
+    a, b, c = maps
+    assert a.compose(b.compose(c)) == a.compose(b).compose(c)
 
 
 @PROPERTY_SETTINGS
