@@ -296,3 +296,33 @@ def test_report_dict_and_text():
     assert "small divisors: holds-by-rational-bound (omega_k^2 >= 1, 116 tuples scanned)" in text
     assert "bruno-small-divisors: hypotheses-verified-to-order-8" in text
     assert text.rstrip().endswith(report.summary())
+
+
+def _centralizer_span(field, symmetry):
+    report = diagnose(field, 5, symmetry=symmetry)
+    return [c for c in report.criteria if c.name == "centralizer-span"][0]
+
+
+def test_centralizer_span_reads_the_symmetry_linear_part():
+    # f = diag(1, 2)x + x1^2 e2: its centralizer through degree 5 is
+    # spanned by the linear part and f itself
+    field = normal_form_field([(1, (2, 0), 1)], (1, 2), order=5)
+    span = _centralizer_span(field, linear_field(field.spectrum, 5))
+    assert span.verdict == "hypotheses-verified"
+    assert span.exact == ("the supplied field's linear part equals 1 times "
+                          "the diagonal linear part",)
+
+    span = _centralizer_span(field, field.without_spectrum() * as_scalar(3))
+    assert span.verdict == "not-applicable"
+    assert span.detail == "the supplied field equals 3 times the input field"
+    assert span.exact == ()
+
+    # x3 e3 commutes with diag(1, 2, 7/3)x + x1^2 e2, but its linear part
+    # diag(0, 0, 1) is no multiple of the diagonal linear part
+    field = normal_form_field([(1, (2, 0, 0), 1)], (1, 2, "7/3"), order=5)
+    symmetry = PolyVectorField.from_terms(3, 5, [(2, (0, 0, 1), 1)])
+    span = _centralizer_span(field, symmetry)
+    assert span.verdict == "not-applicable"
+    assert span.detail == ("the supplied field's linear part is not a scalar "
+                           "multiple of the diagonal linear part")
+    assert span.exact == ()

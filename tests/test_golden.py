@@ -5,7 +5,8 @@ builders in ``dulac.corpus``) and two small grid fields.  ``normalize``
 and ``diagnose`` run on each field at its own truncation order,
 ``diagnose`` with the commuting field where the corpus has one, and
 ``centralizer`` runs on the normal form that ``normalize`` printed for
-it.  Exact arithmetic makes every report a function of its input, so
+it.  ``resonances`` lists each field's resonances through its order,
+and ``kernel-intersection`` runs on the spectrum pairs in ``JOINT``.  Exact arithmetic makes every report a function of its input, so
 any change in these bytes is a change in behaviour.
 
 After a deliberate output change, re-pin with
@@ -32,15 +33,28 @@ ORDERS = {
     "grid-d3-o6": 6,
 }
 WITH_SYMMETRY = {"so2", "holomorphic"}
-COMMANDS = ("normalize", "diagnose", "centralizer")
-CASES = [(name, command) for name in ORDERS for command in COMMANDS]
+COMMANDS = ("normalize", "diagnose", "centralizer", "resonances")
+# snapshot name -> (spectrum a, spectrum b, maximum degree)
+JOINT = {
+    "joint-1_-3_9-1_-2_4": ("1,-3,9", "1,-2,4", "10"),
+    "joint-1_-1-1_-1": ("1,-1", "1,-1", "7"),
+}
+CASES = ([(name, command) for name in ORDERS for command in COMMANDS]
+         + [(name, "kernel-intersection") for name in JOINT])
 
 
 def _argv(name: str, command: str, out: Path) -> list:
+    if command == "kernel-intersection":
+        spec_a, spec_b, degree = JOINT[name]
+        return [command, "--spec-a", spec_a, "--spec-b", spec_b,
+                "--max-degree", degree, "--json", "--out", str(out)]
     order = str(ORDERS[name])
     if command == "centralizer":
         argv = [command, "--input", str(INPUTS / f"{name}.normal-form.json"),
                 "--degree", order]
+    elif command == "resonances":
+        argv = [command, "--input", str(INPUTS / f"{name}.json"),
+                "--max-degree", order]
     else:
         argv = [command, "--input", str(INPUTS / f"{name}.json"),
                 "--order", order]
