@@ -35,14 +35,13 @@ from .poly import (
     Exponents,
     PolyVectorField,
     Spectrum,
-    enumerate_monomials,
     enumerate_monomials_upto,
     grlex_key,
     lie_bracket,
     linear_field,
     monomial_field,
 )
-from .resonance import ResonanceRelation
+from .resonance import ResonanceRelation, resonant_pairs
 from .scalars import ZERO, GaussianRational
 
 
@@ -83,15 +82,12 @@ class CentralizerBasis:
 
 def _unknown_pairs(spectrum: Spectrum, degree_bound: int,
                    restrict: bool) -> List[Tuple[Exponents, int]]:
+    if restrict:
+        return resonant_pairs([spectrum], 1, degree_bound)
     dim = len(spectrum)
-    pairs = []
-    for degree in range(1, degree_bound + 1):
-        for exps in enumerate_monomials(dim, degree):
-            value = spectrum.dot(exps)
-            for j in range(dim):
-                if not restrict or value == spectrum[j]:
-                    pairs.append((exps, j))
-    return pairs
+    return [(exps, j)
+            for exps in enumerate_monomials_upto(dim, degree_bound, 1)
+            for j in range(dim)]
 
 
 def centralizer_basis(fhat: PolyVectorField, degree_bound: int,
@@ -163,14 +159,8 @@ def kernel_intersection(spec_a: Spectrum, spec_b: Spectrum,
         raise DimensionMismatchError("spectra of different lengths")
     if max_degree < 2:
         raise TruncationOrderError(f"maximum degree {max_degree} is below 2")
-    out = []
-    for exps in enumerate_monomials_upto(len(spec_a), max_degree, 2):
-        va = spec_a.dot(exps)
-        vb = spec_b.dot(exps)
-        for j in range(len(spec_a)):
-            if va == spec_a[j] and vb == spec_b[j]:
-                out.append(ResonanceRelation(exps, j))
-    return out
+    return [ResonanceRelation(exps, j)
+            for exps, j in resonant_pairs([spec_a, spec_b], 2, max_degree)]
 
 
 @dataclass(frozen=True)
@@ -257,17 +247,10 @@ def resonance_equivalence_holds(decomp: RationalDecomposition,
                                 spectrum: Spectrum, max_degree: int) -> bool:
     """Certify that A and its rational parts share all resonances.
 
-    Checks both inclusions exhaustively through the given degree.
+    Compares both resonance sets exhaustively through the given degree.
     """
-    parts = decomp.basis_spectra()
-    n = len(spectrum)
-    for exps in enumerate_monomials_upto(n, max_degree, 2):
-        for j in range(n):
-            for_a = spectrum.dot(exps) == spectrum[j]
-            for_parts = all(p.dot(exps) == p[j] for p in parts)
-            if for_a != for_parts:
-                return False
-    return True
+    return (resonant_pairs([spectrum], 2, max_degree)
+            == resonant_pairs(decomp.basis_spectra(), 2, max_degree))
 
 
 def common_invariants(spectra: Sequence[Spectrum],

@@ -8,6 +8,7 @@ integer cap on small-divisor enumeration.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -356,6 +357,7 @@ def _add_common(parser: argparse.ArgumentParser, strict: bool = False) -> None:
                                  "hypotheses fail")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dulac",
@@ -439,8 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except DulacError as exc:

@@ -458,30 +458,6 @@ def _scalar_multiple_of(g: PolyVectorField,
     return None
 
 
-def _linear_multiple(matrix: List[List[GaussianRational]],
-                     spectrum: Spectrum) -> Optional[GaussianRational]:
-    """The scalar beta with matrix = beta * diag(spectrum), if any."""
-    n = len(spectrum)
-    for i in range(n):
-        for j in range(n):
-            if i != j and matrix[i][j] != ZERO:
-                return None
-    beta: Optional[GaussianRational] = None
-    for i in range(n):
-        lam = spectrum[i]
-        entry = matrix[i][i]
-        if lam == 0:
-            if entry != ZERO:
-                return None
-            continue
-        value = entry / lam
-        if beta is None:
-            beta = value
-        elif value != beta:
-            return None
-    return beta if beta is not None else ZERO
-
-
 def _symmetry_criteria(field: PolyVectorField, fhat: PolyVectorField,
                        symmetry: Optional[PolyVectorField], order: int,
                        cz_degree: int) -> List[CriterionCheck]:
@@ -588,7 +564,8 @@ def _symmetry_criteria(field: PolyVectorField, fhat: PolyVectorField,
                     f"unconfirmed at the truncation)"),
             truncated=(commute_note,)))
     else:
-        beta = _linear_multiple(matrix, spectrum)
+        beta = _scalar_multiple_of(symmetry.degree_part(1),
+                                   linear_field(spectrum, symmetry.order))
         if beta is None:
             checks.append(CriterionCheck(
                 names[3], "not-applicable",

@@ -65,10 +65,6 @@ class NearIdentityMap:
         return cls([PolyScalar.variable(h.dim, h.order, i) + c
                     for i, c in enumerate(h.components)])
 
-    def is_identity(self) -> bool:
-        return all(c == PolyScalar.variable(self.dim, self.order, i)
-                   for i, c in enumerate(self.components))
-
     def compose(self, inner: "NearIdentityMap") -> "NearIdentityMap":
         """self after inner: (self . inner)(x) = self(inner(x))."""
         if self.dim != inner.dim:

@@ -325,10 +325,6 @@ class Spectrum:
     def __setattr__(self, name, value):
         raise AttributeError("Spectrum is immutable")
 
-    @classmethod
-    def of(cls, *values: ScalarLike) -> "Spectrum":
-        return cls(values)
-
     def __len__(self) -> int:
         return len(self.values)
 
@@ -357,13 +353,6 @@ class Spectrum:
     def gap(self, exps: Exponents, component: int) -> GaussianRational:
         """Eigenvalue <m, L> - lambda_j of the homological operator."""
         return self.dot(exps) - self.values[component]
-
-    def is_resonant(self, exps: Exponents, component: int) -> bool:
-        return not self.gap(exps, component)
-
-    def scaled(self, factor: ScalarLike) -> "Spectrum":
-        c = as_scalar(factor)
-        return Spectrum(v * c for v in self.values)
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(v) for v in self.values) + ")"
@@ -417,9 +406,6 @@ class PolyVectorField:
             add_scaled(buckets[comp], {tuple(exps): as_scalar(coeff)})
         comps = [PolyScalar(dim, order, b) for b in buckets]
         return cls(comps, spectrum)
-
-    def component(self, index: int) -> PolyScalar:
-        return self.components[index]
 
     # -- inspection ----------------------------------------------------
 

@@ -3,7 +3,9 @@
 Three questions about an eigenvalue tuple L = (lambda_1 .. lambda_n):
 
 * which monomial-vector pairs (m, j) with <m, L> = lambda_j and |m| >= 2
-  span the kernel of the homological operator (``resonant_monomials``);
+  span the kernel of the homological operator (``resonant_monomials``;
+  ``resonant_pairs`` lists the pairs resonant for several spectra at
+  once, which is how every joint kernel here is computed);
 * does the convex hull of the eigenvalues, as points of the plane, avoid
   the origin (``poincare_domain``, the classical Poincare convergence
   domain, decided exactly in rational arithmetic);
@@ -23,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceededError, TruncationOrderError
 from .poly import Exponents, Spectrum, enumerate_monomials
@@ -50,33 +52,46 @@ class ResonanceRelation:
         return f"{self.exps} -> comp {self.component + 1}"
 
 
-def resonant_monomials(spectrum: Spectrum, max_degree: int) -> List[ResonanceRelation]:
-    """All resonant (m, j) with 2 <= |m| <= max_degree.
+def resonant_pairs(spectra: Sequence[Spectrum], low: int,
+                   high: int) -> List[Tuple[Exponents, int]]:
+    """The pairs (m, j) with low <= |m| <= high resonant for every spectrum.
 
-    Sorted by total degree, then lexicographically by exponent tuple,
-    then by component index.
+    (m, j) is resonant for L when <m, L> = lambda_j.  Sorted by total
+    degree, then lexicographically by exponent tuple, then by component.
+    Raises before enumerating when the pairs through degree ``high``
+    outnumber ``DEFAULT_TUPLE_BUDGET``, the small-divisor scan's budget:
+    every pair is tested, and under a zero spectrum every pair is kept.
     """
+    n = len(spectra[0])
+    if n * _count_tuples_upto(n, high) > DEFAULT_TUPLE_BUDGET:
+        raise BudgetExceededError(
+            f"resonances through degree {high} in dimension {n} need more "
+            f"than the budget of {DEFAULT_TUPLE_BUDGET} monomial-vector "
+            "pairs")
+    components = range(n)
+    pairs = []
+    for degree in range(low, high + 1):
+        for exps in enumerate_monomials(n, degree):
+            hits = components
+            for s in spectra:
+                value = s.dot(exps)
+                hits = [j for j in hits if value == s.values[j]]
+            for j in hits:
+                pairs.append((exps, j))
+    return pairs
+
+
+def resonant_monomials(spectrum: Spectrum, max_degree: int) -> List[ResonanceRelation]:
+    """The ``resonant_pairs`` of one spectrum from degree 2, as relations."""
     if max_degree < 2:
         raise TruncationOrderError(f"maximum degree {max_degree} is below 2")
-    out = []
-    for degree in range(2, max_degree + 1):
-        for exps in enumerate_monomials(len(spectrum), degree):
-            value = spectrum.dot(exps)
-            for j, lam in enumerate(spectrum):
-                if value == lam:
-                    out.append(ResonanceRelation(exps, j))
-    return out
+    return [ResonanceRelation(exps, j)
+            for exps, j in resonant_pairs([spectrum], 2, max_degree)]
 
 
 def kernel_dimension_at_degree(spectrum: Spectrum, degree: int) -> int:
     """Number of resonant monomial-vector pairs of exactly this degree."""
-    count = 0
-    for exps in enumerate_monomials(len(spectrum), degree):
-        value = spectrum.dot(exps)
-        for lam in spectrum:
-            if value == lam:
-                count += 1
-    return count
+    return len(resonant_pairs([spectrum], degree, degree))
 
 
 # -- Poincare domain -------------------------------------------------

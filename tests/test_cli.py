@@ -1,9 +1,15 @@
 """End-to-end runs of the command line entry point, in process."""
 
+import contextlib
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dulac.cli import main
 from dulac.bifurcation import ParamFamily
@@ -352,3 +358,80 @@ def test_small_divisor_outside_float_range(tmp_path, capsys, eigenvalues,
     records = json.loads(capsys.readouterr().out)["small_divisors"]["records"]
     assert records[1]["omega_sq"] == omega_sq
     assert records[1]["partial_sum"] == pytest.approx(partial_sum)
+
+
+def test_resonances_past_the_budget_is_a_budget_error(normal_form_path,
+                                                      capsys):
+    # about 10**10 monomial-vector pairs through degree 100000 in
+    # dimension 2; the listing is refused before it starts
+    assert main(["resonances", "--input", normal_form_path,
+                 "--max-degree", "100000"]) == 2
+    captured = capsys.readouterr()
+    assert "dulac: error [enumeration-budget-exceeded]:" in captured.err
+    assert captured.out == ""
+
+
+def test_kernel_intersection_past_the_budget_is_a_budget_error(capsys):
+    assert main(["kernel-intersection", "--spec-a", "1,2,3", "--spec-b",
+                 "1,2,4", "--max-degree", "100000"]) == 2
+    captured = capsys.readouterr()
+    assert "dulac: error [enumeration-budget-exceeded]:" in captured.err
+    assert captured.out == ""
+
+
+# -- hostile documents ---------------------------------------------------
+
+scalars = (st.none() | st.booleans() | st.integers(-3, 6) | st.floats(-4, 4)
+           | st.sampled_from(["1", "-1", "1/2", "i", "2-i/3", "0", "x", ""]))
+json_values = st.recursive(
+    scalars,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text("abcmopst", max_size=5), inner,
+                                     max_size=3)),
+    max_leaves=10)
+term_items = st.fixed_dictionaries({"coeff": scalars,
+                                    "exps": st.lists(scalars, max_size=3),
+                                    "comp": scalars})
+# field-document key -> hostile values for it, shaped enough to get past
+# the first type checks
+HOSTILE = {
+    "dim": json_values,
+    "order": json_values,
+    "vars": json_values,
+    "params": json_values,
+    "eigenvalues": st.lists(scalars, max_size=3) | json_values,
+    "terms": st.lists(term_items | json_values, max_size=3),
+    "linear_matrix": (st.lists(st.lists(scalars, max_size=3), max_size=3)
+                      | json_values),
+}
+# a valid saddle document, with one or two keys replaced or one dropped
+BASE_DOCUMENT = {"dim": 2, "order": 4, "eigenvalues": ["1", "-1"],
+                 "terms": [{"coeff": "1", "exps": [2, 1], "comp": 1}]}
+documents = st.builds(
+    lambda changes, dropped: {
+        key: value for key, value in {**BASE_DOCUMENT, **changes}.items()
+        if key not in dropped},
+    st.lists(st.sampled_from(sorted(HOSTILE)), max_size=2, unique=True)
+    .flatmap(lambda keys: st.fixed_dictionaries(
+        {key: HOSTILE[key] for key in keys})),
+    st.sets(st.sampled_from(sorted(BASE_DOCUMENT)), max_size=1))
+commands = st.sampled_from([("normalize", "--order"),
+                            ("resonances", "--max-degree"),
+                            ("diagnose", "--order"),
+                            ("centralizer", "--degree")])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(documents, commands, st.integers(-1, 4), st.booleans())
+def test_hostile_document_never_is_an_internal_error(document, command,
+                                                     order, as_json):
+    # malformed or contradictory documents end in exit 2, never in 3
+    name, flag = command
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(json.dumps(document))
+        argv = [name, "--input", str(path), flag, str(order)]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(argv + ["--json"] if as_json else argv)
+    assert code in (0, 2), err.getvalue()

@@ -6,8 +6,9 @@ and ``diagnose`` run on each field at its own truncation order,
 ``diagnose`` with the commuting field where the corpus has one, and
 ``centralizer`` runs on the normal form that ``normalize`` printed for
 it.  ``resonances`` lists each field's resonances through its order,
-and ``kernel-intersection`` runs on the spectrum pairs in ``JOINT``.  Exact arithmetic makes every report a function of its input, so
-any change in these bytes is a change in behaviour.
+and ``kernel-intersection`` runs on the spectrum pairs in ``JOINT``.
+Exact arithmetic makes every report a function of its input, so any
+change in these bytes is a change in behaviour.
 
 After a deliberate output change, re-pin with
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.

@@ -140,9 +140,7 @@ def test_spectrum_dot_gap_resonance():
     spec = Spectrum([as_scalar(1), as_scalar(-1)])
     assert spec.dot((2, 1)) == 1
     assert spec.gap((2, 1), 0) == ZERO
-    assert spec.is_resonant((2, 1), 0)
-    assert not spec.is_resonant((2, 1), 1)
-    assert spec.scaled(2)[0] == 2
+    assert spec.gap((2, 1), 1) == 2
     assert len(spec) == 2
 
 

@@ -17,8 +17,11 @@
 * ``GaussianRational`` arithmetic on integer triples agrees with a plain
   pair of ``Fraction`` parts, also against int and Fraction operands, and
   leaves every result canonical.
+* ``resonant_pairs``, the one resonance enumerator, lists what a naive
+  scan over all exponent tuples finds, in the same order.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -39,6 +42,7 @@ from dulac.poly import (
     linear_field,
     monomial_field,
 )
+from dulac.resonance import resonant_pairs
 from dulac.scalars import ZERO, GaussianRational, add_scaled
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,
@@ -132,8 +136,9 @@ def linear_centralizer_dimension(fhat, degree_bound):
 @given(near_identity_maps())
 def test_invert_to_order_is_a_two_sided_inverse(psi):
     phi = psi.invert_to_order()
-    assert psi.compose(phi).is_identity()
-    assert phi.compose(psi).is_identity()
+    identity = NearIdentityMap.identity(psi.dim, psi.order)
+    assert psi.compose(phi) == identity
+    assert phi.compose(psi) == identity
 
 
 @PROPERTY_SETTINGS
@@ -285,3 +290,33 @@ def test_gaussian_rational_matches_a_fraction_pair(x, y, n):
     assert (gx != oy) == (rx != ry)
     if rx == ry:
         assert hash(gx) == hash(oy)
+
+
+# eigenvalues as (real, imaginary) parts: 0, +-1, +-2, 1/2, +-i
+EIGENVALUES = [(Fraction(re), Fraction(im)) for re, im in (
+    (0, 0), (1, 0), (-1, 0), (2, 0), (-2, 0), (Fraction(1, 2), 0),
+    (0, 1), (0, -1))]
+spectrum_lists = st.integers(1, 3).flatmap(lambda n: st.lists(
+    st.lists(st.sampled_from(EIGENVALUES), min_size=n, max_size=n),
+    min_size=1, max_size=2))
+
+
+@settings(PROPERTY_SETTINGS, max_examples=200)
+@given(spectrum_lists, st.integers(0, 5), st.integers(0, 5))
+def test_resonant_pairs_match_a_naive_scan(spectra, low, high):
+    n = len(spectra[0])
+
+    def resonant(exps, j, spec):
+        dot = tuple(sum(m * lam[part] for m, lam in zip(exps, spec))
+                    for part in (0, 1))
+        return dot == spec[j]
+
+    expected = sorted(
+        ((exps, j) for exps in itertools.product(range(high + 1), repeat=n)
+         if low <= sum(exps) <= high
+         for j in range(n)
+         if all(resonant(exps, j, spec) for spec in spectra)),
+        key=lambda pair: (sum(pair[0]), pair[0], pair[1]))
+    as_spectra = [Spectrum(GaussianRational(*lam) for lam in spec)
+                  for spec in spectra]
+    assert resonant_pairs(as_spectra, low, high) == expected
