@@ -11,6 +11,11 @@ transport vector fields:
 computed exactly through the truncation order.  Composition convention is
 outermost-last: compose(outer, inner) applies inner first, so the map for
 "step 2 then step 3" is compose(step3, step2).
+
+Composition, each pass of the inversion and ``pull_back`` substitute one
+list of values into all n components; the n calls share one table of the
+monomials of those values (see ``PolyScalar.substitute``), so a monomial
+that several components hold is multiplied out once.
 """
 
 from __future__ import annotations
@@ -69,7 +74,8 @@ class NearIdentityMap:
         """self after inner: (self . inner)(x) = self(inner(x))."""
         if self.dim != inner.dim:
             raise DimensionMismatchError("composed maps must share a dimension")
-        return NearIdentityMap([c.substitute(inner.components)
+        table: dict = {}
+        return NearIdentityMap([c.substitute(inner.components, table)
                                 for c in self.components])
 
     def invert_to_order(self) -> "NearIdentityMap":
@@ -88,9 +94,11 @@ class NearIdentityMap:
         ys = [PolyScalar.variable(dim, 1, j) for j in range(dim)]
         phi = [_linear_combo(linv[i], ys) for i in range(dim)]
         for work in range(2, self.order + 1):
-            lifted = [PolyScalar(dim, work, p.terms) for p in phi]
+            # phi holds degrees up to work - 1, so the re-tag is canonical
+            lifted = [PolyScalar._canonical(dim, work, p.terms) for p in phi]
+            table: dict = {}
             rhs = [PolyScalar.variable(dim, work, j)
-                   - c.truncated(work).substitute(lifted)
+                   - c.truncated(work).substitute(lifted, table)
                    for j, c in enumerate(h)]
             phi = [_linear_combo(linv[i], rhs) for i in range(dim)]
         return NearIdentityMap(phi)
@@ -125,14 +133,17 @@ def pull_back(phi_map: NearIdentityMap, f: PolyVectorField) -> PolyVectorField:
         raise DimensionMismatchError("map and field dimensions differ")
     order = min(phi_map.order, f.order)
     comps = [c.truncated(order) for c in phi_map.components]
-    rhs = [c.substitute(comps) for c in f.components]
+    table: dict = {}
+    rhs = [c.substitute(comps, table) for c in f.components]
     linv = phi_map.linear_inverse
     acc = [_linear_combo(linv[i], rhs) for i in range(f.dim)]
     total = [dict(a.terms) for a in acc]
     # Map components are exact polynomials, so differentiating h loses
-    # nothing; re-tag the Jacobian entries at the working order.
-    dh = [[PolyScalar(f.dim, order, h.partial(j).terms) for j in range(f.dim)]
-          for h in (c.degree_range(2) for c in phi_map.components)]
+    # nothing; h stops at degree order + 1, so the Jacobian entries stop
+    # at degree order and re-tag canonically at the working order.
+    dh = [[PolyScalar._canonical(f.dim, order, h.partial(j).terms)
+           for j in range(f.dim)]
+          for h in (c.degree_range(2, order + 1) for c in phi_map.components)]
     # M = -Linv Dh, entries of degree >= 1
     m_rows = [[_linear_combo([-c for c in row], column)
                for column in zip(*dh)] for row in linv]

@@ -7,6 +7,18 @@ dropped by all operations (never extrapolated).  Products and sums of
 values with different orders are correct to the smaller order, and that
 is the order they carry.
 
+Public constructors validate every term.  Products and substitutions
+build their terms canonically (nonzero coefficients, exponent tuples of
+the right length, degree within the order), so they wrap the result
+through the trusted constructor ``PolyScalar._canonical`` and skip that
+check; so do the order re-tags of the coordinate-change code.
+
+Substituting the same values into several polynomials (every component
+of a map) shares one table of the monomials x^m of those values, keyed
+by exponent tuple m.  Each x^m is built once, with one product
+x^(m - e_i) * values[i] where i is the last variable with a nonzero
+exponent, and then serves every polynomial that holds the term x^m.
+
 A polynomial vector field couples n scalar components over n variables.
 It optionally stores a spectrum: the eigenvalue tuple of a diagonal
 linear part, validated against the degree-1 terms on attachment.  The
@@ -83,6 +95,20 @@ class PolyScalar:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _canonical(cls, dim: int, order: int, terms: TermMap) -> "PolyScalar":
+        """Wrap ``terms`` without the checks of ``__init__``.
+
+        Only for terms canonical by construction: GaussianRational
+        coefficients, all nonzero, on exponent tuples of length ``dim``
+        and degree at most ``order``.  The dict is kept, not copied.
+        """
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "dim", dim)
+        object.__setattr__(poly, "order", order)
+        object.__setattr__(poly, "terms", terms)
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyScalar is immutable")
@@ -177,9 +203,10 @@ class PolyScalar:
         if isinstance(other, _COEFF_TYPES):
             value = as_scalar(other)
             if not value:
-                return PolyScalar(self.dim, self.order)
-            return PolyScalar(self.dim, self.order,
-                              {e: c * value for e, c in self.terms.items()})
+                return PolyScalar._canonical(self.dim, self.order, {})
+            return PolyScalar._canonical(
+                self.dim, self.order,
+                {e: c * value for e, c in self.terms.items()})
         self._check_dim(other)
         order = min(self.order, other.order)
         out: TermMap = {}
@@ -191,7 +218,7 @@ class PolyScalar:
             add_scaled(out, {monomial_mul(ea, eb): cb
                              for eb, cb in other.terms.items()
                              if da + sum(eb) <= order}, ca)
-        return PolyScalar(self.dim, order, out)
+        return PolyScalar._canonical(self.dim, order, out)
 
     __rmul__ = __mul__
 
@@ -228,11 +255,19 @@ class PolyScalar:
             out[lowered] = coeff * e
         return PolyScalar(self.dim, max(self.order - 1, 0), out)
 
-    def substitute(self, values: Sequence["PolyScalar"]) -> "PolyScalar":
+    def substitute(self, values: Sequence["PolyScalar"],
+                   table: Optional[Dict[Exponents, "PolyScalar"]] = None
+                   ) -> "PolyScalar":
         """Substitute ``values[i]`` for variable i, truncating exactly.
 
         The result is correct to min(self.order, min of value orders) and
         carries that order.  Values must share a common dimension.
+
+        ``table`` holds the monomials x^m of ``values`` built so far, keyed
+        by m; monomials this call needs are added to it.  Callers that
+        substitute the same values into several polynomials of one order
+        pass one dict to every call, so each monomial is built once.  A
+        table whose monomials carry another dimension or order raises.
         """
         if len(values) != self.dim:
             raise DimensionMismatchError(
@@ -243,34 +278,35 @@ class PolyScalar:
             if v.dim != vdim:
                 raise DimensionMismatchError("substitution values mix dimensions")
             order = min(order, v.order)
+        if table is None:
+            table = {}
+        built = next(iter(table.values()), None)
+        if built is not None and (built.dim, built.order) != (vdim, order):
+            raise DimensionMismatchError(
+                "substitution table was built for other values")
         no_constants = all(not v.coefficient((0,) * vdim) for v in values)
-        powers: Dict[Tuple[int, int], PolyScalar] = {}
 
-        def power(i: int, p: int) -> PolyScalar:
-            key = (i, p)
-            got = powers.get(key)
+        def monomial(exps: Exponents) -> PolyScalar:
+            got = table.get(exps)
             if got is None:
-                if p == 1:
-                    got = values[i].truncated(order) if values[i].order > order else values[i]
+                i = max(k for k, e in enumerate(exps) if e)
+                lower = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
+                if any(lower):
+                    got = monomial(lower) * values[i]
+                elif values[i].order > order:
+                    got = values[i].truncated(order)
                 else:
-                    got = power(i, p - 1) * values[i]
-                powers[key] = got
+                    got = values[i]
+                table[exps] = got
             return got
 
         acc: TermMap = {}
         for exps, coeff in self.terms.items():
-            if no_constants and sum(exps) > order:
-                continue
-            piece: Optional[PolyScalar] = None
-            for i, e in enumerate(exps):
-                if e == 0:
-                    continue
-                factor = power(i, e)
-                piece = factor if piece is None else piece * factor
-            if piece is None:
-                piece = PolyScalar.constant(vdim, order, 1)
-            add_scaled(acc, piece.terms, coeff)
-        return PolyScalar(vdim, order, acc)
+            if not any(exps):
+                add_scaled(acc, {(0,) * vdim: coeff})
+            elif not (no_constants and sum(exps) > order):
+                add_scaled(acc, monomial(exps).terms, coeff)
+        return PolyScalar._canonical(vdim, order, acc)
 
     def lift(self, new_dim: int, var_map: Sequence[int]) -> "PolyScalar":
         """Reinterpret over more variables; old variable i becomes var_map[i]."""
@@ -427,14 +463,7 @@ class PolyVectorField:
 
     def linear_matrix(self) -> List[List[GaussianRational]]:
         """Rows of the degree-1 coefficient matrix."""
-        rows = []
-        for comp in self.components:
-            row = []
-            for j in range(self.dim):
-                exps = tuple(1 if k == j else 0 for k in range(self.dim))
-                row.append(comp.coefficient(exps))
-            rows.append(row)
-        return rows
+        return _linear_rows(self.components)
 
     def terms(self) -> Iterator[Tuple[int, Exponents, GaussianRational]]:
         for i, comp in enumerate(self.components):
@@ -504,20 +533,33 @@ class PolyVectorField:
         return f"PolyVectorField(dim={self.dim}, order={self.order}, {self})"
 
 
+def _linear_rows(comps: Sequence[PolyScalar]) -> List[List[GaussianRational]]:
+    """Rows of the degree-1 coefficient matrix, read off each component's
+    terms: O(n) per term, where looking up the n unit tuples in every
+    component would hash n**3 exponents."""
+    rows = []
+    for comp in comps:
+        row = [ZERO] * comp.dim
+        for exps, coeff in comp.terms.items():
+            if sum(exps) == 1:
+                row[exps.index(1)] = coeff
+        rows.append(row)
+    return rows
+
+
 def _validate_spectrum(comps: Sequence[PolyScalar], spectrum: Spectrum) -> None:
     dim = comps[0].dim
     if len(spectrum) != dim:
         raise DimensionMismatchError(
             f"spectrum of length {len(spectrum)} for dimension {dim}")
     zero_exps = (0,) * dim
-    for j, comp in enumerate(comps):
+    for j, (comp, row) in enumerate(zip(comps, _linear_rows(comps))):
         if comp.coefficient(zero_exps):
             raise NonDiagonalLinearPartError(
                 "field does not vanish at the origin")
-        for l in range(dim):
-            exps = tuple(1 if k == l else 0 for k in range(dim))
+        for l, coeff in enumerate(row):
             expected = spectrum[j] if l == j else ZERO
-            if comp.coefficient(exps) != expected:
+            if coeff != expected:
                 raise NonDiagonalLinearPartError(
                     f"degree-1 part of component {j + 1} does not match "
                     f"the declared spectrum")

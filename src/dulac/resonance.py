@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceededError, TruncationOrderError
 from .poly import Exponents, Spectrum, enumerate_monomials
@@ -52,13 +52,13 @@ class ResonanceRelation:
         return f"{self.exps} -> comp {self.component + 1}"
 
 
-def resonant_pairs(spectra: Sequence[Spectrum], low: int,
-                   high: int) -> List[Tuple[Exponents, int]]:
-    """The pairs (m, j) with low <= |m| <= high resonant for every spectrum.
+def _resonances(spectra: Sequence[Spectrum], low: int,
+                high: int) -> Iterator[Tuple[Exponents, List[int]]]:
+    """Each exponent tuple m with low <= |m| <= high, with the components j
+    that make (m, j) resonant for every spectrum.
 
-    (m, j) is resonant for L when <m, L> = lambda_j.  Sorted by total
-    degree, then lexicographically by exponent tuple, then by component.
-    Raises before enumerating when the pairs through degree ``high``
+    Tuples come in ``enumerate_monomials`` order, degree by degree.
+    Raises before the first tuple when the pairs through degree ``high``
     outnumber ``DEFAULT_TUPLE_BUDGET``, the small-divisor scan's budget:
     every pair is tested, and under a zero spectrum every pair is kept.
     """
@@ -69,16 +69,25 @@ def resonant_pairs(spectra: Sequence[Spectrum], low: int,
             f"than the budget of {DEFAULT_TUPLE_BUDGET} monomial-vector "
             "pairs")
     components = range(n)
-    pairs = []
     for degree in range(low, high + 1):
         for exps in enumerate_monomials(n, degree):
             hits = components
             for s in spectra:
                 value = s.dot(exps)
                 hits = [j for j in hits if value == s.values[j]]
-            for j in hits:
-                pairs.append((exps, j))
-    return pairs
+            yield exps, hits
+
+
+def resonant_pairs(spectra: Sequence[Spectrum], low: int,
+                   high: int) -> List[Tuple[Exponents, int]]:
+    """The pairs (m, j) with low <= |m| <= high resonant for every spectrum.
+
+    (m, j) is resonant for L when <m, L> = lambda_j.  Sorted by total
+    degree, then lexicographically by exponent tuple, then by component.
+    Subject to the budget of ``_resonances``.
+    """
+    return [(exps, j) for exps, hits in _resonances(spectra, low, high)
+            for j in hits]
 
 
 def resonant_monomials(spectrum: Spectrum, max_degree: int) -> List[ResonanceRelation]:
@@ -90,8 +99,11 @@ def resonant_monomials(spectrum: Spectrum, max_degree: int) -> List[ResonanceRel
 
 
 def kernel_dimension_at_degree(spectrum: Spectrum, degree: int) -> int:
-    """Number of resonant monomial-vector pairs of exactly this degree."""
-    return len(resonant_pairs([spectrum], degree, degree))
+    """Number of resonant monomial-vector pairs of exactly this degree.
+
+    Counted as ``resonant_pairs`` enumerates them, without listing them.
+    """
+    return sum(len(hits) for _, hits in _resonances([spectrum], degree, degree))
 
 
 # -- Poincare domain -------------------------------------------------

@@ -1,12 +1,15 @@
 """Golden snapshots of the JSON reports, compared byte for byte.
 
 The inputs in ``golden/inputs`` are the corpus fields (written from the
-builders in ``dulac.corpus``) and two small grid fields.  ``normalize``
+builders in ``dulac.corpus``) and three grid fields.  ``normalize``
 and ``diagnose`` run on each field at its own truncation order,
 ``diagnose`` with the commuting field where the corpus has one, and
 ``centralizer`` runs on the normal form that ``normalize`` printed for
 it.  ``resonances`` lists each field's resonances through its order,
 and ``kernel-intersection`` runs on the spectrum pairs in ``JOINT``.
+The fields in ``DEEP`` run ``normalize`` only: its report prints the
+normalizing transformation's coefficients, whose growth with the order
+is what the convergence verdicts read.
 Exact arithmetic makes every report a function of its input, so any
 change in these bytes is a change in behaviour.
 
@@ -33,6 +36,8 @@ ORDERS = {
     "grid-d2-o6": 6,
     "grid-d3-o6": 6,
 }
+# normalize only, at a deeper order
+DEEP = {"grid-d3-o8": 8}
 WITH_SYMMETRY = {"so2", "holomorphic"}
 COMMANDS = ("normalize", "diagnose", "centralizer", "resonances")
 # snapshot name -> (spectrum a, spectrum b, maximum degree)
@@ -41,6 +46,7 @@ JOINT = {
     "joint-1_-1-1_-1": ("1,-1", "1,-1", "7"),
 }
 CASES = ([(name, command) for name in ORDERS for command in COMMANDS]
+         + [(name, "normalize") for name in DEEP]
          + [(name, "kernel-intersection") for name in JOINT])
 
 
@@ -49,7 +55,7 @@ def _argv(name: str, command: str, out: Path) -> list:
         spec_a, spec_b, degree = JOINT[name]
         return [command, "--spec-a", spec_a, "--spec-b", spec_b,
                 "--max-degree", degree, "--json", "--out", str(out)]
-    order = str(ORDERS[name])
+    order = str(ORDERS.get(name) or DEEP[name])
     if command == "centralizer":
         argv = [command, "--input", str(INPUTS / f"{name}.normal-form.json"),
                 "--degree", order]

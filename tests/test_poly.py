@@ -104,6 +104,16 @@ def test_pow_and_substitute():
     assert shifted == expect
 
 
+def test_substitute_refuses_a_table_of_another_order():
+    x1, x2 = V(2, 5, 0), V(2, 5, 1)
+    values = [x1 + x2 * x2, x2]
+    table = {}
+    (x1 * x2).substitute(values, table)
+    assert set(table) == {(1, 0), (1, 1)}
+    with pytest.raises(DimensionMismatchError):
+        V(2, 3, 0).substitute(values, table)
+
+
 def test_partial_derivative():
     x1, x2 = V(2, 4, 0), V(2, 4, 1)
     p = x1 * x1 * x2 + 2 * x2

@@ -19,6 +19,12 @@
   leaves every result canonical.
 * ``resonant_pairs``, the one resonance enumerator, lists what a naive
   scan over all exponent tuples finds, in the same order.
+* ``PolyScalar.substitute`` with one monomial table shared by several
+  polynomials agrees with a naive term-by-term expansion, and every
+  monomial in the table is the naive power product it stands for.
+* Products and substitutions, which skip the checks of
+  ``PolyScalar.__init__``, are canonical: the public constructor gives
+  the same terms back.
 """
 
 import itertools
@@ -320,3 +326,96 @@ def test_resonant_pairs_match_a_naive_scan(spectra, low, high):
     as_spectra = [Spectrum(GaussianRational(*lam) for lam in spec)
                   for spec in spectra]
     assert resonant_pairs(as_spectra, low, high) == expected
+
+
+@st.composite
+def polys(draw, dim, order, min_degree=0, max_terms=4):
+    """A PolyScalar with up to ``max_terms`` terms of degree >= min_degree."""
+    terms = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=max_terms))):
+        degree = draw(st.integers(min_value=min_degree, max_value=order))
+        exps = [0] * dim
+        for var in draw(st.lists(st.integers(0, dim - 1),
+                                 min_size=degree, max_size=degree)):
+            exps[var] += 1
+        terms[tuple(exps)] = draw(scalars)
+    return PolyScalar(dim, order, terms)
+
+
+@st.composite
+def substitutions(draw):
+    """Values for ``dim`` variables, each at its own truncation order and
+    about one in three with a constant term, and several polynomials of
+    one order to substitute them into, the zero polynomial last."""
+    dim = draw(st.integers(min_value=1, max_value=3))
+    vdim = draw(st.integers(min_value=1, max_value=3))
+    values = []
+    for _ in range(dim):
+        value = draw(polys(vdim, draw(st.integers(1, 5)), min_degree=1))
+        if draw(st.integers(0, 2)) == 0:
+            value = value + draw(scalars.filter(bool))
+        values.append(value)
+    order = draw(st.integers(min_value=1, max_value=5))
+    targets = draw(st.lists(polys(dim, order), min_size=1, max_size=3))
+    return values, targets + [PolyScalar.zero(dim, order)]
+
+
+def naive_product(a, b, order):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            exps = tuple(x + y for x, y in zip(ea, eb))
+            if sum(exps) <= order:
+                out[exps] = out.get(exps, ZERO) + ca * cb
+    return out
+
+
+def naive_substitute(p, values):
+    """(order, terms) of p(values), each term's power product multiplied
+    out factor by factor; degrees never fall, so truncating every partial
+    product at the final order is exact."""
+    order = min([p.order] + [v.order for v in values])
+    total = {}
+    for exps, coeff in p.terms.items():
+        piece = {(0,) * values[0].dim: coeff}
+        for value, e in zip(values, exps):
+            for _ in range(e):
+                piece = naive_product(piece, value.terms, order)
+        for key, c in piece.items():
+            total[key] = total.get(key, ZERO) + c
+    return order, {key: c for key, c in total.items() if c}
+
+
+def assert_canonical(poly):
+    """``poly`` has the terms the public constructor would give it."""
+    assert all(type(c) is GaussianRational for c in poly.terms.values())
+    assert PolyScalar(poly.dim, poly.order, poly.terms).terms == poly.terms
+
+
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(substitutions())
+def test_substitute_with_a_shared_table_matches_a_naive_expansion(case):
+    values, targets = case
+    table = {}
+    for p in targets:
+        got = p.substitute(values, table)
+        order, expected = naive_substitute(p, values)
+        assert (got.dim, got.order) == (values[0].dim, order)
+        assert got.terms == expected
+        assert_canonical(got)
+    for exps, monomial in table.items():
+        power = PolyScalar.monomial(len(exps), targets[0].order, exps)
+        assert monomial.terms == naive_substitute(power, values)[1]
+
+
+@settings(PROPERTY_SETTINGS, max_examples=60)
+@given(st.integers(min_value=1, max_value=3).flatmap(lambda dim: st.tuples(
+    polys(dim, 4), polys(dim, 6), polys(dim, 5, min_degree=1))),
+    st.one_of(scalars, st.integers(-2, 2),
+              st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))))
+def test_products_and_substitutions_are_canonical(polys_, factor):
+    a, b, c = polys_
+    for result in (a * b, b * a, a * a, a * factor, b * factor,
+                   a.substitute([c] * a.dim),
+                   b.substitute([c] * b.dim, {})):
+        assert_canonical(result)

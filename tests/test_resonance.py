@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from dulac.resonance import (
     omega_condition,
     poincare_domain,
     resonant_monomials,
+    resonant_pairs,
 )
 from dulac.scalars import GaussianRational, I, as_scalar
 
@@ -61,6 +63,27 @@ def test_kernel_dimension_at_degree():
     assert kernel_dimension_at_degree(saddle, 3) == 2
     assert kernel_dimension_at_degree(saddle, 5) == 2
     assert kernel_dimension_at_degree(spec(0, 1), 2) == 2  # x1^2 e1, x1 x2 e2
+
+
+@pytest.mark.parametrize("values", [(1, -1), (0, 1), (1, -3, 9), (0, 0, 0),
+                                    (1, 1, -2), (2, I, -I)])
+@pytest.mark.parametrize("degree", [1, 2, 3, 5])
+def test_kernel_dimension_counts_the_resonant_pairs(values, degree):
+    spectrum = spec(*values)
+    assert kernel_dimension_at_degree(spectrum, degree) == \
+        len(resonant_pairs([spectrum], degree, degree))
+
+
+def test_kernel_dimension_counts_without_listing():
+    # under a zero spectrum every one of the 5050 * 100 pairs resonates
+    zero = spec(*[0] * 100)
+    tracemalloc.start()
+    try:
+        assert kernel_dimension_at_degree(zero, 2) == 5050 * 100
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_relation_str_is_one_based():
