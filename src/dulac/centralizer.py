@@ -119,8 +119,7 @@ def centralizer_basis(fhat: PolyVectorField, degree_bound: int,
     row_index: Dict[Tuple[Exponents, int], int] = {}
     rows: List[Dict[int, GaussianRational]] = []
     for col, (exps, j) in enumerate(unknowns):
-        column = lie_bracket(work.without_spectrum(),
-                             monomial_field(dim, degree_bound, exps, j))
+        column = lie_bracket(work, monomial_field(dim, degree_bound, exps, j))
         for comp, out_exps, coeff in column.terms():
             key = (out_exps, comp)
             at = row_index.get(key)

@@ -3,14 +3,12 @@
 Exit codes: 0 on success, 1 when --strict was given and a checked
 hypothesis failed, 2 for input problems (unreadable files, malformed
 documents, fields that violate a command's preconditions), 3 for
-internal errors.  The only environment knob is DULAC_OMEGA_BUDGET, an
-integer cap on small-divisor enumeration.
+internal errors.
 """
 
 import argparse
 import functools
 import json
-import os
 import sys
 from typing import List, Optional, Sequence
 
@@ -18,7 +16,7 @@ from ._version import __version__
 from .bifurcation import build_D, build_oscillator_D, det_nonsingular, suspend
 from .centralizer import centralizer_basis, kernel_intersection
 from .corpus import run_corpus
-from .diagnostics import DEFAULT_TUPLE_BUDGET, diagnose
+from .diagnostics import diagnose
 from .errors import DulacError, InputFormatError, NonDiagonalLinearPartError
 from .fieldfile import dump_document, field_to_dict, load_document
 from .normalizer import normalize
@@ -61,20 +59,6 @@ def _parse_spectrum(text: str, flag: str) -> Spectrum:
         except ScalarParseError as exc:
             raise InputFormatError(f"{flag}[{k}]: {exc}") from exc
     return Spectrum(values)
-
-
-def _omega_budget() -> int:
-    raw = os.environ.get("DULAC_OMEGA_BUDGET")
-    if raw is None:
-        return DEFAULT_TUPLE_BUDGET
-    try:
-        budget = int(raw)
-    except ValueError:
-        raise InputFormatError(
-            f"DULAC_OMEGA_BUDGET: expected an integer, found {raw!r}")
-    if budget < 1:
-        raise InputFormatError("DULAC_OMEGA_BUDGET: must be positive")
-    return budget
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -182,8 +166,7 @@ def _cmd_diagnose(args) -> int:
         symmetry = _load_field(args.symmetry, need_spectrum=False)
     report = diagnose(field, args.order, symmetry=symmetry,
                       omega_max_k=args.omega_k,
-                      centralizer_degree=args.centralizer_degree,
-                      budget=_omega_budget())
+                      centralizer_degree=args.centralizer_degree)
     if args.json:
         _emit(json.dumps(report.to_dict(), indent=2), args.out)
     else:

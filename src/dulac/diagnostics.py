@@ -54,7 +54,6 @@ from .poly import (
     restrict_to_axis,
 )
 from .resonance import (
-    DEFAULT_TUPLE_BUDGET,
     OmegaReport,
     omega_condition,
     poincare_domain,
@@ -453,7 +452,7 @@ def _scalar_multiple_of(g: PolyVectorField,
         return ZERO if gt.is_zero() else None
     comp, exps, coeff = ft.sorted_terms()[0]
     c = gt.components[comp].coefficient(exps) / coeff
-    if (gt.without_spectrum() - ft.without_spectrum() * c).is_zero():
+    if (gt - ft * c).is_zero():
         return c
     return None
 
@@ -787,8 +786,7 @@ def _transformation_growth(
 def diagnose(f: PolyVectorField, order: int,
              symmetry: Optional[PolyVectorField] = None,
              omega_max_k: int = 3,
-             centralizer_degree: Optional[int] = None,
-             budget: int = DEFAULT_TUPLE_BUDGET) -> DiagnosticsReport:
+             centralizer_degree: Optional[int] = None) -> DiagnosticsReport:
     """Normalize a field and evaluate every convergence criterion.
 
     The field needs a diagonal linear part (attach a spectrum first, or
@@ -804,7 +802,7 @@ def diagnose(f: PolyVectorField, order: int,
     cond_a = condition_a(fhat)
     linear = pliss_linear(fhat)
     in_domain = poincare_domain(spectrum)
-    omega = omega_condition(spectrum, omega_max_k, budget)
+    omega = omega_condition(spectrum, omega_max_k)
     growth = _transformation_growth(result)
     cz_degree = order if centralizer_degree is None else centralizer_degree
     criteria = [

@@ -40,7 +40,7 @@ def mat_mul(a: Sequence[Sequence[GaussianRational]],
 
 def mat_inverse(matrix: Sequence[Sequence[GaussianRational]]) -> Matrix:
     n = len(matrix)
-    work = [list(row) + identity_matrix(n)[i] for i, row in enumerate(matrix)]
+    work = [list(row) + unit for row, unit in zip(matrix, identity_matrix(n))]
     for col in range(n):
         pivot_row = next((r for r in range(col, n) if work[r][col]), None)
         if pivot_row is None:

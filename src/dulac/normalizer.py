@@ -66,7 +66,6 @@ def normalize(f: PolyVectorField, order: int) -> NormalFormResult:
     spectrum = f.spectrum
     dim = f.dim
     cur = f.truncated(order) if f.order > order else f
-    cur = cur.without_spectrum()
     phi_total = NearIdentityMap.identity(dim, order)
     records: List[DegreeRecord] = []
     for degree in range(2, order + 1):

@@ -19,6 +19,9 @@ by exponent tuple m.  Each x^m is built once, with one product
 x^(m - e_i) * values[i] where i is the last variable with a nonzero
 exponent, and then serves every polynomial that holds the term x^m.
 
+Every scan over exponent tuples goes through ``enumerate_monomials_upto``,
+which holds the one work budget of the package.
+
 A polynomial vector field couples n scalar components over n variables.
 It optionally stores a spectrum: the eigenvalue tuple of a diagonal
 linear part, validated against the degree-1 terms on attachment.  The
@@ -33,10 +36,14 @@ Ax act diagonally on monomial-vector basis elements:
 
 from __future__ import annotations
 
+import itertools
+import math
+import operator
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
+    BudgetExceededError,
     DimensionMismatchError,
     NonDiagonalLinearPartError,
     TruncationOrderError,
@@ -47,6 +54,9 @@ Exponents = Tuple[int, ...]
 TermMap = Dict[Exponents, GaussianRational]
 
 _COEFF_TYPES = (GaussianRational, int, Fraction)
+
+# Monomial-vector pairs a scan over exponent tuples may cover.
+DEFAULT_TUPLE_BUDGET = 10 ** 7
 
 
 def monomial_mul(a: Exponents, b: Exponents) -> Exponents:
@@ -59,19 +69,34 @@ def grlex_key(exps: Exponents) -> Tuple[int, Exponents]:
 
 
 def enumerate_monomials(dim: int, degree: int) -> Iterator[Exponents]:
-    """All exponent tuples of the given total degree, in lexicographic order."""
-    if dim == 1:
-        yield (degree,)
-        return
-    for first in range(degree + 1):
-        for rest in enumerate_monomials(dim - 1, degree - first):
-            yield (first,) + rest
+    """All exponent tuples of the given total degree, in lexicographic order.
+
+    Stars and bars: cut points 0 <= c_1 <= ... <= c_(dim-1) <= degree, in
+    lexicographic order, give the tuples (c_1, c_2 - c_1, ..., degree -
+    c_(dim-1)) in lexicographic order, each in O(dim).
+    """
+    sub = operator.sub
+    top = (degree,)
+    for cuts in itertools.combinations_with_replacement(range(degree + 1),
+                                                        dim - 1):
+        yield tuple(map(sub, cuts + top, (0,) + cuts))
 
 
-def enumerate_monomials_upto(dim: int, max_degree: int, min_degree: int = 0) -> Iterator[Exponents]:
-    """Exponent tuples with min_degree <= total degree <= max_degree, graded lex."""
-    for degree in range(min_degree, max_degree + 1):
-        yield from enumerate_monomials(dim, degree)
+def enumerate_monomials_upto(dim: int, max_degree: int,
+                             min_degree: int = 0) -> Iterator[Exponents]:
+    """Exponent tuples with min_degree <= total degree <= max_degree, graded lex.
+
+    Raises before the first tuple when the dim * C(dim + max_degree, dim)
+    monomial-vector pairs through max_degree outnumber DEFAULT_TUPLE_BUDGET:
+    pairs, because a scan may test or keep every component of every tuple.
+    """
+    if dim * math.comb(dim + max_degree, dim) > DEFAULT_TUPLE_BUDGET:
+        raise BudgetExceededError(
+            f"scan through degree {max_degree} in dimension {dim} needs more "
+            f"than the budget of {DEFAULT_TUPLE_BUDGET} monomial-vector pairs")
+    return itertools.chain.from_iterable(
+        enumerate_monomials(dim, degree)
+        for degree in range(min_degree, max_degree + 1))
 
 
 class PolyScalar:
@@ -325,10 +350,10 @@ class PolyScalar:
         return f"PolyScalar(dim={self.dim}, order={self.order}, {format_poly(self)})"
 
 
-def format_poly(p: PolyScalar, var_names: Optional[Sequence[str]] = None) -> str:
+def format_poly(p: PolyScalar) -> str:
     if p.is_zero():
         return "0"
-    names = var_names or [f"x{i + 1}" for i in range(p.dim)]
+    names = [f"x{i + 1}" for i in range(p.dim)]
     pieces = []
     for exps, coeff in p.sorted_terms():
         factors = []
@@ -427,10 +452,6 @@ class PolyVectorField:
         raise AttributeError("PolyVectorField is immutable")
 
     # -- constructors --------------------------------------------------
-
-    @classmethod
-    def zero(cls, dim: int, order: int) -> "PolyVectorField":
-        return cls([PolyScalar.zero(dim, order) for _ in range(dim)])
 
     @classmethod
     def from_terms(cls, dim: int, order: int,

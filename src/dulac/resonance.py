@@ -17,7 +17,8 @@ moduli, which are rational; square roots appear only in the printed
 summary.  For Gaussian-rational eigenvalues with common denominator q a
 nonzero divisor always has modulus at least 1/q, which certifies the
 summability condition outright; the per-k scan is still performed for
-the requested range as reported evidence.
+the requested range as reported evidence.  Every scan walks exponent
+tuples through ``poly.enumerate_monomials_upto``, under its one budget.
 """
 
 from __future__ import annotations
@@ -28,9 +29,12 @@ from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceededError, TruncationOrderError
-from .poly import Exponents, Spectrum, enumerate_monomials
-
-DEFAULT_TUPLE_BUDGET = 10 ** 7
+from .poly import (
+    DEFAULT_TUPLE_BUDGET,
+    Exponents,
+    Spectrum,
+    enumerate_monomials_upto,
+)
 
 
 @dataclass(frozen=True)
@@ -57,25 +61,16 @@ def _resonances(spectra: Sequence[Spectrum], low: int,
     """Each exponent tuple m with low <= |m| <= high, with the components j
     that make (m, j) resonant for every spectrum.
 
-    Tuples come in ``enumerate_monomials`` order, degree by degree.
-    Raises before the first tuple when the pairs through degree ``high``
-    outnumber ``DEFAULT_TUPLE_BUDGET``, the small-divisor scan's budget:
-    every pair is tested, and under a zero spectrum every pair is kept.
+    Tuples come degree by degree, under the budget of
+    ``enumerate_monomials_upto``.
     """
-    n = len(spectra[0])
-    if n * _count_tuples_upto(n, high) > DEFAULT_TUPLE_BUDGET:
-        raise BudgetExceededError(
-            f"resonances through degree {high} in dimension {n} need more "
-            f"than the budget of {DEFAULT_TUPLE_BUDGET} monomial-vector "
-            "pairs")
-    components = range(n)
-    for degree in range(low, high + 1):
-        for exps in enumerate_monomials(n, degree):
-            hits = components
-            for s in spectra:
-                value = s.dot(exps)
-                hits = [j for j in hits if value == s.values[j]]
-            yield exps, hits
+    components = range(len(spectra[0]))
+    for exps in enumerate_monomials_upto(len(components), high, low):
+        hits = components
+        for s in spectra:
+            value = s.dot(exps)
+            hits = [j for j in hits if value == s.values[j]]
+        yield exps, hits
 
 
 def resonant_pairs(spectra: Sequence[Spectrum], low: int,
@@ -84,7 +79,6 @@ def resonant_pairs(spectra: Sequence[Spectrum], low: int,
 
     (m, j) is resonant for L when <m, L> = lambda_j.  Sorted by total
     degree, then lexicographically by exponent tuple, then by component.
-    Subject to the budget of ``_resonances``.
     """
     return [(exps, j) for exps, hits in _resonances(spectra, low, high)
             for j in hits]
@@ -189,7 +183,6 @@ class OmegaReport:
     verdict: str
     rational_bound_sq: Optional[Fraction]
     tuples_scanned: int
-    budget: int
 
     def omega_floor(self) -> Optional[float]:
         if self.rational_bound_sq is None:
@@ -204,10 +197,6 @@ def common_denominator(spectrum: Spectrum) -> int:
     return q
 
 
-def _count_tuples_upto(dim: int, total: int) -> int:
-    return math.comb(total + dim, dim)
-
-
 def _log_inverse_root(square: Fraction) -> float:
     """ln(1/omega) for omega^2 = square, also outside the float range."""
     try:
@@ -219,12 +208,12 @@ def _log_inverse_root(square: Fraction) -> float:
     return (math.log(square.denominator) - math.log(square.numerator)) / 2
 
 
-def omega_condition(spectrum: Spectrum, max_k: int,
-                    budget: int = DEFAULT_TUPLE_BUDGET) -> OmegaReport:
+def omega_condition(spectrum: Spectrum, max_k: int) -> OmegaReport:
     """Scan the smallest divisors over degree ranges 1 < |Q| < 2**k.
 
-    Tuples are enumerated once across all k (the ranges nest), against a
-    budget on their count; exceeding it raises rather than silently
+    One pass over degrees 2 .. 2**max_k - 1 (the ranges nest; degree d
+    belongs to step k = d.bit_length()), under the budget of
+    ``enumerate_monomials_upto``; exceeding it raises rather than silently
     degrading.  The verdict is ``holds-by-rational-bound`` whenever the
     eigenvalues admit a common denominator q, since every nonzero divisor
     then has squared modulus at least 1/q**2 and the doubling-weighted
@@ -233,36 +222,33 @@ def omega_condition(spectrum: Spectrum, max_k: int,
     if max_k < 1:
         raise TruncationOrderError("need at least one doubling step")
     n = len(spectrum)
-    # The scan visits at least 2**max_k - 2 tuples (their number in
-    # dimension 1), so a max_k past the budget's bit length is rejected
-    # before 2**max_k is built.
-    if (max_k >= (budget + 2).bit_length()
-            or _count_tuples_upto(n, 2 ** max_k - 1)
-            - _count_tuples_upto(n, 1) > budget):
+    # At least 2**max_k pairs (their number in dimension 1): refuse a max_k
+    # past the budget's bit length before 2**max_k is built.
+    if max_k >= DEFAULT_TUPLE_BUDGET.bit_length():
         raise BudgetExceededError(
             f"scan to k = {max_k} in dimension {n} needs more than the "
-            f"budget of {budget} tuples")
+            f"budget of {DEFAULT_TUPLE_BUDGET} monomial-vector pairs")
+    least: List[Optional[Fraction]] = [None] * (max_k + 1)
+    scanned = 0
+    for exps in enumerate_monomials_upto(n, 2 ** max_k - 1, 2):
+        scanned += 1
+        k = sum(exps).bit_length()
+        value = spectrum.dot(exps)
+        for lam in spectrum:
+            diff = value - lam
+            if diff:
+                d2 = diff.abs2()
+                if least[k] is None or d2 < least[k]:
+                    least[k] = d2
     q = common_denominator(spectrum)
-    bound_sq = Fraction(1, q * q)
     best: Optional[Fraction] = None
     records: List[OmegaRecord] = []
-    scanned = 0
     running = 0.0
     for k in range(1, max_k + 1):
-        low = 2 ** (k - 1) if k > 1 else 2
-        high = 2 ** k - 1
-        for degree in range(low, high + 1):
-            for exps in enumerate_monomials(n, degree):
-                scanned += 1
-                value = spectrum.dot(exps)
-                for lam in spectrum:
-                    diff = value - lam
-                    if diff:
-                        d2 = diff.abs2()
-                        if best is None or d2 < best:
-                            best = d2
+        if best is None or (least[k] is not None and least[k] < best):
+            best = least[k]
         if best is not None:
             running += (2.0 ** -k) * _log_inverse_root(best)
         records.append(OmegaRecord(k, best, running))
     return OmegaReport(tuple(records), "holds-by-rational-bound",
-                       bound_sq, scanned, budget)
+                       Fraction(1, q * q), scanned)

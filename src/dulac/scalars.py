@@ -26,6 +26,8 @@ from typing import Mapping, Optional, Union
 from .errors import BudgetExceededError, ScalarParseError
 
 ScalarLike = Union["GaussianRational", Fraction, int, str]
+# Read by as_scalar; arithmetic with any other operand is NotImplemented.
+_READABLE = (int, Fraction, str)
 
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
@@ -108,6 +110,8 @@ class GaussianRational:
 
     def __add__(self, other: ScalarLike) -> "GaussianRational":
         if not isinstance(other, GaussianRational):
+            if not isinstance(other, _READABLE):
+                return NotImplemented
             other = as_scalar(other)
         a, b, d = self._t
         c, e, f = other._t
@@ -119,6 +123,8 @@ class GaussianRational:
 
     def __sub__(self, other: ScalarLike) -> "GaussianRational":
         if not isinstance(other, GaussianRational):
+            if not isinstance(other, _READABLE):
+                return NotImplemented
             other = as_scalar(other)
         a, b, d = self._t
         c, e, f = other._t
@@ -135,6 +141,8 @@ class GaussianRational:
 
     def __mul__(self, other: ScalarLike) -> "GaussianRational":
         if not isinstance(other, GaussianRational):
+            if not isinstance(other, _READABLE):
+                return NotImplemented
             other = as_scalar(other)
         a, b, d = self._t
         c, e, f = other._t
@@ -150,6 +158,8 @@ class GaussianRational:
         return _make(d * a, -d * b, a * a + b * b)
 
     def __truediv__(self, other: ScalarLike) -> "GaussianRational":
+        if not isinstance(other, (GaussianRational,) + _READABLE):
+            return NotImplemented
         return self * as_scalar(other).inverse()
 
     def __rtruediv__(self, other: ScalarLike) -> "GaussianRational":

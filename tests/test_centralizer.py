@@ -10,6 +10,7 @@ from dulac.centralizer import (
     resonance_equivalence_holds,
 )
 from dulac.errors import (
+    BudgetExceededError,
     DimensionMismatchError,
     NotInNormalFormError,
     TruncationOrderError,
@@ -160,3 +161,9 @@ def test_common_invariants_of_pair():
         (0, 2, 1)]
     # saddle: powers of x1 x2
     assert common_invariants([spec(1, -1)], 4) == [(1, 1), (2, 2)]
+
+
+def test_common_invariants_past_the_budget_raise():
+    # 3 * C(3 + 400, 3) = 32.5 M monomial-vector pairs through degree 400
+    with pytest.raises(BudgetExceededError):
+        common_invariants([spec(1, 1, -2)], 400)

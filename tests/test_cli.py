@@ -230,15 +230,9 @@ def test_error_exit_codes(tmp_path, hopf_path, capsys):
     assert "expected a vector field document, found a family" in capsys.readouterr().err
 
 
-def test_omega_budget_env(normal_form_path, monkeypatch, capsys):
-    monkeypatch.setenv("DULAC_OMEGA_BUDGET", "abc")
-    assert main(["diagnose", "--input", normal_form_path, "--order", "6"]) == 2
-    err = capsys.readouterr().err
-    assert "DULAC_OMEGA_BUDGET: expected an integer, found 'abc'" in err
-
-
 def test_large_omega_k_is_a_budget_error(normal_form_path, capsys):
-    # 2**k - 2 tuples already exceed the budget; the scan never starts
+    # 2**k monomial-vector pairs already exceed the budget; 2**k is never
+    # built and the scan never starts
     assert main(["diagnose", "--input", normal_form_path, "--order", "3",
                  "--omega-k", "100000"]) == 2
     err = capsys.readouterr().err
@@ -366,6 +360,32 @@ def test_resonances_past_the_budget_is_a_budget_error(normal_form_path,
     # dimension 2; the listing is refused before it starts
     assert main(["resonances", "--input", normal_form_path,
                  "--max-degree", "100000"]) == 2
+    captured = capsys.readouterr()
+    assert "dulac: error [enumeration-budget-exceeded]:" in captured.err
+    assert captured.out == ""
+
+
+def test_unrestricted_centralizer_past_the_budget_is_a_budget_error(
+        tmp_path, capsys):
+    # 25 * C(31, 25) = 18.4 M unknowns through degree 6; the solve is
+    # refused before any column is built
+    data = {"dim": 25, "order": 6, "eigenvalues": [1, -1] * 12 + [1],
+            "terms": []}
+    path = tmp_path / "saddle25.json"
+    path.write_text(json.dumps(data))
+    for flags in ([], ["--unrestricted"]):
+        assert main(["centralizer", "--input", str(path), "--degree", "6"]
+                    + flags) == 2
+        captured = capsys.readouterr()
+        assert "dulac: error [enumeration-budget-exceeded]:" in captured.err
+        assert captured.out == ""
+
+
+def test_small_divisor_scan_past_the_budget_is_a_budget_error(
+        normal_form_path, capsys):
+    # degree 4095 at k = 12: 2 * C(4097, 2) = 16.8 M pairs; k = 11 has 4.2 M
+    assert main(["diagnose", "--input", normal_form_path, "--order", "3",
+                 "--omega-k", "12"]) == 2
     captured = capsys.readouterr()
     assert "dulac: error [enumeration-budget-exceeded]:" in captured.err
     assert captured.out == ""

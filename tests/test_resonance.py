@@ -1,10 +1,13 @@
+import itertools
 import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dulac.errors import BudgetExceededError
-from dulac.poly import Spectrum
+from dulac.poly import DEFAULT_TUPLE_BUDGET, Spectrum
 from dulac.resonance import (
     ResonanceRelation,
     common_denominator,
@@ -146,10 +149,34 @@ def test_omega_condition_fractional_bound():
 
 def test_omega_condition_budget():
     with pytest.raises(BudgetExceededError):
-        omega_condition(spec(1, -1, 2, -2), 9, budget=10)
+        omega_condition(spec(1, -1, 2, -2), 9)
 
 
 def test_omega_tuples_scanned_reported():
     report = omega_condition(spec(1, -1), 3)
     assert report.tuples_scanned > 0
-    assert report.budget >= report.tuples_scanned
+    assert report.tuples_scanned <= DEFAULT_TUPLE_BUDGET
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(-4, 4), st.integers(-3, 3),
+                          st.integers(1, 3)), min_size=1, max_size=3),
+       st.integers(1, 4))
+def test_omega_records_are_brute_force_minima(parts, max_k):
+    # omega_k^2 is the least nonzero |<Q, L> - lambda_j|^2 over
+    # 2 <= |Q| <= 2**k - 1, found here over a whole box of exponents
+    spectrum = spec(*[GaussianRational(Fraction(re, den), Fraction(im, den))
+                      for re, im, den in parts])
+    report = omega_condition(spectrum, max_k)
+    n = len(spectrum)
+    for rec in report.records:
+        divisors = [(spectrum.dot(q) - lam).abs2()
+                    for q in itertools.product(range(2 ** rec.k), repeat=n)
+                    if 2 <= sum(q) < 2 ** rec.k
+                    for lam in spectrum]
+        nonzero = [d for d in divisors if d]
+        assert rec.omega_sq == (min(nonzero) if nonzero else None)
+    assert [rec.k for rec in report.records] == list(range(1, max_k + 1))
+    assert report.tuples_scanned == sum(
+        1 for q in itertools.product(range(2 ** max_k), repeat=n)
+        if 2 <= sum(q) < 2 ** max_k)

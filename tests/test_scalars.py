@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from dulac.errors import ScalarParseError
+from dulac.poly import PolyScalar
 from dulac.scalars import GaussianRational, I, ONE, ZERO, as_scalar
 
 
@@ -126,3 +127,15 @@ def test_field_axioms_randomized():
         if a:
             assert a * a.inverse() == ONE
             assert a.abs2() == a.real ** 2 + a.imag ** 2
+
+
+def test_an_unreadable_operand_defers_to_its_own_arithmetic():
+    # GaussianRational returns NotImplemented, so PolyScalar's reflected
+    # operator answers instead of a TypeError from as_scalar
+    p = PolyScalar.variable(2, 3, 0)
+    two = GaussianRational(2)
+    assert two * p == p * 2
+    assert two + p == p + 2
+    assert two - p == 2 - p
+    with pytest.raises(TypeError, match="unsupported operand"):
+        two / p
