@@ -12,20 +12,29 @@ computed exactly through the truncation order.  Composition convention is
 outermost-last: compose(outer, inner) applies inner first, so the map for
 "step 2 then step 3" is compose(step3, step2).
 
-Composition, each pass of the inversion and ``pull_back`` substitute one
-list of values into all n components; the n calls share one table of the
-monomials of those values (see ``PolyScalar.substitute``), so a monomial
-that several components hold is multiplied out once.
+Composition and ``pull_back`` substitute one list of values into all n
+components; the n calls share one table of the monomials of those values
+(see ``PolyScalar.substitute``), so a monomial that several components
+hold is multiplied out once.
+
+The inversion and the transport of a field are triangular solves in the
+degree: the degree-d part of the unknown depends only on its parts below
+d.  Each is one pass over the degrees on graded series, lists whose entry
+d holds the degree-d terms, so a finished degree is never recomputed.
+``_add_product_part`` adds the one degree of a product that such a pass
+needs, from the parts already known (van der Hoeven's relaxed evaluation,
+"Relax, but don't be too lazy", JSC 2002).
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+import operator
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .errors import DimensionMismatchError
 from .linalg import mat_inverse
-from .poly import PolyScalar, PolyVectorField, TermMap
-from .scalars import GaussianRational, add_scaled, as_scalar
+from .poly import Exponents, PolyScalar, PolyVectorField, TermMap
+from .scalars import GaussianRational, add_scaled
 
 
 class NearIdentityMap:
@@ -57,8 +66,8 @@ class NearIdentityMap:
         dim = len(matrix)
         if any(len(row) != dim for row in matrix):
             raise DimensionMismatchError("linear part must be square")
-        xs = [PolyScalar.variable(dim, order, j) for j in range(dim)]
-        return cls([_linear_combo([as_scalar(v) for v in row], xs)
+        return cls([PolyScalar(dim, order, {_unit(dim, j): v
+                                            for j, v in enumerate(row)})
                     for row in matrix])
 
     @classmethod
@@ -81,27 +90,45 @@ class NearIdentityMap:
     def invert_to_order(self) -> "NearIdentityMap":
         """The map Phi with Psi(Phi(y)) = y through the truncation order.
 
-        Phi is the fixed point of Phi = Linv (y - h(Phi)), found degree by
-        degree from Phi = Linv y.  Since h starts at degree 2, an error of
-        degree d in Phi moves h(Phi) only from degree d + 1 on; so if Phi
-        is right through degree w - 1, one pass makes it right through
-        degree w, and nothing above w can be right yet.  Each pass
-        therefore works at truncation order w = 2, 3, ..., N only.
+        With Psi = Lx + h(x), the degree-w part of L Phi + h(Phi) = y gives
+        Phi_1 = Linv y and Phi_w = -Linv [h(Phi)]_w for w >= 2.  Every
+        monomial of h has degree >= 2 and every part of Phi degree >= 1, so
+        [h(Phi)]_w reads Phi only below degree w: one pass over w = 2..N
+        solves Phi degree by degree.  Phi and the monomials x^m(Phi) that h
+        needs are held by degree; x^m is built from x^(m - e_i), i the last
+        variable with a nonzero exponent, as in ``PolyScalar.substitute``,
+        and each pass adds only its degree-w part:
+        [x^m(Phi)]_w = sum over a of [x^(m - e_i)(Phi)]_a [Phi_i]_(w-a).
         """
-        linv = self.linear_inverse
         dim = self.dim
-        h = [c.degree_range(2) for c in self.components]
-        ys = [PolyScalar.variable(dim, 1, j) for j in range(dim)]
-        phi = [_linear_combo(linv[i], ys) for i in range(dim)]
+        linv = self.linear_inverse
+        # phi[i][d]: the degree-d terms of Phi_i, for d below the pass
+        phi = [[{}, {_unit(dim, j): c for j, c in enumerate(row) if c}]
+               for row in linv]
+        # the monomials of h, each with its (component, coefficient) pairs
+        uses: Dict[Exponents, List[Tuple[int, GaussianRational]]] = {}
+        for j, comp in enumerate(self.components):
+            for exps, coeff in comp.terms.items():
+                if sum(exps) >= 2:
+                    uses.setdefault(exps, []).append((j, coeff))
+        powers, steps = _monomial_chain(uses, phi)
+        minus_linv = [[-c for c in row] for row in linv]
         for work in range(2, self.order + 1):
-            # phi holds degrees up to work - 1, so the re-tag is canonical
-            lifted = [PolyScalar._canonical(dim, work, p.terms) for p in phi]
-            table: dict = {}
-            rhs = [PolyScalar.variable(dim, work, j)
-                   - c.truncated(work).substitute(lifted, table)
-                   for j, c in enumerate(h)]
-            phi = [_linear_combo(linv[i], rhs) for i in range(dim)]
-        return NearIdentityMap(phi)
+            for parts, lower, factor in steps:
+                part: TermMap = {}
+                _add_product_part(part, lower, factor, work)
+                parts.append(part)
+            h_part: List[TermMap] = [{} for _ in range(dim)]
+            for exps, pairs in uses.items():
+                part = powers[exps][work]
+                if part:
+                    for j, coeff in pairs:
+                        add_scaled(h_part[j], part, coeff)
+            for row, parts in zip(minus_linv, phi):
+                parts.append(_combo(row, h_part))
+        return NearIdentityMap([PolyScalar._canonical(dim, self.order,
+                                                      _merged(parts))
+                                for parts in phi])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, NearIdentityMap):
@@ -113,54 +140,124 @@ class NearIdentityMap:
                 f"components={[str(c) for c in self.components]})")
 
 
-def _linear_combo(coeffs: Sequence[GaussianRational],
-                  polys: Sequence[PolyScalar]) -> PolyScalar:
+# -- graded series: list index d holds the degree-d terms ---------------
+
+
+def _unit(dim: int, index: int) -> Exponents:
+    return tuple(int(k == index) for k in range(dim))
+
+
+def _by_degree(terms: TermMap, order: int) -> List[TermMap]:
+    """The terms of degree <= order, split by degree."""
+    parts: List[TermMap] = [{} for _ in range(order + 1)]
+    for exps, coeff in terms.items():
+        degree = sum(exps)
+        if degree <= order:
+            parts[degree][exps] = coeff
+    return parts
+
+
+def _merged(parts: Sequence[TermMap]) -> TermMap:
+    return {exps: coeff for part in parts for exps, coeff in part.items()}
+
+
+def _combo(coeffs: Sequence[GaussianRational],
+           parts: Sequence[TermMap]) -> TermMap:
+    """sum_k coeffs[k] * parts[k], one degree of a linear combination."""
     acc: TermMap = {}
-    for c, p in zip(coeffs, polys):
-        if c:
-            add_scaled(acc, p.terms, c)
-    return PolyScalar(polys[0].dim, polys[0].order, acc)
+    for c, part in zip(coeffs, parts):
+        if c and part:
+            add_scaled(acc, part, c)
+    return acc
+
+
+def _add_product_part(acc: TermMap, left: Sequence[TermMap],
+                      right: Sequence[TermMap], degree: int) -> None:
+    """acc += [left * right]_degree, from the degrees both series hold.
+
+    A degree past the end of a list counts as zero, so a solve that has
+    filled its unknowns below ``degree`` reads nothing else.
+    """
+    for a in range(max(0, degree - len(right) + 1),
+                   min(len(left), degree + 1)):
+        left_part, right_part = left[a], right[degree - a]
+        if left_part and right_part:
+            for el, cl in left_part.items():
+                # el + . is injective, so these keys never collide.
+                add_scaled(acc, {tuple(map(operator.add, el, er)): cr
+                                 for er, cr in right_part.items()}, cl)
+
+
+def _monomial_chain(monomials: Iterable[Exponents],
+                    values: Sequence[List[TermMap]]):
+    """Graded series x^m(values) for the given monomials of degree >= 2.
+
+    Returns ``powers`` (m -> its degree parts, ``values[j]`` itself for
+    m = e_j) and ``steps``, one (parts, lower, factor) per monomial of
+    degree >= 2 they need, lower monomials first: x^m = lower * factor,
+    with lower = x^(m - e_i) and factor = values[i] for the last variable
+    i with a nonzero exponent.  Each series holds degrees 0 and 1 (both
+    empty for degree >= 2); the caller appends one degree per pass.
+    """
+    powers: Dict[Exponents, List[TermMap]] = {}
+    steps: List[Tuple[List[TermMap], List[TermMap], List[TermMap]]] = []
+
+    def power(exps: Exponents) -> List[TermMap]:
+        got = powers.get(exps)
+        if got is None:
+            i = max(k for k, e in enumerate(exps) if e)
+            lower = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
+            if any(lower):
+                got = [{}, {}]
+                steps.append((got, power(lower), values[i]))
+            else:
+                got = values[i]
+            powers[exps] = got
+        return got
+
+    for exps in monomials:
+        power(exps)
+    return powers, steps
 
 
 def pull_back(phi_map: NearIdentityMap, f: PolyVectorField) -> PolyVectorField:
     """Field in y-coordinates when x = Phi(y) and xdot = f(x).
 
-    Solves DPhi(y) g(y) = f(Phi(y)) for g by the exact Neumann series
-    g = sum_j (-Linv Dh)^j Linv f(Phi); entries of Dh have degree >= 1,
-    so the series terminates within the truncation order.
+    Solves DPhi(y) g(y) = f(Phi(y)) for g.  With Phi = Ly + h(y) this is
+    g = b + M g for b = Linv f(Phi) and M = -Linv Dh, whose entries start
+    at degree 1; so g_d = b_d + sum over a >= 1 of [M]_a g_(d-a) reads g
+    only below degree d, and one pass over d = 0..order solves it.
     """
     if phi_map.dim != f.dim:
         raise DimensionMismatchError("map and field dimensions differ")
+    dim = f.dim
     order = min(phi_map.order, f.order)
     comps = [c.truncated(order) for c in phi_map.components]
     table: dict = {}
-    rhs = [c.substitute(comps, table) for c in f.components]
+    rhs = [_by_degree(c.substitute(comps, table).terms, order)
+           for c in f.components]
     linv = phi_map.linear_inverse
-    acc = [_linear_combo(linv[i], rhs) for i in range(f.dim)]
-    total = [dict(a.terms) for a in acc]
+    b = [[_combo(row, [r[d] for r in rhs]) for d in range(order + 1)]
+         for row in linv]
     # Map components are exact polynomials, so differentiating h loses
-    # nothing; h stops at degree order + 1, so the Jacobian entries stop
-    # at degree order and re-tag canonically at the working order.
-    dh = [[PolyScalar._canonical(f.dim, order, h.partial(j).terms)
-           for j in range(f.dim)]
+    # nothing; h stops at degree order + 1, so Dh stops at degree order.
+    dh = [[_by_degree(h.partial(j).terms, order) for j in range(dim)]
           for h in (c.degree_range(2, order + 1) for c in phi_map.components)]
-    # M = -Linv Dh, entries of degree >= 1
-    m_rows = [[_linear_combo([-c for c in row], column)
+    m_rows = [[[_combo([-c for c in row], [column[k][a] for k in range(dim)])
+                for a in range(order + 1)]
                for column in zip(*dh)] for row in linv]
-    for _ in range(order):
-        nxt = []
-        for i in range(f.dim):
-            entry: TermMap = {}
-            for j in range(f.dim):
-                if not m_rows[i][j].is_zero() and not acc[j].is_zero():
-                    add_scaled(entry, (m_rows[i][j] * acc[j]).terms)
-            nxt.append(PolyScalar(f.dim, order, entry))
-        acc = nxt
-        if all(a.is_zero() for a in acc):
-            break
-        for t, a in zip(total, acc):
-            add_scaled(t, a.terms)
-    return PolyVectorField([PolyScalar(f.dim, order, t) for t in total])
+    g: List[List[TermMap]] = [[] for _ in range(dim)]
+    for degree in range(order + 1):
+        new = []
+        for b_row, m_row in zip(b, m_rows):
+            part = dict(b_row[degree])
+            for m_entry, g_j in zip(m_row, g):
+                _add_product_part(part, m_entry, g_j, degree)
+            new.append(part)
+        for g_i, part in zip(g, new):
+            g_i.append(part)
+    return PolyVectorField([PolyScalar._canonical(dim, order, _merged(parts))
+                            for parts in g])
 
 
 def push_forward(psi_map: NearIdentityMap, f: PolyVectorField) -> PolyVectorField:

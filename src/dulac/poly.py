@@ -14,10 +14,13 @@ through the trusted constructor ``PolyScalar._canonical`` and skip that
 check; so do the order re-tags of the coordinate-change code.
 
 Substituting the same values into several polynomials (every component
-of a map) shares one table of the monomials x^m of those values, keyed
-by exponent tuple m.  Each x^m is built once, with one product
-x^(m - e_i) * values[i] where i is the last variable with a nonzero
-exponent, and then serves every polynomial that holds the term x^m.
+of a map, in ``compose`` and ``pull_back``) shares one table of the
+monomials x^m of those values, keyed by exponent tuple m.  Each x^m is
+built once, with one product x^(m - e_i) * values[i] where i is the last
+variable with a nonzero exponent, and then serves every polynomial that
+holds the term x^m.  ``invert_to_order`` builds its monomials by the same
+rule, but degree by degree on graded term dicts, since its values are
+the unknowns it solves for; it does not call ``substitute``.
 
 Every scan over exponent tuples goes through ``enumerate_monomials_upto``,
 which holds the one work budget of the package.
@@ -290,9 +293,11 @@ class PolyScalar:
 
         ``table`` holds the monomials x^m of ``values`` built so far, keyed
         by m; monomials this call needs are added to it.  Callers that
-        substitute the same values into several polynomials of one order
-        pass one dict to every call, so each monomial is built once.  A
-        table whose monomials carry another dimension or order raises.
+        substitute the same values into several polynomials of one order,
+        as ``compose`` and ``pull_back`` do for the n components of a map
+        or field, pass one dict to every call, so each monomial is built
+        once.  A table whose monomials carry another dimension or order
+        raises.
         """
         if len(values) != self.dim:
             raise DimensionMismatchError(

@@ -24,6 +24,7 @@ tuples through ``poly.enumerate_monomials_upto``, under its one budget.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple
@@ -228,27 +229,35 @@ def omega_condition(spectrum: Spectrum, max_k: int) -> OmegaReport:
         raise BudgetExceededError(
             f"scan to k = {max_k} in dimension {n} needs more than the "
             f"budget of {DEFAULT_TUPLE_BUDGET} monomial-vector pairs")
-    least: List[Optional[Fraction]] = [None] * (max_k + 1)
+    # Scaled by q the spectrum is integral: <m, qL> - q lambda_j is an
+    # integer pair, and the squared moduli compare as integers.
+    q = common_denominator(spectrum)
+    re_parts = [int(lam.real * q) for lam in spectrum]
+    im_parts = [int(lam.imag * q) for lam in spectrum]
+    eigen = list(zip(re_parts, im_parts))
+    least: List[Optional[int]] = [None] * (max_k + 1)
     scanned = 0
     for exps in enumerate_monomials_upto(n, 2 ** max_k - 1, 2):
         scanned += 1
         k = sum(exps).bit_length()
-        value = spectrum.dot(exps)
-        for lam in spectrum:
-            diff = value - lam
-            if diff:
-                d2 = diff.abs2()
-                if least[k] is None or d2 < least[k]:
-                    least[k] = d2
-    q = common_denominator(spectrum)
-    best: Optional[Fraction] = None
+        re = sum(map(operator.mul, exps, re_parts))
+        im = sum(map(operator.mul, exps, im_parts))
+        low = least[k]
+        for a, b in eigen:
+            dr, di = re - a, im - b
+            d2 = dr * dr + di * di
+            if d2 and (low is None or d2 < low):
+                low = d2
+        least[k] = low
+    best: Optional[int] = None
     records: List[OmegaRecord] = []
     running = 0.0
     for k in range(1, max_k + 1):
-        if best is None or (least[k] is not None and least[k] < best):
+        if least[k] is not None and (best is None or least[k] < best):
             best = least[k]
-        if best is not None:
-            running += (2.0 ** -k) * _log_inverse_root(best)
-        records.append(OmegaRecord(k, best, running))
+        omega_sq = None if best is None else Fraction(best, q * q)
+        if omega_sq is not None:
+            running += (2.0 ** -k) * _log_inverse_root(omega_sq)
+        records.append(OmegaRecord(k, omega_sq, running))
     return OmegaReport(tuple(records), "holds-by-rational-bound",
                        Fraction(1, q * q), scanned)

@@ -1,7 +1,7 @@
 """Golden snapshots of the JSON reports, compared byte for byte.
 
 The inputs in ``golden/inputs`` are the corpus fields (written from the
-builders in ``dulac.corpus``) and three grid fields.  ``normalize``
+builders in ``dulac.corpus``) and four grid fields.  ``normalize``
 and ``diagnose`` run on each field at its own truncation order,
 ``diagnose`` with the commuting field where the corpus has one, and
 ``centralizer`` runs on the normal form that ``normalize`` printed for
@@ -37,7 +37,7 @@ ORDERS = {
     "grid-d3-o6": 6,
 }
 # normalize only, at a deeper order
-DEEP = {"grid-d3-o8": 8}
+DEEP = {"grid-d3-o8": 8, "grid-d4-o8": 8}
 WITH_SYMMETRY = {"so2", "holomorphic"}
 COMMANDS = ("normalize", "diagnose", "centralizer", "resonances")
 # snapshot name -> (spectrum a, spectrum b, maximum degree)

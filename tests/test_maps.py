@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -66,6 +67,28 @@ def test_invert_round_trip():
         identity = NearIdentityMap.identity(2, 6)
         assert phi.compose(inverse) == identity
         assert inverse.compose(phi) == identity
+
+
+@pytest.mark.parametrize("order", [1, 2, 5])
+def test_invert_linear_map_is_the_inverse_matrix(order):
+    # h = 0: the inversion solves nothing past degree 1
+    psi = NearIdentityMap.from_linear([[2, 1], [1, 1]], order)
+    assert psi.invert_to_order() == NearIdentityMap.from_linear(
+        psi.linear_inverse, order)
+
+
+def test_invert_order_two_map_solves_one_degree():
+    # Psi = (x1 + x2, 3 x2 + x1^2): Phi_1 = Linv y and
+    # Phi_2 = -Linv (0, q) = (q/3, -q/3) for q = (y1 - y2/3)^2
+    order = 2
+    x1, x2 = (PolyScalar.variable(2, order, i) for i in range(2))
+    psi = NearIdentityMap([x1 + x2, x2 * 3 + x1 * x1])
+    linear = NearIdentityMap.from_linear(psi.linear_inverse, order)
+    lin1, lin2 = linear.components
+    q = lin1 * lin1
+    third = as_scalar(Fraction(1, 3))
+    assert psi.invert_to_order() == NearIdentityMap(
+        [lin1 + q * third, lin2 - q * third])
 
 
 def test_compose_is_substitution():

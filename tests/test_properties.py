@@ -6,6 +6,10 @@
 * ``invert_to_order`` is a two-sided inverse through the truncation order,
   also when the linear part is neither the identity nor diagonal, so
   that every graded pass runs under a mixing L^-1.
+* ``pull_back`` solves its defining equation DPhi(y) g(y) = f(Phi(y))
+  through the truncation order, checked with ``partial``, products and
+  ``substitute`` alone, for non-diagonal maps and fields with a linear
+  part.
 * ``normalize`` returns both directions of one map: its ``inverse`` is
   the truncated inverse of its ``transformation``, and pulling the input
   back along it gives the normal form.
@@ -153,6 +157,36 @@ def test_map_is_its_components_with_the_inverse_linear_part(psi):
     assert NearIdentityMap(psi.components) == psi
     linear = PolyVectorField(psi.components).linear_matrix()
     assert mat_mul(linear, psi.linear_inverse) == identity_matrix(psi.dim)
+
+
+@st.composite
+def pull_back_cases(draw):
+    """A non-diagonal map and a field with a linear part, of order <= the map's."""
+    phi = draw(near_identity_maps())
+    dim = phi.dim
+    order = draw(st.integers(min_value=1, max_value=phi.order))
+    linear = [(i, tuple(int(k == j) for k in range(dim)), draw(small_ints))
+              for i in range(dim) for j in range(dim)]
+    assume(any(c for _, _, c in linear))
+    nonlinear = draw(terms(dim, 2, order, 4)) if order >= 2 else []
+    return phi, PolyVectorField.from_terms(dim, order, linear + nonlinear)
+
+
+@PROPERTY_SETTINGS
+@given(pull_back_cases())
+def test_pull_back_solves_its_defining_equation(case):
+    phi, f = case
+    g = pull_back(phi, f)
+    order = min(phi.order, f.order)
+    assert (g.dim, g.order) == (f.dim, order)
+    comps = [c.truncated(order) for c in phi.components]
+    for i, comp in enumerate(comps):
+        # Phi is an exact polynomial and g has no constant term, so the
+        # degree-d part of DPhi g reads DPhi below degree d only.
+        lhs = PolyScalar.zero(f.dim, order)
+        for j, g_j in enumerate(g.components):
+            lhs = lhs + PolyScalar(f.dim, order, comp.partial(j).terms) * g_j
+        assert lhs == f.components[i].substitute(comps)
 
 
 @PROPERTY_SETTINGS
