@@ -239,13 +239,19 @@ def pull_back(phi_map: NearIdentityMap, f: PolyVectorField) -> PolyVectorField:
     linv = phi_map.linear_inverse
     b = [[_combo(row, [r[d] for r in rhs]) for d in range(order + 1)]
          for row in linv]
-    # Map components are exact polynomials, so differentiating h loses
-    # nothing; h stops at degree order + 1, so Dh stops at degree order.
-    dh = [[_by_degree(h.partial(j).terms, order) for j in range(dim)]
-          for h in (c.degree_range(2, order + 1) for c in phi_map.components)]
-    m_rows = [[[_combo([-c for c in row], [column[k][a] for k in range(dim)])
-                for a in range(order + 1)]
-               for column in zip(*dh)] for row in linv]
+    # M = -Linv Dh by degree.  Map components are exact polynomials, so
+    # differentiating h loses nothing; h stops at degree order + 1, so Dh
+    # stops at degree order.
+    m_rows = [[[{} for _ in range(order + 1)] for _ in range(dim)]
+              for _ in range(dim)]
+    for k, comp in enumerate(phi_map.components):
+        h = comp.degree_range(2, order + 1)
+        for j in range(dim):
+            for a, part in enumerate(_by_degree(h.partial(j).terms, order)):
+                if part:
+                    for row, m_row in zip(linv, m_rows):
+                        if row[k]:
+                            add_scaled(m_row[j][a], part, -row[k])
     g: List[List[TermMap]] = [[] for _ in range(dim)]
     for degree in range(order + 1):
         new = []
