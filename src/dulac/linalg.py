@@ -22,22 +22,6 @@ def identity_matrix(n: int) -> Matrix:
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a: Sequence[Sequence[GaussianRational]],
-            b: Sequence[Sequence[GaussianRational]]) -> Matrix:
-    n, mid, m = len(a), len(b), len(b[0])
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            total = ZERO
-            for k in range(mid):
-                if a[i][k] and b[k][j]:
-                    total = total + a[i][k] * b[k][j]
-            row.append(total)
-        out.append(row)
-    return out
-
-
 def mat_inverse(matrix: Sequence[Sequence[GaussianRational]]) -> Matrix:
     n = len(matrix)
     work = [list(row) + unit for row, unit in zip(matrix, identity_matrix(n))]

@@ -23,17 +23,20 @@ d.  Each is one pass over the degrees on graded series, lists whose entry
 d holds the degree-d terms, so a finished degree is never recomputed.
 ``_add_product_part`` adds the one degree of a product that such a pass
 needs, from the parts already known (van der Hoeven's relaxed evaluation,
-"Relax, but don't be too lazy", JSC 2002).
+"Relax, but don't be too lazy", JSC 2002).  The graded-series helpers,
+and the monomial chain that ``substitute`` shares with the inversion,
+live in ``poly``; this module holds no polynomial arithmetic of its own.
 """
 
 from __future__ import annotations
 
-import operator
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import DimensionMismatchError
 from .linalg import mat_inverse
-from .poly import Exponents, PolyScalar, PolyVectorField, TermMap
+from .poly import (Exponents, PolyScalar, PolyVectorField, Series, TermMap,
+                   _add_product_part, _by_degree, _combo, _merged,
+                   _monomial_chain, _unit)
 from .scalars import GaussianRational, add_scaled
 
 
@@ -96,8 +99,9 @@ class NearIdentityMap:
         [h(Phi)]_w reads Phi only below degree w: one pass over w = 2..N
         solves Phi degree by degree.  Phi and the monomials x^m(Phi) that h
         needs are held by degree; x^m is built from x^(m - e_i), i the last
-        variable with a nonzero exponent, as in ``PolyScalar.substitute``,
-        and each pass adds only its degree-w part:
+        variable with a nonzero exponent, by the chain that
+        ``PolyScalar.substitute`` uses too, and each pass adds only its
+        degree-w part:
         [x^m(Phi)]_w = sum over a of [x^(m - e_i)(Phi)]_a [Phi_i]_(w-a).
         """
         dim = self.dim
@@ -111,13 +115,16 @@ class NearIdentityMap:
             for exps, coeff in comp.terms.items():
                 if sum(exps) >= 2:
                     uses.setdefault(exps, []).append((j, coeff))
-        powers, steps = _monomial_chain(uses, phi)
+        powers = {_unit(dim, j): parts for j, parts in enumerate(phi)}
+        steps = _monomial_chain(uses, phi, powers)
         minus_linv = [[-c for c in row] for row in linv]
-        for work in range(2, self.order + 1):
+        for work in range(self.order + 1):
             for parts, lower, factor in steps:
                 part: TermMap = {}
                 _add_product_part(part, lower, factor, work)
                 parts.append(part)
+            if work < 2:
+                continue  # Phi_0 = 0 and Phi_1 = Linv y are known
             h_part: List[TermMap] = [{} for _ in range(dim)]
             for exps, pairs in uses.items():
                 part = powers[exps][work]
@@ -138,86 +145,6 @@ class NearIdentityMap:
     def __repr__(self) -> str:
         return (f"NearIdentityMap(dim={self.dim}, order={self.order}, "
                 f"components={[str(c) for c in self.components]})")
-
-
-# -- graded series: list index d holds the degree-d terms ---------------
-
-
-def _unit(dim: int, index: int) -> Exponents:
-    return tuple(int(k == index) for k in range(dim))
-
-
-def _by_degree(terms: TermMap, order: int) -> List[TermMap]:
-    """The terms of degree <= order, split by degree."""
-    parts: List[TermMap] = [{} for _ in range(order + 1)]
-    for exps, coeff in terms.items():
-        degree = sum(exps)
-        if degree <= order:
-            parts[degree][exps] = coeff
-    return parts
-
-
-def _merged(parts: Sequence[TermMap]) -> TermMap:
-    return {exps: coeff for part in parts for exps, coeff in part.items()}
-
-
-def _combo(coeffs: Sequence[GaussianRational],
-           parts: Sequence[TermMap]) -> TermMap:
-    """sum_k coeffs[k] * parts[k], one degree of a linear combination."""
-    acc: TermMap = {}
-    for c, part in zip(coeffs, parts):
-        if c and part:
-            add_scaled(acc, part, c)
-    return acc
-
-
-def _add_product_part(acc: TermMap, left: Sequence[TermMap],
-                      right: Sequence[TermMap], degree: int) -> None:
-    """acc += [left * right]_degree, from the degrees both series hold.
-
-    A degree past the end of a list counts as zero, so a solve that has
-    filled its unknowns below ``degree`` reads nothing else.
-    """
-    for a in range(max(0, degree - len(right) + 1),
-                   min(len(left), degree + 1)):
-        left_part, right_part = left[a], right[degree - a]
-        if left_part and right_part:
-            for el, cl in left_part.items():
-                # el + . is injective, so these keys never collide.
-                add_scaled(acc, {tuple(map(operator.add, el, er)): cr
-                                 for er, cr in right_part.items()}, cl)
-
-
-def _monomial_chain(monomials: Iterable[Exponents],
-                    values: Sequence[List[TermMap]]):
-    """Graded series x^m(values) for the given monomials of degree >= 2.
-
-    Returns ``powers`` (m -> its degree parts, ``values[j]`` itself for
-    m = e_j) and ``steps``, one (parts, lower, factor) per monomial of
-    degree >= 2 they need, lower monomials first: x^m = lower * factor,
-    with lower = x^(m - e_i) and factor = values[i] for the last variable
-    i with a nonzero exponent.  Each series holds degrees 0 and 1 (both
-    empty for degree >= 2); the caller appends one degree per pass.
-    """
-    powers: Dict[Exponents, List[TermMap]] = {}
-    steps: List[Tuple[List[TermMap], List[TermMap], List[TermMap]]] = []
-
-    def power(exps: Exponents) -> List[TermMap]:
-        got = powers.get(exps)
-        if got is None:
-            i = max(k for k, e in enumerate(exps) if e)
-            lower = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
-            if any(lower):
-                got = [{}, {}]
-                steps.append((got, power(lower), values[i]))
-            else:
-                got = values[i]
-            powers[exps] = got
-        return got
-
-    for exps in monomials:
-        power(exps)
-    return powers, steps
 
 
 def pull_back(phi_map: NearIdentityMap, f: PolyVectorField) -> PolyVectorField:
@@ -252,7 +179,7 @@ def pull_back(phi_map: NearIdentityMap, f: PolyVectorField) -> PolyVectorField:
                     for row, m_row in zip(linv, m_rows):
                         if row[k]:
                             add_scaled(m_row[j][a], part, -row[k])
-    g: List[List[TermMap]] = [[] for _ in range(dim)]
+    g: List[Series] = [[] for _ in range(dim)]
     for degree in range(order + 1):
         new = []
         for b_row, m_row in zip(b, m_rows):

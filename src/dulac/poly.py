@@ -13,14 +13,13 @@ the right length, degree within the order), so they wrap the result
 through the trusted constructor ``PolyScalar._canonical`` and skip that
 check; so do the order re-tags of the coordinate-change code.
 
-Substituting the same values into several polynomials (every component
-of a map, in ``compose`` and ``pull_back``) shares one table of the
-monomials x^m of those values, keyed by exponent tuple m.  Each x^m is
-built once, with one product x^(m - e_i) * values[i] where i is the last
-variable with a nonzero exponent, and then serves every polynomial that
-holds the term x^m.  ``invert_to_order`` builds its monomials by the same
-rule, but degree by degree on graded term dicts, since its values are
-the unknowns it solves for; it does not call ``substitute``.
+Substitution builds the monomials x^m of its values by one rule,
+``_monomial_chain``: x^m = x^(m - e_i) * values[i], i the last variable
+with a nonzero exponent, one product of two graded series (lists whose
+entry d holds the degree-d terms).  ``PolyScalar.substitute`` fills each
+x^m through the order at once, and one table of them serves every
+component of a map in ``compose`` and ``pull_back``; ``invert_to_order``
+fills its x^m(Phi) one degree per pass, since Phi is what it solves for.
 
 Every scan over exponent tuples goes through ``enumerate_monomials_upto``,
 which holds the one work budget of the package.
@@ -55,6 +54,8 @@ from .scalars import ONE, ZERO, GaussianRational, ScalarLike, add_scaled, as_sca
 
 Exponents = Tuple[int, ...]
 TermMap = Dict[Exponents, GaussianRational]
+Series = List[TermMap]   # entry d holds the degree-d terms
+Step = Tuple[Series, Series, Series]   # x^m, x^(m - e_i), values[i]
 
 _COEFF_TYPES = (GaussianRational, int, Fraction)
 
@@ -100,6 +101,99 @@ def enumerate_monomials_upto(dim: int, max_degree: int,
     return itertools.chain.from_iterable(
         enumerate_monomials(dim, degree)
         for degree in range(min_degree, max_degree + 1))
+
+
+# -- graded series: list index d holds the degree-d terms ---------------
+
+
+def _unit(dim: int, index: int) -> Exponents:
+    return tuple(int(k == index) for k in range(dim))
+
+
+def _by_degree(terms: TermMap, order: int) -> Series:
+    """The terms of degree <= order, split by degree."""
+    parts: Series = [{} for _ in range(order + 1)]
+    for exps, coeff in terms.items():
+        degree = sum(exps)
+        if degree <= order:
+            parts[degree][exps] = coeff
+    return parts
+
+
+def _merged(parts: Sequence[TermMap]) -> TermMap:
+    return {exps: coeff for part in parts for exps, coeff in part.items()}
+
+
+def _combo(coeffs: Sequence[GaussianRational],
+           parts: Sequence[TermMap]) -> TermMap:
+    """sum_k coeffs[k] * parts[k], one degree of a linear combination."""
+    acc: TermMap = {}
+    for c, part in zip(coeffs, parts):
+        if c and part:
+            add_scaled(acc, part, c)
+    return acc
+
+
+def _add_pair_product(acc: TermMap, left_part: TermMap,
+                      right_part: TermMap) -> None:
+    """acc += left_part * right_part, for two parts of one degree each."""
+    for el, cl in left_part.items():
+        # el + . is injective, so these keys never collide.
+        add_scaled(acc, {tuple(map(operator.add, el, er)): cr
+                         for er, cr in right_part.items()}, cl)
+
+
+def _add_product_part(acc: TermMap, left: Series, right: Series,
+                      degree: int) -> None:
+    """acc += [left * right]_degree, from the degrees both series hold.
+
+    A degree past the end of a list counts as zero, so a solve that has
+    filled its unknowns below ``degree`` reads nothing else.
+    """
+    for a in range(max(0, degree - len(right) + 1),
+                   min(len(left), degree + 1)):
+        left_part, right_part = left[a], right[degree - a]
+        if left_part and right_part:
+            _add_pair_product(acc, left_part, right_part)
+
+
+def _monomial_chain(monomials: Iterable[Exponents], values: Sequence[Series],
+                    powers: Dict[Exponents, Series]) -> List[Step]:
+    """Enter into ``powers`` the graded series x^m(values) of the given
+    monomials, and of the lower monomials they are built from.
+
+    ``powers`` maps m to its series and holds ``values[j]`` at m = e_j.
+    Each monomial it lacks gets an empty series for the caller to fill,
+    and one step (parts, lower, factor), lower monomials first: x^m =
+    lower * factor for lower = x^(m - e_i) and factor = values[i], i the
+    last variable with a nonzero exponent.
+    """
+    steps: List[Step] = []
+
+    def power(exps: Exponents) -> Series:
+        got = powers.get(exps)
+        if got is None:
+            i = max(k for k, e in enumerate(exps) if e)
+            lower = power(exps[:i] + (exps[i] - 1,) + exps[i + 1:])
+            got = powers[exps] = []
+            steps.append((got, lower, values[i]))
+        return got
+
+    for exps in monomials:
+        power(exps)
+    return steps
+
+
+def _fill_powers(steps: Sequence[Step], order: int) -> None:
+    """Fill the series of every step through ``order`` at once, for values
+    known to that order: only the nonempty parts of lower and factor meet."""
+    for parts, lower, factor in steps:
+        parts.extend([{} for _ in range(order + 1)])
+        for a, lower_part in enumerate(lower):
+            if lower_part:
+                for b, factor_part in enumerate(factor[:order + 1 - a]):
+                    if factor_part:
+                        _add_pair_product(parts[a + b], lower_part, factor_part)
 
 
 class PolyScalar:
@@ -284,20 +378,21 @@ class PolyScalar:
         return PolyScalar(self.dim, max(self.order - 1, 0), out)
 
     def substitute(self, values: Sequence["PolyScalar"],
-                   table: Optional[Dict[Exponents, "PolyScalar"]] = None
+                   table: Optional[Dict[Exponents, Series]] = None
                    ) -> "PolyScalar":
         """Substitute ``values[i]`` for variable i, truncating exactly.
 
         The result is correct to min(self.order, min of value orders) and
         carries that order.  Values must share a common dimension.
 
-        ``table`` holds the monomials x^m of ``values`` built so far, keyed
-        by m; monomials this call needs are added to it.  Callers that
-        substitute the same values into several polynomials of one order,
-        as ``compose`` and ``pull_back`` do for the n components of a map
-        or field, pass one dict to every call, so each monomial is built
-        once.  A table whose monomials carry another dimension or order
-        raises.
+        ``table`` maps m to the monomial x^m of ``values`` as a graded
+        series through the order, and holds the values themselves at the
+        unit exponents; monomials this call needs are added to it.
+        Callers that substitute the same values into several polynomials
+        of one order, as ``compose`` and ``pull_back`` do for the n
+        components of a map or field, pass one dict to every call, so each
+        monomial is built once.  A table built for another number of
+        variables or at another order raises.
         """
         if len(values) != self.dim:
             raise DimensionMismatchError(
@@ -308,34 +403,28 @@ class PolyScalar:
             if v.dim != vdim:
                 raise DimensionMismatchError("substitution values mix dimensions")
             order = min(order, v.order)
+        units = [_unit(self.dim, i) for i in range(self.dim)]
         if table is None:
             table = {}
-        built = next(iter(table.values()), None)
-        if built is not None and (built.dim, built.order) != (vdim, order):
+        built = next(iter(table.items()), None)
+        if built is None:
+            table.update((unit, _by_degree(v.terms, order))
+                         for unit, v in zip(units, values))
+        elif len(built[0]) != self.dim or len(built[1]) != order + 1:
             raise DimensionMismatchError(
                 "substitution table was built for other values")
-        no_constants = all(not v.coefficient((0,) * vdim) for v in values)
+        graded = [table[unit] for unit in units]
+        no_constants = not any(series[0] for series in graded)
+        needed = [exps for exps in self.terms if any(exps)
+                  and not (no_constants and sum(exps) > order)]
+        _fill_powers(_monomial_chain(needed, graded, table), order)
 
-        def monomial(exps: Exponents) -> PolyScalar:
-            got = table.get(exps)
-            if got is None:
-                i = max(k for k, e in enumerate(exps) if e)
-                lower = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
-                if any(lower):
-                    got = monomial(lower) * values[i]
-                elif values[i].order > order:
-                    got = values[i].truncated(order)
-                else:
-                    got = values[i]
-                table[exps] = got
-            return got
-
-        acc: TermMap = {}
-        for exps, coeff in self.terms.items():
-            if not any(exps):
-                add_scaled(acc, {(0,) * vdim: coeff})
-            elif not (no_constants and sum(exps) > order):
-                add_scaled(acc, monomial(exps).terms, coeff)
+        constant = self.terms.get((0,) * self.dim)
+        acc: TermMap = {(0,) * vdim: constant} if constant else {}
+        for exps in needed:
+            for part in table[exps]:
+                if part:
+                    add_scaled(acc, part, self.terms[exps])
         return PolyScalar._canonical(vdim, order, acc)
 
     def lift(self, new_dim: int, var_map: Sequence[int]) -> "PolyScalar":
@@ -548,9 +637,6 @@ class PolyVectorField:
                             "linear part is not diagonal; conjugate it first")
             spectrum = Spectrum(matrix[i][i] for i in range(self.dim))
         return PolyVectorField(self.components, spectrum)
-
-    def without_spectrum(self) -> "PolyVectorField":
-        return PolyVectorField(self.components, None)
 
     def __str__(self) -> str:
         return "(" + ", ".join(format_poly(c) for c in self.components) + ")"

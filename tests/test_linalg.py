@@ -9,7 +9,6 @@ from dulac.linalg import (
     identity_matrix,
     mat_det,
     mat_inverse,
-    mat_mul,
     nullspace,
 )
 from dulac.scalars import GaussianRational, I, ONE, ZERO, as_scalar
@@ -19,6 +18,11 @@ from oracle import random_scalar, scalar_to_sympy
 
 def random_matrix(rng, n):
     return [[random_scalar(rng) for _ in range(n)] for _ in range(n)]
+
+
+def mat_mul(a, b):
+    return [[sum((x * y for x, y in zip(row, col)), ZERO) for col in zip(*b)]
+            for row in a]
 
 
 def to_sympy_matrix(matrix):
