@@ -115,16 +115,19 @@ class NearIdentityMap:
             for exps, coeff in comp.terms.items():
                 if sum(exps) >= 2:
                     uses.setdefault(exps, []).append((j, coeff))
-        powers = {_unit(dim, j): parts for j, parts in enumerate(phi)}
-        steps = _monomial_chain(uses, phi, powers)
+        powers: Dict[Exponents, Series] = {_unit(dim, j): parts
+                                           for j, parts in enumerate(phi)}
+        # x^m = x^(m - e_i) * Phi_i, with empty parts at degrees 0 and 1
+        steps = []
+        for exps, lower, i in _monomial_chain(uses, powers):
+            parts = powers[exps] = [{}, {}]
+            steps.append((parts, powers[lower], phi[i]))
         minus_linv = [[-c for c in row] for row in linv]
-        for work in range(self.order + 1):
+        for work in range(2, self.order + 1):
             for parts, lower, factor in steps:
                 part: TermMap = {}
                 _add_product_part(part, lower, factor, work)
                 parts.append(part)
-            if work < 2:
-                continue  # Phi_0 = 0 and Phi_1 = Linv y are known
             h_part: List[TermMap] = [{} for _ in range(dim)]
             for exps, pairs in uses.items():
                 part = powers[exps][work]

@@ -15,11 +15,12 @@ check; so do the order re-tags of the coordinate-change code.
 
 Substitution builds the monomials x^m of its values by one rule,
 ``_monomial_chain``: x^m = x^(m - e_i) * values[i], i the last variable
-with a nonzero exponent, one product of two graded series (lists whose
-entry d holds the degree-d terms).  ``PolyScalar.substitute`` fills each
-x^m through the order at once, and one table of them serves every
-component of a map in ``compose`` and ``pull_back``; ``invert_to_order``
-fills its x^m(Phi) one degree per pass, since Phi is what it solves for.
+with a nonzero exponent.  ``PolyScalar.substitute`` takes each such
+product whole, as one ``PolyScalar`` product, and one table of them
+serves every component of a map in ``compose`` and ``pull_back``.
+``invert_to_order`` follows the same links on graded series (lists whose
+entry d holds the degree-d terms) and adds one degree per pass with
+``_add_product_part``, since Phi is what it solves for.
 
 Every scan over exponent tuples goes through ``enumerate_monomials_upto``,
 which holds the one work budget of the package.
@@ -42,7 +43,8 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (Container, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple, Union)
 
 from .errors import (
     BudgetExceededError,
@@ -55,7 +57,7 @@ from .scalars import ONE, ZERO, GaussianRational, ScalarLike, add_scaled, as_sca
 Exponents = Tuple[int, ...]
 TermMap = Dict[Exponents, GaussianRational]
 Series = List[TermMap]   # entry d holds the degree-d terms
-Step = Tuple[Series, Series, Series]   # x^m, x^(m - e_i), values[i]
+Link = Tuple[Exponents, Exponents, int]   # m, m - e_i, i
 
 _COEFF_TYPES = (GaussianRational, int, Fraction)
 
@@ -134,15 +136,6 @@ def _combo(coeffs: Sequence[GaussianRational],
     return acc
 
 
-def _add_pair_product(acc: TermMap, left_part: TermMap,
-                      right_part: TermMap) -> None:
-    """acc += left_part * right_part, for two parts of one degree each."""
-    for el, cl in left_part.items():
-        # el + . is injective, so these keys never collide.
-        add_scaled(acc, {tuple(map(operator.add, el, er)): cr
-                         for er, cr in right_part.items()}, cl)
-
-
 def _add_product_part(acc: TermMap, left: Series, right: Series,
                       degree: int) -> None:
     """acc += [left * right]_degree, from the degrees both series hold.
@@ -154,46 +147,36 @@ def _add_product_part(acc: TermMap, left: Series, right: Series,
                    min(len(left), degree + 1)):
         left_part, right_part = left[a], right[degree - a]
         if left_part and right_part:
-            _add_pair_product(acc, left_part, right_part)
+            for el, cl in left_part.items():
+                # el + . is injective, so these keys never collide.
+                add_scaled(acc, {tuple(map(operator.add, el, er)): cr
+                                 for er, cr in right_part.items()}, cl)
 
 
-def _monomial_chain(monomials: Iterable[Exponents], values: Sequence[Series],
-                    powers: Dict[Exponents, Series]) -> List[Step]:
-    """Enter into ``powers`` the graded series x^m(values) of the given
-    monomials, and of the lower monomials they are built from.
+def _monomial_chain(monomials: Iterable[Exponents],
+                    built: Container[Exponents]) -> List[Link]:
+    """The products that build x^m for the given monomials m != 0, and
+    for the lower monomials they need, from those already ``built``.
 
-    ``powers`` maps m to its series and holds ``values[j]`` at m = e_j.
-    Each monomial it lacks gets an empty series for the caller to fill,
-    and one step (parts, lower, factor), lower monomials first: x^m =
-    lower * factor for lower = x^(m - e_i) and factor = values[i], i the
-    last variable with a nonzero exponent.
+    One link (m, lower, i) per monomial not built, lower monomials first:
+    x^m = x^lower * values[i], for i the last variable with a nonzero
+    exponent and lower = m - e_i, which is zero when m = e_i.
     """
-    steps: List[Step] = []
+    links: List[Link] = []
+    added = set()
 
-    def power(exps: Exponents) -> Series:
-        got = powers.get(exps)
-        if got is None:
+    def visit(exps: Exponents) -> None:
+        if exps not in built and exps not in added:
+            added.add(exps)
             i = max(k for k, e in enumerate(exps) if e)
-            lower = power(exps[:i] + (exps[i] - 1,) + exps[i + 1:])
-            got = powers[exps] = []
-            steps.append((got, lower, values[i]))
-        return got
+            lower = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
+            if any(lower):
+                visit(lower)
+            links.append((exps, lower, i))
 
     for exps in monomials:
-        power(exps)
-    return steps
-
-
-def _fill_powers(steps: Sequence[Step], order: int) -> None:
-    """Fill the series of every step through ``order`` at once, for values
-    known to that order: only the nonempty parts of lower and factor meet."""
-    for parts, lower, factor in steps:
-        parts.extend([{} for _ in range(order + 1)])
-        for a, lower_part in enumerate(lower):
-            if lower_part:
-                for b, factor_part in enumerate(factor[:order + 1 - a]):
-                    if factor_part:
-                        _add_pair_product(parts[a + b], lower_part, factor_part)
+        visit(exps)
+    return links
 
 
 class PolyScalar:
@@ -378,21 +361,20 @@ class PolyScalar:
         return PolyScalar(self.dim, max(self.order - 1, 0), out)
 
     def substitute(self, values: Sequence["PolyScalar"],
-                   table: Optional[Dict[Exponents, Series]] = None
+                   table: Optional[Dict[Exponents, "PolyScalar"]] = None
                    ) -> "PolyScalar":
         """Substitute ``values[i]`` for variable i, truncating exactly.
 
         The result is correct to min(self.order, min of value orders) and
         carries that order.  Values must share a common dimension.
 
-        ``table`` maps m to the monomial x^m of ``values`` as a graded
-        series through the order, and holds the values themselves at the
-        unit exponents; monomials this call needs are added to it.
-        Callers that substitute the same values into several polynomials
-        of one order, as ``compose`` and ``pull_back`` do for the n
-        components of a map or field, pass one dict to every call, so each
-        monomial is built once.  A table built for another number of
-        variables or at another order raises.
+        ``table`` holds the monomials x^m of ``values`` built so far, keyed
+        by m; monomials this call needs are added to it, each as one
+        product along ``_monomial_chain``.  Callers that substitute the
+        same values into several polynomials of one order, as ``compose``
+        and ``pull_back`` do for the n components of a map or field, pass
+        one dict to every call, so each monomial is built once.  A table
+        whose monomials carry another dimension or order raises.
         """
         if len(values) != self.dim:
             raise DimensionMismatchError(
@@ -403,28 +385,25 @@ class PolyScalar:
             if v.dim != vdim:
                 raise DimensionMismatchError("substitution values mix dimensions")
             order = min(order, v.order)
-        units = [_unit(self.dim, i) for i in range(self.dim)]
         if table is None:
             table = {}
-        built = next(iter(table.items()), None)
-        if built is None:
-            table.update((unit, _by_degree(v.terms, order))
-                         for unit, v in zip(units, values))
-        elif len(built[0]) != self.dim or len(built[1]) != order + 1:
+        built = next(iter(table.values()), None)
+        if built is not None and (built.dim, built.order) != (vdim, order):
             raise DimensionMismatchError(
                 "substitution table was built for other values")
-        graded = [table[unit] for unit in units]
-        no_constants = not any(series[0] for series in graded)
+        no_constants = all(not v.coefficient((0,) * vdim) for v in values)
         needed = [exps for exps in self.terms if any(exps)
                   and not (no_constants and sum(exps) > order)]
-        _fill_powers(_monomial_chain(needed, graded, table), order)
+        for exps, lower, i in _monomial_chain(needed, table):
+            if any(lower):
+                table[exps] = table[lower] * values[i]
+            else:
+                table[exps] = values[i].truncated(order)
 
         constant = self.terms.get((0,) * self.dim)
         acc: TermMap = {(0,) * vdim: constant} if constant else {}
         for exps in needed:
-            for part in table[exps]:
-                if part:
-                    add_scaled(acc, part, self.terms[exps])
+            add_scaled(acc, table[exps].terms, self.terms[exps])
         return PolyScalar._canonical(vdim, order, acc)
 
     def lift(self, new_dim: int, var_map: Sequence[int]) -> "PolyScalar":

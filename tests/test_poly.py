@@ -130,11 +130,12 @@ def test_substitute_refuses_a_table_of_another_order():
     values = [x1 + x2 * x2, x2]
     table = {}
     (x1 * x2).substitute(values, table)
-    # both values, then x1 * x2 from x1 and the last variable's value
-    assert set(table) == {(1, 0), (0, 1), (1, 1)}
-    assert all(len(series) == 6 for series in table.values())
+    assert set(table) == {(1, 0), (1, 1)}
     with pytest.raises(DimensionMismatchError):
         V(2, 3, 0).substitute(values, table)
+    # as many values, at the same order, of another dimension
+    with pytest.raises(DimensionMismatchError):
+        V(2, 5, 0).substitute([V(3, 5, 0), V(3, 5, 1)], table)
 
 
 def test_partial_derivative():
