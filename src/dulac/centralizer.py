@@ -7,6 +7,14 @@ Ker(ad A), so the solver searches only resonant monomial-vector elements
 (plus the linear fields commuting with A); a debug mode searches the
 full unrestricted space instead, and the two must agree.
 
+Each unknown x^m e_j gives one column of the linear system, the bracket
+
+    [f_hat, x^m e_j] = X_f_hat(x^m) e_j - x^m d_j f_hat,
+
+with X_f_hat(phi) = sum_k f_hat_k d(phi)/dx_k.  Rows are keyed by output
+term, in no particular order: ``nullspace`` returns the same canonical
+basis whatever the order of its rows.
+
 Degrees near the truncation boundary are only partially constrained: an
 element supported at degree k is unconfirmed whenever some nonzero
 nonlinear part of f_hat at degree i would push its bracket to degree
@@ -36,7 +44,6 @@ from .poly import (
     PolyVectorField,
     Spectrum,
     enumerate_monomials_upto,
-    grlex_key,
     lie_bracket,
     linear_field,
     monomial_field,
@@ -115,22 +122,13 @@ def centralizer_basis(fhat: PolyVectorField, degree_bound: int,
             "field does not commute with its own linear part")
     unknowns = _unknown_pairs(spectrum, degree_bound, restrict_to_kernel)
     work = fhat.truncated(degree_bound) if fhat.order > degree_bound else fhat
-    # One bracket column per unknown; rows indexed by output terms.
-    row_index: Dict[Tuple[Exponents, int], int] = {}
-    rows: List[Dict[int, GaussianRational]] = []
+    # One bracket column per unknown; rows keyed by output term, unsorted.
+    rows: Dict[Tuple[Exponents, int], Dict[int, GaussianRational]] = {}
     for col, (exps, j) in enumerate(unknowns):
         column = lie_bracket(work, monomial_field(dim, degree_bound, exps, j))
         for comp, out_exps, coeff in column.terms():
-            key = (out_exps, comp)
-            at = row_index.get(key)
-            if at is None:
-                at = len(rows)
-                row_index[key] = at
-                rows.append({})
-            rows[at][col] = coeff
-    ordered_rows = [rows[row_index[key]] for key in sorted(
-        row_index, key=lambda k: (grlex_key(k[0]), k[1]))]
-    kernel = nullspace(ordered_rows, len(unknowns))
+            rows.setdefault((out_exps, comp), {})[col] = coeff
+    kernel = nullspace(list(rows.values()), len(unknowns))
     nonlinear_degrees = sorted({
         sum(exps) for _, exps, _ in fhat.nonlinear_part().terms()})
     elements = []
@@ -219,9 +217,6 @@ def rational_decomposition(spectrum: Spectrum) -> RationalDecomposition:
     if len(base) == 1:
         a0, b0 = pairs[base[0]]
         for a, b in pairs:
-            if a0 * b - b0 * a != 0:
-                raise DimensionMismatchError(
-                    "independence scan out of order")  # pragma: no cover
             alpha = a / a0 if a0 else b / b0
             coords.append([alpha])
     else:

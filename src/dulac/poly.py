@@ -7,11 +7,12 @@ dropped by all operations (never extrapolated).  Products and sums of
 values with different orders are correct to the smaller order, and that
 is the order they carry.
 
-Public constructors validate every term.  Products and substitutions
-build their terms canonically (nonzero coefficients, exponent tuples of
-the right length, degree within the order), so they wrap the result
-through the trusted constructor ``PolyScalar._canonical`` and skip that
-check; so do the order re-tags of the coordinate-change code.
+Public constructors validate every term.  Products, substitutions and
+derivatives build their terms canonically (nonzero coefficients,
+exponent tuples of the right length, degree within the order), so they
+wrap the result through the trusted constructor ``PolyScalar._canonical``
+and skip that check; so do the order re-tags of the coordinate-change
+code.
 
 Substitution builds the monomials x^m of its values by one rule,
 ``_monomial_chain``: x^m = x^(m - e_i) * values[i], i the last variable
@@ -30,10 +31,12 @@ It optionally stores a spectrum: the eigenvalue tuple of a diagonal
 linear part, validated against the degree-1 terms on attachment.  The
 fundamental operation is the Lie bracket
 
-    [f, g](x) = Dg(x) f(x) - Df(x) g(x)
+    [f, g](x) = Dg(x) f(x) - Df(x) g(x),
 
-under which the homogeneous advection fields by a diagonal linear field
-Ax act diagonally on monomial-vector basis elements:
+whose component i is X_f(g_i) - X_g(f_i) for the derivation
+X_f(phi) = sum_k f_k d(phi)/dx_k, ``apply_derivation``.  Under it
+the homogeneous advection fields by a diagonal linear field Ax act
+diagonally on monomial-vector basis elements:
 [Ax, x^m e_j] = (<m, L> - lambda_j) x^m e_j for spectrum L.
 """
 
@@ -358,7 +361,7 @@ class PolyScalar:
                 continue
             lowered = exps[:index] + (e - 1,) + exps[index + 1:]
             out[lowered] = coeff * e
-        return PolyScalar(self.dim, max(self.order - 1, 0), out)
+        return PolyScalar._canonical(self.dim, max(self.order - 1, 0), out)
 
     def substitute(self, values: Sequence["PolyScalar"],
                    table: Optional[Dict[Exponents, "PolyScalar"]] = None
@@ -674,11 +677,6 @@ def monomial_field(dim: int, order: int, exps: Exponents, component: int,
     return PolyVectorField(comps)
 
 
-def jacobian(f: PolyVectorField) -> List[List[PolyScalar]]:
-    return [[f.components[i].partial(j) for j in range(f.dim)]
-            for i in range(f.dim)]
-
-
 def apply_derivation(f: PolyVectorField, phi: PolyScalar) -> PolyScalar:
     """The derivative of phi along f: X_f(phi) = sum f_i * d(phi)/dx_i.
 
@@ -689,35 +687,29 @@ def apply_derivation(f: PolyVectorField, phi: PolyScalar) -> PolyScalar:
     if f.dim != phi.dim:
         raise DimensionMismatchError("field and scalar dimensions differ")
     order = min(f.order, phi.order)
+    # drop the terms whose partials would pass the order
+    phi = phi.truncated(min(phi.order, order + 1))
     total: TermMap = {}
     for i in range(f.dim):
-        dphi = PolyScalar(phi.dim, order, phi.partial(i).terms)
+        dphi = PolyScalar._canonical(phi.dim, order, phi.partial(i).terms)
         add_scaled(total, (f.components[i] * dphi).terms)
-    return PolyScalar(phi.dim, order, total)
+    return PolyScalar._canonical(phi.dim, order, total)
 
 
 def lie_bracket(f: PolyVectorField, g: PolyVectorField) -> PolyVectorField:
     """[f, g](x) = Dg(x) f(x) - Df(x) g(x), truncated to the smaller order.
 
-    Fields are taken to vanish at the origin, so the degree-d part of the
-    bracket only needs both inputs through degree d and the result is
-    correct to min(f.order, g.order), which is the order it carries.  For
-    polynomial inputs of degrees p and q the bracket has degree at most
-    p + q - 1, so with both orders at least that the result is exact.
+    Component i is X_f(g_i) - X_g(f_i), two derivations.  Fields are taken
+    to vanish at the origin, so the degree-d part of the bracket only
+    needs both inputs through degree d and the result is correct to
+    min(f.order, g.order), which is the order it carries.  For polynomial
+    inputs of degrees p and q the bracket has degree at most p + q - 1,
+    so with both orders at least that the result is exact.
     """
     if f.dim != g.dim:
         raise DimensionMismatchError("bracket of fields in different dimensions")
-    order = min(f.order, g.order)
-    comps = []
-    for i in range(f.dim):
-        acc: TermMap = {}
-        for j in range(f.dim):
-            dg = PolyScalar(f.dim, order, g.components[i].partial(j).terms)
-            df = PolyScalar(f.dim, order, f.components[i].partial(j).terms)
-            add_scaled(acc, (dg * f.components[j]).terms)
-            add_scaled(acc, (df * g.components[j]).terms, -ONE)
-        comps.append(PolyScalar(f.dim, order, acc))
-    return PolyVectorField(comps)
+    return PolyVectorField([apply_derivation(f, g_i) - apply_derivation(g, f_i)
+                            for f_i, g_i in zip(f.components, g.components)])
 
 
 def divergence(f: PolyVectorField) -> PolyScalar:

@@ -5,8 +5,10 @@ builders in ``dulac.corpus``) and four grid fields.  ``normalize``
 and ``diagnose`` run on each field at its own truncation order,
 ``diagnose`` with the commuting field where the corpus has one, and
 ``centralizer`` runs on the normal form that ``normalize`` printed for
-it.  ``resonances`` lists each field's resonances through its order,
-and ``kernel-intersection`` runs on the spectrum pairs in ``JOINT``.
+it; ``CENTRALIZERS`` adds solves over the unrestricted space and at a
+bound below the field's order.  ``resonances`` lists each field's
+resonances through its order, and ``kernel-intersection`` runs on the
+spectrum pairs in ``JOINT``.
 The fields in ``DEEP`` run ``normalize`` only: its report prints the
 normalizing transformation's coefficients, whose growth with the order
 is what the convergence verdicts read.  The fields in ``DIGESTS`` do the
@@ -48,6 +50,12 @@ DIGESTS = {
     "grid-d4-o10": (10, "cc395f0451651cd3b5cbffd5ca6b5140"
                         "207061e5e3e3c843a95a47d02a0ee490"),
 }
+# centralizer only: snapshot name -> (field, degree bound, extra flags)
+CENTRALIZERS = {
+    "so2-unrestricted": ("so2", 7, ("--unrestricted",)),
+    "grid-d3-o6-bound4": ("grid-d3-o6", 4, ()),
+    "grid-d3-o6-bound4-unrestricted": ("grid-d3-o6", 4, ("--unrestricted",)),
+}
 WITH_SYMMETRY = {"so2", "holomorphic"}
 COMMANDS = ("normalize", "diagnose", "centralizer", "resonances")
 # snapshot name -> (spectrum a, spectrum b, maximum degree)
@@ -57,6 +65,7 @@ JOINT = {
 }
 CASES = ([(name, command) for name in ORDERS for command in COMMANDS]
          + [(name, "normalize") for name in DEEP]
+         + [(name, "centralizer") for name in CENTRALIZERS]
          + [(name, "kernel-intersection") for name in JOINT])
 
 
@@ -65,11 +74,13 @@ def _argv(name: str, command: str, out: Path) -> list:
         spec_a, spec_b, degree = JOINT[name]
         return [command, "--spec-a", spec_a, "--spec-b", spec_b,
                 "--max-degree", degree, "--json", "--out", str(out)]
-    order = str(ORDERS.get(name) or DEEP[name])
     if command == "centralizer":
-        argv = [command, "--input", str(INPUTS / f"{name}.normal-form.json"),
-                "--degree", order]
-    elif command == "resonances":
+        field, degree, flags = CENTRALIZERS.get(name,
+                                                (name, ORDERS.get(name), ()))
+        return [command, "--input", str(INPUTS / f"{field}.normal-form.json"),
+                "--degree", str(degree), *flags, "--json", "--out", str(out)]
+    order = str(ORDERS.get(name) or DEEP[name])
+    if command == "resonances":
         argv = [command, "--input", str(INPUTS / f"{name}.json"),
                 "--max-degree", order]
     else:

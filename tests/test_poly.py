@@ -23,7 +23,6 @@ from dulac.poly import (
     enumerate_monomials_upto,
     format_poly,
     grlex_key,
-    jacobian,
     lie_bracket,
     linear_field,
     monomial_field,
@@ -267,14 +266,6 @@ def test_apply_derivation_and_divergence_match_sympy():
         expect_div = sympy.expand(sum(sympy.diff(sf[j], x[j])
                                       for j in range(2)))
         assert div == sympy_to_poly(expect_div, x, 2, div.order)
-
-
-def test_jacobian_entries():
-    f = PolyVectorField.from_terms(2, 4, [(0, (2, 1), 1), (1, (0, 1), 1)])
-    jac = jacobian(f)
-    assert jac[0][0].coefficient((1, 1)) == 2
-    assert jac[0][1].coefficient((2, 0)) == ONE
-    assert jac[1][0].is_zero()
 
 
 def test_degree_parts_and_truncation():

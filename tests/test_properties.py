@@ -16,9 +16,13 @@
 * ``normalize`` returns both directions of one map: its ``inverse`` is
   the truncated inverse of its ``transformation``, and pulling the input
   back along it gives the normal form.
-* ``CentralizerBasis.linear_dimension``, read off the one graded bracket
-  system, is the dimension of the linear fields commuting with the normal
-  form, which the test solves for from the degree-1 system alone.
+* ``centralizer_basis`` builds each column from the normal form's
+  partials; at every bound its basis, restricted and unrestricted, is
+  the one a reference solve finds with a whole ``lie_bracket`` per
+  unknown.  ``CentralizerBasis.linear_dimension``, read off that system,
+  is the dimension of the linear fields commuting with the normal form,
+  which the reference solves for from the degree-1 unknowns alone.
+* ``nullspace`` returns the same basis whatever the order of its rows.
 * ``add_scaled``, through which every coefficient sum of the kernel runs,
   is the plain sum with the zeros dropped, and never stores a zero.
 * ``GaussianRational`` arithmetic on integer triples agrees with a plain
@@ -29,7 +33,7 @@
 * ``PolyScalar.substitute`` with one monomial table shared by several
   polynomials agrees with a naive term-by-term expansion, and every
   monomial in the table is the naive power product it stands for.
-* Products and substitutions, which skip the checks of
+* Products, substitutions and derivatives, which skip the checks of
   ``PolyScalar.__init__``, are canonical: the public constructor gives
   the same terms back.
 """
@@ -50,7 +54,9 @@ from dulac.poly import (
     PolyScalar,
     PolyVectorField,
     Spectrum,
+    apply_derivation,
     enumerate_monomials,
+    enumerate_monomials_upto,
     lie_bracket,
     linear_field,
     monomial_field,
@@ -132,17 +138,25 @@ def resonant_fields(draw):
     return (f + linear_field(spectrum, order)).with_spectrum(spectrum)
 
 
-def linear_centralizer_dimension(fhat, degree_bound):
-    """Solve [fhat, Bx] = 0 through the bound over all linear fields Bx."""
+def reference_centralizer(fhat, degree_bound, unknowns):
+    """Solve [fhat, g] = 0 through the bound over the given unknowns.
+
+    Each unknown (m, j) stands for x^m e_j, and its column is the whole
+    bracket with fhat; the kernel comes back as fields.
+    """
     dim = fhat.dim
     work = PolyVectorField(fhat.truncated(degree_bound).components)
     columns = [lie_bracket(work, monomial_field(dim, degree_bound, exps, j))
-               for exps in enumerate_monomials(dim, 1) for j in range(dim)]
+               for exps, j in unknowns]
     rows = {}
     for col, column in enumerate(columns):
         for comp, exps, coeff in column.terms():
             rows.setdefault((exps, comp), {})[col] = coeff
-    return len(nullspace(list(rows.values()), len(columns)))
+    return [PolyVectorField.from_terms(
+                dim, degree_bound,
+                [(unknowns[col][1], unknowns[col][0], c)
+                 for col, c in vec.items()])
+            for vec in nullspace(list(rows.values()), len(columns))]
 
 
 @PROPERTY_SETTINGS
@@ -221,10 +235,42 @@ def test_normalize_returns_both_directions_of_one_map(f):
 @given(resonant_fields())
 def test_linear_dimension_is_the_linear_centralizer(f):
     fhat = normalize(f, f.order).normal_form
+    linear = [(exps, j) for exps in enumerate_monomials(fhat.dim, 1)
+              for j in range(fhat.dim)]
     for degree_bound in range(1, f.order + 1):
         basis = centralizer_basis(fhat, degree_bound)
         assert basis.linear_dimension == \
-            linear_centralizer_dimension(fhat, degree_bound)
+            len(reference_centralizer(fhat, degree_bound, linear))
+
+
+@PROPERTY_SETTINGS
+@given(resonant_fields())
+def test_centralizer_columns_match_whole_brackets(f):
+    fhat = normalize(f, f.order).normal_form
+    for degree_bound in range(1, f.order + 1):
+        restricted = set(centralizer_basis(fhat, degree_bound).elements)
+        unrestricted = set(centralizer_basis(
+            fhat, degree_bound, restrict_to_kernel=False).elements)
+        unknowns = [(exps, j) for exps in enumerate_monomials_upto(
+                        fhat.dim, degree_bound, 1) for j in range(fhat.dim)]
+        reference = reference_centralizer(fhat, degree_bound, unknowns)
+        assert restricted == unrestricted == set(reference)
+
+
+nonzero_scalars = scalars.filter(bool)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(st.integers(min_value=1, max_value=6).flatmap(lambda ncols: st.tuples(
+    st.just(ncols),
+    st.lists(st.dictionaries(st.integers(0, ncols - 1), nonzero_scalars,
+                             min_size=1, max_size=3), max_size=6))),
+    st.randoms(use_true_random=False))
+def test_nullspace_does_not_depend_on_row_order(system, rng):
+    ncols, rows = system
+    shuffled = list(rows)
+    rng.shuffle(shuffled)
+    assert nullspace(shuffled, ncols) == nullspace(rows, ncols)
 
 
 # Few keys and values that cancel one another, so that sums often hit zero.
@@ -461,7 +507,12 @@ def test_substitute_with_a_shared_table_matches_a_naive_expansion(case):
               st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))))
 def test_products_and_substitutions_are_canonical(polys_, factor):
     a, b, c = polys_
+    f = PolyVectorField([c] * c.dim)
+    g = PolyVectorField([b] * b.dim)
     for result in (a * b, b * a, a * a, a * factor, b * factor,
                    a.substitute([c] * a.dim),
-                   b.substitute([c] * b.dim, {})):
+                   b.substitute([c] * b.dim, {}),
+                   a.partial(0), apply_derivation(f, b),
+                   apply_derivation(g, a),
+                   *lie_bracket(f, g).components):
         assert_canonical(result)

@@ -158,7 +158,7 @@ def test_omega_tuples_scanned_reported():
     assert report.tuples_scanned <= DEFAULT_TUPLE_BUDGET
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(st.lists(st.tuples(st.integers(-4, 4), st.integers(-3, 3),
                           st.integers(1, 3)), min_size=1, max_size=3),
        st.integers(1, 4))
