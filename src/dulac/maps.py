@@ -15,7 +15,15 @@ outermost-last: compose(outer, inner) applies inner first, so the map for
 Composition and ``pull_back`` substitute one list of values into all n
 components; the n calls share one table of the monomials of those values
 (see ``PolyScalar.substitute``), so a monomial that several components
-hold is multiplied out once.
+hold is multiplied out once.  When the values are x + w with w of
+degree >= v >= 2, as for the normalizing steps and their composite,
+``substitute`` leaves every monomial of degree above N - v + 1 as it
+is: x^m(x + w) = x^m through the order N there.  So a step x + h_k,
+h_k homogeneous of degree k, changes nothing below degree k of what it
+acts on (degree k only through the linear terms), and in ``normalize``
+the degrees <= k are final once step k is done.  It leaves every
+monomial of degree above N - k + 1 alone, so only the monomials of
+degree 2 through N - k + 1 are multiplied out.
 
 The inversion and the transport of a field are triangular solves in the
 degree: the degree-d part of the unknown depends only on its parts below

@@ -18,7 +18,14 @@ Substitution builds the monomials x^m of its values by one rule,
 ``_monomial_chain``: x^m = x^(m - e_i) * values[i], i the last variable
 with a nonzero exponent.  ``PolyScalar.substitute`` takes each such
 product whole, as one ``PolyScalar`` product, and one table of them
-serves every component of a map in ``compose`` and ``pull_back``.
+serves every component of a map in ``compose`` and ``pull_back``.  It
+builds only the monomials that can differ from x^m through the order N.
+Values that vanish at the origin send every x^m with |m| > N past the
+order.  Values x_i + w_i, with x_i at coefficient exactly 1 and every
+w_i of degree >= v >= 2, fix every x^m with |m| > N - v + 1: each other
+term of x^m(values) trades some x_i for a w_i and has degree at least
+|m| - 1 + v.  Such monomials keep their own coefficient and are never
+built.
 ``invert_to_order`` follows the same links on graded series (lists whose
 entry d holds the degree-d terms) and adds one degree per pass with
 ``_add_product_part``, since Phi is what it solves for.
@@ -180,6 +187,32 @@ def _monomial_chain(monomials: Iterable[Exponents],
     for exps in monomials:
         visit(exps)
     return links
+
+
+def _fixed_above(values: Sequence["PolyScalar"], order: int) -> Optional[int]:
+    """The degree above which x^m(values) = x^m through ``order``, or None.
+
+    When every values[i] is x_i + w_i, x_i with coefficient exactly 1 and
+    no w_i with a term of degree below 2, each term of the product
+    x^m(values) other than x^m trades some x_i for a w_i, so it has degree
+    at least |m| - 1 + v, v the lowest degree in any w_i.  Such terms pass
+    the order once |m| > order - v + 1.  A w_i term above the order counts
+    as degree order + 1, so with every w_i zero the bound is 0.
+    """
+    dim = len(values)
+    low = order + 1
+    for i, value in enumerate(values):
+        unit = _unit(dim, i)
+        # values over another number of variables hold no key ``unit``
+        if value.terms.get(unit) != ONE:
+            return None
+        for exps in value.terms:
+            if exps != unit:
+                degree = sum(exps)
+                if degree < 2:
+                    return None
+                low = min(low, degree)
+    return order - low + 1
 
 
 class PolyScalar:
@@ -371,6 +404,14 @@ class PolyScalar:
         The result is correct to min(self.order, min of value orders) and
         carries that order.  Values must share a common dimension.
 
+        Two rules spare monomials x^m of degree |m| above a bound, with N
+        the result's order.  Values that vanish at the origin drop every
+        x^m with |m| > N.  Values x_i + w_i over the same variables, x_i
+        at coefficient exactly 1 and no w_i with a term of degree below 2,
+        leave x^m(values) = x^m through N for |m| > N - v + 1, v the
+        lowest degree in any w_i (every x^m when all w_i are zero); such
+        a term goes into the result with its own coefficient.
+
         ``table`` holds the monomials x^m of ``values`` built so far, keyed
         by m; monomials this call needs are added to it, each as one
         product along ``_monomial_chain``.  Callers that substitute the
@@ -394,17 +435,28 @@ class PolyScalar:
         if built is not None and (built.dim, built.order) != (vdim, order):
             raise DimensionMismatchError(
                 "substitution table was built for other values")
-        no_constants = all(not v.coefficient((0,) * vdim) for v in values)
-        needed = [exps for exps in self.terms if any(exps)
-                  and not (no_constants and sum(exps) > order)]
+        # x^m(values) is built for |m| <= fixed; above, it is x^m through
+        # the order or it passes the order
+        fixed = _fixed_above(values, order)
+        if fixed is None:
+            no_constants = all(not v.coefficient((0,) * vdim) for v in values)
+            fixed = order if no_constants else math.inf
+        acc: TermMap = {}
+        needed = []
+        for exps, coeff in self.terms.items():
+            degree = sum(exps)
+            if not degree:
+                acc[(0,) * vdim] = coeff
+            elif degree <= fixed:
+                needed.append(exps)
+            elif degree <= order:
+                acc[exps] = coeff
         for exps, lower, i in _monomial_chain(needed, table):
             if any(lower):
                 table[exps] = table[lower] * values[i]
             else:
                 table[exps] = values[i].truncated(order)
 
-        constant = self.terms.get((0,) * self.dim)
-        acc: TermMap = {(0,) * vdim: constant} if constant else {}
         for exps in needed:
             add_scaled(acc, table[exps].terms, self.terms[exps])
         return PolyScalar._canonical(vdim, order, acc)

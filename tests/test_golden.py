@@ -13,7 +13,9 @@ The fields in ``DEEP`` run ``normalize`` only: its report prints the
 normalizing transformation's coefficients, whose growth with the order
 is what the convergence verdicts read.  The fields in ``DIGESTS`` do the
 same at orders whose reports are too large to keep, so only the sha256
-of the report is pinned.
+of the report is pinned; two of them are the benchmark's order-12 and
+order-10 deep-diagnose fields, whose transformation the benchmark's own
+``diagnose`` digests do not cover.
 Exact arithmetic makes every report a function of its input, so any
 change in these bytes is a change in behaviour.
 
@@ -49,6 +51,12 @@ DEEP = {"grid-d3-o8": 8, "grid-d4-o8": 8}
 DIGESTS = {
     "grid-d4-o10": (10, "cc395f0451651cd3b5cbffd5ca6b5140"
                         "207061e5e3e3c843a95a47d02a0ee490"),
+    # the two highest-order fields of the benchmark's deep-diagnose workload
+    # (bench/workloads.py, seed 7), whose diagnose report omits Psi
+    "deep-d2-o12": (12, "d2b8aca0b9c81d655ba97e5ff261422a"
+                        "23e070b668bf5a6c94669099402b4d5a"),
+    "deep-d2-o10": (10, "fd146474e24fade71430260859048a24"
+                        "4f4b538d1d804b997e43cf8395029adc"),
 }
 # centralizer only: snapshot name -> (field, degree bound, extra flags)
 CENTRALIZERS = {

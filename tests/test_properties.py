@@ -33,6 +33,11 @@
 * ``PolyScalar.substitute`` with one monomial table shared by several
   polynomials agrees with a naive term-by-term expansion, and every
   monomial in the table is the naive power product it stands for.
+  Values x_i + w_i with every w_i of degree >= v leave each monomial of
+  degree above N - v + 1 as it is through the order N, so such monomials
+  never enter the table; values one change away from that form (x_i
+  doubled, a cross term, a constant, a zero value, another dimension)
+  still agree with the naive expansion.
 * Products, substitutions and derivatives, which skip the checks of
   ``PolyScalar.__init__``, are canonical: the public constructor gives
   the same terms back.
@@ -484,10 +489,10 @@ def assert_canonical(poly):
     assert PolyScalar(poly.dim, poly.order, poly.terms).terms == poly.terms
 
 
-@settings(PROPERTY_SETTINGS, max_examples=100)
-@given(substitutions())
-def test_substitute_with_a_shared_table_matches_a_naive_expansion(case):
-    values, targets = case
+def assert_shared_table_substitutions(values, targets):
+    """Substitute ``values`` into every target through one table, check
+    each result and each table entry against the naive expansion, and
+    return (order of the results, table)."""
     table = {}
     for p in targets:
         got = p.substitute(values, table)
@@ -498,6 +503,84 @@ def test_substitute_with_a_shared_table_matches_a_naive_expansion(case):
     for exps, monomial in table.items():
         power = PolyScalar.monomial(len(exps), targets[0].order, exps)
         assert monomial.terms == naive_substitute(power, values)[1]
+    return order, table
+
+
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(substitutions())
+def test_substitute_with_a_shared_table_matches_a_naive_expansion(case):
+    assert_shared_table_substitutions(*case)
+
+
+NEAR_MISSES = ("coefficient 2", "cross term", "constant", "zero value",
+               "other dimension")
+
+
+@st.composite
+def near_identity_substitutions(draw, kind):
+    """Values x_i + w_i with every w_i of degree >= v, for v from 2 to the
+    order + 1 (all w_i zero there), and two targets of one order; for a
+    ``kind`` in ``NEAR_MISSES``, one value is changed out of that form.
+
+    Returns (v, values, targets).  Each value carries the order or one
+    more, so the substitution runs at the smallest order drawn.  The
+    second target holds x_k^N for the variable k whose value changes, so
+    a shortcut taken wrongly changes its result.
+    """
+    dim = draw(st.integers(min_value=2 if kind == "cross term" else 1,
+                           max_value=3))
+    order = draw(st.integers(min_value=1, max_value=5))
+    v = draw(st.integers(min_value=2, max_value=order + 1))
+    vdim = dim + 1 if kind == "other dimension" else dim
+    values = []
+    for i in range(dim):
+        value_order = order + draw(st.integers(0, 1))
+        value = PolyScalar.variable(vdim, value_order, i)
+        if v <= value_order:
+            value = value + draw(polys(vdim, value_order, min_degree=v))
+        values.append(value)
+    k = draw(st.integers(0, dim - 1))
+    if v <= order:
+        # the lowest degree is v, unless this term cancels one drawn above
+        exps = [0] * vdim
+        for var in draw(st.lists(st.integers(0, vdim - 1),
+                                 min_size=v, max_size=v)):
+            exps[var] += 1
+        values[k] = values[k] + PolyScalar.monomial(
+            vdim, values[k].order, tuple(exps), draw(scalars.filter(bool)))
+    if kind == "coefficient 2":
+        values[k] = values[k] + PolyScalar.variable(dim, values[k].order, k)
+    elif kind == "cross term":
+        other = (k + draw(st.integers(1, dim - 1))) % dim
+        values[k] = values[k] + PolyScalar.variable(dim, values[k].order,
+                                                    other)
+    elif kind == "constant":
+        values[k] = values[k] + draw(scalars.filter(bool))
+    elif kind == "zero value":
+        values[k] = PolyScalar.zero(dim, values[k].order)
+    target_order = order + draw(st.integers(0, 1))
+    targets = draw(st.lists(polys(dim, target_order), min_size=2,
+                            max_size=2))
+    top = tuple(order if j == k else 0 for j in range(dim))
+    targets[1] = targets[1] + PolyScalar.monomial(dim, target_order, top)
+    return v, values, targets
+
+
+@pytest.mark.parametrize("kind", ("near identity",) + NEAR_MISSES)
+def test_near_identity_values_fix_the_monomials_above_the_bound(kind):
+    """x^m(x + w) = x^m through the order N when |m| > N - v + 1, so those
+    monomials never enter the table; near misses must still come out as
+    the naive expansion."""
+
+    @settings(PROPERTY_SETTINGS, max_examples=40)
+    @given(near_identity_substitutions(kind))
+    def check(case):
+        v, values, targets = case
+        order, table = assert_shared_table_substitutions(values, targets)
+        if kind == "near identity":
+            assert all(sum(exps) <= order - v + 1 for exps in table)
+
+    check()
 
 
 @settings(PROPERTY_SETTINGS, max_examples=60)
