@@ -1,4 +1,4 @@
-"""Golden snapshots of the JSON reports, compared byte for byte.
+"""Golden snapshots of the reports, compared byte for byte.
 
 The inputs in ``golden/inputs`` are the corpus fields (written from the
 builders in ``dulac.corpus``) and four grid fields.  ``normalize``
@@ -16,6 +16,12 @@ same at orders whose reports are too large to keep, so only the sha256
 of the report is pinned; two of them are the benchmark's order-12 and
 order-10 deep-diagnose fields, whose transformation the benchmark's own
 ``diagnose`` digests do not cover.
+``TEXT_CASES`` pin the default text report of the same commands on the
+``ORDERS`` fields and the ``JOINT`` pairs.  The family documents
+``hopf.family.json`` and ``oscillator.family.json`` are written from the
+corpus builders; ``bifurcation`` runs on them in both formats (the
+oscillator family also in its own layout) and ``suspend`` turns each
+into a field document.
 Exact arithmetic makes every report a function of its input, so any
 change in these bytes is a change in behaviour.
 
@@ -31,6 +37,8 @@ from pathlib import Path
 import pytest
 
 from dulac.cli import main
+from dulac.corpus import hopf_family, oscillator_family
+from dulac.fieldfile import dump_document, family_to_dict
 
 GOLDEN = Path(__file__).parent / "golden"
 INPUTS = GOLDEN / "inputs"
@@ -75,18 +83,44 @@ CASES = ([(name, command) for name in ORDERS for command in COMMANDS]
          + [(name, "normalize") for name in DEEP]
          + [(name, "centralizer") for name in CENTRALIZERS]
          + [(name, "kernel-intersection") for name in JOINT])
+TEXT_CASES = ([(name, command) for name in ORDERS for command in COMMANDS]
+              + [(name, "kernel-intersection") for name in JOINT])
+# family input name -> the corpus builder its document is written from
+FAMILY_BUILDERS = {"hopf": hopf_family, "oscillator": oscillator_family}
+# bifurcation snapshot name -> (family input, extra flags)
+BIFURCATIONS = {
+    "hopf": ("hopf", ()),
+    "oscillator": ("oscillator", ()),
+    "oscillator-layout": ("oscillator", ("--layout", "oscillator")),
+}
+# (snapshot name, command, format); suspend always writes a JSON document
+FAMILY_CASES = ([(name, "bifurcation", fmt) for name in BIFURCATIONS
+                 for fmt in ("txt", "json")]
+                + [(name, "suspend", "json") for name in FAMILY_BUILDERS])
 
 
-def _argv(name: str, command: str, out: Path) -> list:
+def _family_input(name: str) -> Path:
+    return INPUTS / f"{name}.family.json"
+
+
+def _argv(name: str, command: str, out: Path, fmt: str = "json") -> list:
+    tail = (["--json"] if fmt == "json" else []) + ["--out", str(out)]
+    if command == "suspend":
+        return [command, "--family", str(_family_input(name)),
+                "--out", str(out)]
+    if command == "bifurcation":
+        family, flags = BIFURCATIONS[name]
+        return [command, "--family", str(_family_input(family)),
+                *flags, *tail]
     if command == "kernel-intersection":
         spec_a, spec_b, degree = JOINT[name]
         return [command, "--spec-a", spec_a, "--spec-b", spec_b,
-                "--max-degree", degree, "--json", "--out", str(out)]
+                "--max-degree", degree, *tail]
     if command == "centralizer":
         field, degree, flags = CENTRALIZERS.get(name,
                                                 (name, ORDERS.get(name), ()))
         return [command, "--input", str(INPUTS / f"{field}.normal-form.json"),
-                "--degree", str(degree), *flags, "--json", "--out", str(out)]
+                "--degree", str(degree), *flags, *tail]
     order = str(ORDERS.get(name) or DEEP[name])
     if command == "resonances":
         argv = [command, "--input", str(INPUTS / f"{name}.json"),
@@ -96,11 +130,11 @@ def _argv(name: str, command: str, out: Path) -> list:
                 "--order", order]
     if command == "diagnose" and name in WITH_SYMMETRY:
         argv += ["--symmetry", str(INPUTS / f"{name}-symmetry.json")]
-    return argv + ["--json", "--out", str(out)]
+    return argv + tail
 
 
-def _snapshot(name: str, command: str) -> Path:
-    return GOLDEN / f"{name}.{command}.json"
+def _snapshot(name: str, command: str, fmt: str = "json") -> Path:
+    return GOLDEN / f"{name}.{command}.{fmt}"
 
 
 @pytest.mark.parametrize("name,command", CASES,
@@ -109,6 +143,31 @@ def test_json_report_matches_snapshot(name, command, tmp_path):
     out = tmp_path / "report.json"
     assert main(_argv(name, command, out)) == 0
     assert out.read_bytes() == _snapshot(name, command).read_bytes()
+
+
+@pytest.mark.parametrize("name,command", TEXT_CASES,
+                         ids=[f"{n}-{c}" for n, c in TEXT_CASES])
+def test_text_report_matches_snapshot(name, command, tmp_path):
+    out = tmp_path / "report.txt"
+    assert main(_argv(name, command, out, "txt")) == 0
+    assert out.read_bytes() == _snapshot(name, command, "txt").read_bytes()
+
+
+def _family_document(name: str) -> str:
+    return dump_document(family_to_dict(FAMILY_BUILDERS[name]()))
+
+
+@pytest.mark.parametrize("name", FAMILY_BUILDERS)
+def test_family_input_matches_builder(name):
+    assert _family_input(name).read_text() == _family_document(name)
+
+
+@pytest.mark.parametrize("name,command,fmt", FAMILY_CASES,
+                         ids=[f"{n}-{c}-{f}" for n, c, f in FAMILY_CASES])
+def test_family_report_matches_snapshot(name, command, fmt, tmp_path):
+    out = tmp_path / "report"
+    assert main(_argv(name, command, out, fmt)) == 0
+    assert out.read_bytes() == _snapshot(name, command, fmt).read_bytes()
 
 
 def _digest(name: str, out: Path) -> str:
@@ -124,9 +183,14 @@ def test_json_report_matches_digest(name, tmp_path):
 
 
 if __name__ == "__main__":
-    for name, command in CASES:
-        if main(_argv(name, command, _snapshot(name, command))) != 0:
-            raise SystemExit(f"{name} {command} failed")
+    for name in FAMILY_BUILDERS:
+        _family_input(name).write_text(_family_document(name))
+    for name, command, fmt in ([(n, c, "json") for n, c in CASES]
+                               + [(n, c, "txt") for n, c in TEXT_CASES]
+                               + FAMILY_CASES):
+        if main(_argv(name, command, _snapshot(name, command, fmt),
+                      fmt)) != 0:
+            raise SystemExit(f"{name} {command} {fmt} failed")
     with tempfile.TemporaryDirectory() as work:
         for name in DIGESTS:
             print(name, _digest(name, Path(work) / "report.json"))
