@@ -25,7 +25,7 @@ from .errors import (
     ParameterCountError,
 )
 from .linalg import mat_det
-from .poly import PolyScalar, PolyVectorField, Spectrum
+from .poly import PolyScalar, PolyVectorField, Spectrum, _unit
 from .scalars import ZERO, GaussianRational, add_scaled, as_scalar
 
 
@@ -129,15 +129,8 @@ class DetResult:
 
 
 def _diagonal_derivatives(family: ParamFamily) -> List[List[GaussianRational]]:
-    rows = []
-    for i in range(family.n):
-        entry = family.a_entries[i][i]
-        row = []
-        for k in range(family.p):
-            exps = tuple(1 if t == k else 0 for t in range(family.p))
-            row.append(entry.coefficient(exps))
-        rows.append(row)
-    return rows
+    return [[family.a_entries[i][i].coefficient(_unit(family.p, k))
+             for k in range(family.p)] for i in range(family.n)]
 
 
 def _require_shape(family: ParamFamily) -> Spectrum:

@@ -156,8 +156,7 @@ def kernel_intersection(spec_a: Spectrum, spec_b: Spectrum,
         raise DimensionMismatchError("spectra of different lengths")
     if max_degree < 2:
         raise TruncationOrderError(f"maximum degree {max_degree} is below 2")
-    return [ResonanceRelation(exps, j)
-            for exps, j in resonant_pairs([spec_a, spec_b], 2, max_degree)]
+    return resonant_pairs([spec_a, spec_b], 2, max_degree)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ import argparse
 import functools
 import json
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from ._version import __version__
 from .bifurcation import build_D, build_oscillator_D, det_nonsingular, suspend
@@ -18,10 +18,16 @@ from .centralizer import centralizer_basis, kernel_intersection
 from .corpus import run_corpus
 from .diagnostics import diagnose
 from .errors import DulacError, InputFormatError, NonDiagonalLinearPartError
-from .fieldfile import dump_document, field_to_dict, load_document
+from .fieldfile import (
+    component_terms,
+    dump_document,
+    field_to_dict,
+    load_document,
+    term_list,
+)
 from .normalizer import normalize
-from .poly import PolyScalar, PolyVectorField, Spectrum, format_poly, grlex_key
-from .resonance import resonant_monomials
+from .poly import PolyVectorField, Spectrum, format_poly
+from .resonance import ResonanceRelation, resonant_monomials
 from .scalars import GaussianRational, ScalarParseError
 
 
@@ -72,20 +78,9 @@ def _emit(text: str, out: Optional[str]) -> None:
         raise InputFormatError(f"{out}: {exc.strerror or exc}") from exc
 
 
-def _poly_terms(poly: PolyScalar, comp: int) -> List[dict]:
-    return [{"coeff": str(c), "exps": list(e), "comp": comp + 1}
-            for e, c in poly.sorted_terms()]
-
-
-def _field_lines(field: PolyVectorField, lhs: str = "dx{i}/dt") -> List[str]:
-    lines = []
-    for i, comp in enumerate(field.components):
-        lines.append(f"  {lhs.format(i=i + 1)} = {format_poly(comp)}")
-    return lines
-
-
-def _exps_str(exps: Sequence[int]) -> str:
-    return "(" + ",".join(str(e) for e in exps) + ")"
+def _relation_line(rel: ResonanceRelation) -> str:
+    exps = ",".join(str(e) for e in rel.exps)
+    return f"({exps}) -> comp {rel.component + 1}"
 
 
 # -- subcommands -------------------------------------------------------
@@ -106,7 +101,7 @@ def _cmd_normalize(args) -> int:
                 "convention": "y = Psi(x); the normal form is the "
                               "push-forward of the input along Psi",
                 "components": [
-                    _poly_terms(poly, i) for i, poly in
+                    component_terms(poly, i) for i, poly in
                     enumerate(result.transformation.components)],
             },
             "per_degree": [
@@ -121,7 +116,8 @@ def _cmd_normalize(args) -> int:
              "style: distinguished",
              "eigenvalues: " + ", ".join(str(v) for v in field.spectrum),
              "normal form:"]
-    lines += _field_lines(result.normal_form)
+    for i, poly in enumerate(result.normal_form.components):
+        lines.append(f"  dx{i + 1}/dt = {format_poly(poly)}")
     lines.append("transformation y = Psi(x) (normal form = push-forward "
                  "of the input):")
     for i, poly in enumerate(result.transformation.components):
@@ -154,7 +150,7 @@ def _cmd_resonances(args) -> int:
              f"degrees 2..{args.max_degree}: "
              f"{len(relations)} resonant monomial(s)"]
     for rel in relations:
-        lines.append(f"{_exps_str(rel.exps)} -> comp {rel.component + 1}")
+        lines.append(_relation_line(rel))
     _emit("\n".join(lines), args.out)
     return 0
 
@@ -188,10 +184,7 @@ def _cmd_centralizer(args) -> int:
             "dimension": basis.dimension,
             "restricted_to_resonant_kernel": basis.restricted,
             "elements": [
-                {"terms": [{"coeff": str(c), "exps": list(e), "comp": i + 1}
-                           for i, e, c in sorted(
-                               elem.terms(),
-                               key=lambda t: (t[0], grlex_key(t[1])))],
+                {"terms": term_list(elem.components),
                  "confirmed": not unconfirmed}
                 for elem, unconfirmed in zip(basis.elements,
                                              basis.unconfirmed)],
@@ -239,7 +232,7 @@ def _cmd_kernel_intersection(args) -> int:
         lines.append(f"{len(relations)} joint resonant monomial(s) through "
                      f"degree {args.max_degree}:")
         for rel in relations:
-            lines.append(f"{_exps_str(rel.exps)} -> comp {rel.component + 1}")
+            lines.append(_relation_line(rel))
     else:
         lines.append(f"empty through degree {args.max_degree}: only linear "
                      "fields commute with both linear parts to this order, "

@@ -26,6 +26,7 @@ from .poly import (
     PolyScalar,
     PolyVectorField,
     Spectrum,
+    _unit,
     lie_bracket,
     linear_field,
     restrict_to_axis,
@@ -108,8 +109,7 @@ def oscillator_family() -> ParamFamily:
         terms = {(0,) * p: const}
         for k, s in enumerate(slopes):
             if s:
-                exps = tuple(1 if j == k else 0 for j in range(p))
-                terms[exps] = as_scalar(s)
+                terms[_unit(p, k)] = as_scalar(s)
         return PolyScalar(p, 2, terms)
 
     zero = PolyScalar.zero(p, 2)

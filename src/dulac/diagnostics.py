@@ -47,6 +47,7 @@ from .poly import (
     Spectrum,
     apply_derivation,
     divergence,
+    format_monomial,
     format_poly,
     grlex_key,
     lie_bracket,
@@ -81,17 +82,19 @@ _ANALYTICITY = ("analyticity of the supplied commuting field "
                 "(not decidable from a truncation)")
 
 
-def _monomial_text(exps: Exponents) -> str:
-    parts = []
-    for i, e in enumerate(exps):
-        if e == 1:
-            parts.append(f"x{i + 1}")
-        elif e > 1:
-            parts.append(f"x{i + 1}^{e}")
-    return "*".join(parts) if parts else "1"
-
-
 # -- Condition A -------------------------------------------------------
+
+
+def _undivided_term(fnl: PolyVectorField):
+    """The first term x^m, in ``sorted_terms`` order, of a component j
+    without an x_j factor, as (j, m, reason); None when there is none.
+    Such a term matches neither alpha * Ax nor the planar split."""
+    for j, exps, _ in fnl.sorted_terms():
+        if exps[j] == 0:
+            return j, exps, (f"component {j + 1} contains "
+                             f"{format_monomial(exps)}, which is not "
+                             f"divisible by x{j + 1}")
+    return None
 
 
 @dataclass(frozen=True)
@@ -134,16 +137,12 @@ def condition_a(fhat: PolyVectorField) -> ConditionAResult:
         raise NotInNormalFormError(
             "field does not commute with its own linear part")
     fnl = fhat.nonlinear_part()
-    # A term of component j without an x_j factor can never match
-    # alpha * lambda_j * x_j.
-    for j, exps, _ in fnl.sorted_terms():
-        if exps[j] == 0:
-            return ConditionAResult(
-                False, fhat.order, witness=(exps, j + 1, j + 1),
-                witness_reason=(
-                    f"component {j + 1} contains {_monomial_text(exps)}, "
-                    f"which is not divisible by x{j + 1}"),
-                violated_degree=sum(exps))
+    undivided = _undivided_term(fnl)
+    if undivided is not None:
+        j, exps, reason = undivided
+        return ConditionAResult(
+            False, fhat.order, witness=(exps, j + 1, j + 1),
+            witness_reason=reason, violated_degree=sum(exps))
     candidates = set()
     for j, exps, _ in fnl.terms():
         candidates.add(exps[:j] + (exps[j] - 1,) + exps[j + 1:])
@@ -162,7 +161,7 @@ def condition_a(fhat: PolyVectorField) -> ConditionAResult:
                         witness_reason=(
                             f"eigenvalue {j + 1} is zero but component "
                             f"{j + 1} carries "
-                            f"{_monomial_text(target)}"),
+                            f"{format_monomial(target)}"),
                         violated_degree=sum(m) + 1)
                 continue
             value = coeff / lam
@@ -175,7 +174,7 @@ def condition_a(fhat: PolyVectorField) -> ConditionAResult:
                     witness_reason=(
                         f"components {pinner + 1} and {j + 1} require "
                         f"different alpha coefficients at "
-                        f"{_monomial_text(m)}"),
+                        f"{format_monomial(m)}"),
                     violated_degree=sum(m) + 1)
         if pinned is not None and pinned != ZERO:
             alpha_terms[m] = pinned
@@ -316,14 +315,10 @@ class TwoDimDecomposition:
     witness: Optional[Tuple[int, Exponents]] = None
 
 
-def _divide_by_variable(phi: PolyScalar, index: int):
-    terms = {}
-    for exps, coeff in phi.terms.items():
-        if exps[index] == 0:
-            return None, exps
-        lowered = exps[:index] + (exps[index] - 1,) + exps[index + 1:]
-        terms[lowered] = coeff
-    return PolyScalar(phi.dim, max(phi.order - 1, 1), terms), None
+def _divide_by_variable(phi: PolyScalar, index: int) -> PolyScalar:
+    terms = {exps[:index] + (exps[index] - 1,) + exps[index + 1:]: coeff
+             for exps, coeff in phi.terms.items()}
+    return PolyScalar(phi.dim, max(phi.order - 1, 1), terms)
 
 
 def decompose_2d(fhat: PolyVectorField) -> TwoDimDecomposition:
@@ -342,16 +337,11 @@ def decompose_2d(fhat: PolyVectorField) -> TwoDimDecomposition:
         return TwoDimDecomposition(
             False, reason="equal eigenvalues make the split non-unique")
     fnl = fhat.nonlinear_part()
-    quotients = []
-    for j in (0, 1):
-        q, bad = _divide_by_variable(fnl.components[j], j)
-        if q is None:
-            return TwoDimDecomposition(
-                False, witness=(j + 1, bad),
-                reason=(f"component {j + 1} contains "
-                        f"{_monomial_text(bad)}, which is not divisible "
-                        f"by x{j + 1}"))
-        quotients.append(q)
+    undivided = _undivided_term(fnl)
+    if undivided is not None:
+        j, exps, reason = undivided
+        return TwoDimDecomposition(False, witness=(j + 1, exps), reason=reason)
+    quotients = [_divide_by_variable(fnl.components[j], j) for j in (0, 1)]
     inv_gap = (l1 - l2).inverse()
     alpha = (quotients[0] - quotients[1]) * inv_gap
     beta = (quotients[1] * l1 - quotients[0] * l2) * inv_gap

@@ -35,6 +35,13 @@ Matrix entries are either a bare scalar (constant) or a list of
 {coeff, exps} terms in the parameters alone; family ``terms`` use
 exponent tuples over (x, eta) jointly.  All parse failures raise
 InputFormatError naming the JSON path of the offending value.
+
+This module owns the term entry {"coeff", "exps", "comp"} both ways:
+``component_terms`` and ``term_list`` write it for documents and reports,
+``_parse_entry`` reads it.  A document over n variables (dim, or dim + p
+for a family) is refused before anything is built when its n * (n + 1)
+monomial-vector pairs through degree 1, the cheapest scan any command
+makes, exceed the work budget.
 """
 
 import json
@@ -42,13 +49,18 @@ from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
 
 from .bifurcation import ParamFamily
-from .errors import InputFormatError, NonDiagonalLinearPartError, ScalarParseError
+from .errors import (
+    BudgetExceededError,
+    InputFormatError,
+    NonDiagonalLinearPartError,
+    ScalarParseError,
+)
 from .maps import linear_conjugate
 from .poly import (
+    DEFAULT_TUPLE_BUDGET,
     PolyScalar,
     PolyVectorField,
     Spectrum,
-    grlex_key,
     linear_field,
 )
 from .scalars import GaussianRational, add_scaled, as_scalar
@@ -94,15 +106,17 @@ def _parse_scalar(value: Any, where: str) -> GaussianRational:
         raise InputFormatError(f"{where}: {exc}") from exc
 
 
-def _parse_names(data: dict, key: str, count: int, prefix: str,
+def _parse_names(data: dict, key: str, count: Optional[int], prefix: str,
                  where: str) -> Tuple[str, ...]:
+    """The names under ``key``: ``count`` of them, or any number when
+    ``count`` is None; prefix1, prefix2, ... when the key is absent."""
     if key not in data:
         return tuple(f"{prefix}{i + 1}" for i in range(count))
     names = data[key]
     if (not isinstance(names, list)
             or not all(isinstance(n, str) and n for n in names)):
         _fail(f"{where}.{key}", "expected a list of nonempty strings")
-    if len(names) != count:
+    if count is not None and len(names) != count:
         _fail(f"{where}.{key}", f"expected {count} names, found {len(names)}")
     if len(set(names)) != len(names):
         _fail(f"{where}.{key}", "names must be distinct")
@@ -120,18 +134,26 @@ def _parse_exps(value: Any, length: int, where: str) -> Tuple[int, ...]:
     return tuple(value)
 
 
-def _parse_term(item: Any, exps_len: int, max_comp: int,
-                where: str) -> Tuple[int, Tuple[int, ...], GaussianRational]:
+def _parse_entry(item: Any, exps_len: int, where: str, keys: Tuple[str, ...]
+                 ) -> Tuple[Tuple[int, ...], GaussianRational]:
+    """Check an object with exactly ``keys``, coeff and exps among them,
+    and read its exponents and coefficient."""
     if not isinstance(item, dict):
-        _fail(where, "expected an object with coeff, exps and comp")
-    for key in ("coeff", "exps", "comp"):
+        _fail(where, f"expected an object with {', '.join(keys[:-1])} "
+                     f"and {keys[-1]}")
+    for key in keys:
         if key not in item:
             _fail(where, f"missing required key '{key}'")
-    extra = set(item) - {"coeff", "exps", "comp"}
+    extra = set(item) - set(keys)
     if extra:
         _fail(where, f"unknown keys {sorted(extra)}")
     coeff = _parse_scalar(item["coeff"], f"{where}.coeff")
-    exps = _parse_exps(item["exps"], exps_len, f"{where}.exps")
+    return _parse_exps(item["exps"], exps_len, f"{where}.exps"), coeff
+
+
+def _parse_term(item: Any, exps_len: int, max_comp: int,
+                where: str) -> Tuple[int, Tuple[int, ...], GaussianRational]:
+    exps, coeff = _parse_entry(item, exps_len, where, ("coeff", "exps", "comp"))
     comp = item["comp"]
     if not isinstance(comp, int) or isinstance(comp, bool):
         _fail(f"{where}.comp", "expected an integer component")
@@ -156,6 +178,32 @@ _FIELD_KEYS = {"dim", "order", "vars", "eigenvalues", "linear_matrix", "terms"}
 _FAMILY_KEYS = {"dim", "order", "vars", "params", "terms"}
 
 
+def _check_size(n: int, where: str) -> None:
+    if n * (n + 1) > DEFAULT_TUPLE_BUDGET:
+        raise BudgetExceededError(
+            f"{where}: {n} variables have more monomial-vector pairs through "
+            f"degree 1 than the budget of {DEFAULT_TUPLE_BUDGET}")
+
+
+def _header(data: Any, keys: set, where: str
+            ) -> Tuple[int, int, Tuple[str, ...], list]:
+    """Check the document object and its keys; return dim, order, the
+    variable names and the raw terms list."""
+    if not isinstance(data, dict):
+        _fail(where, "expected a JSON object")
+    extra = set(data) - keys
+    if extra:
+        _fail(where, f"unknown keys {sorted(extra)}")
+    dim = _get_int(data, "dim", where, 1)
+    _check_size(dim, where)
+    order = _get_int(data, "order", where, 1)
+    var_names = _parse_names(data, "vars", dim, "x", where)
+    raw_terms = data.get("terms", [])
+    if not isinstance(raw_terms, list):
+        _fail(f"{where}.terms", "expected a list of terms")
+    return dim, order, var_names, raw_terms
+
+
 def field_from_dict(data: Any, where: str = "field") -> Tuple[PolyVectorField, Tuple[str, ...]]:
     """Build a vector field from a parsed JSON object.
 
@@ -164,21 +212,10 @@ def field_from_dict(data: Any, where: str = "field") -> Tuple[PolyVectorField, T
     part came out diagonal; a non-diagonalizable linear part is left
     untagged for the caller to reject where it matters.
     """
-    if not isinstance(data, dict):
-        _fail(where, "expected a JSON object")
-    extra = set(data) - _FIELD_KEYS
-    if extra:
-        _fail(where, f"unknown keys {sorted(extra)}")
-    dim = _get_int(data, "dim", where, 1)
-    order = _get_int(data, "order", where, 1)
-    var_names = _parse_names(data, "vars", dim, "x", where)
+    dim, order, var_names, raw_terms = _header(data, _FIELD_KEYS, where)
     if "eigenvalues" in data and "linear_matrix" in data:
         _fail(where, "eigenvalues and linear_matrix cannot both be given; "
                      "eigenvalues already fix the linear part")
-
-    raw_terms = data.get("terms", [])
-    if not isinstance(raw_terms, list):
-        _fail(f"{where}.terms", "expected a list of terms")
 
     spectrum = None
     if "eigenvalues" in data:
@@ -221,14 +258,7 @@ def field_from_dict(data: Any, where: str = "field") -> Tuple[PolyVectorField, T
 def family_from_dict(data: Any, where: str = "family"
                      ) -> Tuple[ParamFamily, Tuple[str, ...], Tuple[str, ...]]:
     """Build a parameter family from a parsed JSON object."""
-    if not isinstance(data, dict):
-        _fail(where, "expected a JSON object")
-    extra = set(data) - _FAMILY_KEYS
-    if extra:
-        _fail(where, f"unknown keys {sorted(extra)}")
-    dim = _get_int(data, "dim", where, 1)
-    order = _get_int(data, "order", where, 1)
-    var_names = _parse_names(data, "vars", dim, "x", where)
+    dim, order, var_names, raw_terms = _header(data, _FAMILY_KEYS, where)
     params = data.get("params")
     if not isinstance(params, dict):
         _fail(f"{where}.params", "expected an object with names and matrix")
@@ -237,11 +267,9 @@ def family_from_dict(data: Any, where: str = "family"
         _fail(f"{where}.params", f"unknown keys {sorted(extra)}")
     if "names" not in params:
         _fail(f"{where}.params", "missing required key 'names'")
-    raw_names = params["names"]
-    if not isinstance(raw_names, list):
-        _fail(f"{where}.params.names", "expected a list of parameter names")
-    p = len(raw_names)
-    param_names = _parse_names(params, "names", p, "eta", f"{where}.params")
+    param_names = _parse_names(params, "names", None, "eta", f"{where}.params")
+    p = len(param_names)
+    _check_size(dim + p, where)
 
     if "matrix" not in params:
         _fail(f"{where}.params", "missing required key 'matrix'")
@@ -265,23 +293,12 @@ def family_from_dict(data: Any, where: str = "family"
                                   "{coeff, exps} terms in the parameters")
             terms = {}
             for k, item in enumerate(cell):
-                item_where = f"{cell_where}[{k}]"
-                if not isinstance(item, dict):
-                    _fail(item_where, "expected an object with coeff and exps")
-                extra = set(item) - {"coeff", "exps"}
-                if extra:
-                    _fail(item_where, f"unknown keys {sorted(extra)}")
-                if "coeff" not in item or "exps" not in item:
-                    _fail(item_where, "missing required key 'coeff' or 'exps'")
-                coeff = _parse_scalar(item["coeff"], f"{item_where}.coeff")
-                exps = _parse_exps(item["exps"], p, f"{item_where}.exps")
+                exps, coeff = _parse_entry(item, p, f"{cell_where}[{k}]",
+                                           ("coeff", "exps"))
                 add_scaled(terms, {exps: coeff})
             out_row.append(PolyScalar(p, order, terms))
         entries.append(out_row)
 
-    raw_terms = data.get("terms", [])
-    if not isinstance(raw_terms, list):
-        _fail(f"{where}.terms", "expected a list of terms")
     triples = []
     for idx, item in enumerate(raw_terms):
         comp, exps, coeff = _parse_term(item, dim + p, dim,
@@ -319,13 +336,16 @@ def load_document(path: str) -> Document:
     return Document("field", field, None, var_names, ())
 
 
-def _sorted_triples(field: PolyVectorField):
-    return sorted(field.terms(), key=lambda t: (t[0], grlex_key(t[1])))
-
-
-def _term_list(triples) -> List[dict]:
+def component_terms(poly: PolyScalar, comp: int) -> List[dict]:
+    """The term entries of the 0-based component ``comp``, in grlex order."""
     return [{"coeff": str(coeff), "exps": list(exps), "comp": comp + 1}
-            for comp, exps, coeff in triples]
+            for exps, coeff in poly.sorted_terms()]
+
+
+def term_list(components: Sequence[PolyScalar]) -> List[dict]:
+    """The term entries of every component, component by component."""
+    return [entry for comp, poly in enumerate(components)
+            for entry in component_terms(poly, comp)]
 
 
 def field_to_dict(field: PolyVectorField,
@@ -336,10 +356,8 @@ def field_to_dict(field: PolyVectorField,
         data["vars"] = list(var_names)
     if field.spectrum is not None:
         data["eigenvalues"] = [str(v) for v in field.spectrum]
-        body = _sorted_triples(field.nonlinear_part())
-    else:
-        body = _sorted_triples(field)
-    data["terms"] = _term_list(body)
+        field = field.nonlinear_part()
+    data["terms"] = term_list(field.components)
     return data
 
 
@@ -352,19 +370,11 @@ def family_to_dict(family: ParamFamily,
         data["vars"] = list(var_names)
     if param_names is None:
         param_names = [f"eta{i + 1}" for i in range(family.p)]
-    matrix = []
-    for row in family.a_entries:
-        out_row = []
-        for entry in row:
-            out_row.append([{"coeff": str(c), "exps": list(e)}
-                            for e, c in entry.sorted_terms()])
-        matrix.append(out_row)
+    matrix = [[[{"coeff": str(c), "exps": list(e)}
+                for e, c in entry.sorted_terms()] for entry in row]
+              for row in family.a_entries]
     data["params"] = {"names": list(param_names), "matrix": matrix}
-    triples = []
-    for comp, poly in enumerate(family.f_components):
-        for exps, coeff in poly.sorted_terms():
-            triples.append((comp, exps, coeff))
-    data["terms"] = _term_list(triples)
+    data["terms"] = term_list(family.f_components)
     return data
 
 

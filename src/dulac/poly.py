@@ -266,8 +266,7 @@ class PolyScalar:
 
     @classmethod
     def variable(cls, dim: int, order: int, index: int) -> "PolyScalar":
-        exps = tuple(1 if k == index else 0 for k in range(dim))
-        return cls(dim, order, {exps: ONE})
+        return cls(dim, order, {_unit(dim, index): ONE})
 
     @classmethod
     def monomial(cls, dim: int, order: int, exps: Exponents,
@@ -478,24 +477,24 @@ class PolyScalar:
         return f"PolyScalar(dim={self.dim}, order={self.order}, {format_poly(self)})"
 
 
+def format_monomial(exps: Exponents) -> str:
+    """The text x1^2*x3 of the exponent tuple (2, 0, 1); 1 for the constant."""
+    factors = [f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
+               for i, e in enumerate(exps) if e]
+    return "*".join(factors) or "1"
+
+
 def format_poly(p: PolyScalar) -> str:
     if p.is_zero():
         return "0"
-    names = [f"x{i + 1}" for i in range(p.dim)]
     pieces = []
     for exps, coeff in p.sorted_terms():
-        factors = []
-        for name, e in zip(names, exps):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{e}")
         coeff_str = str(coeff)
         needs_parens = ("+" in coeff_str[1:]) or ("-" in coeff_str[1:])
         if needs_parens:
             coeff_str = f"({coeff_str})"
-        if factors:
-            body = "*".join(factors)
+        if any(exps):
+            body = format_monomial(exps)
             pieces.append(body if coeff == 1 else f"{coeff_str}*{body}")
         else:
             pieces.append(coeff_str)
@@ -714,11 +713,8 @@ def _validate_spectrum(comps: Sequence[PolyScalar], spectrum: Spectrum) -> None:
 def linear_field(spectrum: Spectrum, order: int) -> PolyVectorField:
     """The diagonal linear field Ax for the given spectrum."""
     dim = len(spectrum)
-    comps = []
-    for j in range(dim):
-        exps = tuple(1 if k == j else 0 for k in range(dim))
-        comps.append(PolyScalar(dim, order, {exps: spectrum[j]}))
-    return PolyVectorField(comps, spectrum)
+    return PolyVectorField([PolyScalar(dim, order, {_unit(dim, j): lam})
+                            for j, lam in enumerate(spectrum)], spectrum)
 
 
 def monomial_field(dim: int, order: int, exps: Exponents, component: int,

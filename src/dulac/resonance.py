@@ -27,7 +27,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import BudgetExceededError, TruncationOrderError
 from .poly import (
@@ -38,12 +38,12 @@ from .poly import (
 )
 
 
-@dataclass(frozen=True)
-class ResonanceRelation:
+class ResonanceRelation(NamedTuple):
     """A resonant pair: <m, L> equals the eigenvalue of component ``j``.
 
-    ``exps`` is the exponent tuple m and ``component`` the 0-based index j.
-    The command line and file format print components 1-based.
+    ``exps`` is the exponent tuple m and ``component`` the 0-based index j;
+    a relation unpacks and compares as the tuple (m, j).  The command line
+    and file format print components 1-based.
     """
 
     exps: Exponents
@@ -75,22 +75,21 @@ def _resonances(spectra: Sequence[Spectrum], low: int,
 
 
 def resonant_pairs(spectra: Sequence[Spectrum], low: int,
-                   high: int) -> List[Tuple[Exponents, int]]:
+                   high: int) -> List[ResonanceRelation]:
     """The pairs (m, j) with low <= |m| <= high resonant for every spectrum.
 
     (m, j) is resonant for L when <m, L> = lambda_j.  Sorted by total
     degree, then lexicographically by exponent tuple, then by component.
     """
-    return [(exps, j) for exps, hits in _resonances(spectra, low, high)
-            for j in hits]
+    return [ResonanceRelation(exps, j)
+            for exps, hits in _resonances(spectra, low, high) for j in hits]
 
 
 def resonant_monomials(spectrum: Spectrum, max_degree: int) -> List[ResonanceRelation]:
-    """The ``resonant_pairs`` of one spectrum from degree 2, as relations."""
+    """The ``resonant_pairs`` of one spectrum from degree 2."""
     if max_degree < 2:
         raise TruncationOrderError(f"maximum degree {max_degree} is below 2")
-    return [ResonanceRelation(exps, j)
-            for exps, j in resonant_pairs([spectrum], 2, max_degree)]
+    return resonant_pairs([spectrum], 2, max_degree)
 
 
 def kernel_dimension_at_degree(spectrum: Spectrum, degree: int) -> int:

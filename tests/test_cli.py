@@ -8,7 +8,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dulac.cli import main
@@ -399,6 +399,43 @@ def test_kernel_intersection_past_the_budget_is_a_budget_error(capsys):
     assert captured.out == ""
 
 
+# n = 3162 variables give n * (n + 1) = 10_001_406 monomial-vector pairs
+# through degree 1, just past the budget of 10**7; n = 3161 stays inside
+OVERSIZED_FIELD = {"dim": 3162, "order": 2, "eigenvalues": ["1"] * 3162,
+                   "terms": []}
+# a family suspends to a field over dim + p = 2 + 3160 variables
+OVERSIZED_FAMILY = {"dim": 2, "order": 2,
+                    "params": {"names": [f"eta{k + 1}" for k in range(3160)],
+                               "matrix": [["0", "0"], ["0", "0"]]},
+                    "terms": []}
+
+
+@pytest.mark.parametrize("document, argv", [
+    (OVERSIZED_FIELD, ["normalize", "--order", "2"]),
+    (OVERSIZED_FAMILY, ["suspend"]),
+], ids=["field", "family"])
+def test_oversized_document_is_refused_before_it_is_built(tmp_path, capsys,
+                                                         document, argv):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(document))
+    flag = "--family" if argv[0] == "suspend" else "--input"
+    assert main([argv[0], flag, str(path), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert "dulac: error [enumeration-budget-exceeded]:" in captured.err
+    assert captured.out == ""
+
+
+def test_document_at_the_size_bound_passes_the_guard(tmp_path, capsys):
+    # one eigenvalue for 3161 variables: the first check after the guard
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps({"dim": 3161, "order": 2,
+                                "eigenvalues": ["1"], "terms": []}))
+    assert main(["normalize", "--input", str(path), "--order", "2"]) == 2
+    captured = capsys.readouterr()
+    assert "dulac: error [input-format]:" in captured.err
+    assert "expected 3161 entries" in captured.err
+
+
 # -- hostile documents ---------------------------------------------------
 
 scalars = (st.none() | st.booleans() | st.integers(-3, 6) | st.floats(-4, 4)
@@ -443,6 +480,8 @@ commands = st.sampled_from([("normalize", "--order"),
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(documents, commands, st.integers(-1, 4), st.booleans())
+@example(OVERSIZED_FIELD, ("diagnose", "--order"), 2, True)
+@example(OVERSIZED_FAMILY, ("normalize", "--order"), 2, False)
 def test_hostile_document_never_is_an_internal_error(document, command,
                                                      order, as_json):
     # malformed or contradictory documents end in exit 2, never in 3

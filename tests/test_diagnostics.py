@@ -183,6 +183,20 @@ def test_decompose_2d_divisibility_witness():
     assert not result.unique
     assert result.witness == (1, (0, 2))
     assert "not divisible by x1" in result.reason
+    assert condition_a(field).witness == ((0, 2), 1, 1)
+    assert condition_a(field).witness_reason == result.reason
+
+
+def test_decompose_2d_witness_ignores_term_order():
+    # equal fields whose component 1 lists x2^2 and x2^3 in either order
+    lin = linear_field(Spectrum([as_scalar(1), as_scalar(2)]), 6)
+    a = PolyVectorField.from_terms(2, 6, [(0, (0, 2), 1), (0, (0, 3), 1)])
+    b = PolyVectorField.from_terms(2, 6, [(0, (0, 3), 1), (0, (0, 2), 1)])
+    first, second = lin + a, lin + b
+    assert first == second
+    witnesses = {decompose_2d(f.with_spectrum(lin.spectrum)).witness
+                 for f in (first, second)}
+    assert witnesses == {(1, (0, 2))}
 
 
 def test_criterion_names():

@@ -136,6 +136,12 @@ def test_family_round_trip_matches_builder():
      "family.params: missing required key 'matrix'"),
     (lambda d: d["params"].update(names=["a", "a"]),
      "family.params.names: names must be distinct"),
+    (lambda d: d["params"].update(names=3),
+     "family.params.names: expected a list of nonempty strings"),
+    (lambda d: d["params"]["matrix"][0].__setitem__(0, [{"coeff": "1"}]),
+     "family.params.matrix[0][0][0]: missing required key 'exps'"),
+    (lambda d: d["params"]["matrix"][0].__setitem__(0, ["1"]),
+     "family.params.matrix[0][0][0]: expected an object with coeff and exps"),
     (lambda d: d["params"]["matrix"][0].__setitem__(
         0, [{"coeff": "1", "exps": [1, 1]}]),
      "family.params.matrix[0][0][0].exps: expected 1 exponents, found 2"),

@@ -21,6 +21,7 @@ from dulac.poly import (
     divergence,
     enumerate_monomials,
     enumerate_monomials_upto,
+    format_monomial,
     format_poly,
     grlex_key,
     lie_bracket,
@@ -166,6 +167,13 @@ def test_format_poly_ordering_and_names():
     assert format_poly(PolyScalar.zero(2, 4)) == "0"
     mixed = PolyScalar(2, 4, {(1, 1): GaussianRational(1, 2)})
     assert format_poly(mixed) == "(1+2*i)*x1*x2"
+    assert format_poly(PolyScalar.constant(2, 4, 3) + p) == "3 + x2 + -1*x1^2"
+
+
+def test_format_monomial():
+    assert format_monomial((2, 0, 1)) == "x1^2*x3"
+    assert format_monomial((0, 1)) == "x2"
+    assert format_monomial((0, 0)) == "1"
 
 
 def test_spectrum_dot_gap_resonance():

@@ -95,6 +95,14 @@ def test_relation_str_is_one_based():
     assert rel.degree == 5
 
 
+def test_resonant_pairs_are_relations_that_read_as_tuples():
+    pairs = resonant_pairs([spec(1, -1)], 2, 3)
+    assert pairs == [((1, 2), 1), ((2, 1), 0)]
+    assert all(isinstance(rel, ResonanceRelation) for rel in pairs)
+    exps, j = pairs[0]
+    assert (exps, j) == (pairs[0].exps, pairs[0].component)
+
+
 def test_poincare_domain_exact_hull():
     assert poincare_domain(spec(1, 2))
     assert poincare_domain(spec(1, 2, 3))
