@@ -85,7 +85,8 @@ _ANALYTICITY = ("analyticity of the supplied commuting field "
 # -- Condition A -------------------------------------------------------
 
 
-def _undivided_term(fnl: PolyVectorField):
+def _undivided_term(fnl: PolyVectorField
+                    ) -> Optional[Tuple[int, Exponents, str]]:
     """The first term x^m, in ``sorted_terms`` order, of a component j
     without an x_j factor, as (j, m, reason); None when there is none.
     Such a term matches neither alpha * Ax nor the planar split."""
