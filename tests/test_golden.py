@@ -59,6 +59,9 @@ DEEP = {"grid-d3-o8": 8, "grid-d4-o8": 8}
 DIGESTS = {
     "grid-d4-o10": (10, "cc395f0451651cd3b5cbffd5ca6b5140"
                         "207061e5e3e3c843a95a47d02a0ee490"),
+    # the dim-3 grid field of grid-d3-o8 at order 12
+    "grid-d3-o12": (12, "fd81cdcc655314bbe6fcef1b15aff118"
+                        "e4aa847dcb5092922a5a97375a1be7c3"),
     # the two highest-order fields of the benchmark's deep-diagnose workload
     # (bench/workloads.py, seed 7), whose diagnose report omits Psi
     "deep-d2-o12": (12, "d2b8aca0b9c81d655ba97e5ff261422a"
