@@ -9,7 +9,7 @@ first nonzero position so results are deterministic.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Set
 
 from .errors import SingularLinearPartError
 from .scalars import ONE, ZERO, GaussianRational, add_scaled
@@ -67,25 +67,40 @@ def nullspace(rows: Sequence[SparseRow], ncols: int) -> List[SparseRow]:
     with a 1 in that column, listed in increasing column order.
     """
     pivots: Dict[int, SparseRow] = {}
+    # columns that a row reduced to its lead alone forces to zero; their
+    # entries leave every row without arithmetic
+    zeros: Set[int] = set()
     for original in rows:
-        row = dict(original)
+        row = {c: v for c, v in original.items() if c not in zeros}
         while row:
             lead = min(row)
+            if lead in zeros:
+                del row[lead]
+                continue
             pivot = pivots.get(lead)
-            if pivot is None:
+            if pivot is not None:
+                add_scaled(row, pivot, -row[lead])
+                continue
+            for col in zeros.intersection(row):
+                del row[col]
+            if len(row) == 1:
+                zeros.add(lead)
+            else:
                 inv = row[lead].inverse()
                 pivots[lead] = {c: v * inv for c, v in row.items()}
-                break
-            add_scaled(row, pivot, -row[lead])
+            break
     # Back substitution to full reduced form.  Rows with larger leads are
     # reduced already, so subtracting one brings in no pivot column.
     for lead in sorted(pivots, reverse=True):
         row = pivots[lead]
-        for col in [c for c in row if c != lead and c in pivots]:
-            add_scaled(row, pivots[col], -row[col])
+        for col in [c for c in row if c != lead]:
+            if col in zeros:
+                del row[col]
+            elif col in pivots:
+                add_scaled(row, pivots[col], -row[col])
     basis: List[SparseRow] = []
     for col in range(ncols):
-        if col in pivots:
+        if col in pivots or col in zeros:
             continue
         vec: SparseRow = {col: ONE}
         for lead, prow in pivots.items():

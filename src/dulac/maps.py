@@ -38,14 +38,12 @@ live in ``poly``; this module holds no polynomial arithmetic of its own.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from .errors import DimensionMismatchError
 from .linalg import mat_inverse
-from .poly import (Exponents, PolyScalar, PolyVectorField, Series, TermMap,
-                   _add_product_part, _by_degree, _combo, _merged,
-                   _monomial_chain, _unit)
-from .scalars import GaussianRational, add_scaled
+from .poly import (Exponents, PolyScalar, PolyVectorField, Series,
+                   _monomial_chain, _unit, scalar_part, sum_of_products)
 
 
 class NearIdentityMap:
@@ -112,41 +110,38 @@ class NearIdentityMap:
         degree-w part:
         [x^m(Phi)]_w = sum over a of [x^(m - e_i)(Phi)]_a [Phi_i]_(w-a).
         """
-        dim = self.dim
+        dim, order = self.dim, self.order
         linv = self.linear_inverse
-        # phi[i][d]: the degree-d terms of Phi_i, for d below the pass
-        phi = [[{}, {_unit(dim, j): c for j, c in enumerate(row) if c}]
+        # phi[i].parts[d]: the degree-d terms of Phi_i, for d below the pass
+        phi = [Series.of(PolyScalar._canonical(
+                   dim, order, {_unit(dim, j): c for j, c in enumerate(row) if c}),
+                   order)
                for row in linv]
-        # the monomials of h, each with its (component, coefficient) pairs
-        uses: Dict[Exponents, List[Tuple[int, GaussianRational]]] = {}
-        for j, comp in enumerate(self.components):
-            for exps, coeff in comp.terms.items():
-                if sum(exps) >= 2:
-                    uses.setdefault(exps, []).append((j, coeff))
-        powers: Dict[Exponents, Series] = {_unit(dim, j): parts
-                                           for j, parts in enumerate(phi)}
+        # h's terms c x^m with degree |m| >= 2, by component
+        h_terms = [[(exps, coeff) for exps, coeff in comp.terms.items()
+                    if sum(exps) >= 2] for comp in self.components]
+        powers: Dict[Exponents, Series] = {_unit(dim, j): series
+                                           for j, series in enumerate(phi)}
         # x^m = x^(m - e_i) * Phi_i, with empty parts at degrees 0 and 1
         steps = []
-        for exps, lower, i in _monomial_chain(uses, powers):
-            parts = powers[exps] = [{}, {}]
-            steps.append((parts, powers[lower], phi[i]))
-        minus_linv = [[-c for c in row] for row in linv]
-        for work in range(2, self.order + 1):
-            for parts, lower, factor in steps:
-                part: TermMap = {}
-                _add_product_part(part, lower, factor, work)
-                parts.append(part)
-            h_part: List[TermMap] = [{} for _ in range(dim)]
-            for exps, pairs in uses.items():
-                part = powers[exps][work]
-                if part:
-                    for j, coeff in pairs:
-                        add_scaled(h_part[j], part, coeff)
-            for row, parts in zip(minus_linv, phi):
-                parts.append(_combo(row, h_part))
-        return NearIdentityMap([PolyScalar._canonical(dim, self.order,
-                                                      _merged(parts))
-                                for parts in phi])
+        for exps, lower, i in _monomial_chain(
+                [exps for terms in h_terms for exps, _ in terms], powers):
+            series = powers[exps] = Series(dim, order, [None, None])
+            steps.append((series, powers[lower], phi[i]))
+        # Phi_i = -sum_k Linv[i][k] h_k(Phi) above degree 1, as the pairs
+        # (-Linv[i][k] c, x^m(Phi)) of a linear combination
+        factors = [[(scalar_part(-lc * coeff), powers[exps])
+                    for lc, terms in zip(row, h_terms) if lc
+                    for exps, coeff in terms]
+                   for row in linv]
+        for work in range(2, order + 1):
+            for series, lower, factor in steps:
+                series.parts.append(lower.product_part(factor, work))
+            for series, row in zip(phi, factors):
+                series.parts.append(sum_of_products(
+                    [(c, power.parts[work]) for c, power in row
+                     if power.parts[work]]))
+        return NearIdentityMap([series.to_poly() for series in phi])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, NearIdentityMap):
@@ -172,36 +167,41 @@ def pull_back(phi_map: NearIdentityMap, f: PolyVectorField) -> PolyVectorField:
     order = min(phi_map.order, f.order)
     comps = [c.truncated(order) for c in phi_map.components]
     table: dict = {}
-    rhs = [_by_degree(c.substitute(comps, table).terms, order)
-           for c in f.components]
-    linv = phi_map.linear_inverse
-    b = [[_combo(row, [r[d] for r in rhs]) for d in range(order + 1)]
-         for row in linv]
-    # M = -Linv Dh by degree.  Map components are exact polynomials, so
-    # differentiating h loses nothing; h stops at degree order + 1, so Dh
-    # stops at degree order.
-    m_rows = [[[{} for _ in range(order + 1)] for _ in range(dim)]
-              for _ in range(dim)]
-    for k, comp in enumerate(phi_map.components):
-        h = comp.degree_range(2, order + 1)
-        for j in range(dim):
-            for a, part in enumerate(_by_degree(h.partial(j).terms, order)):
-                if part:
-                    for row, m_row in zip(linv, m_rows):
-                        if row[k]:
-                            add_scaled(m_row[j][a], part, -row[k])
-    g: List[Series] = [[] for _ in range(dim)]
+    rhs = [Series.of(c.substitute(comps, table), order) for c in f.components]
+    # b_i = sum_k Linv[i][k] rhs_k, the rhs side of g_i's sum at each degree
+    b_rows = [[(scalar_part(c), series) for c, series in zip(row, rhs) if c]
+              for row in phi_map.linear_inverse]
+    # M = -Linv Dh as its nonzero entries (j, a, [M_ij]_a) per row i.  Map
+    # components are exact polynomials, so differentiating h loses
+    # nothing; h stops at degree order + 1, so Dh stops at degree order.
+    dh = [[Series.of(comp.degree_range(2, order + 1).partial(j), order)
+           for j in range(dim)] for comp in phi_map.components]
+    m_rows = []
+    for row in phi_map.linear_inverse:
+        pairs_at: Dict[Tuple[int, int], list] = {}
+        for c, dh_k in zip(row, dh):
+            if c:
+                factor = scalar_part(-c)
+                for j, series in enumerate(dh_k):
+                    for a, part in enumerate(series.parts):
+                        if part:
+                            pairs_at.setdefault((j, a), []).append(
+                                (factor, part))
+        entries = [(j, a, sum_of_products(pairs))
+                   for (j, a), pairs in pairs_at.items()]
+        m_rows.append([entry for entry in entries if entry[2]])
+    g = [Series(dim, order) for _ in range(dim)]
     for degree in range(order + 1):
         new = []
-        for b_row, m_row in zip(b, m_rows):
-            part = dict(b_row[degree])
-            for m_entry, g_j in zip(m_row, g):
-                _add_product_part(part, m_entry, g_j, degree)
-            new.append(part)
+        for b_row, entries in zip(b_rows, m_rows):
+            pairs = [(c, series.parts[degree]) for c, series in b_row
+                     if degree < len(series.parts) and series.parts[degree]]
+            pairs += [(part, g[j].parts[degree - a]) for j, a, part in entries
+                      if a <= degree and g[j].parts[degree - a]]
+            new.append(sum_of_products(pairs))
         for g_i, part in zip(g, new):
-            g_i.append(part)
-    return PolyVectorField([PolyScalar._canonical(dim, order, _merged(parts))
-                            for parts in g])
+            g_i.parts.append(part)
+    return PolyVectorField([series.to_poly() for series in g])
 
 
 def push_forward(psi_map: NearIdentityMap, f: PolyVectorField) -> PolyVectorField:

@@ -62,11 +62,13 @@ from .errors import (
     NonDiagonalLinearPartError,
     TruncationOrderError,
 )
-from .scalars import ONE, ZERO, GaussianRational, ScalarLike, add_scaled, as_scalar
+from .scalars import (ONE, ZERO, GaussianRational, ScalarLike, _make, add_scaled,
+                      as_scalar)
 
 Exponents = Tuple[int, ...]
 TermMap = Dict[Exponents, GaussianRational]
-Series = List[TermMap]   # entry d holds the degree-d terms
+# The degree-d terms of a Series: (den, {packed key: (re, im)}), see Series.
+Part = Tuple[int, Dict[int, Tuple[int, int]]]
 Link = Tuple[Exponents, Exponents, int]   # m, m - e_i, i
 
 _COEFF_TYPES = (GaussianRational, int, Fraction)
@@ -115,52 +117,8 @@ def enumerate_monomials_upto(dim: int, max_degree: int,
         for degree in range(min_degree, max_degree + 1))
 
 
-# -- graded series: list index d holds the degree-d terms ---------------
-
-
 def _unit(dim: int, index: int) -> Exponents:
     return tuple(int(k == index) for k in range(dim))
-
-
-def _by_degree(terms: TermMap, order: int) -> Series:
-    """The terms of degree <= order, split by degree."""
-    parts: Series = [{} for _ in range(order + 1)]
-    for exps, coeff in terms.items():
-        degree = sum(exps)
-        if degree <= order:
-            parts[degree][exps] = coeff
-    return parts
-
-
-def _merged(parts: Sequence[TermMap]) -> TermMap:
-    return {exps: coeff for part in parts for exps, coeff in part.items()}
-
-
-def _combo(coeffs: Sequence[GaussianRational],
-           parts: Sequence[TermMap]) -> TermMap:
-    """sum_k coeffs[k] * parts[k], one degree of a linear combination."""
-    acc: TermMap = {}
-    for c, part in zip(coeffs, parts):
-        if c and part:
-            add_scaled(acc, part, c)
-    return acc
-
-
-def _add_product_part(acc: TermMap, left: Series, right: Series,
-                      degree: int) -> None:
-    """acc += [left * right]_degree, from the degrees both series hold.
-
-    A degree past the end of a list counts as zero, so a solve that has
-    filled its unknowns below ``degree`` reads nothing else.
-    """
-    for a in range(max(0, degree - len(right) + 1),
-                   min(len(left), degree + 1)):
-        left_part, right_part = left[a], right[degree - a]
-        if left_part and right_part:
-            for el, cl in left_part.items():
-                # el + . is injective, so these keys never collide.
-                add_scaled(acc, {tuple(map(operator.add, el, er)): cr
-                                 for er, cr in right_part.items()}, cl)
 
 
 def _monomial_chain(monomials: Iterable[Exponents],
@@ -499,6 +457,128 @@ def format_poly(p: PolyScalar) -> str:
         else:
             pieces.append(coeff_str)
     return " + ".join(pieces)
+
+
+class Series:
+    """A truncated polynomial held by degree, for the triangular solves.
+
+    ``parts[d]`` holds the degree-d terms, or None when there are none; a
+    degree past the end of the list counts as empty too, so a solve
+    appends each degree once it is known.  A part is ``(den, nums)``: the
+    term x^m has coefficient (re + im*i)/den for ``nums[key] == (re, im)``,
+    Gaussian integers over one denominator per part, with gcd(den, every
+    re and im) == 1 and no (0, 0) entry.  ``key`` packs m as the sum of
+    m_i * (order + 1)**i.  No exponent of a monomial within the order
+    passes the order, so the key of a product of two such monomials is
+    the sum of their keys, with no carry.
+    """
+
+    __slots__ = ("dim", "order", "parts")
+
+    def __init__(self, dim: int, order: int,
+                 parts: Iterable[Optional[Part]] = ()):
+        self.dim = dim
+        self.order = order
+        self.parts: List[Optional[Part]] = list(parts)
+
+    @classmethod
+    def of(cls, poly: PolyScalar, order: int) -> "Series":
+        """The terms of ``poly`` of degree <= order, split by degree up to
+        the highest degree that has one."""
+        weights = [(order + 1) ** i for i in range(poly.dim)]
+        raw: List[Dict[int, GaussianRational]] = [{} for _ in range(order + 1)]
+        top = -1
+        for exps, coeff in poly.terms.items():
+            degree = sum(exps)
+            if degree <= order:
+                raw[degree][sum(map(operator.mul, exps, weights))] = coeff
+                top = max(top, degree)
+        return cls(poly.dim, order, [_part(terms) for terms in raw[:top + 1]])
+
+    def product_part(self, other: "Series", degree: int) -> Optional[Part]:
+        """[self * other]_degree, from the parts both series hold."""
+        left, right = self.parts, other.parts
+        return sum_of_products([
+            (left[a], right[degree - a])
+            for a in range(max(0, degree - len(right) + 1),
+                           min(len(left), degree + 1))
+            if left[a] and right[degree - a]])
+
+    def to_poly(self) -> PolyScalar:
+        """The terms as a PolyScalar of the series' order, one canonical
+        coefficient per term."""
+        dim, base = self.dim, self.order + 1
+        terms: TermMap = {}
+        for part in self.parts:
+            if part:
+                den, nums = part
+                for key, (re, im) in nums.items():
+                    exps = []
+                    for _ in range(dim):
+                        key, e = divmod(key, base)
+                        exps.append(e)
+                    terms[tuple(exps)] = _make(re, im, den)
+        return PolyScalar._canonical(dim, self.order, terms)
+
+
+def _part(terms: Dict[int, GaussianRational]) -> Optional[Part]:
+    """The part of the given nonzero coefficients, by packed key, over the
+    lcm of their denominators.  Each coefficient is reduced, so for every
+    prime of the lcm some numerator pair is not divisible by it."""
+    if not terms:
+        return None
+    den = math.lcm(*[c._t[2] for c in terms.values()])
+    nums = {}
+    for key, coeff in terms.items():
+        re, im, d = coeff._t
+        scale = den // d
+        nums[key] = (re * scale, im * scale)
+    return den, nums
+
+
+def scalar_part(value: GaussianRational) -> Optional[Part]:
+    """A coefficient as a degree-0 part, the factor of a linear combination."""
+    return _part({0: value} if value else {})
+
+
+def sum_of_products(pairs: Sequence[Tuple[Part, Part]]) -> Optional[Part]:
+    """The sum of left * right over pairs of nonempty parts, reduced.
+
+    With a ``scalar_part`` on one side this is a linear combination of
+    parts.  Every product is taken over the lcm of the pairs' products of
+    denominators; entries that cancel are dropped, and the sum is divided
+    by the gcd of that lcm and its numerators.  None when nothing is left.
+    """
+    if not pairs:
+        return None
+    den = math.lcm(*[dl * dr for (dl, _), (dr, _) in pairs])
+    acc: Dict[int, Tuple[int, int]] = {}
+    get = acc.get
+    for (dl, left), (dr, right) in pairs:
+        scale = den // (dl * dr)
+        for kl, (p, q) in left.items():
+            p *= scale
+            q *= scale
+            for kr, (r, t) in right.items():
+                key = kl + kr
+                old = get(key)
+                if old is None:
+                    acc[key] = (p * r - q * t, p * t + q * r)
+                else:
+                    acc[key] = (old[0] + p * r - q * t, old[1] + p * t + q * r)
+    nums = {}
+    g = den
+    for key, (re, im) in acc.items():
+        if re or im:
+            nums[key] = (re, im)
+            if g != 1:
+                g = math.gcd(g, re, im)
+    if not nums:
+        return None
+    if g != 1:
+        den //= g
+        nums = {key: (re // g, im // g) for key, (re, im) in nums.items()}
+    return den, nums
 
 
 class Spectrum:

@@ -41,6 +41,12 @@
 * Products, substitutions and derivatives, which skip the checks of
   ``PolyScalar.__init__``, are canonical: the public constructor gives
   the same terms back.
+* ``Series``, the graded storage of the inversion and the pull-back,
+  agrees with plain ``GaussianRational`` dicts: its product part at every
+  degree, its linear combinations with complex coefficients over mixed
+  denominators (also when they cancel to nothing), and the round trip
+  from and back to terms, with exponents equal to the order.  Every part
+  it returns is reduced and holds no cancelled entry.
 """
 
 import itertools
@@ -58,6 +64,7 @@ from dulac.normalizer import normalize
 from dulac.poly import (
     PolyScalar,
     PolyVectorField,
+    Series,
     Spectrum,
     apply_derivation,
     enumerate_monomials,
@@ -65,6 +72,8 @@ from dulac.poly import (
     lie_bracket,
     linear_field,
     monomial_field,
+    scalar_part,
+    sum_of_products,
 )
 from dulac.resonance import resonant_pairs
 from dulac.scalars import ZERO, GaussianRational, add_scaled
@@ -599,3 +608,129 @@ def test_products_and_substitutions_are_canonical(polys_, factor):
                    apply_derivation(g, a),
                    *lie_bracket(f, g).components):
         assert_canonical(result)
+
+
+@st.composite
+def series_polys(draw, dim, order):
+    """A polynomial through ``order``, sometimes with a term x_k^order, so
+    that an exponent reaches the order."""
+    p = draw(polys(dim, order, max_terms=5))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, dim - 1))
+        top = tuple(order if i == k else 0 for i in range(dim))
+        p = p + PolyScalar.monomial(dim, order, top, draw(scalars.filter(bool)))
+    return p
+
+
+@st.composite
+def series_cases(draw):
+    dim = draw(st.integers(min_value=1, max_value=3))
+    order = draw(st.integers(min_value=1, max_value=5))
+    return dim, order, draw(series_polys(dim, order)), draw(series_polys(dim, order))
+
+
+def assert_reduced(part):
+    """A part holds no (0, 0) entry, has a positive denominator, and the
+    denominator and all numerators have gcd 1; None stands for empty."""
+    if part is None:
+        return
+    den, nums = part
+    assert den > 0 and nums
+    assert all(re or im for re, im in nums.values())
+    assert math.gcd(den, *itertools.chain.from_iterable(nums.values())) == 1
+
+
+def degree_terms(terms, degree):
+    return {e: c for e, c in terms.items() if sum(e) == degree and c}
+
+
+def part_terms(dim, order, degree, part):
+    return Series(dim, order, [None] * degree + [part]).to_poly().terms
+
+
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(series_cases())
+def test_series_product_parts_match_a_naive_product(case):
+    dim, order, a, b = case
+    left, right = Series.of(a, order), Series.of(b, order)
+    expected = naive_product(a.terms, b.terms, order)
+    for degree in range(order + 1):
+        part = left.product_part(right, degree)
+        assert_reduced(part)
+        assert (part_terms(dim, order, degree, part)
+                == degree_terms(expected, degree))
+
+
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(series_cases())
+def test_series_round_trip_keeps_the_terms(case):
+    dim, order, a, _ = case
+    series = Series.of(a, order)
+    assert len(series.parts) == (a.max_degree() + 1 if a.terms else 0)
+    for degree, part in enumerate(series.parts):
+        assert_reduced(part)
+        assert (part_terms(dim, order, degree, part)
+                == degree_terms(a.terms, degree))
+    back = series.to_poly()
+    assert (back.dim, back.order, back.terms) == (dim, order, a.terms)
+    assert_canonical(back)
+    lower = Series.of(a, order - 1).to_poly()
+    assert lower == a.truncated(order - 1)
+
+
+wide_scalars = st.builds(
+    lambda re, den, im, iden: GaussianRational(Fraction(re, den),
+                                               Fraction(im, iden)),
+    st.integers(-6, 6), st.integers(1, 6), st.integers(-6, 6),
+    st.integers(1, 6))
+
+
+@st.composite
+def combination_cases(draw):
+    """Coefficients and polynomials for a linear combination of their
+    parts at one degree; with ``cancel`` every coefficient comes again
+    negated, so the sum is empty."""
+    dim = draw(st.integers(min_value=1, max_value=3))
+    order = draw(st.integers(min_value=1, max_value=4))
+    count = draw(st.integers(min_value=1, max_value=4))
+    coeffs = draw(st.lists(wide_scalars, min_size=count, max_size=count))
+    summands = draw(st.lists(series_polys(dim, order),
+                             min_size=count, max_size=count))
+    return (dim, order, draw(st.integers(0, order)), coeffs, summands,
+            draw(st.booleans()))
+
+
+@settings(PROPERTY_SETTINGS, max_examples=150)
+@given(combination_cases())
+def test_series_combinations_match_a_naive_sum(case):
+    dim, order, degree, coeffs, summands, cancel = case
+    if cancel:
+        coeffs = coeffs + [-c for c in coeffs]
+        summands = summands + summands
+    pairs = []
+    expected = {}
+    for c, p in zip(coeffs, summands):
+        parts = Series.of(p, order).parts
+        if c and degree < len(parts) and parts[degree]:
+            pairs.append((scalar_part(c), parts[degree]))
+        for exps, value in degree_terms(p.terms, degree).items():
+            expected[exps] = expected.get(exps, ZERO) + c * value
+    part = sum_of_products(pairs)
+    assert_reduced(part)
+    assert part_terms(dim, order, degree, part) == degree_terms(expected, degree)
+    if cancel:
+        assert part is None
+
+
+def test_series_parts_that_cancel_are_empty():
+    x = PolyScalar.variable(2, 3, 0)
+    y = PolyScalar.variable(2, 3, 1)
+    one = Series.of(x + y, 3)
+    # (x + y)(x - y): the two x*y products cancel
+    assert one.product_part(Series.of(x - y, 3), 2) == (1, {2: (1, 0), 8: (-1, 0)})
+    assert one.product_part(Series.of(x - x, 3), 2) is None
+    assert sum_of_products([(scalar_part(GaussianRational(1, 2)), one.parts[1]),
+                            (scalar_part(GaussianRational(-1, -2)),
+                             one.parts[1])]) is None
+    assert sum_of_products([]) is None
+    assert scalar_part(ZERO) is None
