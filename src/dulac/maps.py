@@ -43,7 +43,7 @@ from typing import Dict, Sequence, Tuple
 from .errors import DimensionMismatchError
 from .linalg import mat_inverse
 from .poly import (Exponents, PolyScalar, PolyVectorField, Series,
-                   _monomial_chain, _unit, scalar_part, sum_of_products)
+                   _monomial_chain, _unit)
 
 
 class NearIdentityMap:
@@ -113,9 +113,9 @@ class NearIdentityMap:
         dim, order = self.dim, self.order
         linv = self.linear_inverse
         # phi[i].parts[d]: the degree-d terms of Phi_i, for d below the pass
-        phi = [Series.of(PolyScalar._canonical(
-                   dim, order, {_unit(dim, j): c for j, c in enumerate(row) if c}),
-                   order)
+        phi = [Series.of(PolyScalar(dim, order, {_unit(dim, j): c
+                                                 for j, c in enumerate(row)}),
+                         order)
                for row in linv]
         # h's terms c x^m with degree |m| >= 2, by component
         h_terms = [[(exps, coeff) for exps, coeff in comp.terms.items()
@@ -130,7 +130,7 @@ class NearIdentityMap:
             steps.append((series, powers[lower], phi[i]))
         # Phi_i = -sum_k Linv[i][k] h_k(Phi) above degree 1, as the pairs
         # (-Linv[i][k] c, x^m(Phi)) of a linear combination
-        factors = [[(scalar_part(-lc * coeff), powers[exps])
+        factors = [[(Series.scalar(-lc * coeff), powers[exps])
                     for lc, terms in zip(row, h_terms) if lc
                     for exps, coeff in terms]
                    for row in linv]
@@ -138,7 +138,7 @@ class NearIdentityMap:
             for series, lower, factor in steps:
                 series.parts.append(lower.product_part(factor, work))
             for series, row in zip(phi, factors):
-                series.parts.append(sum_of_products(
+                series.parts.append(Series.sum_of_products(
                     [(c, power.parts[work]) for c, power in row
                      if power.parts[work]]))
         return NearIdentityMap([series.to_poly() for series in phi])
@@ -169,7 +169,7 @@ def pull_back(phi_map: NearIdentityMap, f: PolyVectorField) -> PolyVectorField:
     table: dict = {}
     rhs = [Series.of(c.substitute(comps, table), order) for c in f.components]
     # b_i = sum_k Linv[i][k] rhs_k, the rhs side of g_i's sum at each degree
-    b_rows = [[(scalar_part(c), series) for c, series in zip(row, rhs) if c]
+    b_rows = [[(Series.scalar(c), series) for c, series in zip(row, rhs) if c]
               for row in phi_map.linear_inverse]
     # M = -Linv Dh as its nonzero entries (j, a, [M_ij]_a) per row i.  Map
     # components are exact polynomials, so differentiating h loses
@@ -181,26 +181,24 @@ def pull_back(phi_map: NearIdentityMap, f: PolyVectorField) -> PolyVectorField:
         pairs_at: Dict[Tuple[int, int], list] = {}
         for c, dh_k in zip(row, dh):
             if c:
-                factor = scalar_part(-c)
+                factor = Series.scalar(-c)
                 for j, series in enumerate(dh_k):
                     for a, part in enumerate(series.parts):
                         if part:
                             pairs_at.setdefault((j, a), []).append(
                                 (factor, part))
-        entries = [(j, a, sum_of_products(pairs))
+        entries = [(j, a, Series.sum_of_products(pairs))
                    for (j, a), pairs in pairs_at.items()]
         m_rows.append([entry for entry in entries if entry[2]])
     g = [Series(dim, order) for _ in range(dim)]
     for degree in range(order + 1):
-        new = []
-        for b_row, entries in zip(b_rows, m_rows):
+        # g_i's part at this degree reads every g_j only below it
+        for g_i, b_row, entries in zip(g, b_rows, m_rows):
             pairs = [(c, series.parts[degree]) for c, series in b_row
                      if degree < len(series.parts) and series.parts[degree]]
             pairs += [(part, g[j].parts[degree - a]) for j, a, part in entries
                       if a <= degree and g[j].parts[degree - a]]
-            new.append(sum_of_products(pairs))
-        for g_i, part in zip(g, new):
-            g_i.parts.append(part)
+            g_i.parts.append(Series.sum_of_products(pairs))
     return PolyVectorField([series.to_poly() for series in g])
 
 

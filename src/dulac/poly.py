@@ -498,11 +498,59 @@ class Series:
     def product_part(self, other: "Series", degree: int) -> Optional[Part]:
         """[self * other]_degree, from the parts both series hold."""
         left, right = self.parts, other.parts
-        return sum_of_products([
+        return Series.sum_of_products([
             (left[a], right[degree - a])
             for a in range(max(0, degree - len(right) + 1),
                            min(len(left), degree + 1))
             if left[a] and right[degree - a]])
+
+    @staticmethod
+    def scalar(value: GaussianRational) -> Optional[Part]:
+        """A coefficient as a degree-0 part, the factor of a linear
+        combination."""
+        return _part({0: value} if value else {})
+
+    @staticmethod
+    def sum_of_products(pairs: Sequence[Tuple[Part, Part]]) -> Optional[Part]:
+        """The sum of left * right over pairs of nonempty parts, reduced.
+
+        With ``Series.scalar`` parts on one side this is a linear
+        combination of parts.  Every product is taken over the lcm of the
+        pairs' products of denominators; entries that cancel are dropped,
+        and the sum is divided by the gcd of that lcm and its numerators.
+        None when nothing is left.
+        """
+        if not pairs:
+            return None
+        den = math.lcm(*[dl * dr for (dl, _), (dr, _) in pairs])
+        acc: Dict[int, Tuple[int, int]] = {}
+        get = acc.get
+        for (dl, left), (dr, right) in pairs:
+            scale = den // (dl * dr)
+            for kl, (p, q) in left.items():
+                p *= scale
+                q *= scale
+                for kr, (r, t) in right.items():
+                    key = kl + kr
+                    old = get(key)
+                    if old is None:
+                        acc[key] = (p * r - q * t, p * t + q * r)
+                    else:
+                        acc[key] = (old[0] + p * r - q * t,
+                                    old[1] + p * t + q * r)
+        nums = {}
+        g = den
+        for key, (re, im) in acc.items():
+            if re or im:
+                nums[key] = (re, im)
+                if g != 1:
+                    g = math.gcd(g, re, im)
+        if not nums:
+            return None
+        if g != 1:
+            den //= g
+            nums = {key: (re // g, im // g) for key, (re, im) in nums.items()}
+        return den, nums
 
     def to_poly(self) -> PolyScalar:
         """The terms as a PolyScalar of the series' order, one canonical
@@ -533,51 +581,6 @@ def _part(terms: Dict[int, GaussianRational]) -> Optional[Part]:
         re, im, d = coeff._t
         scale = den // d
         nums[key] = (re * scale, im * scale)
-    return den, nums
-
-
-def scalar_part(value: GaussianRational) -> Optional[Part]:
-    """A coefficient as a degree-0 part, the factor of a linear combination."""
-    return _part({0: value} if value else {})
-
-
-def sum_of_products(pairs: Sequence[Tuple[Part, Part]]) -> Optional[Part]:
-    """The sum of left * right over pairs of nonempty parts, reduced.
-
-    With a ``scalar_part`` on one side this is a linear combination of
-    parts.  Every product is taken over the lcm of the pairs' products of
-    denominators; entries that cancel are dropped, and the sum is divided
-    by the gcd of that lcm and its numerators.  None when nothing is left.
-    """
-    if not pairs:
-        return None
-    den = math.lcm(*[dl * dr for (dl, _), (dr, _) in pairs])
-    acc: Dict[int, Tuple[int, int]] = {}
-    get = acc.get
-    for (dl, left), (dr, right) in pairs:
-        scale = den // (dl * dr)
-        for kl, (p, q) in left.items():
-            p *= scale
-            q *= scale
-            for kr, (r, t) in right.items():
-                key = kl + kr
-                old = get(key)
-                if old is None:
-                    acc[key] = (p * r - q * t, p * t + q * r)
-                else:
-                    acc[key] = (old[0] + p * r - q * t, old[1] + p * t + q * r)
-    nums = {}
-    g = den
-    for key, (re, im) in acc.items():
-        if re or im:
-            nums[key] = (re, im)
-            if g != 1:
-                g = math.gcd(g, re, im)
-    if not nums:
-        return None
-    if g != 1:
-        den //= g
-        nums = {key: (re // g, im // g) for key, (re, im) in nums.items()}
     return den, nums
 
 

@@ -72,8 +72,6 @@ from dulac.poly import (
     lie_bracket,
     linear_field,
     monomial_field,
-    scalar_part,
-    sum_of_products,
 )
 from dulac.resonance import resonant_pairs
 from dulac.scalars import ZERO, GaussianRational, add_scaled
@@ -712,10 +710,10 @@ def test_series_combinations_match_a_naive_sum(case):
     for c, p in zip(coeffs, summands):
         parts = Series.of(p, order).parts
         if c and degree < len(parts) and parts[degree]:
-            pairs.append((scalar_part(c), parts[degree]))
+            pairs.append((Series.scalar(c), parts[degree]))
         for exps, value in degree_terms(p.terms, degree).items():
             expected[exps] = expected.get(exps, ZERO) + c * value
-    part = sum_of_products(pairs)
+    part = Series.sum_of_products(pairs)
     assert_reduced(part)
     assert part_terms(dim, order, degree, part) == degree_terms(expected, degree)
     if cancel:
@@ -729,8 +727,8 @@ def test_series_parts_that_cancel_are_empty():
     # (x + y)(x - y): the two x*y products cancel
     assert one.product_part(Series.of(x - y, 3), 2) == (1, {2: (1, 0), 8: (-1, 0)})
     assert one.product_part(Series.of(x - x, 3), 2) is None
-    assert sum_of_products([(scalar_part(GaussianRational(1, 2)), one.parts[1]),
-                            (scalar_part(GaussianRational(-1, -2)),
-                             one.parts[1])]) is None
-    assert sum_of_products([]) is None
-    assert scalar_part(ZERO) is None
+    half = GaussianRational(1, 2)
+    assert Series.sum_of_products([(Series.scalar(half), one.parts[1]),
+                                   (Series.scalar(-half), one.parts[1])]) is None
+    assert Series.sum_of_products([]) is None
+    assert Series.scalar(ZERO) is None
