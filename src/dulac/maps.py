@@ -27,13 +27,17 @@ degree 2 through N - k + 1 are multiplied out.
 
 The inversion and the transport of a field are triangular solves in the
 degree: the degree-d part of the unknown depends only on its parts below
-d.  Each is one pass over the degrees on graded series, lists whose entry
-d holds the degree-d terms, so a finished degree is never recomputed.
-``_add_product_part`` adds the one degree of a product that such a pass
-needs, from the parts already known (van der Hoeven's relaxed evaluation,
-"Relax, but don't be too lazy", JSC 2002).  The graded-series helpers,
-and the monomial chain that ``substitute`` shares with the inversion,
-live in ``poly``; this module holds no polynomial arithmetic of its own.
+d.  Each is one pass over the degrees on ``poly.Series``, which holds
+each degree part as Gaussian-integer numerator pairs over one
+denominator under packed exponent keys, so a finished degree is never
+recomputed.  ``Series.product_part`` gives the one degree of a product
+that such a pass needs, from the parts already known (van der Hoeven's
+relaxed evaluation, "Relax, but don't be too lazy", JSC 2002), and
+``Series.sum_of_products`` the linear combinations by the rows of L^-1
+and the coefficients of h.  ``Series`` and the monomial chain that
+``substitute`` shares with the inversion live in ``poly``; this module
+holds no polynomial or term arithmetic of its own and only picks which
+parts meet.
 """
 
 from __future__ import annotations

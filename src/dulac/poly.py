@@ -26,9 +26,17 @@ w_i of degree >= v >= 2, fix every x^m with |m| > N - v + 1: each other
 term of x^m(values) trades some x_i for a w_i and has degree at least
 |m| - 1 + v.  Such monomials keep their own coefficient and are never
 built.
-``invert_to_order`` follows the same links on graded series (lists whose
-entry d holds the degree-d terms) and adds one degree per pass with
-``_add_product_part``, since Phi is what it solves for.
+``invert_to_order`` follows the same links on ``Series``, one degree
+per pass, since Phi is what it solves for.
+
+``Series`` holds a polynomial by degree for the two triangular solves,
+the inversion and the pull-back.  Each degree part is Gaussian-integer
+numerator pairs over one denominator, reduced, keyed by the packed
+exponent sum of m_i * (N + 1)**i for the solve's order N.  Products of
+parts and their linear combinations run on ints alone, with one lcm and
+one gcd per result instead of a reduced fraction per operation;
+``Series.to_poly`` builds one canonical coefficient per term, the only
+place where a series becomes a ``PolyScalar``.
 
 Every scan over exponent tuples goes through ``enumerate_monomials_upto``,
 which holds the one work budget of the package.
