@@ -55,7 +55,8 @@ ORDERS = {
 }
 # normalize only, at a deeper order
 DEEP = {"grid-d3-o8": 8, "grid-d4-o8": 8}
-# normalize only: name -> (order, sha256 of the JSON report)
+# normalize only: name -> (order, sha256 of the JSON report); certify.py
+# reads this table with ast.literal_eval, so it stays a plain literal
 DIGESTS = {
     "grid-d4-o10": (10, "cc395f0451651cd3b5cbffd5ca6b5140"
                         "207061e5e3e3c843a95a47d02a0ee490"),
