@@ -22,12 +22,8 @@ from .bifurcation import (
 )
 from .centralizer import (
     CentralizerBasis,
-    RationalDecomposition,
     centralizer_basis,
-    common_invariants,
     kernel_intersection,
-    rational_decomposition,
-    resonance_equivalence_holds,
 )
 from .diagnostics import (
     ConditionAResult,
@@ -35,16 +31,12 @@ from .diagnostics import (
     DiagnosticsReport,
     GrowthClassification,
     condition_a,
-    decompose_2d,
     diagnose,
     growth_classify,
-    integrating_factor_residual,
-    inverse_factor_residual,
     pliss_linear,
 )
 from .errors import (
     BudgetExceededError,
-    CommutationError,
     DegenerateEigenvaluesError,
     DimensionMismatchError,
     DulacError,
@@ -70,14 +62,12 @@ from .normalizer import (
     NormalFormResult,
     check_commute,
     normalize,
-    normalize_with_symmetry,
 )
 from .poly import (
     PolyScalar,
     PolyVectorField,
     Spectrum,
     apply_derivation,
-    divergence,
     format_monomial,
     format_poly,
     lie_bracket,
@@ -99,7 +89,6 @@ __all__ = [
     "__version__",
     "BudgetExceededError",
     "CentralizerBasis",
-    "CommutationError",
     "ConditionAResult",
     "CriterionCheck",
     "DMatrix",
@@ -121,7 +110,6 @@ __all__ = [
     "ParameterCountError",
     "PolyScalar",
     "PolyVectorField",
-    "RationalDecomposition",
     "ResonanceRelation",
     "ScalarParseError",
     "SingularLinearPartError",
@@ -133,12 +121,9 @@ __all__ = [
     "build_oscillator_D",
     "centralizer_basis",
     "check_commute",
-    "common_invariants",
     "condition_a",
-    "decompose_2d",
     "det_nonsingular",
     "diagnose",
-    "divergence",
     "family_from_dict",
     "family_to_dict",
     "field_from_dict",
@@ -146,8 +131,6 @@ __all__ = [
     "format_monomial",
     "format_poly",
     "growth_classify",
-    "integrating_factor_residual",
-    "inverse_factor_residual",
     "kernel_dimension_at_degree",
     "kernel_intersection",
     "lie_bracket",
@@ -156,13 +139,10 @@ __all__ = [
     "load_document",
     "monomial_field",
     "normalize",
-    "normalize_with_symmetry",
     "omega_condition",
     "oscillator_pattern",
     "pliss_linear",
     "poincare_domain",
-    "rational_decomposition",
-    "resonance_equivalence_holds",
     "resonant_monomials",
     "restrict_to_axis",
     "save_field",

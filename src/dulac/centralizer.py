@@ -21,19 +21,15 @@ nonlinear part of f_hat at degree i would push its bracket to degree
 k + i - 1 > d.  Such elements carry a flag saying they might fail to
 extend to higher order.
 
-Also here: the joint kernel of two diagonal spectra, the rational
-decomposition of one spectrum into diagonal rational matrices, and
-monomial first integrals shared by several spectra.
+Also here: the joint kernel of two diagonal spectra.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from .errors import (
-    DegenerateEigenvaluesError,
     DimensionMismatchError,
     NotInNormalFormError,
     TruncationOrderError,
@@ -49,7 +45,7 @@ from .poly import (
     monomial_field,
 )
 from .resonance import ResonanceRelation, resonant_pairs
-from .scalars import ZERO, GaussianRational
+from .scalars import GaussianRational
 
 
 @dataclass(frozen=True)
@@ -157,108 +153,3 @@ def kernel_intersection(spec_a: Spectrum, spec_b: Spectrum,
     if max_degree < 2:
         raise TruncationOrderError(f"maximum degree {max_degree} is below 2")
     return resonant_pairs([spec_a, spec_b], 2, max_degree)
-
-
-@dataclass(frozen=True)
-class RationalDecomposition:
-    """A = c_1 A_1 + ... + c_d A_d with rational diagonal A_i.
-
-    The c_i are a maximal rationally independent subset of the eigenvalues
-    (greedy, in input order); each A_i holds the rational coordinates of
-    every eigenvalue with respect to that subset.  A monomial-vector pair
-    is resonant for A exactly when it is resonant for every A_i.
-    """
-
-    coefficients: Tuple[GaussianRational, ...]
-    basis_matrices: Tuple[Tuple[Fraction, ...], ...]
-    independent_indices: Tuple[int, ...]
-
-    @property
-    def rank(self) -> int:
-        return len(self.coefficients)
-
-    def basis_spectra(self) -> List[Spectrum]:
-        return [Spectrum(GaussianRational(v) for v in diag)
-                for diag in self.basis_matrices]
-
-    def reconstructed(self) -> Spectrum:
-        n = len(self.basis_matrices[0])
-        values = []
-        for j in range(n):
-            total = ZERO
-            for c, diag in zip(self.coefficients, self.basis_matrices):
-                total = total + c * diag[j]
-            values.append(total)
-        return Spectrum(values)
-
-
-def rational_decomposition(spectrum: Spectrum) -> RationalDecomposition:
-    """Split a spectrum over Q.  Rejects the zero spectrum.
-
-    Eigenvalues live in a 2-dimensional rational space (real and
-    imaginary parts), so the rank is 1 or 2.
-    """
-    pairs = [(lam.real, lam.imag) for lam in spectrum]
-    if all(a == 0 and b == 0 for a, b in pairs):
-        raise DegenerateEigenvaluesError("cannot decompose the zero spectrum")
-    base: List[int] = []
-    for i, (a, b) in enumerate(pairs):
-        if not base:
-            if a or b:
-                base.append(i)
-        elif len(base) == 1:
-            a0, b0 = pairs[base[0]]
-            if a0 * b - b0 * a != 0:
-                base.append(i)
-        else:
-            break
-    coords: List[List[Fraction]] = []
-    if len(base) == 1:
-        a0, b0 = pairs[base[0]]
-        for a, b in pairs:
-            alpha = a / a0 if a0 else b / b0
-            coords.append([alpha])
-    else:
-        (a0, b0), (a1, b1) = pairs[base[0]], pairs[base[1]]
-        det = a0 * b1 - a1 * b0
-        for a, b in pairs:
-            alpha = (a * b1 - b * a1) / det
-            beta = (a0 * b - b0 * a) / det
-            coords.append([alpha, beta])
-    matrices = tuple(
-        tuple(coords[j][i] for j in range(len(pairs)))
-        for i in range(len(base)))
-    decomp = RationalDecomposition(
-        tuple(spectrum[i] for i in base), matrices, tuple(base))
-    if decomp.reconstructed() != spectrum:
-        raise DimensionMismatchError(
-            "decomposition failed to reconstruct")  # pragma: no cover
-    return decomp
-
-
-def resonance_equivalence_holds(decomp: RationalDecomposition,
-                                spectrum: Spectrum, max_degree: int) -> bool:
-    """Certify that A and its rational parts share all resonances.
-
-    Compares both resonance sets exhaustively through the given degree.
-    """
-    return (resonant_pairs([spectrum], 2, max_degree)
-            == resonant_pairs(decomp.basis_spectra(), 2, max_degree))
-
-
-def common_invariants(spectra: Sequence[Spectrum],
-                      max_degree: int) -> List[Exponents]:
-    """Monomials x^m with <m, L> = 0 for every given spectrum, |m| >= 1.
-
-    These are the joint monomial first integrals of the diagonal linear
-    fields; an empty answer (for the right pair of spectra) feeds the
-    shared-invariant rigidity argument.
-    """
-    dims = {len(s) for s in spectra}
-    if len(dims) != 1:
-        raise DimensionMismatchError("spectra of different lengths")
-    out = []
-    for exps in enumerate_monomials_upto(dims.pop(), max_degree, 1):
-        if all(not s.dot(exps) for s in spectra):
-            out.append(exps)
-    return out

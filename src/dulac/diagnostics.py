@@ -9,8 +9,6 @@ Checks implemented here:
 * Poincare domain membership and the small-divisor scan (both delegated
   to the resonance module),
 * heuristic growth classification of transformation coefficients,
-* integrating-factor residuals,
-* the planar alpha/beta split of a normal form,
 * diagnose(), which normalizes a field, runs every criterion, and
   assembles a report whose text and dict renderings carry identical
   content.
@@ -46,7 +44,6 @@ from .poly import (
     PolyVectorField,
     Spectrum,
     apply_derivation,
-    divergence,
     format_monomial,
     format_poly,
     grlex_key,
@@ -89,7 +86,7 @@ def _undivided_term(fnl: PolyVectorField
                     ) -> Optional[Tuple[int, Exponents, str]]:
     """The first term x^m, in ``sorted_terms`` order, of a component j
     without an x_j factor, as (j, m, reason); None when there is none.
-    Such a term matches neither alpha * Ax nor the planar split."""
+    Such a term cannot match alpha * Ax."""
     for j, exps, _ in fnl.sorted_terms():
         if exps[j] == 0:
             return j, exps, (f"component {j + 1} contains "
@@ -266,87 +263,6 @@ def growth_classify(coefficients: Sequence) -> GrowthClassification:
         ratio = sum(math.sqrt(float(r)) for r in ratios) / len(ratios)
         return GrowthClassification("geometric", lo, hi - 1, ratio, note)
     return GrowthClassification("inconclusive", lo, hi - 1, None, note)
-
-
-# -- integrating factors -----------------------------------------------
-
-
-def integrating_factor_residual(rho: PolyScalar,
-                                f: PolyVectorField) -> PolyScalar:
-    """div(rho * f), truncated; identically zero certifies rho.
-
-    The residual is known through one degree less than the lower of the
-    two truncation orders.
-    """
-    if rho.dim != f.dim:
-        raise DimensionMismatchError(
-            "scalar factor and field dimensions differ")
-    return divergence(f.scalar_mul(rho))
-
-
-def inverse_factor_residual(phi: PolyScalar,
-                            f: PolyVectorField) -> PolyScalar:
-    """phi * div(f) - X_f(phi); zero makes 1/phi an integrating factor.
-
-    Multiplying div(phi^-1 * f) by phi^2 clears the denominator, so the
-    reciprocal factor can be certified without dividing by phi.
-    """
-    if phi.dim != f.dim:
-        raise DimensionMismatchError(
-            "scalar factor and field dimensions differ")
-    return phi * divergence(f) - apply_derivation(f, phi)
-
-
-# -- planar alpha/beta split -------------------------------------------
-
-
-@dataclass(frozen=True)
-class TwoDimDecomposition:
-    """Split of a planar normal form as Ax + alpha*Ax + beta*x.
-
-    Unique whenever the two eigenvalues differ; Condition A holds exactly
-    when beta vanishes.  ``witness`` names the 1-based component and the
-    exponent tuple of a term blocking the split.
-    """
-
-    unique: bool
-    alpha: Optional[PolyScalar] = None
-    beta: Optional[PolyScalar] = None
-    reason: str = ""
-    witness: Optional[Tuple[int, Exponents]] = None
-
-
-def _divide_by_variable(phi: PolyScalar, index: int) -> PolyScalar:
-    terms = {exps[:index] + (exps[index] - 1,) + exps[index + 1:]: coeff
-             for exps, coeff in phi.terms.items()}
-    return PolyScalar(phi.dim, max(phi.order - 1, 1), terms)
-
-
-def decompose_2d(fhat: PolyVectorField) -> TwoDimDecomposition:
-    """Recover alpha and beta for a planar normal form.
-
-    Component j of the nonlinear part must equal (alpha*lambda_j + beta)
-    times x_j; the two quotients determine alpha and beta by a 2x2 solve.
-    """
-    if fhat.dim != 2:
-        raise DimensionMismatchError(
-            "the alpha/beta split is a planar operation")
-    if fhat.spectrum is None:
-        raise NotInNormalFormError("input needs an attached spectrum")
-    l1, l2 = fhat.spectrum[0], fhat.spectrum[1]
-    if l1 == l2:
-        return TwoDimDecomposition(
-            False, reason="equal eigenvalues make the split non-unique")
-    fnl = fhat.nonlinear_part()
-    undivided = _undivided_term(fnl)
-    if undivided is not None:
-        j, exps, reason = undivided
-        return TwoDimDecomposition(False, witness=(j + 1, exps), reason=reason)
-    quotients = [_divide_by_variable(fnl.components[j], j) for j in (0, 1)]
-    inv_gap = (l1 - l2).inverse()
-    alpha = (quotients[0] - quotients[1]) * inv_gap
-    beta = (quotients[1] * l1 - quotients[0] * l2) * inv_gap
-    return TwoDimDecomposition(True, alpha=alpha, beta=beta)
 
 
 # -- criterion catalogue -----------------------------------------------

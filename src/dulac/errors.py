@@ -38,19 +38,6 @@ class NotInNormalFormError(DulacError):
     code = "not-in-normal-form"
 
 
-class CommutationError(DulacError):
-    """Two fields that were required to commute do not.
-
-    ``first_degree`` is the lowest degree at which the bracket is nonzero.
-    """
-
-    code = "fields-do-not-commute"
-
-    def __init__(self, message, first_degree=None):
-        super().__init__(message)
-        self.first_degree = first_degree
-
-
 class BudgetExceededError(DulacError):
     code = "enumeration-budget-exceeded"
 

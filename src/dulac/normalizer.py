@@ -21,14 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .errors import (
-    CommutationError,
-    DimensionMismatchError,
-    NonDiagonalLinearPartError,
-    TruncationOrderError,
-)
+from .errors import NonDiagonalLinearPartError, TruncationOrderError
 from .maps import NearIdentityMap, pull_back
-from .poly import PolyVectorField, lie_bracket, linear_field
+from .poly import PolyVectorField, lie_bracket
 from .resonance import kernel_dimension_at_degree
 
 
@@ -87,52 +82,14 @@ def normalize(f: PolyVectorField, order: int) -> NormalFormResult:
                             phi_total)
 
 
-def check_commute(f: PolyVectorField, g: PolyVectorField,
-                  order: Optional[int] = None) -> Tuple[bool, Optional[int], PolyVectorField]:
-    """Bracket residual of two fields through the given order.
+def check_commute(f: PolyVectorField, g: PolyVectorField
+                  ) -> Tuple[bool, Optional[int], PolyVectorField]:
+    """Bracket residual of two fields, known through the smaller order.
 
     Returns (commutes, first offending degree or None, residual).
     """
     residual = lie_bracket(f, g)
-    if order is not None:
-        if order > residual.order:
-            raise TruncationOrderError(
-                f"commutation check to order {order} needs fields known "
-                f"beyond order {residual.order}")
-        residual = residual.truncated(order)
     if residual.is_zero():
         return True, None, residual
     first = min(sum(exps) for _, exps, _ in residual.terms())
     return False, first, residual
-
-
-@dataclass(frozen=True)
-class SymmetryNormalization:
-    """Outcome of normalizing a symmetry and dragging the field along."""
-
-    symmetry_result: NormalFormResult
-    transformed_field: PolyVectorField
-    residual: PolyVectorField
-
-
-def normalize_with_symmetry(f: PolyVectorField, g: PolyVectorField,
-                            order: int) -> SymmetryNormalization:
-    """Normalize the commuting field g, transform f by the same change.
-
-    Preconditions: [f, g] = 0 through the requested order and g has a
-    diagonal linear part with stored spectrum B.  The returned residual
-    is [Bx, f_transformed], which vanishes through the order because the
-    transported f commutes with the normalized g's linear part grading.
-    """
-    if f.dim != g.dim:
-        raise DimensionMismatchError("field and symmetry dimensions differ")
-    ok, first, _ = check_commute(f, g, order)
-    if not ok:
-        raise CommutationError(
-            f"fields do not commute; first nonzero bracket degree is {first}",
-            first_degree=first)
-    result = normalize(g, order)
-    transformed = pull_back(result.inverse, f)
-    b_linear = linear_field(result.normal_form.spectrum, transformed.order)
-    residual = lie_bracket(b_linear, transformed)
-    return SymmetryNormalization(result, transformed, residual)

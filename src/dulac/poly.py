@@ -328,14 +328,6 @@ class PolyScalar:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> "PolyScalar":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise TypeError("polynomial exponent must be a nonnegative integer")
-        result = PolyScalar.constant(self.dim, self.order, 1)
-        for _ in range(exponent):
-            result = result * self
-        return result
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolyScalar):
             return NotImplemented
@@ -849,13 +841,6 @@ def lie_bracket(f: PolyVectorField, g: PolyVectorField) -> PolyVectorField:
         raise DimensionMismatchError("bracket of fields in different dimensions")
     return PolyVectorField([apply_derivation(f, g_i) - apply_derivation(g, f_i)
                             for f_i, g_i in zip(f.components, g.components)])
-
-
-def divergence(f: PolyVectorField) -> PolyScalar:
-    total: TermMap = {}
-    for i in range(f.dim):
-        add_scaled(total, f.components[i].partial(i).terms)
-    return PolyScalar(f.dim, max(f.order - 1, 0), total)
 
 
 def restrict_to_axis(phi: PolyScalar, axis: int) -> List[GaussianRational]:

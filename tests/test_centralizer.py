@@ -1,23 +1,14 @@
-from fractions import Fraction
-
 import pytest
 
-from dulac.centralizer import (
-    centralizer_basis,
-    common_invariants,
-    kernel_intersection,
-    rational_decomposition,
-    resonance_equivalence_holds,
-)
+from dulac.centralizer import centralizer_basis, kernel_intersection
 from dulac.errors import (
-    BudgetExceededError,
     DimensionMismatchError,
     NotInNormalFormError,
     TruncationOrderError,
 )
 from dulac.normalizer import check_commute
 from dulac.poly import PolyVectorField, Spectrum, lie_bracket, linear_field
-from dulac.scalars import GaussianRational, I, as_scalar
+from dulac.scalars import GaussianRational, as_scalar
 
 
 def spec(*values):
@@ -71,8 +62,7 @@ def test_resonant_saddle_with_nonlinear_term():
     assert PolyVectorField.from_terms(2, 5, [(0, (2, 1), 1)]) in confirmed
     # every confirmed element commutes with f through the bound
     for element in confirmed:
-        ok, _, _ = check_commute(f, element, order=5)
-        assert ok
+        assert check_commute(f, element)[:2] == (True, None)
     unrestricted = centralizer_basis(f, 5, restrict_to_kernel=False)
     assert set(unrestricted.elements) == set(basis.elements)
 
@@ -115,55 +105,3 @@ def test_kernel_intersection_same_spectrum():
 def test_kernel_intersection_rejects_length_mismatch():
     with pytest.raises(DimensionMismatchError):
         kernel_intersection(spec(1, -1), spec(1, -1, 2), 4)
-
-
-def test_rational_decomposition_real_integers():
-    decomp = rational_decomposition(spec(1, -3, 9))
-    assert decomp.rank == 1
-    assert decomp.reconstructed() == spec(1, -3, 9)
-    assert decomp.basis_matrices[0] == (Fraction(1), Fraction(-3), Fraction(9))
-
-
-def test_rational_decomposition_imaginary():
-    s = spec(I, -I, 2 * I)
-    decomp = rational_decomposition(s)
-    assert decomp.rank == 1
-    assert decomp.coefficients == (I,)
-    assert decomp.basis_matrices[0] == (Fraction(1), Fraction(-1), Fraction(2))
-    assert decomp.reconstructed() == s
-
-
-def test_rational_decomposition_rank_two():
-    s = Spectrum([GaussianRational(1, 1), GaussianRational(1, -1)])
-    decomp = rational_decomposition(s)
-    assert decomp.rank == 2
-    assert decomp.reconstructed() == s
-    assert resonance_equivalence_holds(decomp, s, 6)
-
-
-def test_resonance_equivalence_on_rank_one():
-    s = spec(1, -1)
-    decomp = rational_decomposition(s)
-    assert resonance_equivalence_holds(decomp, s, 8)
-
-
-def test_common_invariants_frozen():
-    result = common_invariants([spec(1, 1, -2)], 3)
-    assert result == [(0, 2, 1), (1, 1, 1), (2, 0, 1)]
-
-
-def test_common_invariants_of_pair():
-    # <m, (1,1,-2)> = 0 forces m1 = 2m3 - m2, and then <m, (1,-3,9)> = 0
-    # gives 4m2 = 11m3 with m1 = -3k < 0: no joint integral at all
-    assert common_invariants([spec(1, 1, -2), spec(1, -3, 9)], 8) == []
-    # the pair (1,1,-2), (1,-2,4) does keep one through low degrees
-    assert common_invariants([spec(1, 1, -2), spec(1, -2, 4)], 3) == [
-        (0, 2, 1)]
-    # saddle: powers of x1 x2
-    assert common_invariants([spec(1, -1)], 4) == [(1, 1), (2, 2)]
-
-
-def test_common_invariants_past_the_budget_raise():
-    # 3 * C(3 + 400, 3) = 32.5 M monomial-vector pairs through degree 400
-    with pytest.raises(BudgetExceededError):
-        common_invariants([spec(1, 1, -2)], 400)

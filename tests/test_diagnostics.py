@@ -1,15 +1,12 @@
-"""Condition A, growth heuristics, 2D splits, and the diagnose report."""
+"""Condition A, growth heuristics, and the diagnose report."""
 
 import pytest
 
 from dulac.diagnostics import (
     CRITERION_NAMES,
     condition_a,
-    decompose_2d,
     diagnose,
     growth_classify,
-    integrating_factor_residual,
-    inverse_factor_residual,
     pliss_linear,
 )
 from dulac.corpus import (
@@ -20,7 +17,7 @@ from dulac.corpus import (
 )
 from dulac.errors import NotInNormalFormError, TruncationOrderError
 from dulac.maps import linear_conjugate
-from dulac.poly import PolyScalar, PolyVectorField, Spectrum, linear_field
+from dulac.poly import PolyVectorField, Spectrum, linear_field
 from dulac.scalars import as_scalar
 
 
@@ -77,6 +74,17 @@ def test_condition_a_divisibility_failure():
     assert not result.satisfied
     assert result.witness == ((0, 2), 1, 1)
     assert "not divisible by x1" in result.witness_reason
+    # equal normal forms whose component 1 lists the resonant x2^2 and
+    # x3^2 in either order: the witness is the first in term order
+    lin = linear_field(Spectrum([as_scalar(v) for v in (2, 1, 1)]), 6)
+    a = PolyVectorField.from_terms(3, 6, [(0, (0, 2, 0), 1),
+                                          (0, (0, 0, 2), 1)])
+    b = PolyVectorField.from_terms(3, 6, [(0, (0, 0, 2), 1),
+                                          (0, (0, 2, 0), 1)])
+    assert lin + a == lin + b
+    witnesses = {condition_a((lin + f).with_spectrum(lin.spectrum)).witness
+                 for f in (a, b)}
+    assert witnesses == {((0, 0, 2), 1, 1)}
 
 
 def test_condition_a_requires_normal_form():
@@ -126,77 +134,6 @@ def test_growth_needs_six_consecutive():
         growth_classify([1, 2, 3, 4, 5])
     with pytest.raises(TruncationOrderError):
         growth_classify([1, 2, 0, 3, 4, 0, 5, 6])
-
-
-def test_integrating_factor_residual():
-    rho = PolyScalar.constant(2, 6, 1)
-    field = PolyVectorField.from_terms(
-        2, 6, [(0, (2, 0), 1), (1, (0, 1), 1), (1, (1, 0), -1)]
-    )
-    residual = integrating_factor_residual(rho, field)
-    # div drops one trusted order
-    assert residual == PolyScalar(2, 5, {(0, 0): as_scalar(1), (1, 0): as_scalar(2)})
-
-    rotation = PolyVectorField.from_terms(2, 6, [(0, (0, 1), 1), (1, (1, 0), -1)])
-    assert integrating_factor_residual(rho, rotation).is_zero()
-
-
-def test_inverse_factor_residual():
-    field = normal_form_field([], (1, -1))
-    phi = PolyScalar.monomial(2, 7, (1, 1))
-    assert inverse_factor_residual(phi, field).is_zero()
-
-    scaled = normal_form_field([(0, (2, 1), 1), (1, (1, 2), -1)], (1, -1))
-    assert inverse_factor_residual(phi, scaled).is_zero()
-
-    bad = PolyScalar.monomial(2, 7, (2, 0))
-    residual = inverse_factor_residual(bad, field)
-    assert str(residual) == "-2*x1^2"
-
-
-def test_decompose_2d_alpha_only():
-    field = normal_form_field([(0, (2, 1), 1), (1, (1, 2), -1)], (1, -1))
-    result = decompose_2d(field)
-    assert result.unique
-    assert str(result.alpha) == "x1*x2"
-    assert result.beta.is_zero()
-
-
-def test_decompose_2d_beta_only():
-    field = normal_form_field([(0, (2, 1), 1), (1, (1, 2), 1)], (1, -1))
-    result = decompose_2d(field)
-    assert result.unique
-    assert result.alpha.is_zero()
-    assert str(result.beta) == "x1*x2"
-
-
-def test_decompose_2d_equal_eigenvalues():
-    field = normal_form_field([(0, (2, 1), 1), (1, (1, 2), 1)], (1, 1))
-    result = decompose_2d(field)
-    assert not result.unique
-    assert "equal eigenvalues" in result.reason
-
-
-def test_decompose_2d_divisibility_witness():
-    field = normal_form_field([(0, (0, 2), 1)], (2, 1), order=6)
-    result = decompose_2d(field)
-    assert not result.unique
-    assert result.witness == (1, (0, 2))
-    assert "not divisible by x1" in result.reason
-    assert condition_a(field).witness == ((0, 2), 1, 1)
-    assert condition_a(field).witness_reason == result.reason
-
-
-def test_decompose_2d_witness_ignores_term_order():
-    # equal fields whose component 1 lists x2^2 and x2^3 in either order
-    lin = linear_field(Spectrum([as_scalar(1), as_scalar(2)]), 6)
-    a = PolyVectorField.from_terms(2, 6, [(0, (0, 2), 1), (0, (0, 3), 1)])
-    b = PolyVectorField.from_terms(2, 6, [(0, (0, 3), 1), (0, (0, 2), 1)])
-    first, second = lin + a, lin + b
-    assert first == second
-    witnesses = {decompose_2d(f.with_spectrum(lin.spectrum)).witness
-                 for f in (first, second)}
-    assert witnesses == {(1, (0, 2))}
 
 
 def test_criterion_names():

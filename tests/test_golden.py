@@ -15,7 +15,9 @@ is what the convergence verdicts read.  The fields in ``DIGESTS`` do the
 same at orders whose reports are too large to keep, so only the sha256
 of the report is pinned; two of them are the benchmark's order-12 and
 order-10 deep-diagnose fields, whose transformation the benchmark's own
-``diagnose`` digests do not cover.
+``diagnose`` digests do not cover.  Their reports come from the
+session fixture ``digest_report`` in ``conftest.py``, which
+``test_certify.py`` shares, so each runs once per session.
 ``TEXT_CASES`` pin the default text report of the same commands on the
 ``ORDERS`` fields and the ``JOINT`` pairs.  The family documents
 ``hopf.family.json`` and ``oscillator.family.json`` are written from the
@@ -174,19 +176,18 @@ def test_family_report_matches_snapshot(name, command, fmt, tmp_path):
     assert out.read_bytes() == _snapshot(name, command, fmt).read_bytes()
 
 
-def _digest(name: str, out: Path) -> str:
-    order = str(DIGESTS[name][0])
-    assert main(["normalize", "--input", str(INPUTS / f"{name}.json"),
-                 "--order", order, "--json", "--out", str(out)]) == 0
-    return hashlib.sha256(out.read_bytes()).hexdigest()
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize("name", DIGESTS)
-def test_json_report_matches_digest(name, tmp_path):
-    assert _digest(name, tmp_path / "report.json") == DIGESTS[name][1]
+def test_json_report_matches_digest(name, digest_report):
+    assert _sha256(digest_report(name)) == DIGESTS[name][1]
 
 
 if __name__ == "__main__":
+    from conftest import write_digest_report
+
     for name in FAMILY_BUILDERS:
         _family_input(name).write_text(_family_document(name))
     for name, command, fmt in ([(n, c, "json") for n, c in CASES]
@@ -197,4 +198,5 @@ if __name__ == "__main__":
             raise SystemExit(f"{name} {command} {fmt} failed")
     with tempfile.TemporaryDirectory() as work:
         for name in DIGESTS:
-            print(name, _digest(name, Path(work) / "report.json"))
+            print(name, _sha256(write_digest_report(
+                name, Path(work) / "report.json")))

@@ -1,0 +1,52 @@
+"""Every name a module of ``src/dulac`` imports is used in that module.
+
+A name counts as used when the module reads it (``name`` or
+``name.attr``) or lists it in ``__all__``.  An import on a line marked
+``# noqa: F401`` is exempt: it is kept on purpose although the module
+never reads it.  ``from __future__`` imports are not names.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "dulac"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def unused_imports(source: str):
+    """(line, name) of every imported name that ``source`` never uses."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if "# noqa: F401" in lines[alias.lineno - 1]:
+                    continue
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = alias.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__"
+                        for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_module_uses_every_name_it_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_unused_import_is_caught_unless_marked():
+    source = ("from os import path, sep\n"
+              "from sys import argv  # noqa: F401\n"
+              "import json\n"
+              "print(sep, json.dumps)\n")
+    assert unused_imports(source) == [(1, "path")]

@@ -2,13 +2,9 @@ import random
 
 import pytest
 
-from dulac.errors import (
-    CommutationError,
-    NonDiagonalLinearPartError,
-    TruncationOrderError,
-)
+from dulac.errors import NonDiagonalLinearPartError, TruncationOrderError
 from dulac.maps import NearIdentityMap, linear_conjugate, push_forward
-from dulac.normalizer import check_commute, normalize, normalize_with_symmetry
+from dulac.normalizer import check_commute, normalize
 from dulac.poly import (
     PolyVectorField,
     Spectrum,
@@ -139,33 +135,10 @@ def test_check_commute_respects_order_argument():
     spec = Spectrum([as_scalar(1), as_scalar(-1)])
     A = linear_field(spec, 6).with_spectrum(spec)
     late = PolyVectorField.from_terms(2, 6, [(0, (5, 0), 1)])
-    ok, first, _ = check_commute(A, late, order=4)
-    assert ok
-    ok, first, _ = check_commute(A, late, order=5)
+    # the residual carries the smaller order of the two fields
+    assert check_commute(A.truncated(4), late.truncated(4))[:2] == (True, None)
+    ok, first, residual = check_commute(A, late)
     assert not ok
     assert first == 5
-
-
-def test_normalize_with_symmetry_nontrivial():
-    # g = diag(2, 3)x + a non-resonant term; f = diag(1, -1)x commutes
-    spec_b = Spectrum([as_scalar(2), as_scalar(3)])
-    g = (linear_field(spec_b, 6) + PolyVectorField.from_terms(
-        2, 6, [(0, (2, 1), 1)])).with_spectrum(spec_b)
-    spec_a = Spectrum([as_scalar(1), as_scalar(-1)])
-    f = linear_field(spec_a, 6).with_spectrum(spec_a)
-    outcome = normalize_with_symmetry(f, g, 6)
-    assert outcome.symmetry_result.normal_form == linear_field(spec_b, 6)
-    assert outcome.residual.is_zero()
-    # the transported field still commutes with the normalized symmetry
-    ok, _, _ = check_commute(outcome.transformed_field,
-                             outcome.symmetry_result.normal_form)
-    assert ok
-
-
-def test_normalize_with_symmetry_rejects_noncommuting():
-    spec_b = Spectrum([as_scalar(2), as_scalar(3)])
-    g = linear_field(spec_b, 6).with_spectrum(spec_b)
-    f = PolyVectorField.from_terms(2, 6, [
-        (0, (1, 0), 1), (1, (0, 1), -1), (0, (2, 0), 1)])
-    with pytest.raises(CommutationError):
-        normalize_with_symmetry(f, g, 6)
+    assert residual.order == 6
+    assert residual.truncated(4).is_zero()
