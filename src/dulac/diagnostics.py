@@ -65,16 +65,6 @@ from .scalars import ZERO, GaussianRational, as_scalar
 FACTORIAL_SLOPE_WINDOW = (Fraction(1, 2), Fraction(2, 1))
 GEOMETRIC_RATIO_SPREAD = Fraction(2, 1)
 
-CRITERION_NAMES = (
-    "poincare-domain",
-    "bruno-small-divisors",
-    "pliss-linearity",
-    "joint-kernel-linearization",
-    "identity-symmetry-linearization",
-    "planar-analytic-symmetry",
-    "centralizer-span",
-)
-
 _ANALYTICITY = ("analyticity of the supplied commuting field "
                 "(not decidable from a truncation)")
 
@@ -558,10 +548,7 @@ class DiagnosticsReport:
             }
         omega = {
             "verdict": self.omega.verdict,
-            "rational_bound_sq": (None if self.omega.rational_bound_sq
-                                  is None
-                                  else str(as_scalar(
-                                      self.omega.rational_bound_sq))),
+            "rational_bound_sq": str(as_scalar(self.omega.rational_bound_sq)),
             "omega_floor": self.omega.omega_floor(),
             "tuples_scanned": self.omega.tuples_scanned,
             "records": [{

@@ -585,13 +585,23 @@ def _part(terms: Dict[int, GaussianRational]) -> Optional[Part]:
 
 
 class Spectrum:
-    """Eigenvalue tuple of a diagonal linear part."""
+    """Eigenvalue tuple of a diagonal linear part, with its integer form.
 
-    __slots__ = ("values",)
+    ``scale`` is q, the lcm of the eigenvalues' canonical denominators;
+    ``integral[j]`` is q * lambda_j as an int pair (re, im).  Every
+    divisor <m, L> - lambda_j is computed from ``integral`` over ``scale``.
+    """
+
+    __slots__ = ("values", "scale", "integral")
 
     def __init__(self, values: Iterable[ScalarLike]):
-        object.__setattr__(self, "values",
-                           tuple(as_scalar(v) for v in values))
+        values = tuple(as_scalar(v) for v in values)
+        scale = math.lcm(*[v._t[2] for v in values])
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "integral", tuple(
+            (re * (scale // den), im * (scale // den))
+            for re, im, den in (v._t for v in values)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Spectrum is immutable")
@@ -613,17 +623,14 @@ class Spectrum:
     def __hash__(self):
         return hash(self.values)
 
-    def dot(self, exps: Exponents) -> GaussianRational:
-        """The combination <m, L> = sum of m_i * lambda_i."""
-        total = ZERO
-        for e, lam in zip(exps, self.values):
-            if e:
-                total = total + lam * e
-        return total
-
     def gap(self, exps: Exponents, component: int) -> GaussianRational:
         """Eigenvalue <m, L> - lambda_j of the homological operator."""
-        return self.dot(exps) - self.values[component]
+        re = im = 0
+        for e, (a, b) in zip(exps, self.integral):
+            re += e * a
+            im += e * b
+        a, b = self.integral[component]
+        return _make(re - a, im - b, self.scale)
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(v) for v in self.values) + ")"

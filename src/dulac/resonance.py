@@ -7,18 +7,18 @@ Three questions about an eigenvalue tuple L = (lambda_1 .. lambda_n):
   ``resonant_pairs`` lists the pairs resonant for several spectra at
   once, which is how every joint kernel here is computed);
 * does the convex hull of the eigenvalues, as points of the plane, avoid
-  the origin (``poincare_domain``, the classical Poincare convergence
-  domain, decided exactly in rational arithmetic);
+  the origin (``poincare_domain``, the classical Poincare convergence domain);
 * how small do the divisors <Q, L> - lambda_j get as the degree range
   doubles (``omega_condition``, Bruno's small-divisor condition).
 
-Everything here is exact.  The small-divisor scan works with squared
-moduli, which are rational; square roots appear only in the printed
-summary.  For Gaussian-rational eigenvalues with common denominator q a
-nonzero divisor always has modulus at least 1/q, which certifies the
-summability condition outright; the per-k scan is still performed for
-the requested range as reported evidence.  Every scan walks exponent
-tuples through ``poly.enumerate_monomials_upto``, under its one budget.
+Every decision reads the spectrum's integer form: with q =
+``Spectrum.scale``, ``Spectrum.integral`` holds each q * lambda_j as an
+int pair, so every divisor <m, L> - lambda_j is an int pair over q and a
+nonzero one has modulus at least 1/q.  That certifies the summability
+condition outright; the per-k scan over squared moduli, compared as
+ints, is still performed for the requested range as reported evidence.
+Every scan walks exponent tuples through ``poly.enumerate_monomials_upto``,
+under its one budget.
 """
 
 from __future__ import annotations
@@ -57,6 +57,12 @@ class ResonanceRelation(NamedTuple):
         return f"{self.exps} -> comp {self.component + 1}"
 
 
+def _columns(spectrum: Spectrum) -> Tuple[List[int], List[int]]:
+    """The real and the imaginary parts of ``spectrum.integral``."""
+    return ([re for re, _ in spectrum.integral],
+            [im for _, im in spectrum.integral])
+
+
 def _resonances(spectra: Sequence[Spectrum], low: int,
                 high: int) -> Iterator[Tuple[Exponents, List[int]]]:
     """Each exponent tuple m with low <= |m| <= high, with the components j
@@ -66,11 +72,13 @@ def _resonances(spectra: Sequence[Spectrum], low: int,
     ``enumerate_monomials_upto``.
     """
     components = range(len(spectra[0]))
+    forms = [(s.integral, *_columns(s)) for s in spectra]
     for exps in enumerate_monomials_upto(len(components), high, low):
         hits = components
-        for s in spectra:
-            value = s.dot(exps)
-            hits = [j for j in hits if value == s.values[j]]
+        for integral, re_col, im_col in forms:
+            value = (sum(map(operator.mul, exps, re_col)),
+                     sum(map(operator.mul, exps, im_col)))
+            hits = [j for j in hits if value == integral[j]]
         yield exps, hits
 
 
@@ -103,22 +111,24 @@ def kernel_dimension_at_degree(spectrum: Spectrum, degree: int) -> int:
 # -- Poincare domain -------------------------------------------------
 
 
-def _cross(o: Tuple[Fraction, Fraction], a: Tuple[Fraction, Fraction],
-           b: Tuple[Fraction, Fraction]) -> Fraction:
+Point = Tuple[int, int]
+
+
+def _cross(o: Point, a: Point, b: Point) -> int:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def _convex_hull(points: List[Tuple[Fraction, Fraction]]) -> List[Tuple[Fraction, Fraction]]:
+def _convex_hull(points: List[Point]) -> List[Point]:
     """Monotone-chain hull, counterclockwise, no duplicate endpoints."""
     pts = sorted(set(points))
     if len(pts) <= 2:
         return pts
-    lower: List[Tuple[Fraction, Fraction]] = []
+    lower: List[Point] = []
     for p in pts:
         while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
             lower.pop()
         lower.append(p)
-    upper: List[Tuple[Fraction, Fraction]] = []
+    upper: List[Point] = []
     for p in reversed(pts):
         while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
             upper.pop()
@@ -126,8 +136,8 @@ def _convex_hull(points: List[Tuple[Fraction, Fraction]]) -> List[Tuple[Fraction
     return lower[:-1] + upper[:-1]
 
 
-def _origin_in_hull(points: List[Tuple[Fraction, Fraction]]) -> bool:
-    origin = (Fraction(0), Fraction(0))
+def _origin_in_hull(points: List[Point]) -> bool:
+    origin = (0, 0)
     hull = _convex_hull(points)
     if not hull:
         return False
@@ -152,10 +162,10 @@ def poincare_domain(spectrum: Spectrum) -> bool:
     """True when the convex hull of the eigenvalues excludes the origin.
 
     Eigenvalues on the boundary of a hull through 0 count as containing
-    it, so the answer is False there.  Exact in rational arithmetic.
+    it, so the answer is False there.  Decided on the int points of
+    ``spectrum.integral``: scaling by q > 0 keeps the origin where it is.
     """
-    points = [(lam.real, lam.imag) for lam in spectrum]
-    return not _origin_in_hull(points)
+    return not _origin_in_hull(list(spectrum.integral))
 
 
 # -- Bruno's small-divisor condition ----------------------------------
@@ -181,20 +191,11 @@ class OmegaRecord:
 class OmegaReport:
     records: Tuple[OmegaRecord, ...]
     verdict: str
-    rational_bound_sq: Optional[Fraction]
+    rational_bound_sq: Fraction
     tuples_scanned: int
 
-    def omega_floor(self) -> Optional[float]:
-        if self.rational_bound_sq is None:
-            return None
+    def omega_floor(self) -> float:
         return math.sqrt(float(self.rational_bound_sq))
-
-
-def common_denominator(spectrum: Spectrum) -> int:
-    q = 1
-    for lam in spectrum:
-        q = math.lcm(q, lam.real.denominator, lam.imag.denominator)
-    return q
 
 
 def _log_inverse_root(square: Fraction) -> float:
@@ -214,10 +215,10 @@ def omega_condition(spectrum: Spectrum, max_k: int) -> OmegaReport:
     One pass over degrees 2 .. 2**max_k - 1 (the ranges nest; degree d
     belongs to step k = d.bit_length()), under the budget of
     ``enumerate_monomials_upto``; exceeding it raises rather than silently
-    degrading.  The verdict is ``holds-by-rational-bound`` whenever the
-    eigenvalues admit a common denominator q, since every nonzero divisor
-    then has squared modulus at least 1/q**2 and the doubling-weighted
-    series is bounded by ln(q).
+    degrading.  The verdict is ``holds-by-rational-bound``: every nonzero
+    divisor is an int pair over q = ``spectrum.scale``, so its squared
+    modulus is at least 1/q**2 and the doubling-weighted series is
+    bounded by ln(q).
     """
     if max_k < 1:
         raise TruncationOrderError("need at least one doubling step")
@@ -228,12 +229,10 @@ def omega_condition(spectrum: Spectrum, max_k: int) -> OmegaReport:
         raise BudgetExceededError(
             f"scan to k = {max_k} in dimension {n} needs more than the "
             f"budget of {DEFAULT_TUPLE_BUDGET} monomial-vector pairs")
-    # Scaled by q the spectrum is integral: <m, qL> - q lambda_j is an
-    # integer pair, and the squared moduli compare as integers.
-    q = common_denominator(spectrum)
-    re_parts = [int(lam.real * q) for lam in spectrum]
-    im_parts = [int(lam.imag * q) for lam in spectrum]
-    eigen = list(zip(re_parts, im_parts))
+    # <m, qL> - q lambda_j is an int pair; squared moduli compare as ints.
+    q = spectrum.scale
+    eigen = spectrum.integral
+    re_parts, im_parts = _columns(spectrum)
     least: List[Optional[int]] = [None] * (max_k + 1)
     scanned = 0
     for exps in enumerate_monomials_upto(n, 2 ** max_k - 1, 2):

@@ -165,25 +165,6 @@ class GaussianRational:
     def __rtruediv__(self, other: ScalarLike) -> "GaussianRational":
         return as_scalar(other) * self.inverse()
 
-    def __pow__(self, exponent: int) -> "GaussianRational":
-        if not isinstance(exponent, int):
-            raise TypeError("exponent must be an integer")
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = ONE
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def conjugate(self) -> "GaussianRational":
-        a, b, d = self._t
-        return _wrap((a, -b, d))
-
     def abs2(self) -> Fraction:
         """Squared modulus, an exact rational."""
         a, b, d = self._t

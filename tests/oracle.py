@@ -1,16 +1,25 @@
 """Independent sympy-based reference computations for the tests.
 
 Everything here converts package objects to sympy expressions and does
-the math a second time with a library the package itself never imports.
+the math a second time with a library the package itself never imports,
+except ``spectrum_dot``, which sums in Q(i) from the eigenvalues alone.
 """
 
-import random
 from fractions import Fraction
 
 import sympy
 
 from dulac.poly import PolyScalar, PolyVectorField
 from dulac.scalars import GaussianRational
+
+
+def spectrum_dot(spectrum, exps):
+    """<m, L> = sum of m_i * lambda_i, summed in Q(i) from the eigenvalues
+    themselves, never from ``Spectrum.integral``."""
+    total = GaussianRational(0)
+    for e, lam in zip(exps, spectrum):
+        total = total + lam * e
+    return total
 
 
 def syms(dim):

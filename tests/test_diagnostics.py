@@ -3,7 +3,6 @@
 import pytest
 
 from dulac.diagnostics import (
-    CRITERION_NAMES,
     condition_a,
     diagnose,
     growth_classify,
@@ -134,18 +133,6 @@ def test_growth_needs_six_consecutive():
         growth_classify([1, 2, 3, 4, 5])
     with pytest.raises(TruncationOrderError):
         growth_classify([1, 2, 0, 3, 4, 0, 5, 6])
-
-
-def test_criterion_names():
-    assert CRITERION_NAMES == (
-        "poincare-domain",
-        "bruno-small-divisors",
-        "pliss-linearity",
-        "joint-kernel-linearization",
-        "identity-symmetry-linearization",
-        "planar-analytic-symmetry",
-        "centralizer-span",
-    )
 
 
 def test_diagnose_poincare_domain():

@@ -1,7 +1,5 @@
 """JSON documents for fields and families."""
 
-import os
-
 import pytest
 
 from dulac.corpus import hopf_family, so2_field

@@ -1,4 +1,5 @@
-"""Every name a module of ``src/dulac`` imports is used in that module.
+"""Every name a module of ``src/dulac`` or ``tests`` imports is used in
+that module.
 
 A name counts as used when the module reads it (``name`` or
 ``name.attr``) or lists it in ``__all__``.  An import on a line marked
@@ -11,8 +12,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "dulac"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "dulac"
 MODULES = sorted(PACKAGE.glob("*.py"))
+TEST_MODULES = sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source: str):
@@ -39,7 +42,9 @@ def unused_imports(source: str):
                   if name not in used)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize(
+    "path", MODULES + TEST_MODULES,
+    ids=[p.name for p in MODULES] + [f"tests/{p.name}" for p in TEST_MODULES])
 def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
 

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 import sympy
@@ -11,7 +10,7 @@ from dulac.linalg import (
     mat_inverse,
     nullspace,
 )
-from dulac.scalars import GaussianRational, I, ONE, ZERO, as_scalar
+from dulac.scalars import I, ONE, ZERO, as_scalar
 
 from oracle import random_scalar, scalar_to_sympy
 

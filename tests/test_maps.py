@@ -12,7 +12,7 @@ from dulac.maps import (
     push_forward,
 )
 from dulac.poly import PolyScalar, PolyVectorField, Spectrum, linear_field
-from dulac.scalars import ONE, ZERO, as_scalar
+from dulac.scalars import ONE, as_scalar
 
 from oracle import field_to_sympy, random_field, sympy_to_poly, syms
 

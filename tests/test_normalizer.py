@@ -13,7 +13,7 @@ from dulac.poly import (
     restrict_to_axis,
 )
 from dulac.resonance import resonant_pairs
-from dulac.scalars import ONE, ZERO, as_scalar
+from dulac.scalars import ZERO, as_scalar
 
 from oracle import random_scalar
 

@@ -329,14 +329,6 @@ def ref_inverse(x):
     return (a / norm, -b / norm)
 
 
-def ref_pow(x, n):
-    base = ref_inverse(x) if n < 0 else x
-    out = (Fraction(1), Fraction(0))
-    for _ in range(abs(n)):
-        out = ref_mul(out, base)
-    return out
-
-
 def ref_str(x):
     re, im = x
     if not im:
@@ -373,8 +365,8 @@ operands = st.one_of(
 
 
 @settings(PROPERTY_SETTINGS, max_examples=300)
-@given(gaussians, operands, st.integers(-4, 4))
-def test_gaussian_rational_matches_a_fraction_pair(x, y, n):
+@given(gaussians, operands)
+def test_gaussian_rational_matches_a_fraction_pair(x, y):
     (gx, rx), (oy, ry) = x, y
     zero = (Fraction(0), Fraction(0))
     assert_matches(gx, rx)
@@ -390,11 +382,9 @@ def test_gaussian_rational_matches_a_fraction_pair(x, y, n):
     if rx != zero:
         assert_matches(gx.inverse(), ref_inverse(rx))
         assert_matches(oy / gx, ref_mul(ry, ref_inverse(rx)))
-        assert_matches(gx ** n, ref_pow(rx, n))
     else:
         with pytest.raises(ZeroDivisionError):
             gx.inverse()
-        assert_matches(gx ** abs(n), ref_pow(rx, abs(n)))
     assert (gx == oy) == (rx == ry)
     assert (oy == gx) == (rx == ry)
     assert (gx != oy) == (rx != ry)

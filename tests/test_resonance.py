@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -10,7 +11,6 @@ from dulac.errors import BudgetExceededError
 from dulac.poly import DEFAULT_TUPLE_BUDGET, Spectrum
 from dulac.resonance import (
     ResonanceRelation,
-    common_denominator,
     kernel_dimension_at_degree,
     omega_condition,
     poincare_domain,
@@ -18,6 +18,8 @@ from dulac.resonance import (
     resonant_pairs,
 )
 from dulac.scalars import GaussianRational, I, as_scalar
+
+from oracle import spectrum_dot
 
 
 def spec(*values):
@@ -118,10 +120,53 @@ def test_poincare_domain_exact_hull():
                                          GaussianRational(-1, -1)]))
 
 
-def test_common_denominator():
-    assert common_denominator(spec(1, -3, 9)) == 1
-    assert common_denominator(Spectrum([GaussianRational(Fraction(1, 2)),
-                                        GaussianRational(Fraction(-3, 4))])) == 4
+def test_spectrum_scale():
+    assert spec(1, -3, 9).scale == 1
+    assert spec(1, -3, 9).integral == ((1, 0), (-3, 0), (9, 0))
+    quarters = Spectrum([GaussianRational(Fraction(1, 2)),
+                         GaussianRational(Fraction(-3, 4))])
+    assert quarters.scale == 4
+    assert quarters.integral == ((2, 0), (-3, 0))
+    mixed = Spectrum([GaussianRational(Fraction(1, 2), Fraction(1, 3))])
+    assert mixed.scale == 6
+    assert mixed.integral == ((3, 2),)
+    assert Spectrum([]).scale == 1
+
+
+rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+# general, real, purely imaginary and zero eigenvalues
+eigenvalues = st.one_of(
+    st.tuples(rationals, rationals),
+    st.tuples(rationals, st.just(Fraction(0))),
+    st.tuples(st.just(Fraction(0)), rationals),
+    st.just((Fraction(0), Fraction(0))))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(eigenvalues, min_size=1, max_size=3),
+       st.builds(Fraction, st.integers(1, 7), st.integers(1, 7)))
+def test_integer_form_matches_the_gaussian_rationals(parts, c):
+    spectrum = Spectrum([GaussianRational(re, im) for re, im in parts])
+    q = spectrum.scale
+    assert q == math.lcm(*[x.denominator for pair in parts for x in pair])
+    for (re, im), pair in zip(parts, spectrum.integral):
+        assert all(type(x) is int for x in pair)
+        assert pair == (q * re, q * im)
+
+    n, top = len(parts), 3
+    box = [exps for exps in itertools.product(range(top + 1), repeat=n)
+           if 1 <= sum(exps) <= top]
+    dots = {exps: spectrum_dot(spectrum, exps) for exps in box}
+    for exps, dot in dots.items():
+        for j, lam in enumerate(spectrum):
+            assert spectrum.gap(exps, j) == dot - lam
+    expected = sorted((sum(exps), exps, j) for exps, dot in dots.items()
+                      for j, lam in enumerate(spectrum) if dot == lam)
+    assert resonant_pairs([spectrum], 1, top) == [
+        (exps, j) for _, exps, j in expected]
+
+    scaled = Spectrum([lam * c for lam in spectrum])
+    assert poincare_domain(scaled) == poincare_domain(spectrum)
 
 
 def test_omega_condition_integer_spectrum():
@@ -178,7 +223,7 @@ def test_omega_records_are_brute_force_minima(parts, max_k):
     report = omega_condition(spectrum, max_k)
     n = len(spectrum)
     for rec in report.records:
-        divisors = [(spectrum.dot(q) - lam).abs2()
+        divisors = [(spectrum_dot(spectrum, q) - lam).abs2()
                     for q in itertools.product(range(2 ** rec.k), repeat=n)
                     if 2 <= sum(q) < 2 ** rec.k
                     for lam in spectrum]
