@@ -283,7 +283,9 @@ class PolyScalar:
                 f"mixed dimensions {self.dim} and {other.dim}")
 
     def __add__(self, other: Union["PolyScalar", ScalarLike]) -> "PolyScalar":
-        if isinstance(other, _COEFF_TYPES):
+        if not isinstance(other, PolyScalar):
+            if not isinstance(other, _COEFF_TYPES):
+                return NotImplemented
             other = PolyScalar.constant(self.dim, self.order, other)
         self._check_dim(other)
         order = min(self.order, other.order)
@@ -298,15 +300,20 @@ class PolyScalar:
                           {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: Union["PolyScalar", ScalarLike]) -> "PolyScalar":
-        if isinstance(other, _COEFF_TYPES):
-            other = PolyScalar.constant(self.dim, self.order, other)
+        if not isinstance(other, (PolyScalar,) + _COEFF_TYPES):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other: ScalarLike) -> "PolyScalar":
+        if not isinstance(other, _COEFF_TYPES):
+            return NotImplemented
         return (-self) + other
 
     def __mul__(self, other: Union["PolyScalar", ScalarLike]) -> "PolyScalar":
-        if isinstance(other, _COEFF_TYPES):
+        # PolyScalar first: a test against Fraction runs ABCMeta's check
+        if not isinstance(other, PolyScalar):
+            if not isinstance(other, _COEFF_TYPES):
+                return NotImplemented
             value = as_scalar(other)
             if not value:
                 return PolyScalar._canonical(self.dim, self.order, {})
@@ -350,7 +357,8 @@ class PolyScalar:
             if e == 0:
                 continue
             lowered = exps[:index] + (e - 1,) + exps[index + 1:]
-            out[lowered] = coeff * e
+            re, im, den = coeff._t
+            out[lowered] = _make(re * e, im * e, den)
         return PolyScalar._canonical(self.dim, max(self.order - 1, 0), out)
 
     def substitute(self, values: Sequence["PolyScalar"],
@@ -820,17 +828,25 @@ def apply_derivation(f: PolyVectorField, phi: PolyScalar) -> PolyScalar:
 
     Correct through min(f.order, phi.order): the degree-d output only
     involves phi up to degree d (fields vanish at the origin here, so
-    every f factor contributes at least one degree).
+    every f factor contributes at least one degree).  Only the indices i
+    where f_i and d(phi)/dx_i both have terms cost a partial and a
+    product; a monomial field x^m e_j pays for its one component.
     """
     if f.dim != phi.dim:
         raise DimensionMismatchError("field and scalar dimensions differ")
     order = min(f.order, phi.order)
+    total: TermMap = {}
+    if not phi.terms:
+        return PolyScalar._canonical(phi.dim, order, total)
     # drop the terms whose partials would pass the order
     phi = phi.truncated(min(phi.order, order + 1))
-    total: TermMap = {}
-    for i in range(f.dim):
-        dphi = PolyScalar._canonical(phi.dim, order, phi.partial(i).terms)
-        add_scaled(total, (f.components[i] * dphi).terms)
+    for i, f_i in enumerate(f.components):
+        if not f_i.terms:
+            continue
+        dphi = phi.partial(i).terms
+        if dphi:
+            add_scaled(total,
+                       (f_i * PolyScalar._canonical(phi.dim, order, dphi)).terms)
     return PolyScalar._canonical(phi.dim, order, total)
 
 

@@ -1,7 +1,8 @@
-"""An independent certificate for ``normalize --json`` reports.
+"""An independent certificate for ``normalize`` and ``centralizer`` reports.
 
-A report is accepted through its order N when, for the input field f,
-the printed normal form f_hat and transformation y = Psi(x):
+A ``normalize --json`` report is accepted through its order N when, for
+the input field f, the printed normal form f_hat and transformation
+y = Psi(x):
 
 * every normal-form term c x^m e_j is resonant: <m, lambda> = lambda_j
   for the input's eigenvalues lambda;
@@ -16,6 +17,20 @@ is a field document whose linear part is diagonal: given by
 ``eigenvalues``, or by degree-1 terms.  Documents with a ``linear_matrix``
 are refused as out of scope.
 
+A ``centralizer --json`` report is accepted through its degree bound d
+when, for the normal-form document it was computed from:
+
+* every element g is a field of degree 1 through d, and the bracket
+  [f_hat, g] = Dg f_hat - Df_hat g vanishes through degree d (the
+  normal form is truncated at d: fields vanish at the origin, so the
+  degree-k part of the bracket needs both fields only through degree k);
+* the elements are linearly independent over Q(i) and there are
+  ``dimension`` of them.
+
+This certifies that the elements lie in the truncated centralizer and
+span a space of the printed dimension, not that they span all of it, nor
+the ``confirmed`` flags; the goldens pin those.
+
 Everything here is the standard library: its own scalar parser, Gaussian
 rationals as pairs of ``Fraction``, and polynomials as plain dicts from
 exponent tuples to such pairs, multiplied term by term and truncated.  It
@@ -23,12 +38,14 @@ imports nothing from ``dulac``, so an error in the package's arithmetic
 cannot hide itself here.
 
 Run ``python -S tests/certify.py`` to certify every normalize golden
-whose input has a diagonal linear part and every ``DIGESTS`` case of
-``test_golden.py``; the latter are produced by ``python -S -m dulac.cli``
-in a subprocess (with ``src`` put on ``PYTHONPATH``) and must also match
-their pinned sha256.  ``python -S tests/certify.py INPUT REPORT ...``
-certifies the given pairs of files.  The exit status is 1 when any
-report is refused.
+whose input has a diagonal linear part, every ``DIGESTS`` case of
+``test_golden.py`` and every centralizer golden, restricted and
+unrestricted, against the normal form it was computed from.  The
+``DIGESTS`` cases are produced by ``python -S -m dulac.cli`` in a
+subprocess (with ``src`` put on ``PYTHONPATH``) and must also match their
+pinned sha256.  ``python -S tests/certify.py INPUT REPORT ...`` certifies
+the given pairs of files; the report's ``command`` picks the check.  The
+exit status is 1 when any report is refused.
 """
 
 import ast
@@ -72,6 +89,15 @@ def add(x, y):
 
 def mul(x, y):
     return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def neg(x):
+    return (-x[0], -x[1])
+
+
+def inverse(x):
+    norm = x[0] * x[0] + x[1] * x[1]
+    return (x[0] / norm, -x[1] / norm)
 
 
 def accumulate(acc, key, value):
@@ -191,15 +217,84 @@ def certify_normalize(document, report):
     return None
 
 
-def pinned_digests():
-    """The ``DIGESTS`` table of ``test_golden.py``, read without importing
-    it, since it imports pytest and the package."""
+def bracket(f, g, order):
+    """[f, g] = Dg f - Df g through the order, component by component."""
+    out = []
+    for f_i, g_i in zip(f, g):
+        total = {}
+        for k, (f_k, g_k) in enumerate(zip(f, g)):
+            for exps, c in product(f_k, derivative(g_i, k), order).items():
+                accumulate(total, exps, c)
+            for exps, c in product(g_k, derivative(f_i, k), order).items():
+                accumulate(total, exps, neg(c))
+        out.append(total)
+    return out
+
+
+def rank(vectors):
+    """The rank over Q(i) of vectors held as dicts of nonzero entries."""
+    basis = []   # (pivot key, row with 1 there and 0 at every earlier pivot)
+    for vector in vectors:
+        row = dict(vector)
+        for pivot, base in basis:
+            c = row.get(pivot)
+            if c is not None:
+                for key, value in base.items():
+                    accumulate(row, key, mul(neg(c), value))
+        if row:
+            pivot = min(row)
+            scale = inverse(row[pivot])
+            basis.append((pivot, {key: mul(scale, value)
+                                  for key, value in row.items()}))
+    return len(basis)
+
+
+def certify_centralizer(document, report):
+    """None when the report is certified through its degree bound, else
+    why not."""
+    degree = report["degree"]
+    if degree > document["order"]:
+        return f"degree bound {degree} exceeds the normal form's order"
+    dim = document["dim"]
+    _, fhat = input_field(document, degree)
+    vectors = []
+    for n, element in enumerate(report["elements"], 1):
+        if any(not 1 <= sum(entry["exps"]) <= degree
+               for entry in element["terms"]):
+            return f"element {n} has a term outside degrees 1 through {degree}"
+        g = components(element["terms"], dim, degree)
+        for i, comp in enumerate(bracket(fhat, g, degree)):
+            if comp:
+                first = min(sum(e) for e in comp)
+                return (f"element {n} does not commute with the normal form: "
+                        f"component {i + 1} of the bracket at degree {first}")
+        vectors.append({(j, e): c for j, comp in enumerate(g)
+                        for e, c in comp.items()})
+    found = rank(vectors)
+    if not len(vectors) == found == report["dimension"]:
+        return (f"{len(vectors)} elements of rank {found}, "
+                f"not the dimension {report['dimension']}")
+    return None
+
+
+CERTIFIERS = {"normalize": certify_normalize,
+              "centralizer": certify_centralizer}
+
+
+def golden_table(name):
+    """A table of ``test_golden.py``, read without importing it, since it
+    imports pytest and the package."""
     tree = ast.parse((HERE / "test_golden.py").read_text())
     for node in tree.body:
         if (isinstance(node, ast.Assign)
-                and getattr(node.targets[0], "id", None) == "DIGESTS"):
+                and getattr(node.targets[0], "id", None) == name):
             return ast.literal_eval(node.value)
-    raise LookupError("no DIGESTS table in test_golden.py")
+    raise LookupError(f"no {name} table in test_golden.py")
+
+
+def pinned_digests():
+    """The ``DIGESTS`` table of ``test_golden.py``."""
+    return golden_table("DIGESTS")
 
 
 def golden_pairs():
@@ -214,6 +309,19 @@ def golden_pairs():
     return out
 
 
+def centralizer_pairs():
+    """(name, normal-form input path, report path) of every centralizer
+    golden; ``CENTRALIZERS`` of ``test_golden.py`` names the field of the
+    extra snapshots, the others are named after their field."""
+    snapshots = golden_table("CENTRALIZERS")
+    out = []
+    for report in sorted(GOLDEN.glob("*.centralizer.json")):
+        name = report.name[:-len(".centralizer.json")]
+        field = snapshots.get(name, (name,))[0]
+        out.append((name, INPUTS / f"{field}.normal-form.json", report))
+    return out
+
+
 def _run_normalize(source, order, out):
     env = dict(os.environ)
     src = str(HERE.parent / "src")
@@ -225,8 +333,12 @@ def _run_normalize(source, order, out):
 
 
 def _check(label, source, report_bytes):
-    reason = certify_normalize(json.loads(Path(source).read_text()),
-                               json.loads(report_bytes))
+    report = json.loads(report_bytes)
+    certify = CERTIFIERS.get(report.get("command"))
+    if certify is None:
+        reason = f"no certificate for the command {report.get('command')!r}"
+    else:
+        reason = certify(json.loads(Path(source).read_text()), report)
     print(f"{label}: {'certified' if reason is None else 'REFUSED: ' + reason}")
     return reason is None
 
@@ -252,6 +364,8 @@ def main(argv):
                 ok = False
             else:
                 ok &= _check(f"digest {name}", source, data)
+    for name, source, report in centralizer_pairs():
+        ok &= _check(f"centralizer {name}", source, report.read_bytes())
     return 0 if ok else 1
 
 

@@ -1,4 +1,5 @@
-"""The independent certificate of ``certify.py`` on ``normalize`` reports.
+"""The independent certificate of ``certify.py`` on ``normalize`` and
+``centralizer`` reports.
 
 It certifies every normalize golden whose input has a diagonal linear
 part and the report of every ``DIGESTS`` case, accepts ``normalize``'s
@@ -6,6 +7,14 @@ report on random fields, and refuses each such report after one change
 that breaks it: any normal-form coefficient, or a transformation
 coefficient that is not resonant (adding a resonant term to Psi gives
 another valid normal form, so that change is not an error).
+
+It certifies every centralizer golden, restricted and unrestricted, and
+``centralizer``'s report on the normal forms of random fields.  It
+refuses such a report after one change to an element coefficient whose
+monomial field x^m e_j does not commute with the normal form (changing
+any other coefficient adds an element of the centralizer, which is not
+an error), and when an element repeats another or the printed dimension
+is off by one.
 """
 
 import json
@@ -16,14 +25,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from certify import certify_normalize, golden_pairs, pinned_digests
+from certify import (certify_centralizer, certify_normalize,
+                     centralizer_pairs, golden_pairs, pinned_digests)
 from dulac.cli import main
-from dulac.fieldfile import dump_document, field_to_dict
-from dulac.poly import PolyVectorField, Spectrum, linear_field
+from dulac.fieldfile import dump_document, field_from_dict, field_to_dict
+from dulac.poly import (PolyVectorField, Spectrum, lie_bracket, linear_field,
+                        monomial_field)
 from dulac.scalars import GaussianRational
 
 INPUTS = Path(__file__).parent / "golden" / "inputs"
 GOLDENS = golden_pairs()
+CENTRALIZER_GOLDENS = centralizer_pairs()
 
 
 def _normalize(source: Path, order: int, out: Path) -> dict:
@@ -110,3 +122,78 @@ def test_certificate_accepts_normalize_and_refuses_one_change(case):
     entry = entries[pick % len(entries)]
     entry["coeff"] = str(GaussianRational(entry["coeff"]) + delta)
     assert certify_normalize(document, report) is not None
+
+
+def _load_pair(source, report):
+    return json.loads(source.read_text()), json.loads(report.read_text())
+
+
+@pytest.mark.parametrize("name,source,report", CENTRALIZER_GOLDENS,
+                         ids=[name for name, _, _ in CENTRALIZER_GOLDENS])
+def test_centralizer_golden_is_certified(name, source, report):
+    assert certify_centralizer(*_load_pair(source, report)) is None
+
+
+def _non_commuting_entries(document, report):
+    """The element entries whose monomial field x^m e_j does not bracket
+    to zero with the normal form through the degree bound."""
+    fhat, _ = field_from_dict(document)
+    degree = report["degree"]
+    work = PolyVectorField(fhat.truncated(degree).components)
+    return [entry for element in report["elements"]
+            for entry in element["terms"]
+            if not lie_bracket(work, monomial_field(
+                fhat.dim, degree, tuple(entry["exps"]),
+                entry["comp"] - 1)).is_zero()]
+
+
+def test_centralizer_certificate_refuses_one_changed_coefficient():
+    changed = 0
+    for _, source, report in CENTRALIZER_GOLDENS:
+        document, data = _load_pair(source, report)
+        for entry in _non_commuting_entries(document, data):
+            old = entry["coeff"]
+            entry["coeff"] = str(GaussianRational(old) + 1)
+            assert "does not commute" in certify_centralizer(document, data)
+            entry["coeff"] = old
+            changed += 1
+    assert changed
+
+
+@pytest.mark.parametrize("name,source,report", CENTRALIZER_GOLDENS,
+                         ids=[name for name, _, _ in CENTRALIZER_GOLDENS])
+def test_centralizer_certificate_refuses_a_wrong_rank(name, source, report):
+    document, data = _load_pair(source, report)
+    data["dimension"] += 1
+    assert "rank" in certify_centralizer(document, data)
+    data["dimension"] -= 1
+    if len(data["elements"]) > 1:
+        data["elements"][-1] = data["elements"][0]
+        assert "rank" in certify_centralizer(document, data)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(certify_cases(), st.integers(min_value=1, max_value=5), st.booleans())
+def test_certificate_accepts_centralizer_on_random_normal_forms(
+        case, degree, unrestricted):
+    f, pick, delta = case
+    degree = min(degree, f.order)
+    with tempfile.TemporaryDirectory() as work:
+        source = Path(work) / "field.json"
+        source.write_text(dump_document(field_to_dict(f)))
+        report = _normalize(source, f.order, Path(work) / "report.json")
+        normal_form = Path(work) / "normal-form.json"
+        normal_form.write_text(dump_document(report["normal_form"]))
+        out = Path(work) / "centralizer.json"
+        assert main(["centralizer", "--input", str(normal_form),
+                     "--degree", str(degree), "--json", "--out", str(out)]
+                    + (["--unrestricted"] if unrestricted else [])) == 0
+        data = json.loads(out.read_text())
+    document = report["normal_form"]
+    assert certify_centralizer(document, data) is None
+    entries = _non_commuting_entries(document, data)
+    if entries:
+        entry = entries[pick % len(entries)]
+        entry["coeff"] = str(GaussianRational(entry["coeff"]) + delta)
+        assert certify_centralizer(document, data) is not None

@@ -72,7 +72,8 @@ DIGESTS = {
     "deep-d2-o10": (10, "fd146474e24fade71430260859048a24"
                         "4f4b538d1d804b997e43cf8395029adc"),
 }
-# centralizer only: snapshot name -> (field, degree bound, extra flags)
+# centralizer only: snapshot name -> (field, degree bound, extra flags);
+# certify.py reads this table with ast.literal_eval too
 CENTRALIZERS = {
     "so2-unrestricted": ("so2", 7, ("--unrestricted",)),
     "grid-d3-o6-bound4": ("grid-d3-o6", 4, ()),

@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import random
 
 import pytest
@@ -100,6 +101,18 @@ def test_polyscalar_arithmetic_matches_sympy():
         product = a * b
         truncated = sympy_to_poly(sa * sb, x, 2, 6)
         assert product == truncated
+
+
+@pytest.mark.parametrize("operand", [2.5, "3", None])
+def test_unsupported_operands_raise_type_error(operand):
+    # NotImplemented from both sides, so Python raises the TypeError
+    # rather than an AttributeError from inside the arithmetic
+    p = V(2, 3, 0)
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError):
+            op(p, operand)
+        with pytest.raises(TypeError):
+            op(operand, p)
 
 
 def test_product_truncation_drops_high_degrees():

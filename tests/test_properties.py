@@ -16,12 +16,17 @@
 * ``normalize`` returns both directions of one map: its ``inverse`` is
   the truncated inverse of its ``transformation``, and pulling the input
   back along it gives the normal form.
-* ``centralizer_basis`` builds each column from the normal form's
-  partials; at every bound its basis, restricted and unrestricted, is
-  the one a reference solve finds with a whole ``lie_bracket`` per
-  unknown.  ``CentralizerBasis.linear_dimension``, read off that system,
-  is the dimension of the linear fields commuting with the normal form,
-  which the reference solves for from the degree-1 unknowns alone.
+* ``apply_derivation`` and ``lie_bracket``, which pay only for the
+  indices k where f_k and d(phi)/dx_k both have terms, equal a dense
+  reference that sums f_k * d(phi)/dx_k over every k from plain dicts,
+  on fields with zero components, monomial fields x^m e_j and phi zero
+  or constant; ``partial`` equals coeff * e term by term.
+* ``centralizer_basis`` takes one ``lie_bracket`` per unknown; at every
+  bound its basis, restricted and unrestricted, is the one a reference
+  solve finds with the dense reference bracket per unknown.
+  ``CentralizerBasis.linear_dimension``, read off that system, is the
+  dimension of the linear fields commuting with the normal form, which
+  the reference solves for from the degree-1 unknowns alone.
 * ``nullspace`` returns the same basis whatever the order of its rows.
 * ``add_scaled``, through which every coefficient sum of the kernel runs,
   is the plain sum with the zeros dropped, and never stores a zero.
@@ -84,6 +89,7 @@ small_ints = st.integers(min_value=-2, max_value=2)
 scalars = st.builds(
     lambda re, den, im: GaussianRational(Fraction(re, den), im),
     small_ints, st.integers(min_value=1, max_value=3), small_ints)
+nonzero_scalars = scalars.filter(bool)
 
 
 @st.composite
@@ -150,20 +156,53 @@ def resonant_fields(draw):
     return (f + linear_field(spectrum, order)).with_spectrum(spectrum)
 
 
+def dense_partial(phi, k):
+    """The terms of d(phi)/dx_k, each coefficient times its exponent."""
+    return {exps[:k] + (exps[k] - 1,) + exps[k + 1:]:
+            coeff * GaussianRational(exps[k])
+            for exps, coeff in phi.terms.items() if exps[k]}
+
+
+def dense_derivation(f, phi):
+    """(order, terms) of X_f(phi): f_k * d(phi)/dx_k summed over every k,
+    none skipped, with ``naive_product``."""
+    order = min(f.order, phi.order)
+    total = {}
+    for k, f_k in enumerate(f.components):
+        for exps, c in naive_product(f_k.terms, dense_partial(phi, k),
+                                     order).items():
+            total[exps] = total.get(exps, ZERO) + c
+    return order, {exps: c for exps, c in total.items() if c}
+
+
+def dense_bracket(f, g):
+    """(order, terms) of each component X_f(g_i) - X_g(f_i) of [f, g],
+    from ``dense_derivation``."""
+    out = []
+    for f_i, g_i in zip(f.components, g.components):
+        order, total = dense_derivation(f, g_i)
+        for exps, c in dense_derivation(g, f_i)[1].items():
+            total[exps] = total.get(exps, ZERO) - c
+        out.append((order, {exps: c for exps, c in total.items() if c}))
+    return out
+
+
 def reference_centralizer(fhat, degree_bound, unknowns):
     """Solve [fhat, g] = 0 through the bound over the given unknowns.
 
-    Each unknown (m, j) stands for x^m e_j, and its column is the whole
-    bracket with fhat; the kernel comes back as fields.
+    Each unknown (m, j) stands for x^m e_j, and its column is the dense
+    reference bracket with fhat, not ``lie_bracket``, which the solver
+    under test calls; the kernel comes back as fields.
     """
     dim = fhat.dim
     work = PolyVectorField(fhat.truncated(degree_bound).components)
-    columns = [lie_bracket(work, monomial_field(dim, degree_bound, exps, j))
+    columns = [dense_bracket(work, monomial_field(dim, degree_bound, exps, j))
                for exps, j in unknowns]
     rows = {}
     for col, column in enumerate(columns):
-        for comp, exps, coeff in column.terms():
-            rows.setdefault((exps, comp), {})[col] = coeff
+        for comp, (_, terms) in enumerate(column):
+            for exps, coeff in terms.items():
+                rows.setdefault((exps, comp), {})[col] = coeff
     return [PolyVectorField.from_terms(
                 dim, degree_bound,
                 [(unknowns[col][1], unknowns[col][0], c)
@@ -269,7 +308,53 @@ def test_centralizer_columns_match_whole_brackets(f):
         assert restricted == unrestricted == set(reference)
 
 
-nonzero_scalars = scalars.filter(bool)
+@st.composite
+def sparse_fields(draw, dim):
+    """A field at an order of its own: about half the time a monomial
+    field c x^m e_j, else components that are each often zero."""
+    order = draw(st.integers(min_value=1, max_value=5))
+    if draw(st.booleans()):
+        exps = [0] * dim
+        for var in draw(st.lists(st.integers(0, dim - 1),
+                                 min_size=1, max_size=order)):
+            exps[var] += 1
+        return monomial_field(dim, order, tuple(exps),
+                              draw(st.integers(0, dim - 1)),
+                              draw(nonzero_scalars))
+    zero = PolyScalar.zero(dim, order)
+    return PolyVectorField([
+        draw(st.one_of(st.just(zero), polys(dim, order, min_degree=1)))
+        for _ in range(dim)])
+
+
+@st.composite
+def derivation_cases(draw):
+    """Two sparse fields and a phi that is zero, constant or drawn, all
+    of one dimension and each at an order of its own."""
+    dim = draw(st.integers(min_value=1, max_value=4))
+    order = draw(st.integers(min_value=0, max_value=6))
+    phi = draw(st.one_of(
+        st.just(PolyScalar.zero(dim, order)),
+        scalars.map(lambda c: PolyScalar.constant(dim, order, c)),
+        polys(dim, order)))
+    return draw(sparse_fields(dim)), draw(sparse_fields(dim)), phi
+
+
+@settings(PROPERTY_SETTINGS, max_examples=150)
+@given(derivation_cases())
+def test_derivations_match_a_dense_reference(case):
+    f, g, phi = case
+    for k in range(phi.dim):
+        got = phi.partial(k)
+        assert (got.order, got.terms) == (max(phi.order - 1, 0),
+                                          dense_partial(phi, k))
+        assert_canonical(got)
+    for field in (f, g):
+        got = apply_derivation(field, phi)
+        assert (got.order, got.terms) == dense_derivation(field, phi)
+        assert_canonical(got)
+    assert [(c.order, c.terms) for c in lie_bracket(f, g).components] == \
+        dense_bracket(f, g)
 
 
 @settings(PROPERTY_SETTINGS, max_examples=100)
