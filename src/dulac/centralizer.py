@@ -11,9 +11,11 @@ Each unknown x^m e_j gives one column of the linear system, the bracket
 
     [f_hat, x^m e_j] = X_f_hat(x^m) e_j - x^m d_j f_hat,
 
-with X_f_hat(phi) = sum_k f_hat_k d(phi)/dx_k.  Rows are keyed by output
-term, in no particular order: ``nullspace`` returns the same canonical
-basis whatever the order of its rows.
+with X_f_hat(phi) = sum_k f_hat_k d(phi)/dx_k.  The n^2 partials
+d_j(-f_hat_i) are taken once per solve, so a column costs n products
+x^m d_j(-f_hat_i) and one derivation X_f_hat(x^m).  Rows are keyed by
+output term, in no particular order: ``nullspace`` returns the same
+canonical basis whatever the order of its rows.
 
 Degrees near the truncation boundary are only partially constrained: an
 element supported at degree k is unconfirmed whenever some nonzero
@@ -37,15 +39,16 @@ from .errors import (
 from .linalg import nullspace
 from .poly import (
     Exponents,
+    PolyScalar,
     PolyVectorField,
     Spectrum,
+    apply_derivation,
     enumerate_monomials_upto,
     lie_bracket,
     linear_field,
-    monomial_field,
 )
 from .resonance import ResonanceRelation, resonant_pairs
-from .scalars import GaussianRational
+from .scalars import ONE, GaussianRational
 
 
 @dataclass(frozen=True)
@@ -118,12 +121,21 @@ def centralizer_basis(fhat: PolyVectorField, degree_bound: int,
             "field does not commute with its own linear part")
     unknowns = _unknown_pairs(spectrum, degree_bound, restrict_to_kernel)
     work = fhat.truncated(degree_bound) if fhat.order > degree_bound else fhat
-    # One bracket column per unknown; rows keyed by output term, unsorted.
+    # partials[j][i] is d_j(-f_hat_i), known one order below the bound;
+    # x^m with |m| >= 1 raises every degree, so the product keeps the
+    # bound, as apply_derivation re-tags its partials
+    minus = [-c for c in work.components]
+    partials = [[PolyScalar._canonical(dim, degree_bound, c.partial(j).terms)
+                 for c in minus] for j in range(dim)]
+    # One column per unknown; rows keyed by output term, unsorted.
     rows: Dict[Tuple[Exponents, int], Dict[int, GaussianRational]] = {}
     for col, (exps, j) in enumerate(unknowns):
-        column = lie_bracket(work, monomial_field(dim, degree_bound, exps, j))
-        for comp, out_exps, coeff in column.terms():
-            rows.setdefault((out_exps, comp), {})[col] = coeff
+        mono = PolyScalar._canonical(dim, degree_bound, {exps: ONE})
+        column = [mono * d for d in partials[j]]
+        column[j] = column[j] + apply_derivation(work, mono)
+        for comp, poly in enumerate(column):
+            for out_exps, coeff in poly.terms.items():
+                rows.setdefault((out_exps, comp), {})[col] = coeff
     kernel = nullspace(list(rows.values()), len(unknowns))
     nonlinear_degrees = sorted({
         sum(exps) for _, exps, _ in fhat.nonlinear_part().terms()})

@@ -296,8 +296,9 @@ class PolyScalar:
     __radd__ = __add__
 
     def __neg__(self) -> "PolyScalar":
-        return PolyScalar(self.dim, self.order,
-                          {e: -c for e, c in self.terms.items()})
+        # negating canonical terms keeps them canonical
+        return PolyScalar._canonical(self.dim, self.order,
+                                     {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: Union["PolyScalar", ScalarLike]) -> "PolyScalar":
         if not isinstance(other, (PolyScalar,) + _COEFF_TYPES):

@@ -5,10 +5,14 @@ builders in ``dulac.corpus``) and four grid fields.  ``normalize``
 and ``diagnose`` run on each field at its own truncation order,
 ``diagnose`` with the commuting field where the corpus has one, and
 ``centralizer`` runs on the normal form that ``normalize`` printed for
-it; ``CENTRALIZERS`` adds solves over the unrestricted space and at a
-bound below the field's order.  ``resonances`` lists each field's
-resonances through its order, and ``kernel-intersection`` runs on the
-spectrum pairs in ``JOINT``.
+it; ``CENTRALIZERS`` adds solves over the unrestricted space, at a
+bound below the field's order, and on the two dim-4 normal forms of the
+benchmark's centralizer-solve workload, whose input documents are copied
+byte for byte from ``bench/workloads.py`` at seed 7.  Every unrestricted
+solve with a restricted twin on the same field and bound must print the
+twin's dimension.  ``resonances`` lists each field's resonances through
+its order, and ``kernel-intersection`` runs on the spectrum pairs in
+``JOINT``.
 The fields in ``DEEP`` run ``normalize`` only: its report prints the
 normalizing transformation's coefficients, whose growth with the order
 is what the convergence verdicts read.  The fields in ``DIGESTS`` do the
@@ -33,6 +37,7 @@ prints the new digests, which go into ``DIGESTS`` by hand.
 """
 
 import hashlib
+import json
 import tempfile
 from pathlib import Path
 
@@ -78,6 +83,12 @@ CENTRALIZERS = {
     "so2-unrestricted": ("so2", 7, ("--unrestricted",)),
     "grid-d3-o6-bound4": ("grid-d3-o6", 4, ()),
     "grid-d3-o6-bound4-unrestricted": ("grid-d3-o6", 4, ("--unrestricted",)),
+    # the dim-4 normal forms of the benchmark's centralizer-solve workload
+    # (bench/workloads.py, seed 7), with spectra (1,-1,1,-1) and (1,-1,2,-2)
+    "solve-s1": ("solve-s1", 13, ()),
+    "solve-s1-bound9-unrestricted": ("solve-s1", 9, ("--unrestricted",)),
+    "solve-s2": ("solve-s2", 9, ()),
+    "solve-s2-unrestricted": ("solve-s2", 9, ("--unrestricted",)),
 }
 WITH_SYMMETRY = {"so2", "holomorphic"}
 COMMANDS = ("normalize", "diagnose", "centralizer", "resonances")
@@ -175,6 +186,33 @@ def test_family_report_matches_snapshot(name, command, fmt, tmp_path):
     out = tmp_path / "report"
     assert main(_argv(name, command, out, fmt)) == 0
     assert out.read_bytes() == _snapshot(name, command, fmt).read_bytes()
+
+
+def _centralizer_twins() -> list:
+    """(restricted, unrestricted) snapshot names of every pair of
+    centralizer goldens on one field at one degree bound."""
+    solves = {(name, order, True): name for name, order in ORDERS.items()}
+    for name, (field, degree, flags) in CENTRALIZERS.items():
+        solves[field, degree, "--unrestricted" not in flags] = name
+    return [(solves[field, degree, True], name)
+            for (field, degree, restricted), name in solves.items()
+            if not restricted and (field, degree, True) in solves]
+
+
+CENTRALIZER_TWINS = _centralizer_twins()
+
+
+@pytest.mark.parametrize("restricted,unrestricted", CENTRALIZER_TWINS,
+                         ids=[u for _, u in CENTRALIZER_TWINS])
+def test_unrestricted_golden_matches_its_restricted_twin(restricted,
+                                                         unrestricted):
+    """The search over the whole space finds the dimension that the
+    search over Ker(ad A) finds, as the benchmark checks on its twins."""
+    reports = [json.loads(_snapshot(name, "centralizer").read_text())
+               for name in (restricted, unrestricted)]
+    flags = [r["restricted_to_resonant_kernel"] for r in reports]
+    assert flags == [True, False]
+    assert reports[0]["dimension"] == reports[1]["dimension"]
 
 
 def _sha256(path: Path) -> str:

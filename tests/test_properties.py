@@ -21,9 +21,10 @@
   reference that sums f_k * d(phi)/dx_k over every k from plain dicts,
   on fields with zero components, monomial fields x^m e_j and phi zero
   or constant; ``partial`` equals coeff * e term by term.
-* ``centralizer_basis`` takes one ``lie_bracket`` per unknown; at every
-  bound its basis, restricted and unrestricted, is the one a reference
-  solve finds with the dense reference bracket per unknown.
+* ``centralizer_basis`` builds the column of each unknown x^m e_j from
+  the partials d_j(-f_hat_i), taken once per solve, and X_f_hat(x^m);
+  at every bound its basis, restricted and unrestricted, is the one a
+  reference solve finds with the dense reference bracket per unknown.
   ``CentralizerBasis.linear_dimension``, read off that system, is the
   dimension of the linear fields commuting with the normal form, which
   the reference solves for from the degree-1 unknowns alone.
@@ -43,9 +44,9 @@
   never enter the table; values one change away from that form (x_i
   doubled, a cross term, a constant, a zero value, another dimension)
   still agree with the naive expansion.
-* Products, substitutions and derivatives, which skip the checks of
-  ``PolyScalar.__init__``, are canonical: the public constructor gives
-  the same terms back.
+* Products, substitutions, derivatives and negations, which skip the
+  checks of ``PolyScalar.__init__``, are canonical: the public
+  constructor gives the same terms back.
 * ``Series``, the graded storage of the inversion and the pull-back,
   agrees with plain ``GaussianRational`` dicts: its product part at every
   degree, its linear combinations with complex coefficients over mixed
@@ -191,8 +192,9 @@ def reference_centralizer(fhat, degree_bound, unknowns):
     """Solve [fhat, g] = 0 through the bound over the given unknowns.
 
     Each unknown (m, j) stands for x^m e_j, and its column is the dense
-    reference bracket with fhat, not ``lie_bracket``, which the solver
-    under test calls; the kernel comes back as fields.
+    reference bracket with fhat, not the partials and derivation from
+    which the solver under test builds it; the kernel comes back as
+    fields.
     """
     dim = fhat.dim
     work = PolyVectorField(fhat.truncated(degree_bound).components)
@@ -677,7 +679,7 @@ def test_products_and_substitutions_are_canonical(polys_, factor):
     for result in (a * b, b * a, a * a, a * factor, b * factor,
                    a.substitute([c] * a.dim),
                    b.substitute([c] * b.dim, {}),
-                   a.partial(0), apply_derivation(f, b),
+                   a.partial(0), -a, -c, apply_derivation(f, b),
                    apply_derivation(g, a),
                    *lie_bracket(f, g).components):
         assert_canonical(result)
