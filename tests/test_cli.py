@@ -230,6 +230,84 @@ def test_error_exit_codes(tmp_path, hopf_path, capsys):
     assert "expected a vector field document, found a family" in capsys.readouterr().err
 
 
+# x' = y, y' = -x: a rotation, with no eigenvalues and no linear_matrix
+NON_DIAGONAL = {"dim": 2, "order": 4,
+                "terms": [{"coeff": "1", "exps": [0, 1], "comp": 1},
+                          {"coeff": "-1", "exps": [1, 0], "comp": 2}]}
+# x' = 1 + x, y' = -y: diagonal degree-1 terms, but no rest point at 0
+CONSTANT_TERM = {"dim": 2, "order": 4,
+                 "terms": [{"coeff": "1", "exps": [0, 0], "comp": 1},
+                           {"coeff": "1", "exps": [1, 0], "comp": 1},
+                           {"coeff": "-1", "exps": [0, 1], "comp": 2}]}
+
+
+@pytest.mark.parametrize("document", [NON_DIAGONAL, CONSTANT_TERM],
+                         ids=["non-diagonal", "constant-term"])
+@pytest.mark.parametrize("name, flag", [
+    ("normalize", "--order"), ("resonances", "--max-degree"),
+    ("diagnose", "--order"), ("centralizer", "--degree")])
+def test_field_without_a_diagonal_linear_part_is_refused(tmp_path, capsys,
+                                                         document, name, flag):
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps(document))
+    assert main([name, "--input", str(path), flag, "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"dulac: error [non-diagonal-linear-part]: {path}: the linear part "
+        "is not diagonal; supply eigenvalues or a linear_matrix to "
+        "conjugate with\n")
+
+
+def test_diagnose_accepts_a_non_diagonal_symmetry(tmp_path, capsys):
+    # (x2, 0) commutes with the identity field x but is not diagonal
+    field = tmp_path / "identity.json"
+    field.write_text(json.dumps({"dim": 2, "order": 4,
+                                 "eigenvalues": ["1", "1"], "terms": []}))
+    symmetry = tmp_path / "shear.json"
+    symmetry.write_text(json.dumps({
+        "dim": 2, "order": 4,
+        "terms": [{"coeff": "1", "exps": [0, 1], "comp": 1}]}))
+    assert main(["diagnose", "--input", str(field), "--order", "4",
+                 "--symmetry", str(symmetry)]) == 0
+    out = capsys.readouterr().out
+    assert ("  joint-kernel-linearization: not-applicable\n"
+            "    detail: the supplied field's linear part is not diagonal\n"
+            ) in out
+
+
+def test_field_document_given_to_bifurcation(normal_form_path, capsys):
+    assert main(["bifurcation", "--family", normal_form_path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"dulac: error [input-format]: {normal_form_path}: expected a "
+        "family document with a params block\n")
+
+
+@pytest.mark.parametrize("spec_a, message", [
+    ("1,,2", "--spec-a: expected comma-separated exact scalars"),
+    ("1, ", "--spec-a: expected comma-separated exact scalars"),
+    ("1,x", "--spec-a[1]: "),
+])
+def test_kernel_intersection_bad_spectrum(capsys, spec_a, message):
+    assert main(["kernel-intersection", "--spec-a", spec_a,
+                 "--spec-b", "1,2", "--max-degree", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"dulac: error [input-format]: {message}")
+
+
+def test_kernel_intersection_spectra_of_unequal_length(capsys):
+    assert main(["kernel-intersection", "--spec-a", "1,2",
+                 "--spec-b", "1,2,3", "--max-degree", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "dulac: error [input-format]: --spec-a and --spec-b must have the "
+        "same number of eigenvalues\n")
+
+
 def test_large_omega_k_is_a_budget_error(normal_form_path, capsys):
     # 2**k monomial-vector pairs already exceed the budget; 2**k is never
     # built and the scan never starts
