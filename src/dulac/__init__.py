@@ -55,7 +55,6 @@ from .fieldfile import (
     field_from_dict,
     field_to_dict,
     load_document,
-    save_field,
 )
 from .maps import NearIdentityMap, linear_conjugate
 from .normalizer import (
@@ -72,7 +71,6 @@ from .poly import (
     format_poly,
     lie_bracket,
     linear_field,
-    monomial_field,
     restrict_to_axis,
 )
 from .resonance import (
@@ -137,7 +135,6 @@ __all__ = [
     "linear_conjugate",
     "linear_field",
     "load_document",
-    "monomial_field",
     "normalize",
     "omega_condition",
     "oscillator_pattern",
@@ -145,6 +142,5 @@ __all__ = [
     "poincare_domain",
     "resonant_monomials",
     "restrict_to_axis",
-    "save_field",
     "suspend",
 ]

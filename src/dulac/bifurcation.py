@@ -217,8 +217,9 @@ def suspend(family: ParamFamily) -> PolyVectorField:
     """Autonomous field on (x, eta)-space with eta' = 0.
 
     The linear part is diag(eigenvalues, 0, ..., 0); all eta-dependence
-    of A and F turns into higher-degree mixed terms.  The result carries
-    its spectrum and feeds directly into normalize().
+    of A and F turns into higher-degree mixed terms.  The result's
+    spectrum is read off that diagonal, so it feeds directly into
+    normalize().
     """
     n, p, order = family.n, family.p, family.order
     total = n + p
@@ -231,5 +232,4 @@ def suspend(family: ParamFamily) -> PolyVectorField:
             add_scaled(comp, (lifted * PolyScalar.variable(total, order, j)).terms)
         components.append(PolyScalar(total, order, comp))
     components.extend(PolyScalar.zero(total, order) for _ in range(p))
-    spectrum = Spectrum(list(family.eigenvalues()) + [ZERO] * p)
-    return PolyVectorField(components, spectrum)
+    return PolyVectorField(components)

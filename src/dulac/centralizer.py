@@ -100,20 +100,21 @@ def centralizer_basis(fhat: PolyVectorField, degree_bound: int,
                       restrict_to_kernel: bool = True) -> CentralizerBasis:
     """Solve the graded commutation system [f_hat, g] = 0 through degree d.
 
-    ``fhat`` must carry a spectrum and be in normal form (commute with its
-    own linear part).  With ``restrict_to_kernel`` (the default) unknowns
-    range over Ker(ad A) only; the unrestricted mode exists as an
-    independent cross-check and must produce the same space.
+    ``fhat`` must have a diagonal linear part and be in normal form
+    (commute with its own linear part).  With ``restrict_to_kernel`` (the
+    default) unknowns range over Ker(ad A) only; the unrestricted mode
+    exists as an independent cross-check and must produce the same space.
     """
-    if fhat.spectrum is None:
-        raise NotInNormalFormError("centralizer input needs an attached spectrum")
+    spectrum = fhat.spectrum
+    if spectrum is None:
+        raise NotInNormalFormError(
+            "centralizer input needs a diagonal linear part")
     if degree_bound < 1:
         raise TruncationOrderError("centralizer degree bound must be at least 1")
     if degree_bound > fhat.order:
         raise TruncationOrderError(
             f"field is only known to order {fhat.order}, "
             f"requested degree bound {degree_bound}")
-    spectrum = fhat.spectrum
     dim = fhat.dim
     a_field = linear_field(spectrum, fhat.order)
     if not lie_bracket(a_field, fhat).is_zero():

@@ -31,14 +31,14 @@ from .resonance import ResonanceRelation, resonant_monomials
 from .scalars import GaussianRational, ScalarParseError
 
 
-def _load_field(path: str, need_spectrum: bool = True) -> PolyVectorField:
+def _load_field(path: str, need_diagonal: bool = True) -> PolyVectorField:
     doc = load_document(path)
     if doc.kind != "field":
         raise InputFormatError(
             f"{path}: expected a vector field document, found a family; "
             "use the family commands for it")
     field = doc.field
-    if need_spectrum and field.spectrum is None:
+    if need_diagonal and field.spectrum is None:
         raise NonDiagonalLinearPartError(
             f"{path}: the linear part is not diagonal; supply eigenvalues "
             "or a linear_matrix to conjugate with")
@@ -159,7 +159,7 @@ def _cmd_diagnose(args) -> int:
     field = _load_field(args.input)
     symmetry = None
     if args.symmetry is not None:
-        symmetry = _load_field(args.symmetry, need_spectrum=False)
+        symmetry = _load_field(args.symmetry, need_diagonal=False)
     report = diagnose(field, args.order, symmetry=symmetry,
                       omega_max_k=args.omega_k,
                       centralizer_degree=args.centralizer_degree)

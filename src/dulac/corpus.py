@@ -53,13 +53,12 @@ HORN_CONJUGATION = ((1, 0), (-1, 1))
 def linearizable_3d_field(order: int = 8) -> PolyVectorField:
     """Eigenvalues (1, -3, 9); every nonlinear term commutes with
     diag(1, -2, 4) and none is resonant for the field's own spectrum."""
-    spec = Spectrum([as_scalar(1), as_scalar(-3), as_scalar(9)])
     return PolyVectorField.from_terms(3, order, [
         (0, (1, 0, 0), 1), (1, (0, 1, 0), -3), (2, (0, 0, 1), 9),
         (0, (3, 1, 0), 1), (0, (1, 2, 1), 1),
         (1, (2, 2, 0), 1), (1, (0, 3, 1), 1),
         (2, (0, 2, 2), 2),
-    ], spectrum=spec)
+    ])
 
 
 LINEARIZABLE_3D_SYMMETRY_SPECTRUM = Spectrum(
@@ -74,8 +73,7 @@ def so2_field(order: int = 7) -> PolyVectorField:
     phi = rho * X[2] + X[2] * X[2] * X[2]
     rotated = PolyVectorField([X[0] + X[1], -X[0] + X[1], X[2]])
     spec = Spectrum([as_scalar(1), as_scalar(1), as_scalar(-2)])
-    return (linear_field(spec, order)
-            + rotated.scalar_mul(phi)).with_spectrum(spec)
+    return linear_field(spec, order) + rotated.scalar_mul(phi)
 
 
 def so2_symmetry(order: int = 7) -> PolyVectorField:
@@ -97,7 +95,7 @@ def holomorphic_pair(order: int = 6) -> Tuple[PolyVectorField, PolyVectorField]:
 
 def saddle_field(order: int = 7) -> PolyVectorField:
     spec = Spectrum([as_scalar(1), as_scalar(-1)])
-    return linear_field(spec, order).with_spectrum(spec)
+    return linear_field(spec, order)
 
 
 def oscillator_family() -> ParamFamily:
@@ -143,7 +141,7 @@ EntryOutcome = Tuple[bool, str, List[str]]
 def _run_horn() -> EntryOutcome:
     order = 12
     raw = horn_field(order)
-    conj = linear_conjugate(HORN_CONJUGATION, raw).with_spectrum()
+    conj = linear_conjugate(HORN_CONJUGATION, raw)
     result = normalize(conj, order)
     expected_nf = PolyVectorField.from_terms(2, order, [
         (0, (2, 0), 1), (1, (0, 1), 1)])
@@ -169,12 +167,13 @@ def _run_linearizable_3d() -> EntryOutcome:
     ok, first, _ = check_commute(f, symmetry)
     if not ok:
         return False, f"symmetry fails to commute at degree {first}", []
-    joint = kernel_intersection(f.spectrum,
+    spectrum = f.spectrum
+    joint = kernel_intersection(spectrum,
                                 LINEARIZABLE_3D_SYMMETRY_SPECTRUM, 10)
     if joint:
         return False, "joint resonance kernel is not trivial", [
             str(rel) for rel in joint]
-    own_a = resonant_monomials(f.spectrum, 5)
+    own_a = resonant_monomials(spectrum, 5)
     own_b = resonant_monomials(LINEARIZABLE_3D_SYMMETRY_SPECTRUM, 5)
     if not own_a or not own_b:
         return False, "an individual kernel is unexpectedly empty", []

@@ -116,9 +116,9 @@ def condition_a(fhat: PolyVectorField) -> ConditionAResult:
     x^m * x_j of component j must carry alpha_m * lambda_j for every j.
     The input must be in normal form (commute with its linear part).
     """
-    if fhat.spectrum is None:
-        raise NotInNormalFormError("input needs an attached spectrum")
     spectrum = fhat.spectrum
+    if spectrum is None:
+        raise NotInNormalFormError("input needs a diagonal linear part")
     dim = fhat.dim
     lin = linear_field(spectrum, fhat.order)
     if not lie_bracket(lin, fhat).is_zero():
@@ -190,7 +190,8 @@ class GrowthClassification:
 
     ``kind`` is one of factorial, geometric, inconclusive; the run covers
     degrees ``first_degree`` .. ``last_degree``.  ``estimate`` is a float
-    slope (factorial: ratio/degree) or ratio (geometric).  The verdict is
+    slope (factorial: ratio/degree) or ratio (geometric), None for an
+    inconclusive run or a ratio past the float range.  The verdict is
     evidence computed with fixed documented thresholds, never a proof.
     """
 
@@ -203,6 +204,20 @@ class GrowthClassification:
 
 def _abs2(value) -> Fraction:
     return as_scalar(value).abs2()
+
+
+def _root(square: Fraction) -> float:
+    """sqrt(square), through logarithms where square passes the float
+    range; inf where the root passes it too."""
+    try:
+        return math.sqrt(float(square))
+    except OverflowError:
+        pass
+    try:
+        return math.exp((math.log(square.numerator)
+                         - math.log(square.denominator)) / 2)
+    except OverflowError:
+        return math.inf
 
 
 def growth_classify(coefficients: Sequence) -> GrowthClassification:
@@ -250,8 +265,10 @@ def growth_classify(coefficients: Sequence) -> GrowthClassification:
     ratios = [sizes[k + 1] / sizes[k] for k in tail]
     spread2 = GEOMETRIC_RATIO_SPREAD ** 2
     if max(ratios) <= spread2 * min(ratios):
-        ratio = sum(math.sqrt(float(r)) for r in ratios) / len(ratios)
-        return GrowthClassification("geometric", lo, hi - 1, ratio, note)
+        ratio = sum(_root(r) for r in ratios) / len(ratios)
+        # a mean past the float range is left out, as for inconclusive
+        estimate = ratio if math.isfinite(ratio) else None
+        return GrowthClassification("geometric", lo, hi - 1, estimate, note)
     return GrowthClassification("inconclusive", lo, hi - 1, None, note)
 
 
@@ -683,14 +700,12 @@ def diagnose(f: PolyVectorField, order: int,
              centralizer_degree: Optional[int] = None) -> DiagnosticsReport:
     """Normalize a field and evaluate every convergence criterion.
 
-    The field needs a diagonal linear part (attach a spectrum first, or
-    the degree-1 coefficients must be diagonal).  A commuting field makes
-    the symmetry criteria checkable; without one they report
-    not-applicable.  The centralizer degree defaults to the working
-    order.
+    The field needs a diagonal linear part and no constant term.  A
+    commuting field makes the symmetry criteria checkable; without one
+    they report not-applicable.  The centralizer degree defaults to the
+    working order.
     """
-    work = f if f.spectrum is not None else f.with_spectrum()
-    result = normalize(work, order)
+    result = normalize(f, order)
     fhat = result.normal_form
     spectrum = fhat.spectrum
     cond_a = condition_a(fhat)
@@ -705,7 +720,7 @@ def diagnose(f: PolyVectorField, order: int,
         _pliss_criterion(linear, omega, order, fhat),
     ]
     criteria.extend(
-        _symmetry_criteria(work, fhat, symmetry, order, cz_degree))
+        _symmetry_criteria(f, fhat, symmetry, order, cz_degree))
     return DiagnosticsReport(
         version=__version__,
         order=order,

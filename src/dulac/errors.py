@@ -23,7 +23,7 @@ class TruncationOrderError(DulacError):
 
 
 class NonDiagonalLinearPartError(DulacError):
-    """The operation needs a diagonal linear part with a stored spectrum."""
+    """The operation needs a diagonal linear part, with no constant term."""
 
     code = "non-diagonal-linear-part"
 

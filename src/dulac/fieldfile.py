@@ -16,8 +16,10 @@ files and 0-based inside the library.  When ``eigenvalues`` is present the
 linear part is the implied diagonal and every listed term must have degree
 at least 2.  Without ``eigenvalues`` the terms carry the whole field, and
 an optional ``linear_matrix`` T asks for the conjugation y = Tx before any
-further work.  A family document replaces ``eigenvalues`` with a
-``params`` block:
+further work.  The spectrum is not stored with the field but read off its
+linear part, so ``field_to_dict`` writes ``eigenvalues`` for every field
+with a diagonal linear part and no constant term.  A family document
+replaces ``eigenvalues`` with a ``params`` block:
 
     {
       "dim": 2,
@@ -49,12 +51,7 @@ from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
 
 from .bifurcation import ParamFamily
-from .errors import (
-    BudgetExceededError,
-    InputFormatError,
-    NonDiagonalLinearPartError,
-    ScalarParseError,
-)
+from .errors import BudgetExceededError, InputFormatError, ScalarParseError
 from .maps import linear_conjugate
 from .poly import (
     DEFAULT_TUPLE_BUDGET,
@@ -207,10 +204,12 @@ def _header(data: Any, keys: set, where: str
 def field_from_dict(data: Any, where: str = "field") -> Tuple[PolyVectorField, Tuple[str, ...]]:
     """Build a vector field from a parsed JSON object.
 
-    Returns the field together with the variable names.  The field
-    carries its spectrum when the eigenvalues were given or the linear
-    part came out diagonal; a non-diagonalizable linear part is left
-    untagged for the caller to reject where it matters.
+    Returns the field together with the variable names.  With
+    ``eigenvalues`` the linear part is built from them, so the field's
+    spectrum is exactly the one declared; otherwise the terms, conjugated
+    by ``linear_matrix`` when one is given, carry the whole field, and a
+    linear part that is not diagonal is left for the caller to reject
+    where it matters.
     """
     dim, order, var_names, raw_terms = _header(data, _FIELD_KEYS, where)
     if "eigenvalues" in data and "linear_matrix" in data:
@@ -241,17 +240,11 @@ def field_from_dict(data: Any, where: str = "field") -> Tuple[PolyVectorField, T
 
     field = PolyVectorField.from_terms(dim, order, triples)
     if spectrum is not None:
-        field = (field + linear_field(spectrum, order)).with_spectrum(spectrum)
-        return field, var_names
-
-    if "linear_matrix" in data:
+        field = field + linear_field(spectrum, order)
+    elif "linear_matrix" in data:
         matrix = _parse_matrix(data["linear_matrix"], dim,
                                f"{where}.linear_matrix")
         field = linear_conjugate(matrix, field)
-    try:
-        field = field.with_spectrum()
-    except NonDiagonalLinearPartError:
-        pass
     return field, var_names
 
 
@@ -354,8 +347,9 @@ def field_to_dict(field: PolyVectorField,
     data: dict = {"dim": field.dim, "order": field.order}
     if var_names is not None:
         data["vars"] = list(var_names)
-    if field.spectrum is not None:
-        data["eigenvalues"] = [str(v) for v in field.spectrum]
+    spectrum = field.spectrum
+    if spectrum is not None:
+        data["eigenvalues"] = [str(v) for v in spectrum]
         field = field.nonlinear_part()
     data["terms"] = term_list(field.components)
     return data
@@ -380,9 +374,3 @@ def family_to_dict(family: ParamFamily,
 
 def dump_document(data: dict) -> str:
     return json.dumps(data, indent=2) + "\n"
-
-
-def save_field(field: PolyVectorField, path: str,
-               var_names: Optional[Sequence[str]] = None) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dump_document(field_to_dict(field, var_names)))

@@ -47,18 +47,20 @@ class NormalFormResult:
 def normalize(f: PolyVectorField, order: int) -> NormalFormResult:
     """Normalize f = Ax + F through the given order.
 
-    Requires an attached spectrum (diagonal linear part) and order >= 2;
-    the field must be known at least to that order.
+    Requires a diagonal linear part and order >= 2; the field must be
+    known at least to that order.  Each step x = y + h_k(y) has h_k of
+    degree k >= 2, so the normal form keeps the linear part, and with it
+    the spectrum, of f.
     """
-    if f.spectrum is None:
+    spectrum = f.spectrum
+    if spectrum is None:
         raise NonDiagonalLinearPartError(
-            "normalize needs a field with an attached spectrum")
+            "normalize needs a field with a diagonal linear part")
     if order < 2:
         raise TruncationOrderError("normalization order must be at least 2")
     if f.order < order:
         raise TruncationOrderError(
             f"field is only known to order {f.order}, requested {order}")
-    spectrum = f.spectrum
     dim = f.dim
     cur = f.truncated(order) if f.order > order else f
     phi_total = NearIdentityMap.identity(dim, order)
@@ -77,8 +79,7 @@ def normalize(f: PolyVectorField, order: int) -> NormalFormResult:
             step = NearIdentityMap.from_generator(h)
             cur = pull_back(step, cur)
             phi_total = phi_total.compose(step)
-    return NormalFormResult(cur.with_spectrum(spectrum),
-                            phi_total.invert_to_order(), tuple(records),
+    return NormalFormResult(cur, phi_total.invert_to_order(), tuple(records),
                             phi_total)
 
 

@@ -42,9 +42,9 @@ Every scan over exponent tuples goes through ``enumerate_monomials_upto``,
 which holds the one work budget of the package.
 
 A polynomial vector field couples n scalar components over n variables.
-It optionally stores a spectrum: the eigenvalue tuple of a diagonal
-linear part, validated against the degree-1 terms on attachment.  The
-fundamental operation is the Lie bracket
+Its spectrum is read off its own terms: the diagonal of the degree-1
+part, when no component has a constant term or a degree-1 term off the
+diagonal.  The fundamental operation is the Lie bracket
 
     [f, g](x) = Dg(x) f(x) - Df(x) g(x),
 
@@ -67,7 +67,6 @@ from typing import (Container, Dict, Iterable, Iterator, List, Optional,
 from .errors import (
     BudgetExceededError,
     DimensionMismatchError,
-    NonDiagonalLinearPartError,
     TruncationOrderError,
 )
 from .scalars import (ONE, ZERO, GaussianRational, ScalarLike, _make, add_scaled,
@@ -233,11 +232,6 @@ class PolyScalar:
     @classmethod
     def variable(cls, dim: int, order: int, index: int) -> "PolyScalar":
         return cls(dim, order, {_unit(dim, index): ONE})
-
-    @classmethod
-    def monomial(cls, dim: int, order: int, exps: Exponents,
-                 coeff: ScalarLike = 1) -> "PolyScalar":
-        return cls(dim, order, {tuple(exps): as_scalar(coeff)})
 
     # -- inspection ----------------------------------------------------
 
@@ -649,12 +643,11 @@ class Spectrum:
 
 
 class PolyVectorField:
-    """n truncated scalar components over n variables, optional spectrum."""
+    """n truncated scalar components over n variables."""
 
-    __slots__ = ("dim", "order", "components", "spectrum")
+    __slots__ = ("dim", "order", "components")
 
-    def __init__(self, components: Sequence[PolyScalar],
-                 spectrum: Optional[Spectrum] = None):
+    def __init__(self, components: Sequence[PolyScalar]):
         comps = tuple(components)
         if not comps:
             raise DimensionMismatchError("a vector field needs components")
@@ -667,12 +660,9 @@ class PolyVectorField:
             if c.dim != dim or c.order != order:
                 raise DimensionMismatchError(
                     "components must share dimension and truncation order")
-        if spectrum is not None:
-            _validate_spectrum(comps, spectrum)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "spectrum", spectrum)
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyVectorField is immutable")
@@ -681,14 +671,13 @@ class PolyVectorField:
 
     @classmethod
     def from_terms(cls, dim: int, order: int,
-                   terms: Iterable[Tuple[int, Exponents, ScalarLike]],
-                   spectrum: Optional[Spectrum] = None) -> "PolyVectorField":
+                   terms: Iterable[Tuple[int, Exponents, ScalarLike]]
+                   ) -> "PolyVectorField":
         """Build from (component, exponents, coefficient) triples, 0-based."""
         buckets: List[TermMap] = [{} for _ in range(dim)]
         for comp, exps, coeff in terms:
             add_scaled(buckets[comp], {tuple(exps): as_scalar(coeff)})
-        comps = [PolyScalar(dim, order, b) for b in buckets]
-        return cls(comps, spectrum)
+        return cls([PolyScalar(dim, order, b) for b in buckets])
 
     # -- inspection ----------------------------------------------------
 
@@ -708,9 +697,38 @@ class PolyVectorField:
     def nonlinear_part(self) -> "PolyVectorField":
         return PolyVectorField([c.degree_range(2) for c in self.components])
 
+    @property
+    def spectrum(self) -> Optional[Spectrum]:
+        """The eigenvalues of a diagonal linear part, read off the terms.
+
+        None when some component has a constant term or a degree-1 term
+        off the diagonal; otherwise entry j is the coefficient of x_j in
+        component j, zero when there is none.
+        """
+        values = []
+        for j, comp in enumerate(self.components):
+            value = ZERO
+            for exps, coeff in comp.terms.items():
+                degree = sum(exps)
+                if degree < 2:
+                    if not degree or not exps[j]:
+                        return None
+                    value = coeff
+            values.append(value)
+        return Spectrum(values)
+
     def linear_matrix(self) -> List[List[GaussianRational]]:
-        """Rows of the degree-1 coefficient matrix."""
-        return _linear_rows(self.components)
+        """Rows of the degree-1 coefficient matrix, read off each
+        component's terms: O(n) per term, where looking up the n unit
+        tuples in every component would hash n**3 exponents."""
+        rows = []
+        for comp in self.components:
+            row = [ZERO] * self.dim
+            for exps, coeff in comp.terms.items():
+                if sum(exps) == 1:
+                    row[exps.index(1)] = coeff
+            rows.append(row)
+        return rows
 
     def terms(self) -> Iterator[Tuple[int, Exponents, GaussianRational]]:
         for i, comp in enumerate(self.components):
@@ -755,20 +773,7 @@ class PolyVectorField:
         return hash(self.components)
 
     def truncated(self, order: int) -> "PolyVectorField":
-        return PolyVectorField([c.truncated(order) for c in self.components],
-                               self.spectrum)
-
-    def with_spectrum(self, spectrum: Optional[Spectrum] = None) -> "PolyVectorField":
-        """Attach a spectrum, extracting it from the linear part if omitted."""
-        if spectrum is None:
-            matrix = self.linear_matrix()
-            for i in range(self.dim):
-                for j in range(self.dim):
-                    if i != j and matrix[i][j]:
-                        raise NonDiagonalLinearPartError(
-                            "linear part is not diagonal; conjugate it first")
-            spectrum = Spectrum(matrix[i][i] for i in range(self.dim))
-        return PolyVectorField(self.components, spectrum)
+        return PolyVectorField([c.truncated(order) for c in self.components])
 
     def __str__(self) -> str:
         return "(" + ", ".join(format_poly(c) for c in self.components) + ")"
@@ -777,51 +782,11 @@ class PolyVectorField:
         return f"PolyVectorField(dim={self.dim}, order={self.order}, {self})"
 
 
-def _linear_rows(comps: Sequence[PolyScalar]) -> List[List[GaussianRational]]:
-    """Rows of the degree-1 coefficient matrix, read off each component's
-    terms: O(n) per term, where looking up the n unit tuples in every
-    component would hash n**3 exponents."""
-    rows = []
-    for comp in comps:
-        row = [ZERO] * comp.dim
-        for exps, coeff in comp.terms.items():
-            if sum(exps) == 1:
-                row[exps.index(1)] = coeff
-        rows.append(row)
-    return rows
-
-
-def _validate_spectrum(comps: Sequence[PolyScalar], spectrum: Spectrum) -> None:
-    dim = comps[0].dim
-    if len(spectrum) != dim:
-        raise DimensionMismatchError(
-            f"spectrum of length {len(spectrum)} for dimension {dim}")
-    zero_exps = (0,) * dim
-    for j, (comp, row) in enumerate(zip(comps, _linear_rows(comps))):
-        if comp.coefficient(zero_exps):
-            raise NonDiagonalLinearPartError(
-                "field does not vanish at the origin")
-        for l, coeff in enumerate(row):
-            expected = spectrum[j] if l == j else ZERO
-            if coeff != expected:
-                raise NonDiagonalLinearPartError(
-                    f"degree-1 part of component {j + 1} does not match "
-                    f"the declared spectrum")
-
-
 def linear_field(spectrum: Spectrum, order: int) -> PolyVectorField:
     """The diagonal linear field Ax for the given spectrum."""
     dim = len(spectrum)
     return PolyVectorField([PolyScalar(dim, order, {_unit(dim, j): lam})
-                            for j, lam in enumerate(spectrum)], spectrum)
-
-
-def monomial_field(dim: int, order: int, exps: Exponents, component: int,
-                   coeff: ScalarLike = 1) -> PolyVectorField:
-    """The field coeff * x^m e_j (component 0-based)."""
-    comps = [PolyScalar.zero(dim, order) for _ in range(dim)]
-    comps[component] = PolyScalar.monomial(dim, order, exps, coeff)
-    return PolyVectorField(comps)
+                            for j, lam in enumerate(spectrum)])
 
 
 def apply_derivation(f: PolyVectorField, phi: PolyScalar) -> PolyScalar:

@@ -17,8 +17,7 @@ def spec(*values):
 
 
 def saddle(order=7):
-    s = spec(1, -1)
-    return linear_field(s, order).with_spectrum(s)
+    return linear_field(spec(1, -1), order)
 
 
 def test_saddle_centralizer_degree_7_frozen():
@@ -51,8 +50,8 @@ def test_unrestricted_oracle_agrees_on_saddle():
 
 def test_resonant_saddle_with_nonlinear_term():
     s = spec(1, -1)
-    f = (linear_field(s, 5) + PolyVectorField.from_terms(
-        2, 5, [(0, (2, 1), 1)])).with_spectrum(s)
+    f = linear_field(s, 5) + PolyVectorField.from_terms(
+        2, 5, [(0, (2, 1), 1)])
     basis = centralizer_basis(f, 5)
     assert basis.dimension == 4
     assert sum(basis.unconfirmed) == 2
@@ -69,8 +68,8 @@ def test_resonant_saddle_with_nonlinear_term():
 
 def test_resonant_saddle_shallow_bound():
     s = spec(1, -1)
-    f = (linear_field(s, 3) + PolyVectorField.from_terms(
-        2, 3, [(0, (2, 1), 1)])).with_spectrum(s)
+    f = linear_field(s, 3) + PolyVectorField.from_terms(
+        2, 3, [(0, (2, 1), 1)])
     basis = centralizer_basis(f, 3)
     assert basis.dimension == 3
     # the two cubic directions keep constraints beyond degree 3
@@ -80,14 +79,14 @@ def test_resonant_saddle_shallow_bound():
 
 def test_centralizer_requires_normal_form():
     s = spec(1, -1)
-    f = (linear_field(s, 5) + PolyVectorField.from_terms(
-        2, 5, [(0, (2, 0), 1)])).with_spectrum(s)  # non-resonant term
+    f = linear_field(s, 5) + PolyVectorField.from_terms(
+        2, 5, [(0, (2, 0), 1)])  # non-resonant term
     with pytest.raises(NotInNormalFormError):
         centralizer_basis(f, 5)
-    plain = PolyVectorField.from_terms(2, 5, [(0, (1, 0), 1),
-                                              (1, (0, 1), -1)])
+    rotation = PolyVectorField.from_terms(2, 5, [(0, (0, 1), 1),
+                                                 (1, (1, 0), -1)])
     with pytest.raises(NotInNormalFormError):
-        centralizer_basis(plain, 5)  # no spectrum attached
+        centralizer_basis(rotation, 5)  # no diagonal linear part
     with pytest.raises(TruncationOrderError):
         centralizer_basis(saddle(5), 0)
 

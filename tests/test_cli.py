@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from dulac.cli import main
 from dulac.bifurcation import ParamFamily
 from dulac.corpus import hopf_family, linearizable_3d_field
-from dulac.fieldfile import dump_document, family_to_dict, save_field
+from dulac.fieldfile import dump_document, family_to_dict, field_to_dict
 
 
 @pytest.fixture
@@ -83,7 +83,7 @@ def test_normalize_out_file(saddle_path, tmp_path, capsys):
 
 def test_resonances(tmp_path, capsys):
     path = tmp_path / "lin3d.json"
-    save_field(linearizable_3d_field(6), str(path))
+    path.write_text(dump_document(field_to_dict(linearizable_3d_field(6))))
     assert main(["resonances", "--input", str(path), "--max-degree", "5"]) == 0
     out = capsys.readouterr().out
     assert "degrees 2..5: 6 resonant monomial(s)" in out
@@ -432,6 +432,41 @@ def test_small_divisor_outside_float_range(tmp_path, capsys, eigenvalues,
     assert records[1]["partial_sum"] == pytest.approx(partial_sum)
 
 
+def _tall_growth(digits):
+    # x' = x + 10^digits x^2: the normalizing map's coefficients along x1
+    # grow by a factor near 10^digits per degree, a geometric run whose
+    # squared ratios pass the float range
+    return {"dim": 1, "order": 8, "eigenvalues": ["1"],
+            "terms": [{"coeff": "1" + "0" * digits, "exps": [2], "comp": 1}]}
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("digits, estimate", [(160, 1e160), (400, None)])
+def test_geometric_growth_past_the_float_range(tmp_path, capsys, digits,
+                                               estimate):
+    # the mean ratio is a float where it fits one and is left out where
+    # its root passes the float range too
+    path = tmp_path / "tall.json"
+    path.write_text(json.dumps(_tall_growth(digits)))
+    argv = ["diagnose", "--input", str(path), "--order", "8"]
+    assert main(argv + ["--json"]) == 0
+    growth = json.loads(capsys.readouterr().out,
+                        parse_constant=_reject_constant)["growth"]
+    assert growth["kind"] == "geometric"
+    if estimate is None:
+        assert growth["estimate"] is None
+    else:
+        assert growth["estimate"] == pytest.approx(estimate, rel=1e-9)
+    assert main(argv) == 0
+    line, = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("growth: ")]
+    assert line.startswith("growth: geometric over degrees 1..8")
+    assert ("estimate" in line) == (estimate is not None)
+
+
 def test_resonances_past_the_budget_is_a_budget_error(normal_form_path,
                                                       capsys):
     # about 10**10 monomial-vector pairs through degree 100000 in
@@ -560,6 +595,8 @@ commands = st.sampled_from([("normalize", "--order"),
 @given(documents, commands, st.integers(-1, 4), st.booleans())
 @example(OVERSIZED_FIELD, ("diagnose", "--order"), 2, True)
 @example(OVERSIZED_FAMILY, ("normalize", "--order"), 2, False)
+@example(_tall_growth(160), ("diagnose", "--order"), 8, True)
+@example(_tall_growth(400), ("diagnose", "--order"), 8, False)
 def test_hostile_document_never_is_an_internal_error(document, command,
                                                      order, as_json):
     # malformed or contradictory documents end in exit 2, never in 3

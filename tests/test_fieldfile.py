@@ -1,5 +1,8 @@
 """JSON documents for fields and families."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from dulac.corpus import hopf_family, so2_field
@@ -11,9 +14,12 @@ from dulac.fieldfile import (
     field_from_dict,
     field_to_dict,
     load_document,
-    save_field,
 )
 from dulac.poly import Spectrum
+from dulac.scalars import GaussianRational
+
+GOLDEN_INPUTS = sorted(
+    (Path(__file__).parent / "golden" / "inputs").glob("*.json"))
 
 
 def base_field_dict():
@@ -39,7 +45,17 @@ def test_eigenvalues_imply_linear_part():
     assert [str(p) for p in field.components] == ["x1 + x1^2*x2", "-1*x2"]
 
 
-def test_field_round_trip_with_spectrum():
+@pytest.mark.parametrize("path", [
+    p for p in GOLDEN_INPUTS if "eigenvalues" in json.loads(p.read_text())],
+    ids=lambda p: p.stem)
+def test_golden_input_loads_with_its_declared_spectrum(path):
+    declared = json.loads(path.read_text())["eigenvalues"]
+    doc = load_document(str(path))
+    assert doc.field.spectrum == Spectrum(
+        GaussianRational.parse(v) for v in declared)
+
+
+def test_field_round_trip_with_eigenvalues():
     field = so2_field(7)
     restored, _ = field_from_dict(field_to_dict(field))
     assert restored == field
@@ -156,7 +172,7 @@ def test_family_error_paths(mutate, message):
 
 def test_load_document_kinds(tmp_path):
     field_path = tmp_path / "field.json"
-    save_field(so2_field(7), str(field_path))
+    field_path.write_text(dump_document(field_to_dict(so2_field(7))))
     doc = load_document(str(field_path))
     assert doc.kind == "field"
     assert doc.field == so2_field(7)

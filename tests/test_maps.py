@@ -161,7 +161,7 @@ def test_linear_conjugate_diagonalizes():
     expect = PolyVectorField.from_terms(2, 6, [
         (0, (2, 0), 1), (1, (0, 1), 1), (1, (2, 0), -1)])
     assert conj == expect
-    assert conj.with_spectrum().spectrum == Spectrum(
+    assert conj.spectrum == Spectrum(
         [as_scalar(0), as_scalar(1)])
 
 

@@ -19,16 +19,15 @@ from oracle import random_scalar
 
 
 def saddle_example(order=6):
-    spec = Spectrum([as_scalar(1), as_scalar(-1)])
     return PolyVectorField.from_terms(2, order, [
         (0, (1, 0), 1), (1, (0, 1), -1),
-        (0, (1, 1), 1), (1, (1, 1), -1)], spectrum=spec)
+        (0, (1, 1), 1), (1, (1, 1), -1)])
 
 
 def horn_conjugated(order=12):
     f = PolyVectorField.from_terms(2, order, [
         (0, (2, 0), 1), (1, (0, 1), 1), (1, (1, 0), -1)])
-    return linear_conjugate([[1, 0], [-1, 1]], f).with_spectrum()
+    return linear_conjugate([[1, 0], [-1, 1]], f)
 
 
 def test_normalize_requires_spectrum_and_order():
@@ -93,7 +92,7 @@ def test_distinguished_style_keeps_only_resonant_terms():
             if sum(exps) < 2:
                 continue
             terms.append((rng.randint(0, 1), exps, random_scalar(rng)))
-        f = PolyVectorField.from_terms(2, 5, terms).with_spectrum(spec)
+        f = PolyVectorField.from_terms(2, 5, terms)
         result = normalize(f, 5)
         resonant = set(resonant_pairs([spec], 2, 5))
         for comp, exps, coeff in result.normal_form.nonlinear_part().terms():
@@ -106,14 +105,14 @@ def test_distinguished_style_keeps_only_resonant_terms():
 def test_already_normal_field_is_untouched():
     f = saddle_example(6)
     result = normalize(f, 6)
-    again = normalize(result.normal_form.with_spectrum(f.spectrum), 6)
+    again = normalize(result.normal_form, 6)
     assert again.normal_form == result.normal_form
     assert again.transformation == NearIdentityMap.identity(2, 6)
 
 
 def test_check_commute_positive():
     spec = Spectrum([as_scalar(1), as_scalar(-1)])
-    A = linear_field(spec, 6).with_spectrum(spec)
+    A = linear_field(spec, 6)
     resonant = PolyVectorField.from_terms(2, 6, [(0, (2, 1), 1)])
     ok, first, residual = check_commute(A, resonant)
     assert ok
@@ -123,7 +122,7 @@ def test_check_commute_positive():
 
 def test_check_commute_reports_first_degree():
     spec = Spectrum([as_scalar(1), as_scalar(-1)])
-    A = linear_field(spec, 6).with_spectrum(spec)
+    A = linear_field(spec, 6)
     non_resonant = PolyVectorField.from_terms(2, 6, [(0, (2, 0), 1)])
     ok, first, residual = check_commute(A, non_resonant)
     assert not ok
@@ -133,7 +132,7 @@ def test_check_commute_reports_first_degree():
 
 def test_check_commute_respects_order_argument():
     spec = Spectrum([as_scalar(1), as_scalar(-1)])
-    A = linear_field(spec, 6).with_spectrum(spec)
+    A = linear_field(spec, 6)
     late = PolyVectorField.from_terms(2, 6, [(0, (5, 0), 1)])
     # the residual carries the smaller order of the two fields
     assert check_commute(A.truncated(4), late.truncated(4))[:2] == (True, None)

@@ -6,11 +6,7 @@ import random
 import pytest
 import sympy
 
-from dulac.errors import (
-    BudgetExceededError,
-    DimensionMismatchError,
-    NonDiagonalLinearPartError,
-)
+from dulac.errors import BudgetExceededError, DimensionMismatchError
 from dulac.poly import (
     DEFAULT_TUPLE_BUDGET,
     PolyScalar,
@@ -24,7 +20,6 @@ from dulac.poly import (
     grlex_key,
     lie_bracket,
     linear_field,
-    monomial_field,
     restrict_to_axis,
 )
 from dulac.scalars import GaussianRational, I, ONE, ZERO, as_scalar
@@ -202,21 +197,7 @@ def test_vector_field_construction_and_linear_matrix():
     assert f.linear_matrix()[1][1] == -2
     assert f.min_degree() == 1
     assert f.max_degree() == 2
-    spec = f.with_spectrum().spectrum
-    assert spec == Spectrum([as_scalar(1), as_scalar(-2)])
-
-
-def test_with_spectrum_rejects_nondiagonal():
-    f = PolyVectorField.from_terms(2, 4, [(0, (0, 1), 1), (1, (1, 0), -1)])
-    with pytest.raises(NonDiagonalLinearPartError):
-        f.with_spectrum()
-
-
-def test_spectrum_validation_against_linear_part():
-    f = PolyVectorField.from_terms(2, 4, [(0, (1, 0), 1), (1, (0, 1), -1)])
-    wrong = Spectrum([as_scalar(1), as_scalar(1)])
-    with pytest.raises(NonDiagonalLinearPartError):
-        f.with_spectrum(wrong)
+    assert f.spectrum == Spectrum([as_scalar(1), as_scalar(-2)])
 
 
 def test_component_count_must_match_dimension():
@@ -229,9 +210,11 @@ def test_linear_field_and_monomial_field():
     lin = linear_field(spec, 5)
     assert lin.components[0].coefficient((1, 0)) == 2
     assert lin.components[1].coefficient((0, 1)) == I
-    mono = monomial_field(2, 5, (2, 1), 0)
+    assert lin.spectrum == spec
+    mono = PolyVectorField.from_terms(2, 5, [(0, (2, 1), 1)])
     assert mono.components[0].coefficient((2, 1)) == ONE
     assert mono.components[1].is_zero()
+    assert mono.spectrum == Spectrum([ZERO, ZERO])
 
 
 def test_lie_bracket_matches_sympy_oracle():
@@ -263,7 +246,7 @@ def test_lie_bracket_diagonal_linear_with_monomial():
     # [Ax, x^m e_j] = (<m, L> - lambda_j) x^m e_j
     spec = Spectrum([as_scalar(1), as_scalar(-3)])
     A = linear_field(spec, 6)
-    mono = monomial_field(2, 6, (2, 1), 0)
+    mono = PolyVectorField.from_terms(2, 6, [(0, (2, 1), 1)])
     bracket = lie_bracket(A, mono)
     gap = spectrum_dot(spec, (2, 1)) - spec[0]
     assert bracket == mono * gap
@@ -295,5 +278,5 @@ def test_degree_parts_and_truncation():
 
 def test_spectrum_survives_truncation():
     spec = Spectrum([as_scalar(1), as_scalar(2)])
-    f = linear_field(spec, 5).with_spectrum(spec)
+    f = linear_field(spec, 5)
     assert f.truncated(3).spectrum == spec

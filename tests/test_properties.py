@@ -77,7 +77,6 @@ from dulac.poly import (
     enumerate_monomials_upto,
     lie_bracket,
     linear_field,
-    monomial_field,
 )
 from dulac.resonance import resonant_pairs
 from dulac.scalars import ZERO, GaussianRational, add_scaled
@@ -135,7 +134,7 @@ def diagonal_fields(draw):
     spectrum = Spectrum(draw(st.lists(st.integers(-3, 3),
                                       min_size=dim, max_size=dim)))
     f = PolyVectorField.from_terms(dim, order, draw(terms(dim, 2, order, 4)))
-    return (f + linear_field(spectrum, order)).with_spectrum(spectrum)
+    return f + linear_field(spectrum, order)
 
 
 @st.composite
@@ -154,7 +153,7 @@ def resonant_fields(draw):
     f = (PolyVectorField.from_terms(dim, order, draw(terms(dim, 2, 3, 4)))
          + PolyVectorField.from_terms(dim, order,
                                       draw(terms(dim, 2, order, 2))))
-    return (f + linear_field(spectrum, order)).with_spectrum(spectrum)
+    return f + linear_field(spectrum, order)
 
 
 def dense_partial(phi, k):
@@ -197,8 +196,9 @@ def reference_centralizer(fhat, degree_bound, unknowns):
     fields.
     """
     dim = fhat.dim
-    work = PolyVectorField(fhat.truncated(degree_bound).components)
-    columns = [dense_bracket(work, monomial_field(dim, degree_bound, exps, j))
+    work = fhat.truncated(degree_bound)
+    columns = [dense_bracket(work, PolyVectorField.from_terms(
+                   dim, degree_bound, [(j, exps, 1)]))
                for exps, j in unknowns]
     rows = {}
     for col, column in enumerate(columns):
@@ -285,6 +285,41 @@ def test_normalize_returns_both_directions_of_one_map(f):
 
 
 @PROPERTY_SETTINGS
+@given(diagonal_fields())
+def test_normal_form_keeps_the_spectrum(f):
+    assert f.spectrum is not None
+    assert normalize(f, f.order).normal_form.spectrum == f.spectrum
+
+
+@st.composite
+def low_degree_fields(draw):
+    """Ax + F with F drawn from degree 0 up, so some fields gain a constant
+    or a degree-1 term on or off the diagonal; with a cut order from 1 to
+    the field's order."""
+    dim = draw(st.integers(min_value=1, max_value=3))
+    order = draw(st.integers(min_value=1, max_value=4))
+    spectrum = Spectrum(draw(st.lists(scalars, min_size=dim, max_size=dim)))
+    f = linear_field(spectrum, order) + PolyVectorField.from_terms(
+        dim, order, draw(terms(dim, 0, order, 3)))
+    return f, draw(st.integers(min_value=1, max_value=order))
+
+
+@settings(PROPERTY_SETTINGS, max_examples=200)
+@given(low_degree_fields())
+def test_spectrum_is_the_diagonal_of_a_diagonal_linear_part(case):
+    f, cut = case
+    matrix = f.linear_matrix()
+    diagonal = (
+        all(not c.coefficient((0,) * f.dim) for c in f.components)
+        and all(not matrix[i][j] for i in range(f.dim)
+                for j in range(f.dim) if i != j))
+    expected = (Spectrum(matrix[i][i] for i in range(f.dim)) if diagonal
+                else None)
+    assert f.spectrum == expected
+    assert f.truncated(cut).spectrum == expected
+
+
+@PROPERTY_SETTINGS
 @given(resonant_fields())
 def test_linear_dimension_is_the_linear_centralizer(f):
     fhat = normalize(f, f.order).normal_form
@@ -320,9 +355,9 @@ def sparse_fields(draw, dim):
         for var in draw(st.lists(st.integers(0, dim - 1),
                                  min_size=1, max_size=order)):
             exps[var] += 1
-        return monomial_field(dim, order, tuple(exps),
-                              draw(st.integers(0, dim - 1)),
-                              draw(nonzero_scalars))
+        return PolyVectorField.from_terms(dim, order, [
+            (draw(st.integers(0, dim - 1)), tuple(exps),
+             draw(nonzero_scalars))])
     zero = PolyScalar.zero(dim, order)
     return PolyVectorField([
         draw(st.one_of(st.just(zero), polys(dim, order, min_degree=1)))
@@ -585,7 +620,7 @@ def assert_shared_table_substitutions(values, targets):
         assert got.terms == expected
         assert_canonical(got)
     for exps, monomial in table.items():
-        power = PolyScalar.monomial(len(exps), targets[0].order, exps)
+        power = PolyScalar(len(exps), targets[0].order, {exps: 1})
         assert monomial.terms == naive_substitute(power, values)[1]
     return order, table
 
@@ -630,8 +665,8 @@ def near_identity_substitutions(draw, kind):
         for var in draw(st.lists(st.integers(0, vdim - 1),
                                  min_size=v, max_size=v)):
             exps[var] += 1
-        values[k] = values[k] + PolyScalar.monomial(
-            vdim, values[k].order, tuple(exps), draw(scalars.filter(bool)))
+        values[k] = values[k] + PolyScalar(
+            vdim, values[k].order, {tuple(exps): draw(scalars.filter(bool))})
     if kind == "coefficient 2":
         values[k] = values[k] + PolyScalar.variable(dim, values[k].order, k)
     elif kind == "cross term":
@@ -646,7 +681,7 @@ def near_identity_substitutions(draw, kind):
     targets = draw(st.lists(polys(dim, target_order), min_size=2,
                             max_size=2))
     top = tuple(order if j == k else 0 for j in range(dim))
-    targets[1] = targets[1] + PolyScalar.monomial(dim, target_order, top)
+    targets[1] = targets[1] + PolyScalar(dim, target_order, {top: 1})
     return v, values, targets
 
 
@@ -693,7 +728,7 @@ def series_polys(draw, dim, order):
     if draw(st.booleans()):
         k = draw(st.integers(0, dim - 1))
         top = tuple(order if i == k else 0 for i in range(dim))
-        p = p + PolyScalar.monomial(dim, order, top, draw(scalars.filter(bool)))
+        p = p + PolyScalar(dim, order, {top: draw(scalars.filter(bool))})
     return p
 
 
