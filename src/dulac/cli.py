@@ -55,7 +55,7 @@ def _load_family(path: str):
 
 def _parse_spectrum(text: str, flag: str) -> Spectrum:
     parts = [p.strip() for p in text.split(",")]
-    if not parts or any(not p for p in parts):
+    if any(not p for p in parts):
         raise InputFormatError(
             f"{flag}: expected comma-separated exact scalars")
     values = []

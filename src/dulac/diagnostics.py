@@ -65,6 +65,11 @@ from .scalars import ZERO, GaussianRational, as_scalar
 FACTORIAL_SLOPE_WINDOW = (Fraction(1, 2), Fraction(2, 1))
 GEOMETRIC_RATIO_SPREAD = Fraction(2, 1)
 
+# The text report prints a growth estimate at or above this in exponent
+# form, since fixed point spells out every integer digit of the float and
+# those past the 16th are noise; below it, three decimals.
+ESTIMATE_EXPONENT_FROM = 1e6
+
 _ANALYTICITY = ("analyticity of the supplied commuting field "
                 "(not decidable from a truncation)")
 
@@ -648,10 +653,15 @@ class DiagnosticsReport:
             lines.append("growth: no classifiable coefficient run")
         else:
             estimate = growth["estimate"]
+            if estimate is None:
+                shown = ""
+            elif estimate >= ESTIMATE_EXPONENT_FROM:
+                shown = f", estimate {estimate:.3e}"
+            else:
+                shown = f", estimate {estimate:.3f}"
             lines.append(
                 f"growth: {growth['kind']} over degrees "
-                f"{growth['degrees'][0]}..{growth['degrees'][1]}" +
-                ("" if estimate is None else f", estimate {estimate:.3f}") +
+                f"{growth['degrees'][0]}..{growth['degrees'][1]}{shown}"
                 f" ({growth['note']})")
         lines.append("criteria:")
         for crit in data["criteria"]:

@@ -15,7 +15,13 @@ outermost-last: compose(outer, inner) applies inner first, so the map for
 Composition and ``pull_back`` substitute one list of values into all n
 components; the n calls share one table of the monomials of those values
 (see ``PolyScalar.substitute``), so a monomial that several components
-hold is multiplied out once.  When the values are x + w with w of
+hold is multiplied out once.  There is one table per map: each map keeps
+the monomials x^m(Psi) of its own components, filled as substitutions at
+its own order need them, and ``pull_back(step, f)`` and
+``phi.compose(step)`` both read and extend the step's table, so in
+``normalize`` the monomials of each step are multiplied out once for the
+two calls.  A substitution at another order takes a fresh table.  When
+the values are x + w with w of
 degree >= v >= 2, as for the normalizing steps and their composite,
 ``substitute`` leaves every monomial of degree above N - v + 1 as it
 is: x^m(x + w) = x^m through the order N there.  So a step x + h_k,
@@ -53,7 +59,9 @@ from .poly import (Exponents, PolyScalar, PolyVectorField, Series,
 class NearIdentityMap:
     """y = Psi(x) given by its components, L = DPsi(0) invertible."""
 
-    __slots__ = ("dim", "order", "components", "linear_inverse")
+    # _table: the monomials x^m(components) that substitutions of the
+    # components at the map's own order have built, keyed by m
+    __slots__ = ("dim", "order", "components", "linear_inverse", "_table")
 
     def __init__(self, components: Sequence[PolyScalar]):
         # one dimension and one truncation order for all n components
@@ -66,6 +74,7 @@ class NearIdentityMap:
         object.__setattr__(self, "order", field.order)
         object.__setattr__(self, "components", field.components)
         object.__setattr__(self, "linear_inverse", tuple(map(tuple, linv)))
+        object.__setattr__(self, "_table", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("NearIdentityMap is immutable")
@@ -96,9 +105,14 @@ class NearIdentityMap:
         """self after inner: (self . inner)(x) = self(inner(x))."""
         if self.dim != inner.dim:
             raise DimensionMismatchError("composed maps must share a dimension")
-        table: dict = {}
+        table = inner._table_at(min(self.order, inner.order))
         return NearIdentityMap([c.substitute(inner.components, table)
                                 for c in self.components])
+
+    def _table_at(self, order: int) -> Dict[Exponents, PolyScalar]:
+        """The table for substituting the components at ``order``: the
+        map's own when that is its order, else a fresh one."""
+        return self._table if order == self.order else {}
 
     def invert_to_order(self) -> "NearIdentityMap":
         """The map Phi with Psi(Phi(y)) = y through the truncation order.
@@ -113,6 +127,7 @@ class NearIdentityMap:
         ``PolyScalar.substitute`` uses too, and each pass adds only its
         degree-w part:
         [x^m(Phi)]_w = sum over a of [x^(m - e_i)(Phi)]_a [Phi_i]_(w-a).
+        That part is empty for w < |m|, so no pass below |m| computes it.
         """
         dim, order = self.dim, self.order
         linv = self.linear_inverse
@@ -126,12 +141,14 @@ class NearIdentityMap:
                     if sum(exps) >= 2] for comp in self.components]
         powers: Dict[Exponents, Series] = {_unit(dim, j): series
                                            for j, series in enumerate(phi)}
-        # x^m = x^(m - e_i) * Phi_i, with empty parts at degrees 0 and 1
+        # x^m = x^(m - e_i) * Phi_i, with empty parts below degree |m|:
+        # every part of Phi has degree >= 1
         steps = []
         for exps, lower, i in _monomial_chain(
                 [exps for terms in h_terms for exps, _ in terms], powers):
-            series = powers[exps] = Series(dim, order, [None, None])
-            steps.append((series, powers[lower], phi[i]))
+            degree = sum(exps)
+            series = powers[exps] = Series(dim, order, [None] * degree)
+            steps.append((series, powers[lower], phi[i], degree))
         # Phi_i = -sum_k Linv[i][k] h_k(Phi) above degree 1, as the pairs
         # (-Linv[i][k] c, x^m(Phi)) of a linear combination
         factors = [[(Series.scalar(-lc * coeff), powers[exps])
@@ -139,8 +156,9 @@ class NearIdentityMap:
                     for exps, coeff in terms]
                    for row in linv]
         for work in range(2, order + 1):
-            for series, lower, factor in steps:
-                series.parts.append(lower.product_part(factor, work))
+            for series, lower, factor, degree in steps:
+                if work >= degree:
+                    series.parts.append(lower.product_part(factor, work))
             for series, row in zip(phi, factors):
                 series.parts.append(Series.sum_of_products(
                     [(c, power.parts[work]) for c, power in row
@@ -170,7 +188,7 @@ def pull_back(phi_map: NearIdentityMap, f: PolyVectorField) -> PolyVectorField:
     dim = f.dim
     order = min(phi_map.order, f.order)
     comps = [c.truncated(order) for c in phi_map.components]
-    table: dict = {}
+    table = phi_map._table_at(order)
     rhs = [Series.of(c.substitute(comps, table), order) for c in f.components]
     # b_i = sum_k Linv[i][k] rhs_k, the rhs side of g_i's sum at each degree
     b_rows = [[(Series.scalar(c), series) for c, series in zip(row, rhs) if c]

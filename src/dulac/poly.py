@@ -7,6 +7,10 @@ dropped by all operations (never extrapolated).  Products and sums of
 values with different orders are correct to the smaller order, and that
 is the order they carry.
 
+A product ``a * b`` sorts the terms of b by degree once.  Each term of a
+runs through them and stops at the first whose degree, added to its own,
+passes the order, so only the pairs inside the order are multiplied.
+
 Public constructors validate every term.  Products, substitutions and
 derivatives build their terms canonically (nonzero coefficients,
 exponent tuples of the right length, degree within the order), so they
@@ -17,8 +21,11 @@ code.
 Substitution builds the monomials x^m of its values by one rule,
 ``_monomial_chain``: x^m = x^(m - e_i) * values[i], i the last variable
 with a nonzero exponent.  ``PolyScalar.substitute`` takes each such
-product whole, as one ``PolyScalar`` product, and one table of them
-serves every component of a map in ``compose`` and ``pull_back``.  It
+product whole, as one ``PolyScalar`` product, into a table that the
+caller passes.  ``compose`` and ``pull_back`` pass the table that the map
+of the values keeps for its own order, so one table serves every
+component in both, and the monomials of a normalizing step are built
+once for the pull-back and the composite.  ``substitute``
 builds only the monomials that can differ from x^m through the order N.
 Values that vanish at the origin send every x^m with |m| > N past the
 order.  Values x_i + w_i, with x_i at coefficient exactly 1 and every
@@ -83,9 +90,7 @@ _COEFF_TYPES = (GaussianRational, int, Fraction)
 # Monomial-vector pairs a scan over exponent tuples may cover.
 DEFAULT_TUPLE_BUDGET = 10 ** 7
 
-
-def monomial_mul(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(x + y for x, y in zip(a, b))
+_first = operator.itemgetter(0)
 
 
 def grlex_key(exps: Exponents) -> Tuple[int, Exponents]:
@@ -317,15 +322,30 @@ class PolyScalar:
                 {e: c * value for e, c in self.terms.items()})
         self._check_dim(other)
         order = min(self.order, other.order)
+        # the right operand's terms by degree: each row of the product
+        # stops at the first term that would pass the order
+        right = sorted([(sum(eb), eb, cb) for eb, cb in other.terms.items()],
+                       key=_first)
         out: TermMap = {}
+        get = out.get
+        add = operator.add
         for ea, ca in self.terms.items():
-            da = sum(ea)
-            if da > order:
-                continue
-            # monomial_mul(ea, .) is injective, so these keys never collide.
-            add_scaled(out, {monomial_mul(ea, eb): cb
-                             for eb, cb in other.terms.items()
-                             if da + sum(eb) <= order}, ca)
+            room = order - sum(ea)
+            for db, eb, cb in right:
+                if db > room:
+                    break
+                key = tuple(map(add, ea, eb))
+                value = ca * cb
+                old = get(key)
+                if old is None:
+                    out[key] = value
+                else:
+                    # products of nonzero values are nonzero; sums may cancel
+                    value = old + value
+                    if value:
+                        out[key] = value
+                    else:
+                        del out[key]
         return PolyScalar._canonical(self.dim, order, out)
 
     __rmul__ = __mul__
@@ -375,10 +395,11 @@ class PolyScalar:
         ``table`` holds the monomials x^m of ``values`` built so far, keyed
         by m; monomials this call needs are added to it, each as one
         product along ``_monomial_chain``.  Callers that substitute the
-        same values into several polynomials of one order, as ``compose``
-        and ``pull_back`` do for the n components of a map or field, pass
-        one dict to every call, so each monomial is built once.  A table
-        whose monomials carry another dimension or order raises.
+        same values into several polynomials of one order pass one dict to
+        every call, so each monomial is built once; ``compose`` and
+        ``pull_back`` pass the one that the map of the values keeps, so
+        the table also outlives a single call.  A table whose monomials
+        carry another dimension or order raises.
         """
         if len(values) != self.dim:
             raise DimensionMismatchError(
@@ -840,6 +861,7 @@ def restrict_to_axis(phi: PolyScalar, axis: int) -> List[GaussianRational]:
     """
     out = [ZERO] * (phi.order + 1)
     for exps, coeff in phi.terms.items():
-        if all(e == 0 for i, e in enumerate(exps) if i != axis):
+        # exponents are nonnegative: the others are all zero exactly here
+        if sum(exps) == exps[axis]:
             out[exps[axis]] = coeff
     return out

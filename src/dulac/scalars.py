@@ -146,6 +146,11 @@ class GaussianRational:
             other = as_scalar(other)
         a, b, d = self._t
         c, e, f = other._t
+        # a factor of exactly 1 gives the other one back, already canonical
+        if f == 1 and not e and c == 1:
+            return self
+        if d == 1 and not b and a == 1:
+            return other
         return _make(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__

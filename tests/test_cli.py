@@ -467,6 +467,17 @@ def test_geometric_growth_past_the_float_range(tmp_path, capsys, digits,
     assert ("estimate" in line) == (estimate is not None)
 
 
+def test_huge_growth_estimate_prints_in_exponent_form(tmp_path, capsys):
+    # fixed point would print 164 characters, all past the 16th float noise
+    path = tmp_path / "tall.json"
+    path.write_text(json.dumps(_tall_growth(160)))
+    assert main(["diagnose", "--input", str(path), "--order", "8"]) == 0
+    line, = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("growth: ")]
+    assert line.startswith(
+        "growth: geometric over degrees 1..8, estimate 1.000e+160 (")
+
+
 def test_resonances_past_the_budget_is_a_budget_error(normal_form_path,
                                                       capsys):
     # about 10**10 monomial-vector pairs through degree 100000 in

@@ -13,6 +13,11 @@
   through the truncation order, checked with ``partial``, products and
   a naive substitution alone, for non-diagonal maps and fields with a
   linear part and sometimes a constant one.
+* A map keeps the monomials that substitutions of its components at its
+  own order have built, and ``pull_back`` and ``compose`` share them: a
+  step x + h pulled back and then composed gives what two fresh, equal
+  maps give, and a pull-back below the step's order neither reads nor
+  changes them.
 * ``normalize`` returns both directions of one map: its ``inverse`` is
   the truncated inverse of its ``transformation``, and pulling the input
   back along it gives the normal form, whose spectrum is the input's.
@@ -36,7 +41,8 @@
   is the plain sum with the zeros dropped, and never stores a zero.
 * ``GaussianRational`` arithmetic on integer triples agrees with a plain
   pair of ``Fraction`` parts, also against int and Fraction operands, and
-  leaves every result canonical.
+  leaves every result canonical; a factor of exactly 1, on either side,
+  gives back an equal canonical value.
 * ``resonant_pairs``, the one resonance enumerator, lists what a naive
   scan over all exponent tuples finds, in the same order.
 * ``PolyScalar.substitute`` with one monomial table shared by several
@@ -47,6 +53,9 @@
   never enter the table; values one change away from that form (x_i
   doubled, a cross term, a constant, a zero value, another dimension)
   still agree with the naive expansion.
+* ``PolyScalar.__mul__``, which stops each row at the order, equals a
+  naive product of operands of different orders, with terms past the
+  smaller order and coefficients 1, -1, i and general complex values.
 * Products, substitutions, derivatives and negations, which skip the
   checks of ``PolyScalar.__init__``, are canonical: the public
   constructor gives the same terms back.
@@ -82,7 +91,7 @@ from dulac.poly import (
     linear_field,
 )
 from dulac.resonance import resonant_pairs
-from dulac.scalars import ZERO, GaussianRational, add_scaled
+from dulac.scalars import ONE, ZERO, GaussianRational, add_scaled
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,
                              database=None,
@@ -237,12 +246,9 @@ def test_map_is_its_components_with_the_inverse_linear_part(psi):
 
 
 @st.composite
-def pull_back_cases(draw):
-    """A non-diagonal map and a field with a linear part, of order <= the
-    map's; about one field in three also has a constant term."""
-    phi = draw(near_identity_maps())
-    dim = phi.dim
-    order = draw(st.integers(min_value=1, max_value=phi.order))
+def linear_part_fields(draw, dim, order):
+    """A field with a nonzero, generally non-diagonal linear part; about
+    one in three also has a constant term."""
     linear = [(i, tuple(int(k == j) for k in range(dim)), draw(small_ints))
               for i in range(dim) for j in range(dim)]
     assume(any(c for _, _, c in linear))
@@ -250,7 +256,16 @@ def pull_back_cases(draw):
     if draw(st.integers(0, 2)) == 0:
         nonlinear.append((draw(st.integers(0, dim - 1)), (0,) * dim,
                           draw(scalars)))
-    return phi, PolyVectorField.from_terms(dim, order, linear + nonlinear)
+    return PolyVectorField.from_terms(dim, order, linear + nonlinear)
+
+
+@st.composite
+def pull_back_cases(draw):
+    """A non-diagonal map and a field with a linear part, of order <= the
+    map's; about one field in three also has a constant term."""
+    phi = draw(near_identity_maps())
+    order = draw(st.integers(min_value=1, max_value=phi.order))
+    return phi, draw(linear_part_fields(phi.dim, order))
 
 
 @PROPERTY_SETTINGS
@@ -269,6 +284,44 @@ def test_pull_back_solves_its_defining_equation(case):
             lhs = lhs + PolyScalar(f.dim, order, comp.partial(j).terms) * g_j
         assert (lhs.order, lhs.terms) == naive_substitute(f.components[i],
                                                           comps)
+
+
+@st.composite
+def step_cases(draw):
+    """A normalizing step x + h, h nonzero of degree >= 2, as in
+    ``normalize``; a map of at most its order to compose with it; a field
+    at its order; and an order below it."""
+    dim = draw(st.integers(min_value=2, max_value=3))
+    order = draw(st.integers(min_value=2, max_value=5))
+    h = PolyVectorField.from_terms(dim, order, draw(terms(dim, 2, order, 4)))
+    assume(not h.is_zero())
+    phi = draw(near_identity_maps(dim, order))
+    f = draw(linear_part_fields(dim, order))
+    return (NearIdentityMap.from_generator(h), phi, f,
+            draw(st.integers(min_value=1, max_value=order - 1)))
+
+
+@PROPERTY_SETTINGS
+@given(step_cases())
+def test_pull_back_and_compose_share_a_steps_monomials(case):
+    # as in normalize: the compose reads the monomials the pull-back built
+    step, phi, f, _ = case
+    g = pull_back(step, f)
+    composed = phi.compose(step)
+    assert g == pull_back(NearIdentityMap(step.components), f)
+    assert composed == phi.compose(NearIdentityMap(step.components))
+
+
+@PROPERTY_SETTINGS
+@given(step_cases())
+def test_pull_back_below_a_steps_order_leaves_its_monomials(case):
+    step, _, f, low = case
+    pull_back(step, f)
+    built = dict(step._table)
+    assert built
+    g = f.truncated(low)
+    assert pull_back(step, g) == pull_back(NearIdentityMap(step.components), g)
+    assert step._table == built
 
 
 @PROPERTY_SETTINGS
@@ -543,7 +596,7 @@ def test_resonant_pairs_match_a_naive_scan(spectra, low, high):
 
 
 @st.composite
-def polys(draw, dim, order, min_degree=0, max_terms=4):
+def polys(draw, dim, order, min_degree=0, max_terms=4, coefficients=scalars):
     """A PolyScalar with up to ``max_terms`` terms of degree >= min_degree."""
     terms = {}
     for _ in range(draw(st.integers(min_value=0, max_value=max_terms))):
@@ -552,7 +605,7 @@ def polys(draw, dim, order, min_degree=0, max_terms=4):
         for var in draw(st.lists(st.integers(0, dim - 1),
                                  min_size=degree, max_size=degree)):
             exps[var] += 1
-        terms[tuple(exps)] = draw(scalars)
+        terms[tuple(exps)] = draw(coefficients)
     return PolyScalar(dim, order, terms)
 
 
@@ -698,6 +751,51 @@ def test_near_identity_values_fix_the_monomials_above_the_bound(kind):
             assert all(sum(exps) <= order - v + 1 for exps in table)
 
     check()
+
+
+# 1, -1 and i hit the unit shortcut of GaussianRational.__mul__ and make
+# products cancel; the other draws are general complex values
+product_coefficients = st.one_of(
+    st.sampled_from([GaussianRational(1), GaussianRational(-1),
+                     GaussianRational(0, 1), GaussianRational(1, -1)]),
+    nonzero_scalars)
+
+
+@st.composite
+def product_operands(draw):
+    """Two polynomials over one set of variables whose orders differ by up
+    to 3, either one the larger, so the one of larger order often holds
+    terms past the product's order."""
+    dim = draw(st.integers(min_value=1, max_value=3))
+    low = draw(st.integers(min_value=0, max_value=5))
+    orders = [low, low + draw(st.integers(0, 3))]
+    if draw(st.booleans()):
+        orders.reverse()
+    return [draw(polys(dim, order, max_terms=6,
+                       coefficients=product_coefficients))
+            for order in orders]
+
+
+@settings(PROPERTY_SETTINGS, max_examples=150)
+@given(product_operands())
+def test_product_matches_a_naive_product(operands):
+    a, b = operands
+    order = min(a.order, b.order)
+    expected = {exps: c for exps, c
+                in naive_product(a.terms, b.terms, order).items() if c}
+    for got in (a * b, b * a):
+        assert (got.dim, got.order) == (a.dim, order)
+        assert got.terms == expected
+        assert_canonical(got)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(gaussians, st.sampled_from([ONE, GaussianRational(1), 1, Fraction(1)]))
+def test_multiplying_by_exactly_one_keeps_the_value(x, one):
+    gx, rx = x
+    for product in (gx * one, one * gx):
+        assert product == gx
+        assert_matches(product, rx)
 
 
 @settings(PROPERTY_SETTINGS, max_examples=60)
