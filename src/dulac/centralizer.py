@@ -33,6 +33,7 @@ from typing import Dict, List, Tuple
 
 from .errors import (
     DimensionMismatchError,
+    NonDiagonalLinearPartError,
     NotInNormalFormError,
     TruncationOrderError,
 )
@@ -107,7 +108,7 @@ def centralizer_basis(fhat: PolyVectorField, degree_bound: int,
     """
     spectrum = fhat.spectrum
     if spectrum is None:
-        raise NotInNormalFormError(
+        raise NonDiagonalLinearPartError(
             "centralizer input needs a diagonal linear part")
     if degree_bound < 1:
         raise TruncationOrderError("centralizer degree bound must be at least 1")
@@ -121,7 +122,7 @@ def centralizer_basis(fhat: PolyVectorField, degree_bound: int,
         raise NotInNormalFormError(
             "field does not commute with its own linear part")
     unknowns = _unknown_pairs(spectrum, degree_bound, restrict_to_kernel)
-    work = fhat.truncated(degree_bound) if fhat.order > degree_bound else fhat
+    work = fhat.truncated(degree_bound)
     # partials[j][i] is d_j(-f_hat_i), known one order below the bound;
     # x^m with |m| >= 1 raises every degree, so the product keeps the
     # bound, as apply_derivation re-tags its partials

@@ -32,6 +32,7 @@ from ._version import __version__
 from .centralizer import centralizer_basis, kernel_intersection
 from .errors import (
     DimensionMismatchError,
+    NonDiagonalLinearPartError,
     NotInNormalFormError,
     TruncationOrderError,
 )
@@ -123,7 +124,7 @@ def condition_a(fhat: PolyVectorField) -> ConditionAResult:
     """
     spectrum = fhat.spectrum
     if spectrum is None:
-        raise NotInNormalFormError("input needs a diagonal linear part")
+        raise NonDiagonalLinearPartError("input needs a diagonal linear part")
     dim = fhat.dim
     lin = linear_field(spectrum, fhat.order)
     if not lie_bracket(lin, fhat).is_zero():
@@ -365,8 +366,8 @@ def _scalar_multiple_of(g: PolyVectorField,
                         f: PolyVectorField) -> Optional[GaussianRational]:
     """The scalar c with g = c * f through the shared order, if any."""
     order = min(g.order, f.order)
-    gt = g.truncated(order) if g.order > order else g
-    ft = f.truncated(order) if f.order > order else f
+    gt = g.truncated(order)
+    ft = f.truncated(order)
     if ft.is_zero():
         return ZERO if gt.is_zero() else None
     comp, exps, coeff = ft.sorted_terms()[0]
@@ -388,6 +389,11 @@ def _symmetry_criteria(field: PolyVectorField, fhat: PolyVectorField,
     if symmetry.dim != field.dim:
         raise DimensionMismatchError(
             "commuting field dimension differs from the input field")
+    # the bracket reads both fields through degree d only when both
+    # vanish at the origin
+    if any(c.coefficient((0,) * field.dim) for c in symmetry.components):
+        raise DimensionMismatchError(
+            "commuting field must vanish at the origin")
     spectrum = fhat.spectrum
     commutes, first, _ = check_commute(field, symmetry)
     if not commutes:
@@ -467,7 +473,7 @@ def _symmetry_criteria(field: PolyVectorField, fhat: PolyVectorField,
     # centralizer spanned by the normal form and linear fields
     basis = centralizer_basis(fhat, cz_degree)
     dim_lin = basis.linear_dimension
-    work = fhat.truncated(cz_degree) if fhat.order > cz_degree else fhat
+    work = fhat.truncated(cz_degree)
     expected = dim_lin + (0 if work.nonlinear_part().is_zero() else 1)
     span_note = (f"the centralizer through degree {cz_degree} has "
                  f"dimension {basis.dimension}: {dim_lin} linear plus "

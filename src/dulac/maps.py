@@ -2,9 +2,9 @@
 
 A near-identity map y = Psi(x) = Lx + h(x), with L invertible and h of
 degree >= 2, is held as its n component polynomials Psi_1..Psi_n and
-nothing else; L^-1 is computed once, when the map is built, and kept as
-``linear_inverse``.  Maps compose, invert to the truncation order, and
-transport vector fields:
+nothing else; ``invert_to_order`` and ``pull_back`` each compute L^-1
+once per call, and refuse a singular L.  Maps compose, invert to the
+truncation order, and transport vector fields:
 
     push_forward(Psi, f) is the field g with ydot = g(y) when xdot = f(x),
 
@@ -61,19 +61,16 @@ class NearIdentityMap:
 
     # _table: the monomials x^m(components) that substitutions of the
     # components at the map's own order have built, keyed by m
-    __slots__ = ("dim", "order", "components", "linear_inverse", "_table")
+    __slots__ = ("dim", "order", "components", "_table")
 
     def __init__(self, components: Sequence[PolyScalar]):
         # one dimension and one truncation order for all n components
         field = PolyVectorField(components)
         if any(c.coefficient((0,) * field.dim) for c in field.components):
             raise DimensionMismatchError("coordinate changes must fix the origin")
-        # raises SingularLinearPartError if L is not invertible
-        linv = mat_inverse(field.linear_matrix())
         object.__setattr__(self, "dim", field.dim)
         object.__setattr__(self, "order", field.order)
         object.__setattr__(self, "components", field.components)
-        object.__setattr__(self, "linear_inverse", tuple(map(tuple, linv)))
         object.__setattr__(self, "_table", {})
 
     def __setattr__(self, name, value):
@@ -91,15 +88,6 @@ class NearIdentityMap:
         return cls([PolyScalar(dim, order, {_unit(dim, j): v
                                             for j, v in enumerate(row)})
                     for row in matrix])
-
-    @classmethod
-    def from_generator(cls, h: PolyVectorField) -> "NearIdentityMap":
-        """The map x + h(x) for a generator h of degree >= 2."""
-        if not h.is_zero() and h.min_degree() < 2:
-            raise DimensionMismatchError(
-                "higher-order part of a near-identity map must start at degree 2")
-        return cls([PolyScalar.variable(h.dim, h.order, i) + c
-                    for i, c in enumerate(h.components)])
 
     def compose(self, inner: "NearIdentityMap") -> "NearIdentityMap":
         """self after inner: (self . inner)(x) = self(inner(x))."""
@@ -130,7 +118,8 @@ class NearIdentityMap:
         That part is empty for w < |m|, so no pass below |m| computes it.
         """
         dim, order = self.dim, self.order
-        linv = self.linear_inverse
+        # raises SingularLinearPartError if L is not invertible
+        linv = mat_inverse(PolyVectorField(self.components).linear_matrix())
         # phi[i].parts[d]: the degree-d terms of Phi_i, for d below the pass
         phi = [Series.of(PolyScalar(dim, order, {_unit(dim, j): c
                                                  for j, c in enumerate(row)}),
@@ -189,24 +178,26 @@ def pull_back(phi_map: NearIdentityMap, f: PolyVectorField) -> PolyVectorField:
     order = min(phi_map.order, f.order)
     comps = [c.truncated(order) for c in phi_map.components]
     table = phi_map._table_at(order)
+    # raises SingularLinearPartError if L is not invertible
+    linv = mat_inverse(PolyVectorField(phi_map.components).linear_matrix())
     rhs = [Series.of(c.substitute(comps, table), order) for c in f.components]
     # b_i = sum_k Linv[i][k] rhs_k, the rhs side of g_i's sum at each degree
     b_rows = [[(Series.scalar(c), series) for c, series in zip(row, rhs) if c]
-              for row in phi_map.linear_inverse]
-    # M = -Linv Dh as its nonzero entries (j, a, [M_ij]_a) per row i.  Map
-    # components are exact polynomials, so differentiating h loses
-    # nothing; h stops at degree order + 1, so Dh stops at degree order.
-    dh = [[Series.of(comp.degree_range(2, order + 1).partial(j), order)
-           for j in range(dim)] for comp in phi_map.components]
+              for row in linv]
+    # M = -Linv Dh as its nonzero entries (j, a, [M_ij]_a) per row i: the
+    # parts of DPhi above degree 0, which is L, are Dh's, exact because
+    # map components are exact polynomials.
+    dphi = [[Series.of(comp.partial(j), order) for j in range(dim)]
+            for comp in phi_map.components]
     m_rows = []
-    for row in phi_map.linear_inverse:
+    for row in linv:
         pairs_at: Dict[Tuple[int, int], list] = {}
-        for c, dh_k in zip(row, dh):
+        for c, dphi_k in zip(row, dphi):
             if c:
                 factor = Series.scalar(-c)
-                for j, series in enumerate(dh_k):
+                for j, series in enumerate(dphi_k):
                     for a, part in enumerate(series.parts):
-                        if part:
+                        if a and part:
                             pairs_at.setdefault((j, a), []).append(
                                 (factor, part))
         entries = [(j, a, Series.sum_of_products(pairs))

@@ -4,9 +4,10 @@ Given f = Ax + F with A diagonal and F of degree >= 2, each homogeneous
 degree k splits into the kernel and range of the homological operator
 ad A (which acts diagonally on monomial-vector elements with eigenvalue
 <m, L> - lambda_j).  The kernel part stays; the range part is removed by
-the substitution x = y + h_k(y) whose generator divides each removable
-coefficient by its eigenvalue.  Generators carry no kernel component,
-the usual distinguished choice, which pins the outcome uniquely.
+the substitution x = y + h_k(y), whose components y_i + h_k,i(y) are
+built straight from the removable coefficients, each divided by its
+eigenvalue.  Generators carry no kernel component, the usual
+distinguished choice, which pins the outcome uniquely.
 
 Both directions of the normalizing map come out of one pass.  The steps
 compose, outermost-last (the highest-degree step is the outermost
@@ -23,8 +24,9 @@ from typing import List, Optional, Tuple
 
 from .errors import NonDiagonalLinearPartError, TruncationOrderError
 from .maps import NearIdentityMap, pull_back
-from .poly import PolyVectorField, lie_bracket
+from .poly import PolyScalar, PolyVectorField, _unit, lie_bracket
 from .resonance import kernel_dimension_at_degree
+from .scalars import ONE
 
 
 @dataclass(frozen=True)
@@ -62,21 +64,24 @@ def normalize(f: PolyVectorField, order: int) -> NormalFormResult:
         raise TruncationOrderError(
             f"field is only known to order {f.order}, requested {order}")
     dim = f.dim
-    cur = f.truncated(order) if f.order > order else f
+    cur = f.truncated(order)
     phi_total = NearIdentityMap.identity(dim, order)
     records: List[DegreeRecord] = []
     for degree in range(2, order + 1):
-        part = cur.degree_part(degree)
-        h_terms = []
-        for comp, exps, coeff in part.terms():
-            gap = spectrum.gap(exps, comp)
-            if gap:
-                h_terms.append((comp, exps, coeff / gap))
+        # x_i + h_i, h the removable degree-k terms of cur over their gaps
+        step_terms = [{_unit(dim, i): ONE} for i in range(dim)]
+        for i, comp in enumerate(cur.components):
+            for exps, coeff in comp.terms.items():
+                if sum(exps) == degree:
+                    gap = spectrum.gap(exps, i)
+                    if gap:
+                        step_terms[i][exps] = coeff / gap
+        removed = sum(map(len, step_terms)) - dim
         records.append(DegreeRecord(
-            degree, kernel_dimension_at_degree(spectrum, degree), len(h_terms)))
-        if h_terms:
-            h = PolyVectorField.from_terms(dim, order, h_terms)
-            step = NearIdentityMap.from_generator(h)
+            degree, kernel_dimension_at_degree(spectrum, degree), removed))
+        if removed:
+            step = NearIdentityMap([PolyScalar._canonical(dim, order, terms)
+                                    for terms in step_terms])
             cur = pull_back(step, cur)
             phi_total = phi_total.compose(step)
     return NormalFormResult(cur, phi_total.invert_to_order(), tuple(records),

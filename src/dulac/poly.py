@@ -11,12 +11,14 @@ A product ``a * b`` sorts the terms of b by degree once.  Each term of a
 runs through them and stops at the first whose degree, added to its own,
 passes the order, so only the pairs inside the order are multiplied.
 
-Public constructors validate every term.  Products, substitutions and
-derivatives build their terms canonically (nonzero coefficients,
-exponent tuples of the right length, degree within the order), so they
-wrap the result through the trusted constructor ``PolyScalar._canonical``
-and skip that check; so do the order re-tags of the coordinate-change
-code.
+Public constructors validate every term.  Products, substitutions,
+derivatives and the subsets of a polynomial's own terms (``degree_part``,
+``degree_range``, ``truncated``) build their terms canonically (nonzero
+coefficients, exponent tuples of the right length, degree within the
+order), so they wrap the result through the trusted constructor
+``PolyScalar._canonical`` and skip that check; so do the order re-tags
+of ``apply_derivation`` and the centralizer solve, and the normalizing
+steps.
 
 Substitution builds the monomials x^m of its values by one rule,
 ``_monomial_chain``: x^m = x^(m - e_i) * values[i], i the last variable
@@ -255,13 +257,13 @@ class PolyScalar:
 
     def degree_part(self, degree: int) -> "PolyScalar":
         picked = {e: c for e, c in self.terms.items() if sum(e) == degree}
-        return PolyScalar(self.dim, self.order, picked)
+        return PolyScalar._canonical(self.dim, self.order, picked)
 
     def degree_range(self, low: int, high: Optional[int] = None) -> "PolyScalar":
         """Terms with low <= degree <= high (high defaults to the order)."""
         top = self.order if high is None else high
         picked = {e: c for e, c in self.terms.items() if low <= sum(e) <= top}
-        return PolyScalar(self.dim, self.order, picked)
+        return PolyScalar._canonical(self.dim, self.order, picked)
 
     def sorted_terms(self) -> List[Tuple[Exponents, GaussianRational]]:
         return sorted(self.terms.items(), key=lambda item: grlex_key(item[0]))
@@ -272,7 +274,9 @@ class PolyScalar:
                 f"cannot extend truncation order {self.order} to {order}")
         if order == self.order:
             return self
-        return PolyScalar(self.dim, order, self.terms)
+        return PolyScalar._canonical(
+            self.dim, order,
+            {e: c for e, c in self.terms.items() if sum(e) <= order})
 
     # -- arithmetic ----------------------------------------------------
 
@@ -794,6 +798,8 @@ class PolyVectorField:
         return hash(self.components)
 
     def truncated(self, order: int) -> "PolyVectorField":
+        if order == self.order:
+            return self
         return PolyVectorField([c.truncated(order) for c in self.components])
 
     def __str__(self) -> str:

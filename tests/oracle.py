@@ -2,15 +2,26 @@
 
 Everything here converts package objects to sympy expressions and does
 the math a second time with a library the package itself never imports,
-except ``spectrum_dot``, which sums in Q(i) from the eigenvalues alone.
+except ``spectrum_dot``, which sums in Q(i) from the eigenvalues alone,
+and ``step_map``, which builds a map x + h from the validating
+constructors.
 """
 
 from fractions import Fraction
 
 import sympy
 
+from dulac.maps import NearIdentityMap
 from dulac.poly import PolyScalar, PolyVectorField
 from dulac.scalars import GaussianRational
+
+
+def step_map(h):
+    """The map x + h(x) for a field h of degree >= 2, such as a
+    normalizing step, through the validating ``PolyScalar.__add__``."""
+    assert h.is_zero() or h.min_degree() >= 2
+    return NearIdentityMap([PolyScalar.variable(h.dim, h.order, i) + c
+                            for i, c in enumerate(h.components)])
 
 
 def spectrum_dot(spectrum, exps):

@@ -3,6 +3,7 @@ import pytest
 from dulac.centralizer import centralizer_basis, kernel_intersection
 from dulac.errors import (
     DimensionMismatchError,
+    NonDiagonalLinearPartError,
     NotInNormalFormError,
     TruncationOrderError,
 )
@@ -85,7 +86,7 @@ def test_centralizer_requires_normal_form():
         centralizer_basis(f, 5)
     rotation = PolyVectorField.from_terms(2, 5, [(0, (0, 1), 1),
                                                  (1, (1, 0), -1)])
-    with pytest.raises(NotInNormalFormError):
+    with pytest.raises(NonDiagonalLinearPartError):
         centralizer_basis(rotation, 5)  # no diagonal linear part
     with pytest.raises(TruncationOrderError):
         centralizer_basis(saddle(5), 0)

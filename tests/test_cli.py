@@ -276,6 +276,35 @@ def test_diagnose_accepts_a_non_diagonal_symmetry(tmp_path, capsys):
             ) in out
 
 
+def test_diagnose_refuses_a_symmetry_that_moves_the_origin(tmp_path, capsys):
+    # the degree-2 bracket would read the input's unknown degree-3 terms
+    field = tmp_path / "zero.json"
+    field.write_text(json.dumps({"dim": 2, "order": 2,
+                                 "eigenvalues": ["0", "0"], "terms": []}))
+    symmetry = tmp_path / "shift.json"
+    symmetry.write_text(json.dumps({
+        "dim": 2, "order": 2,
+        "terms": [{"coeff": "1", "exps": [0, 0], "comp": 1}]}))
+    assert main(["diagnose", "--input", str(field), "--order", "2",
+                 "--symmetry", str(symmetry)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("dulac: error [dimension-mismatch]: commuting "
+                            "field must vanish at the origin\n")
+
+
+def test_singular_linear_matrix_is_refused(tmp_path, capsys):
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps({"dim": 2, "order": 3,
+                                "linear_matrix": [["1", "1"], ["1", "1"]],
+                                "terms": []}))
+    assert main(["normalize", "--input", str(path), "--order", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "dulac: error [singular-linear-part]: linear part is singular\n")
+
+
 def test_field_document_given_to_bifurcation(normal_form_path, capsys):
     assert main(["bifurcation", "--family", normal_form_path]) == 2
     captured = capsys.readouterr()

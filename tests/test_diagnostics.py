@@ -14,7 +14,12 @@ from dulac.corpus import (
     horn_field,
     linearizable_3d_field,
 )
-from dulac.errors import NotInNormalFormError, TruncationOrderError
+from dulac.errors import (
+    DimensionMismatchError,
+    NonDiagonalLinearPartError,
+    NotInNormalFormError,
+    TruncationOrderError,
+)
 from dulac.maps import linear_conjugate
 from dulac.poly import PolyVectorField, Spectrum, linear_field
 from dulac.scalars import as_scalar
@@ -92,8 +97,8 @@ def test_condition_a_requires_normal_form():
         condition_a(bare)
     rotation = PolyVectorField.from_terms(2, 6, [(0, (0, 1), 1),
                                                  (1, (1, 0), -1)])
-    with pytest.raises(NotInNormalFormError):
-        condition_a(rotation)
+    with pytest.raises(NonDiagonalLinearPartError):
+        condition_a(rotation)  # commutes with its own linear part
 
 
 def test_pliss_linear():
@@ -204,6 +209,14 @@ def test_diagnose_identity_and_planar_symmetry():
         "identity-symmetry-linearization",
         "planar-analytic-symmetry",
     ]
+
+
+def test_diagnose_refuses_a_symmetry_that_moves_the_origin():
+    # [f, g] through degree 2 would read f's unknown degree-3 terms
+    field = linear_field(Spectrum([0, 0]), 2)
+    symmetry = PolyVectorField.from_terms(2, 2, [(1, (0, 0), 1)])
+    with pytest.raises(DimensionMismatchError, match="vanish at the origin"):
+        diagnose(field, 2, symmetry=symmetry)
 
 
 def test_report_dict_and_text():

@@ -14,13 +14,13 @@ from dulac.maps import (
 from dulac.poly import PolyScalar, PolyVectorField, Spectrum, linear_field
 from dulac.scalars import ONE, as_scalar
 
-from oracle import field_to_sympy, random_field, sympy_to_poly, syms
+from oracle import field_to_sympy, random_field, step_map, sympy_to_poly, syms
 
 
 def quadratic_shift(order=6):
     # y1 = x1, y2 = x2 + x1^2
     h = PolyVectorField.from_terms(2, order, [(1, (2, 0), 1)])
-    return NearIdentityMap.from_generator(h)
+    return step_map(h)
 
 
 def test_identity_map():
@@ -53,16 +53,21 @@ def test_from_components_rejects_constant_terms():
         NearIdentityMap(bad)
 
 
-def test_from_linear_requires_invertible_matrix():
+def test_solves_refuse_a_singular_linear_part():
+    # building the map checks no L^-1; each solve inverts L on its own
+    singular = NearIdentityMap.from_linear([[1, 1], [1, 1]], 4)
     with pytest.raises(SingularLinearPartError):
-        NearIdentityMap.from_linear([[1, 1], [1, 1]], 4)
+        singular.invert_to_order()
+    with pytest.raises(SingularLinearPartError):
+        pull_back(singular, random_field(random.Random(5), 2, 4, 3, 3,
+                                         min_degree=1))
 
 
 def test_invert_round_trip():
     rng = random.Random(21)
     for _ in range(8):
         h = random_field(rng, 2, 6, 3, 3, min_degree=2)
-        phi = NearIdentityMap.from_generator(h)
+        phi = step_map(h)
         inverse = phi.invert_to_order()
         identity = NearIdentityMap.identity(2, 6)
         assert phi.compose(inverse) == identity
@@ -74,7 +79,7 @@ def test_invert_linear_map_is_the_inverse_matrix(order):
     # h = 0: the inversion solves nothing past degree 1
     psi = NearIdentityMap.from_linear([[2, 1], [1, 1]], order)
     assert psi.invert_to_order() == NearIdentityMap.from_linear(
-        psi.linear_inverse, order)
+        [[1, -1], [-1, 2]], order)
 
 
 def test_invert_order_two_map_solves_one_degree():
@@ -83,7 +88,8 @@ def test_invert_order_two_map_solves_one_degree():
     order = 2
     x1, x2 = (PolyScalar.variable(2, order, i) for i in range(2))
     psi = NearIdentityMap([x1 + x2, x2 * 3 + x1 * x1])
-    linear = NearIdentityMap.from_linear(psi.linear_inverse, order)
+    linear = NearIdentityMap.from_linear(
+        [[1, Fraction(-1, 3)], [0, Fraction(1, 3)]], order)
     lin1, lin2 = linear.components
     q = lin1 * lin1
     third = as_scalar(Fraction(1, 3))
@@ -125,7 +131,7 @@ def test_pull_back_inverts_push_forward():
     rng = random.Random(31)
     for _ in range(6):
         h = random_field(rng, 2, 6, 3, 3, min_degree=2)
-        phi = NearIdentityMap.from_generator(h)
+        phi = step_map(h)
         f = random_field(rng, 2, 6, 3, 4, min_degree=1)
         assert pull_back(phi, push_forward(phi, f)) == f
         assert push_forward(phi, pull_back(phi, f)) == f

@@ -1,7 +1,7 @@
 """Property tests for the identities that the normalizing pipeline leans on.
 
 * A ``NearIdentityMap`` is its component polynomials: rebuilding it
-  from them gives the same map, its stored ``linear_inverse`` is L^-1,
+  from them gives the same map, the linear part of its inverse is L^-1,
   and composition is associative.
 * ``invert_to_order`` is a two-sided inverse through the truncation order,
   also when the linear part is neither the identity nor diagonal, so
@@ -58,7 +58,9 @@
   smaller order and coefficients 1, -1, i and general complex values.
 * Products, substitutions, derivatives and negations, which skip the
   checks of ``PolyScalar.__init__``, are canonical: the public
-  constructor gives the same terms back.
+  constructor gives the same terms back.  ``degree_part``,
+  ``degree_range`` and ``truncated``, which skip them too, give the terms
+  and order that the public constructor gives on the same terms.
 * ``Series``, the graded storage of the inversion and the pull-back,
   agrees with plain ``GaussianRational`` dicts: its product part at every
   degree, its linear combinations with complex coefficients over mixed
@@ -92,6 +94,8 @@ from dulac.poly import (
 )
 from dulac.resonance import resonant_pairs
 from dulac.scalars import ONE, ZERO, GaussianRational, add_scaled
+
+from oracle import step_map
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,
                              database=None,
@@ -240,8 +244,9 @@ def test_invert_to_order_is_a_two_sided_inverse(psi):
 def test_map_is_its_components_with_the_inverse_linear_part(psi):
     assert NearIdentityMap(psi.components) == psi
     linear = PolyVectorField(psi.components).linear_matrix()
+    inverse = PolyVectorField(psi.invert_to_order().components).linear_matrix()
     product = [[sum((x * y for x, y in zip(row, col)), ZERO)
-                for col in zip(*psi.linear_inverse)] for row in linear]
+                for col in zip(*inverse)] for row in linear]
     assert product == identity_matrix(psi.dim)
 
 
@@ -297,7 +302,7 @@ def step_cases(draw):
     assume(not h.is_zero())
     phi = draw(near_identity_maps(dim, order))
     f = draw(linear_part_fields(dim, order))
-    return (NearIdentityMap.from_generator(h), phi, f,
+    return (step_map(h), phi, f,
             draw(st.integers(min_value=1, max_value=order - 1)))
 
 
@@ -814,6 +819,25 @@ def test_products_and_substitutions_are_canonical(polys_, factor):
                    apply_derivation(g, a),
                    *lie_bracket(f, g).components):
         assert_canonical(result)
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(min_value=1, max_value=3).flatmap(
+    lambda dim: polys(dim, 6, max_terms=6)),
+    st.integers(0, 7), st.integers(0, 7), st.integers(0, 6))
+def test_subsets_of_terms_match_the_validating_constructor(p, low, high, order):
+    for got, keep, expected_order in (
+            (p.degree_part(low), lambda d: d == low, p.order),
+            (p.degree_range(low), lambda d: low <= d, p.order),
+            (p.degree_range(low, high), lambda d: low <= d <= high, p.order),
+            (p.truncated(order), lambda d: True, order)):
+        expected = PolyScalar(p.dim, expected_order,
+                              {e: c for e, c in p.terms.items()
+                               if keep(sum(e))})
+        assert (got.order, got.terms) == (expected.order, expected.terms)
+    field = PolyVectorField([p] * p.dim)
+    assert field.truncated(p.order) is field
+    assert field.truncated(order).components == (p.truncated(order),) * p.dim
 
 
 @st.composite
