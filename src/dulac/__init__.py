@@ -12,11 +12,9 @@ runs over Gaussian rationals; nothing is ever rounded.
 from ._version import __version__
 from .bifurcation import (
     DMatrix,
-    DetResult,
     ParamFamily,
     build_D,
     build_oscillator_D,
-    det_nonsingular,
     oscillator_pattern,
     suspend,
 )
@@ -91,7 +89,6 @@ __all__ = [
     "CriterionCheck",
     "DMatrix",
     "DegenerateEigenvaluesError",
-    "DetResult",
     "DiagnosticsReport",
     "DimensionMismatchError",
     "Document",
@@ -120,7 +117,6 @@ __all__ = [
     "centralizer_basis",
     "check_commute",
     "condition_a",
-    "det_nonsingular",
     "diagnose",
     "family_from_dict",
     "family_to_dict",

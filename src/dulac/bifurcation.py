@@ -8,102 +8,77 @@ entries of A at eta = 0 must be nonsingular.  A variant layout covers the
 resonant pair of oscillators with frequency ratio 1:m, where the
 eigenvalue column is divided by i*omega_0 and moved last.
 
-suspend() turns a family into an autonomous field on (x, eta)-space with
-eta' = 0, so the parameter-dependent normal form machinery reduces to the
-ordinary one: parameters become coordinates with eigenvalue zero.
+A family is held as its suspension: the autonomous field on (x, eta)-space
+with eta' = 0, so the parameter-dependent normal form machinery reduces
+to the ordinary one, with the parameters as coordinates of eigenvalue
+zero.  The held field is known through order + 1, so that an entry of A
+known to eta-degree ``order`` keeps every term as c * x_j * eta^e, and
+suspend() truncates it back to the family's order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .errors import (
     DegenerateEigenvaluesError,
-    DimensionMismatchError,
     InputFormatError,
     ParameterCountError,
 )
 from .linalg import mat_det
-from .poly import PolyScalar, PolyVectorField, Spectrum, _unit
-from .scalars import ZERO, GaussianRational, add_scaled, as_scalar
+from .poly import PolyVectorField, Spectrum, _unit
+from .scalars import GaussianRational, as_scalar
 
 
+@dataclass(frozen=True)
 class ParamFamily:
     """A polynomial family x' = A(eta) x + F(x, eta), stationary at x = 0.
 
-    ``a_entries`` is an n x n matrix of polynomials in the parameters
-    (scalars are accepted and treated as constants); the constant part
-    A(0) must be diagonal.  ``f_terms`` lists (component, exponents,
-    coefficient) triples over the n + p variables (x first, eta after),
-    each of x-degree at least 2, so f(0, eta) = 0 holds identically.
-    Repeated critical eigenvalues are allowed here; the nondegeneracy
-    test rejects them.
+    ``field`` is the suspension over the n + p variables (x first, eta
+    after), known through order + 1: an entry A_ij(eta) = sum c * eta^e
+    is the terms c * x_j * eta^e of component i, F holds the terms of
+    x-degree at least 2 through joint degree ``order``, and the last p
+    components are zero.  A(0) must be diagonal.  Repeated critical
+    eigenvalues are allowed here; the nondegeneracy test rejects them.
     """
 
-    __slots__ = ("n", "p", "order", "a_entries", "f_components")
+    field: PolyVectorField
+    p: int
 
-    def __init__(self, n: int, p: int, order: int,
-                 a_entries: Sequence[Sequence], f_terms: Sequence = ()):
-        if n < 1 or p < 0:
+    def __post_init__(self):
+        n = self.n
+        if n < 1 or self.p < 0:
             raise InputFormatError("need n >= 1 state variables and p >= 0 "
                                    "parameters")
-        if order < 1:
-            raise InputFormatError("truncation order must be at least 1")
-        if len(a_entries) != n or any(len(row) != n for row in a_entries):
-            raise DimensionMismatchError(
-                f"matrix of shape {n}x{n} expected")
-        coerced = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                entry = a_entries[i][j]
-                if isinstance(entry, PolyScalar):
-                    if entry.dim != p:
-                        raise DimensionMismatchError(
-                            "matrix entries must be polynomials in the "
-                            f"{p} parameters")
-                    entry = PolyScalar(p, order, entry.terms)
-                else:
-                    entry = PolyScalar.constant(p, order, as_scalar(entry))
-                if i != j and entry.coefficient((0,) * p) != ZERO:
-                    raise InputFormatError(
-                        "the critical matrix A(0) must be diagonal; "
-                        f"entry ({i + 1},{j + 1}) has a constant term")
-                row.append(entry)
-            coerced.append(tuple(row))
-        comps: List[dict] = [{} for _ in range(n)]
-        for comp, exps, coeff in f_terms:
-            if not 0 <= comp < n:
+        for i, comp in enumerate(self.field.components[:n]):
+            if any(not any(exps[:n]) for exps in comp.terms):
                 raise InputFormatError(
-                    f"component {comp + 1} outside 1..{n}")
-            if len(exps) != n + p:
+                    "every term needs x-degree at least 1, so that x = 0 "
+                    "stays stationary for every eta")
+            off = [exps.index(1) for exps in comp.terms
+                   if sum(exps) == 1 and not exps[i]]
+            if off:
                 raise InputFormatError(
-                    f"exponent tuples need length {n + p} (x then eta)")
-            if sum(exps[:n]) < 2:
-                raise InputFormatError(
-                    "nonlinear terms must have x-degree at least 2 "
-                    "(the linear-in-x part belongs to the matrix)")
-            add_scaled(comps[comp], {tuple(exps): as_scalar(coeff)})
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "a_entries", tuple(coerced))
-        object.__setattr__(self, "f_components", tuple(
-            PolyScalar(n + p, order, c) for c in comps))
+                    "the critical matrix A(0) must be diagonal; "
+                    f"entry ({i + 1},{min(off) + 1}) has a constant term")
+        if not all(c.is_zero() for c in self.field.components[n:]):
+            raise InputFormatError(
+                "the parameter components must be zero: eta' = 0")
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ParamFamily is immutable")
+    @property
+    def n(self) -> int:
+        return self.field.dim - self.p
+
+    @property
+    def order(self) -> int:
+        return self.field.order - 1
 
     def eigenvalues(self) -> Spectrum:
-        """Diagonal of A(0)."""
-        zero = (0,) * self.p
-        return Spectrum(self.a_entries[i][i].coefficient(zero)
+        """Diagonal of A(0): of the field's linear part."""
+        dim = self.field.dim
+        return Spectrum(self.field.components[i].coefficient(_unit(dim, i))
                         for i in range(self.n))
-
-    def __repr__(self) -> str:
-        return (f"ParamFamily(n={self.n}, p={self.p}, "
-                f"order={self.order}, eigenvalues={self.eigenvalues()})")
 
 
 @dataclass(frozen=True)
@@ -122,15 +97,13 @@ class DMatrix:
         return mat_det([list(row) for row in self.entries])
 
 
-@dataclass(frozen=True)
-class DetResult:
-    nonsingular: bool
-    determinant: GaussianRational
-
-
 def _diagonal_derivatives(family: ParamFamily) -> List[List[GaussianRational]]:
-    return [[family.a_entries[i][i].coefficient(_unit(family.p, k))
-             for k in range(family.p)] for i in range(family.n)]
+    """d A_ii / d eta_k at eta = 0: the coefficient of x_i * eta_k in
+    component i."""
+    n, dim = family.n, family.field.dim
+    return [[family.field.components[i].coefficient(
+                tuple(int(v in (i, n + k)) for v in range(dim)))
+             for k in range(family.p)] for i in range(n)]
 
 
 def _require_shape(family: ParamFamily) -> Spectrum:
@@ -207,29 +180,12 @@ def build_oscillator_D(family: ParamFamily) -> DMatrix:
     return DMatrix(entries, "oscillator")
 
 
-def det_nonsingular(matrix: DMatrix) -> DetResult:
-    """Exact determinant test."""
-    det = matrix.determinant()
-    return DetResult(det != ZERO, det)
-
-
 def suspend(family: ParamFamily) -> PolyVectorField:
-    """Autonomous field on (x, eta)-space with eta' = 0.
+    """Autonomous field on (x, eta)-space with eta' = 0, through the
+    family's order.
 
     The linear part is diag(eigenvalues, 0, ..., 0); all eta-dependence
-    of A and F turns into higher-degree mixed terms.  The result's
-    spectrum is read off that diagonal, so it feeds directly into
-    normalize().
+    of A and F sits in higher-degree mixed terms.  The result's spectrum
+    is read off that diagonal, so it feeds directly into normalize().
     """
-    n, p, order = family.n, family.p, family.order
-    total = n + p
-    eta_map = list(range(n, total))
-    components = []
-    for i in range(n):
-        comp = dict(family.f_components[i].terms)
-        for j in range(n):
-            lifted = family.a_entries[i][j].lift(total, eta_map)
-            add_scaled(comp, (lifted * PolyScalar.variable(total, order, j)).terms)
-        components.append(PolyScalar(total, order, comp))
-    components.extend(PolyScalar.zero(total, order) for _ in range(p))
-    return PolyVectorField(components)
+    return family.field.truncated(family.order)

@@ -13,11 +13,16 @@ import sys
 from typing import Optional, Sequence
 
 from ._version import __version__
-from .bifurcation import build_D, build_oscillator_D, det_nonsingular, suspend
+from .bifurcation import build_D, build_oscillator_D, suspend
 from .centralizer import centralizer_basis, kernel_intersection
 from .corpus import run_corpus
 from .diagnostics import diagnose
-from .errors import DulacError, InputFormatError, NonDiagonalLinearPartError
+from .errors import (
+    DimensionMismatchError,
+    DulacError,
+    InputFormatError,
+    NonDiagonalLinearPartError,
+)
 from .fieldfile import (
     component_terms,
     dump_document,
@@ -31,18 +36,37 @@ from .resonance import ResonanceRelation, resonant_monomials
 from .scalars import GaussianRational, ScalarParseError
 
 
-def _load_field(path: str, need_diagonal: bool = True) -> PolyVectorField:
+def _field_document(path: str) -> PolyVectorField:
     doc = load_document(path)
     if doc.kind != "field":
         raise InputFormatError(
             f"{path}: expected a vector field document, found a family; "
             "use the family commands for it")
-    field = doc.field
-    if need_diagonal and field.spectrum is None:
+    return doc.field
+
+
+def _load_field(path: str) -> PolyVectorField:
+    field = _field_document(path)
+    if field.spectrum is None:
         raise NonDiagonalLinearPartError(
             f"{path}: the linear part is not diagonal; supply eigenvalues "
             "or a linear_matrix to conjugate with")
     return field
+
+
+def _load_symmetry(path: str, dim: int) -> PolyVectorField:
+    """A field that should commute with an input over ``dim`` variables,
+    refused with its path when the bracket cannot compare the two."""
+    symmetry = _field_document(path)
+    if symmetry.dim != dim:
+        raise DimensionMismatchError(
+            f"{path}: commuting field dimension differs from the input field")
+    # the bracket reads both fields through degree d only when both
+    # vanish at the origin
+    if any(c.coefficient((0,) * dim) for c in symmetry.components):
+        raise DimensionMismatchError(
+            f"{path}: commuting field must vanish at the origin")
+    return symmetry
 
 
 def _load_family(path: str):
@@ -159,7 +183,7 @@ def _cmd_diagnose(args) -> int:
     field = _load_field(args.input)
     symmetry = None
     if args.symmetry is not None:
-        symmetry = _load_field(args.symmetry, need_diagonal=False)
+        symmetry = _load_symmetry(args.symmetry, field.dim)
     report = diagnose(field, args.order, symmetry=symmetry,
                       omega_max_k=args.omega_k,
                       centralizer_degree=args.centralizer_degree)
@@ -246,8 +270,9 @@ def _cmd_bifurcation(args) -> int:
     family = doc.family
     matrix = (build_oscillator_D(family) if args.layout == "oscillator"
               else build_D(family))
-    result = det_nonsingular(matrix)
-    verdict = "nonsingular" if result.nonsingular else "singular"
+    det = matrix.determinant()
+    nonsingular = det != 0
+    verdict = "nonsingular" if nonsingular else "singular"
     if args.json:
         payload = {
             "version": __version__,
@@ -255,8 +280,8 @@ def _cmd_bifurcation(args) -> int:
             "layout": matrix.layout,
             "eigenvalues": [str(v) for v in family.eigenvalues()],
             "D": [[str(v) for v in row] for row in matrix.entries],
-            "determinant": str(result.determinant),
-            "nonsingular": result.nonsingular,
+            "determinant": str(det),
+            "nonsingular": nonsingular,
         }
         _emit(json.dumps(payload, indent=2), args.out)
     else:
@@ -271,10 +296,10 @@ def _cmd_bifurcation(args) -> int:
         for row in matrix.entries:
             cells = [str(v).rjust(w) for v, w in zip(row, widths)]
             lines.append("  [ " + "  ".join(cells) + " ]")
-        lines.append(f"det D = {result.determinant}")
+        lines.append(f"det D = {det}")
         lines.append(f"verdict: {verdict}")
         _emit("\n".join(lines), args.out)
-    if args.strict and not result.nonsingular:
+    if args.strict and not nonsingular:
         return 1
     return 0
 

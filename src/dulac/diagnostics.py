@@ -719,8 +719,11 @@ def diagnose(f: PolyVectorField, order: int,
     The field needs a diagonal linear part and no constant term.  A
     commuting field makes the symmetry criteria checkable; without one
     they report not-applicable.  The centralizer degree defaults to the
-    working order.
+    working order, and a given one must lie in 1..order.
     """
+    if centralizer_degree is not None and not 1 <= centralizer_degree <= order:
+        raise TruncationOrderError(
+            f"centralizer degree {centralizer_degree} outside 1..{order}")
     result = normalize(f, order)
     fhat = result.normal_form
     spectrum = fhat.spectrum

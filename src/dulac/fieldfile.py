@@ -35,8 +35,12 @@ replaces ``eigenvalues`` with a ``params`` block:
 
 Matrix entries are either a bare scalar (constant) or a list of
 {coeff, exps} terms in the parameters alone; family ``terms`` use
-exponent tuples over (x, eta) jointly.  All parse failures raise
-InputFormatError naming the JSON path of the offending value.
+exponent tuples over (x, eta) jointly.  A family is held as its
+suspension, a field over (x, eta) known through order + 1: each matrix
+term c * eta^e of cell (i, j) becomes the term c * x_j * eta^e of
+component i, and ``family_to_dict`` regroups the terms of x-degree 1
+into the cells.  All parse failures raise InputFormatError naming the
+JSON path of the offending value.
 
 This module owns the term entry {"coeff", "exps", "comp"} both ways:
 ``component_terms`` and ``term_list`` write it for documents and reports,
@@ -51,16 +55,22 @@ from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
 
 from .bifurcation import ParamFamily
-from .errors import BudgetExceededError, InputFormatError, ScalarParseError
+from .errors import (
+    BudgetExceededError,
+    InputFormatError,
+    ScalarParseError,
+    SingularLinearPartError,
+)
 from .maps import linear_conjugate
 from .poly import (
     DEFAULT_TUPLE_BUDGET,
     PolyScalar,
     PolyVectorField,
     Spectrum,
+    _unit,
     linear_field,
 )
-from .scalars import GaussianRational, add_scaled, as_scalar
+from .scalars import GaussianRational, as_scalar
 
 
 @dataclass(frozen=True)
@@ -244,13 +254,18 @@ def field_from_dict(data: Any, where: str = "field") -> Tuple[PolyVectorField, T
     elif "linear_matrix" in data:
         matrix = _parse_matrix(data["linear_matrix"], dim,
                                f"{where}.linear_matrix")
-        field = linear_conjugate(matrix, field)
+        try:
+            field = linear_conjugate(matrix, field)
+        except SingularLinearPartError as exc:
+            raise SingularLinearPartError(
+                f"{where}.linear_matrix: {exc}") from exc
     return field, var_names
 
 
 def family_from_dict(data: Any, where: str = "family"
                      ) -> Tuple[ParamFamily, Tuple[str, ...], Tuple[str, ...]]:
-    """Build a parameter family from a parsed JSON object."""
+    """Build a parameter family, held as its suspension, from a parsed
+    JSON object; ``terms`` of joint degree above the order are dropped."""
     dim, order, var_names, raw_terms = _header(data, _FAMILY_KEYS, where)
     params = data.get("params")
     if not isinstance(params, dict):
@@ -269,30 +284,26 @@ def family_from_dict(data: Any, where: str = "family"
     raw_matrix = params["matrix"]
     if not isinstance(raw_matrix, list) or len(raw_matrix) != dim:
         _fail(f"{where}.params.matrix", f"expected {dim} rows")
-    entries: List[List[PolyScalar]] = []
+    triples = []
     for i, row in enumerate(raw_matrix):
         row_where = f"{where}.params.matrix[{i}]"
         if not isinstance(row, list) or len(row) != dim:
             _fail(row_where, f"expected {dim} entries")
-        out_row = []
         for j, cell in enumerate(row):
             cell_where = f"{row_where}[{j}]"
+            x_j = _unit(dim, j)
             if isinstance(cell, (str, int)) and not isinstance(cell, bool):
-                out_row.append(PolyScalar.constant(
-                    p, order, _parse_scalar(cell, cell_where)))
+                triples.append((i, x_j + (0,) * p,
+                                _parse_scalar(cell, cell_where)))
                 continue
             if not isinstance(cell, list):
                 _fail(cell_where, "expected a scalar or a list of "
                                   "{coeff, exps} terms in the parameters")
-            terms = {}
             for k, item in enumerate(cell):
                 exps, coeff = _parse_entry(item, p, f"{cell_where}[{k}]",
                                            ("coeff", "exps"))
-                add_scaled(terms, {exps: coeff})
-            out_row.append(PolyScalar(p, order, terms))
-        entries.append(out_row)
+                triples.append((i, x_j + exps, coeff))
 
-    triples = []
     for idx, item in enumerate(raw_terms):
         comp, exps, coeff = _parse_term(item, dim + p, dim,
                                         f"{where}.terms[{idx}]")
@@ -300,10 +311,11 @@ def family_from_dict(data: Any, where: str = "family"
             _fail(f"{where}.terms[{idx}].exps",
                   "family terms must have x-degree at least 2; linear-in-x "
                   "behavior belongs to the matrix")
-        triples.append((comp, exps, coeff))
+        if sum(exps) <= order:
+            triples.append((comp, exps, coeff))
 
-    family = ParamFamily(dim, p, order, entries, triples)
-    return family, var_names, param_names
+    field = PolyVectorField.from_terms(dim + p, order + 1, triples)
+    return ParamFamily(field, p), var_names, param_names
 
 
 def load_document(path: str) -> Document:
@@ -359,16 +371,24 @@ def family_to_dict(family: ParamFamily,
                    var_names: Optional[Sequence[str]] = None,
                    param_names: Optional[Sequence[str]] = None) -> dict:
     """Serialize a family; inverse of family_from_dict up to key defaults."""
-    data: dict = {"dim": family.n, "order": family.order}
+    n = family.n
+    data: dict = {"dim": n, "order": family.order}
     if var_names is not None:
         data["vars"] = list(var_names)
     if param_names is None:
         param_names = [f"eta{i + 1}" for i in range(family.p)]
-    matrix = [[[{"coeff": str(c), "exps": list(e)}
-                for e, c in entry.sorted_terms()] for entry in row]
-              for row in family.a_entries]
+    matrix: List[List[List[dict]]] = [[[] for _ in range(n)] for _ in range(n)]
+    terms = []
+    for i, comp in enumerate(family.field.components[:n]):
+        for entry in component_terms(comp, i):
+            exps = entry["exps"]
+            if sum(exps[:n]) == 1:
+                matrix[i][exps.index(1)].append(
+                    {"coeff": entry["coeff"], "exps": exps[n:]})
+            else:
+                terms.append(entry)
     data["params"] = {"names": list(param_names), "matrix": matrix}
-    data["terms"] = term_list(family.f_components)
+    data["terms"] = terms
     return data
 
 

@@ -446,16 +446,6 @@ class PolyScalar:
             add_scaled(acc, table[exps].terms, self.terms[exps])
         return PolyScalar._canonical(vdim, order, acc)
 
-    def lift(self, new_dim: int, var_map: Sequence[int]) -> "PolyScalar":
-        """Reinterpret over more variables; old variable i becomes var_map[i]."""
-        out: TermMap = {}
-        for exps, coeff in self.terms.items():
-            lifted = [0] * new_dim
-            for i, e in enumerate(exps):
-                lifted[var_map[i]] += e
-            out[tuple(lifted)] = coeff
-        return PolyScalar(new_dim, self.order, out)
-
     def __str__(self) -> str:
         return format_poly(self)
 

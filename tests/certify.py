@@ -31,6 +31,19 @@ This certifies that the elements lie in the truncated centralizer and
 span a space of the printed dimension, not that they span all of it, nor
 the ``confirmed`` flags; the goldens pin those.
 
+A ``bifurcation --json`` report is accepted when, for the family
+document it was computed from, its ``eigenvalues`` are the diagonal of
+A(0), its ``D`` is the nondegeneracy matrix built here from the matrix
+cells in the report's layout (eigenvalue-first: the eigenvalues, then
+d A_ii / d eta_k at eta = 0; oscillator: those derivatives, then the
+eigenvalues divided by the first, which must read (1, -1, m, -m) for an
+integer m >= 2), its ``determinant`` is the determinant of that matrix
+found here by elimination, and ``nonsingular`` says whether it is
+nonzero.  A ``suspend`` document, which carries no ``command``, is
+accepted when it is the field over (x, eta) with eta' = 0 built here
+from the family: each cell term c * eta^e of A_ij becomes c * x_j * eta^e
+in component i, the family's terms stay, and both are cut at the order.
+
 Everything here is the standard library: its own scalar parser, Gaussian
 rationals as pairs of ``Fraction``, and polynomials as plain dicts from
 exponent tuples to such pairs, multiplied term by term and truncated.  It
@@ -39,12 +52,14 @@ cannot hide itself here.
 
 Run ``python -S tests/certify.py`` to certify every normalize golden
 whose input has a diagonal linear part, every ``DIGESTS`` case of
-``test_golden.py`` and every centralizer golden, restricted and
-unrestricted, against the normal form it was computed from.  The
+``test_golden.py``, every centralizer golden, restricted and
+unrestricted, against the normal form it was computed from, and every
+bifurcation and suspend golden against its family document.  The
 ``DIGESTS`` cases are produced by ``python -S -m dulac.cli`` in a
 subprocess (with ``src`` put on ``PYTHONPATH``) and must also match their
 pinned sha256.  ``python -S tests/certify.py INPUT REPORT ...`` certifies
-the given pairs of files; the report's ``command`` picks the check.  The
+the given pairs of files; the report's ``command`` picks the check, and a
+report without one is taken for a ``suspend`` document.  The
 exit status is 1 when any report is refused.
 """
 
@@ -277,8 +292,111 @@ def certify_centralizer(document, report):
     return None
 
 
+def family_cells(document):
+    """The matrix A(eta) of a family document: each cell as a dict from
+    exponents in eta to coefficients."""
+    p = len(document["params"]["names"])
+    rows = []
+    for row in document["params"]["matrix"]:
+        cells = []
+        for cell in row:
+            terms = {}
+            for entry in (cell if isinstance(cell, list)
+                          else [{"coeff": cell, "exps": [0] * p}]):
+                accumulate(terms, tuple(entry["exps"]),
+                           parse_scalar(entry["coeff"]))
+            cells.append(terms)
+        rows.append(cells)
+    return rows
+
+
+def determinant(matrix):
+    """The determinant of a square matrix of pairs, by elimination."""
+    rows = [list(row) for row in matrix]
+    det = ONE
+    for k in range(len(rows)):
+        pivot = next((r for r in range(k, len(rows)) if rows[r][k] != ZERO),
+                     None)
+        if pivot is None:
+            return ZERO
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            det = neg(det)
+        det = mul(det, rows[k][k])
+        scale = inverse(rows[k][k])
+        for r in range(k + 1, len(rows)):
+            factor = neg(mul(rows[r][k], scale))
+            rows[r] = [add(a, mul(factor, b)) for a, b in zip(rows[r], rows[k])]
+    return det
+
+
+def certify_bifurcation(document, report):
+    """None when the report's matrix, determinant and verdict are the
+    family's, else why not."""
+    cells = family_cells(document)
+    n, p = len(cells), len(document["params"]["names"])
+    if p != n - 1:
+        return f"the matrix needs p = n - 1 parameters, not {p} for n = {n}"
+    eigenvalues = [cells[i][i].get((0,) * p, ZERO) for i in range(n)]
+    partials = [[cells[i][i].get(unit(p, k), ZERO) for k in range(p)]
+                for i in range(n)]
+    if report["layout"] == "eigenvalue-first":
+        matrix = [[eigenvalues[i]] + partials[i] for i in range(n)]
+    elif report["layout"] == "oscillator":
+        base = eigenvalues[0]
+        if n != 4 or base[0] != 0 or base[1] == 0:
+            return "the eigenvalues lack the oscillator pattern"
+        tail = [mul(lam, inverse(base)) for lam in eigenvalues]
+        m = tail[2][0]
+        if (tail != [ONE, neg(ONE), (m, Fraction(0)), (-m, Fraction(0))]
+                or m.denominator != 1 or m < 2):
+            return "the eigenvalues lack the oscillator pattern"
+        matrix = [partials[i] + [tail[i]] for i in range(n)]
+    else:
+        return f"no layout {report['layout']!r}"
+    if [parse_scalar(v) for v in report["eigenvalues"]] != eigenvalues:
+        return "the eigenvalues are not the diagonal of A(0)"
+    if len(report["D"]) != n:
+        return f"D has {len(report['D'])} rows, not {n}"
+    for i, row in enumerate(report["D"]):
+        if [parse_scalar(v) for v in row] != matrix[i]:
+            return f"row {i + 1} of D is not the family's"
+    det = determinant(matrix)
+    if parse_scalar(report["determinant"]) != det:
+        return "the determinant is not the determinant of D"
+    if report["nonsingular"] is not (det != ZERO):
+        return f"nonsingular should read {det != ZERO}"
+    return None
+
+
+def certify_suspend(document, report):
+    """None when the field document is the family's suspension, else why
+    not."""
+    cells = family_cells(document)
+    n, order = document["dim"], document["order"]
+    names = document["params"]["names"]
+    dim = n + len(names)
+    header = (dim, order, document.get("vars", [f"x{k + 1}" for k in range(n)])
+              + names)
+    if (report["dim"], report["order"], report.get("vars")) != header:
+        return "dim, order or vars are not those of the suspension"
+    expected = components(document.get("terms", []), dim, order)
+    for i, row in enumerate(cells):
+        for j, cell in enumerate(row):
+            for eta, c in cell.items():
+                if 1 + sum(eta) <= order:
+                    accumulate(expected[i], unit(n, j) + eta, c)
+    _, found = input_field(report, order)
+    for i, (comp, want) in enumerate(zip(found, expected)):
+        if comp != want:
+            return f"component {i + 1} is not the suspension's"
+    return None
+
+
 CERTIFIERS = {"normalize": certify_normalize,
-              "centralizer": certify_centralizer}
+              "centralizer": certify_centralizer,
+              "bifurcation": certify_bifurcation,
+              "suspend": certify_suspend}
 
 
 def golden_table(name):
@@ -322,6 +440,24 @@ def centralizer_pairs():
     return out
 
 
+def family_pairs():
+    """(name, family input path, report path) of every bifurcation golden,
+    whose family ``BIFURCATIONS`` of ``test_golden.py`` names, and of
+    every suspend golden, named after its family."""
+    bifurcations = golden_table("BIFURCATIONS")
+    out = []
+    for report in sorted(GOLDEN.glob("*.bifurcation.json")):
+        name = report.name[:-len(".bifurcation.json")]
+        family = bifurcations[name][0]
+        out.append((f"{name}.bifurcation", INPUTS / f"{family}.family.json",
+                    report))
+    for report in sorted(GOLDEN.glob("*.suspend.json")):
+        name = report.name[:-len(".suspend.json")]
+        out.append((f"{name}.suspend", INPUTS / f"{name}.family.json",
+                    report))
+    return out
+
+
 def _run_normalize(source, order, out):
     env = dict(os.environ)
     src = str(HERE.parent / "src")
@@ -332,13 +468,18 @@ def _run_normalize(source, order, out):
                     "--out", str(out)], check=True, env=env)
 
 
+def certify_report(document, report):
+    """The check that the report's ``command`` picks; a suspend document
+    is a field document, which names no command."""
+    command = report.get("command", "suspend")
+    if command not in CERTIFIERS:
+        return f"no certificate for the command {command!r}"
+    return CERTIFIERS[command](document, report)
+
+
 def _check(label, source, report_bytes):
-    report = json.loads(report_bytes)
-    certify = CERTIFIERS.get(report.get("command"))
-    if certify is None:
-        reason = f"no certificate for the command {report.get('command')!r}"
-    else:
-        reason = certify(json.loads(Path(source).read_text()), report)
+    reason = certify_report(json.loads(Path(source).read_text()),
+                            json.loads(report_bytes))
     print(f"{label}: {'certified' if reason is None else 'REFUSED: ' + reason}")
     return reason is None
 
@@ -366,6 +507,8 @@ def main(argv):
                 ok &= _check(f"digest {name}", source, data)
     for name, source, report in centralizer_pairs():
         ok &= _check(f"centralizer {name}", source, report.read_bytes())
+    for name, source, report in family_pairs():
+        ok &= _check(f"family {name}", source, report.read_bytes())
     return 0 if ok else 1
 
 

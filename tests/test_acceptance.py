@@ -10,7 +10,7 @@ import random
 import time
 from fractions import Fraction
 
-from dulac.bifurcation import ParamFamily, build_D
+from dulac.bifurcation import build_D
 from dulac.centralizer import centralizer_basis, kernel_intersection
 from dulac.corpus import (
     HORN_CONJUGATION,
@@ -21,6 +21,7 @@ from dulac.corpus import (
     so2_symmetry,
 )
 from dulac.diagnostics import condition_a, pliss_linear
+from dulac.fieldfile import family_from_dict
 from dulac.linalg import nullspace
 from dulac.maps import NearIdentityMap, linear_conjugate, push_forward
 from dulac.normalizer import check_commute, normalize
@@ -215,13 +216,16 @@ def test_criterion_7_hopf_transversality_determinant():
                 Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
                 Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
             junk = as_scalar(rng.randint(-3, 3))
-            top = PolyScalar(1, 3, {(0,): I, (1,): slope, (2,): junk})
-            bottom = PolyScalar(1, 3, {(0,): as_scalar(-1) * I,
-                                       (1,): GaussianRational(slope.real,
-                                                              -slope.imag),
-                                       (2,): junk + I})
-            family = ParamFamily(2, 1, 3, a_entries=((top, 0), (0, bottom)),
-                                 f_terms=[(0, (2, 1, 0), rng.randint(1, 3))])
+            top = [(I, 0), (slope, 1), (junk, 2)]
+            bottom = [(-I, 0), (GaussianRational(slope.real, -slope.imag), 1),
+                      (junk + I, 2)]
+            family, _, _ = family_from_dict({
+                "dim": 2, "order": 3,
+                "params": {"names": ["eta"], "matrix": [
+                    [[{"coeff": str(c), "exps": [e]} for c, e in top], 0],
+                    [0, [{"coeff": str(c), "exps": [e]} for c, e in bottom]]]},
+                "terms": [{"coeff": rng.randint(1, 3), "exps": [2, 1, 0],
+                           "comp": 1}]})
             det = build_D(family).determinant()
             real_slope = GaussianRational(slope.real, Fraction(0))
             assert det == 2 * I * real_slope

@@ -6,7 +6,6 @@ from dulac.bifurcation import (
     ParamFamily,
     build_D,
     build_oscillator_D,
-    det_nonsingular,
     oscillator_pattern,
     suspend,
 )
@@ -16,42 +15,56 @@ from dulac.errors import (
     InputFormatError,
     ParameterCountError,
 )
-from dulac.poly import PolyScalar, Spectrum
+from dulac.fieldfile import family_from_dict
+from dulac.poly import PolyVectorField, Spectrum
 from dulac.scalars import I, as_scalar
 
 
-def poly1(consts, order=2):
-    """Polynomial in one parameter from {exps: coeff}."""
-    return PolyScalar(1, order, {k: as_scalar(v) for k, v in consts.items()})
+def family(matrix, order=2, names=("eta",)):
+    """The family of a document with the given matrix cells and no
+    terms."""
+    built, _, _ = family_from_dict({
+        "dim": len(matrix), "order": order,
+        "params": {"names": list(names), "matrix": matrix}})
+    return built
 
 
-def saddle_family():
+def saddle_family(order=2):
     # lambda(eta) = (1 + eta, -1 + eta)
-    return ParamFamily(2, 1, 2, a_entries=(
-        (poly1({(0,): 1, (1,): 1}), 0),
-        (0, poly1({(0,): -1, (1,): 1})),
-    ))
+    return family([
+        [[{"coeff": "1", "exps": [0]}, {"coeff": "1", "exps": [1]}], "0"],
+        ["0", [{"coeff": "-1", "exps": [0]}, {"coeff": "1", "exps": [1]}]],
+    ], order=order)
 
 
 def test_family_coercion_and_eigenvalues():
     fam = saddle_family()
     assert (fam.n, fam.p, fam.order) == (2, 1, 2)
     assert fam.eigenvalues() == Spectrum([1, -1])
-    # bare scalars become constant polynomials in the parameters
-    assert fam.a_entries[0][1].is_zero()
+    # the family is its suspension, known one degree past its order
+    assert fam.field.order == 3
+    assert [str(c) for c in fam.field.components] == [
+        "x1 + x1*x3", "-1*x2 + x2*x3", "0"]
     with pytest.raises(AttributeError):
-        fam.n = 3
-
-
-def test_family_rejects_linear_in_x_terms():
-    with pytest.raises(InputFormatError, match="x-degree at least 2"):
-        ParamFamily(2, 1, 2, a_entries=((1, 0), (0, -1)),
-                    f_terms=[(0, (1, 0, 1), 1)])
+        fam.p = 3
 
 
 def test_family_rejects_offdiagonal_constant():
     with pytest.raises(InputFormatError, match="must be diagonal"):
-        ParamFamily(2, 1, 2, a_entries=((1, 1), (0, -1)))
+        family([[1, 1], [0, -1]])
+
+
+@pytest.mark.parametrize("terms, p, message", [
+    ([(0, (1, 0, 0), 1), (0, (0, 1, 0), 2), (1, (1, 0, 0), 3)], 1,
+     r"the critical matrix A\(0\) must be diagonal; entry \(1,2\) has a "
+     r"constant term"),
+    ([(0, (1, 0, 0), 1), (0, (0, 0, 1), 1)], 1, "x-degree at least 1"),
+    ([(0, (1, 0, 0), 1), (2, (1, 0, 0), 1)], 1, "parameter components"),
+    ([], 3, "need n >= 1"),
+])
+def test_family_refuses_a_field_that_is_no_suspension(terms, p, message):
+    with pytest.raises(InputFormatError, match=message):
+        ParamFamily(PolyVectorField.from_terms(3, 3, terms), p)
 
 
 def test_build_d_saddle():
@@ -59,14 +72,20 @@ def test_build_d_saddle():
     assert D.layout == "eigenvalue-first"
     assert [[str(e) for e in row] for row in D.entries] == [["1", "1"], ["-1", "1"]]
     assert D.determinant() == as_scalar(2)
-    assert det_nonsingular(D).nonsingular
+
+
+def test_order_one_family_keeps_its_derivatives_and_suspends_linearly():
+    # the held field runs through degree 2, so x_i * eta stays readable
+    fam = saddle_family(order=1)
+    D = build_D(fam)
+    assert [[str(e) for e in row] for row in D.entries] == [["1", "1"], ["-1", "1"]]
+    field = suspend(fam)
+    assert field.order == 1
+    assert [str(p) for p in field.components] == ["x1", "-1*x2", "0"]
 
 
 def test_build_d_constant_family_is_singular():
-    fam = ParamFamily(2, 1, 2, a_entries=((1, 0), (0, -1)))
-    result = det_nonsingular(build_D(fam))
-    assert not result.nonsingular
-    assert result.determinant == as_scalar(0)
+    assert build_D(family([[1, 0], [0, -1]])).determinant() == 0
 
 
 def test_build_d_hopf():
@@ -79,17 +98,15 @@ def test_build_d_hopf():
 
 
 def test_build_d_requires_p_equal_n_minus_1():
-    fam = ParamFamily(2, 2, 2, a_entries=(
-        (PolyScalar.constant(2, 2, as_scalar(1)), 0),
-        (0, PolyScalar.constant(2, 2, as_scalar(-1)))))
+    fam = family([[1, 0], [0, -1]], names=("a", "b"))
     with pytest.raises(ParameterCountError, match="p = n - 1"):
         build_D(fam)
 
 
 def test_build_d_rejects_degenerate_eigenvalues():
     with pytest.raises(DegenerateEigenvaluesError, match="symmetry arguments"):
-        build_D(ParamFamily(2, 1, 2, a_entries=((1, 0), (0, 1))))
-    mixed = ParamFamily(2, 1, 2, a_entries=((as_scalar(1) + I, 0), (0, -1)))
+        build_D(family([[1, 0], [0, 1]]))
+    mixed = family([["1+i", 0], [0, -1]])
     with pytest.raises(DegenerateEigenvaluesError,
                        match="real or purely imaginary"):
         build_D(mixed)
@@ -129,8 +146,7 @@ def test_oscillator_layout_needs_the_pattern():
 
 
 def test_suspend_constant_family():
-    fam = ParamFamily(2, 1, 2, a_entries=((1, 0), (0, -1)))
-    field = suspend(fam)
+    field = suspend(family([[1, 0], [0, -1]]))
     assert field.dim == 3
     assert [str(p) for p in field.components] == ["x1", "-1*x2", "0"]
     assert field.spectrum == Spectrum([1, -1, 0])

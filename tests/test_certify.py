@@ -1,5 +1,5 @@
-"""The independent certificate of ``certify.py`` on ``normalize`` and
-``centralizer`` reports.
+"""The independent certificate of ``certify.py`` on ``normalize``,
+``centralizer``, ``bifurcation`` and ``suspend`` reports.
 
 It certifies every normalize golden whose input has a diagonal linear
 part and the report of every ``DIGESTS`` case, accepts ``normalize``'s
@@ -15,6 +15,11 @@ monomial field x^m e_j does not commute with the normal form (changing
 any other coefficient adds an element of the centralizer, which is not
 an error), and when an element repeats another or the printed dimension
 is off by one.
+
+It certifies every bifurcation and suspend golden against its family
+document, and refuses a bifurcation report after one changed entry of D
+or a flipped ``nonsingular``, and a suspension after one changed
+coefficient.
 """
 
 import json
@@ -25,8 +30,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from certify import (certify_centralizer, certify_normalize,
-                     centralizer_pairs, golden_pairs, pinned_digests)
+from certify import (certify_centralizer, certify_normalize, certify_report,
+                     centralizer_pairs, family_pairs, golden_pairs,
+                     pinned_digests)
 from dulac.cli import main
 from dulac.fieldfile import dump_document, field_from_dict, field_to_dict
 from dulac.poly import PolyVectorField, Spectrum, lie_bracket, linear_field
@@ -35,6 +41,7 @@ from dulac.scalars import GaussianRational
 INPUTS = Path(__file__).parent / "golden" / "inputs"
 GOLDENS = golden_pairs()
 CENTRALIZER_GOLDENS = centralizer_pairs()
+FAMILY_GOLDENS = family_pairs()
 
 
 def _normalize(source: Path, order: int, out: Path) -> dict:
@@ -196,3 +203,40 @@ def test_certificate_accepts_centralizer_on_random_normal_forms(
         entry = entries[pick % len(entries)]
         entry["coeff"] = str(GaussianRational(entry["coeff"]) + delta)
         assert certify_centralizer(document, data) is not None
+
+
+@pytest.mark.parametrize("name,source,report", FAMILY_GOLDENS,
+                         ids=[name for name, _, _ in FAMILY_GOLDENS])
+def test_family_golden_is_certified(name, source, report):
+    assert certify_report(*_load_pair(source, report)) is None
+
+
+BIFURCATION_GOLDENS = [case for case in FAMILY_GOLDENS
+                       if case[0].endswith(".bifurcation")]
+SUSPEND_GOLDENS = [case for case in FAMILY_GOLDENS
+                   if case[0].endswith(".suspend")]
+
+
+@pytest.mark.parametrize("name,source,report", BIFURCATION_GOLDENS,
+                         ids=[name for name, _, _ in BIFURCATION_GOLDENS])
+def test_bifurcation_certificate_refuses_one_change(name, source, report):
+    document, data = _load_pair(source, report)
+    for row in data["D"]:
+        for j, old in enumerate(row):
+            row[j] = str(GaussianRational(old) + 1)
+            assert "of D" in certify_report(document, data)
+            row[j] = old
+    data["nonsingular"] = not data["nonsingular"]
+    assert "nonsingular" in certify_report(document, data)
+
+
+@pytest.mark.parametrize("name,source,report", SUSPEND_GOLDENS,
+                         ids=[name for name, _, _ in SUSPEND_GOLDENS])
+def test_suspend_certificate_refuses_one_changed_term(name, source, report):
+    document, data = _load_pair(source, report)
+    assert data["terms"]
+    for entry in data["terms"]:
+        old = entry["coeff"]
+        entry["coeff"] = str(GaussianRational(old) + 1)
+        assert "suspension" in certify_report(document, data)
+        entry["coeff"] = old

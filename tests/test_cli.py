@@ -12,9 +12,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dulac.cli import main
-from dulac.bifurcation import ParamFamily
 from dulac.corpus import hopf_family, linearizable_3d_field
-from dulac.fieldfile import dump_document, family_to_dict, field_to_dict
+from dulac.fieldfile import (
+    dump_document,
+    family_from_dict,
+    family_to_dict,
+    field_to_dict,
+)
 
 
 @pytest.fixture
@@ -46,7 +50,9 @@ def hopf_path(tmp_path):
 
 @pytest.fixture
 def singular_family_path(tmp_path):
-    family = ParamFamily(2, 1, 2, a_entries=((1, 0), (0, -1)))
+    family, _, _ = family_from_dict({
+        "dim": 2, "order": 2,
+        "params": {"names": ["eta"], "matrix": [[1, 0], [0, -1]]}})
     path = tmp_path / "const.json"
     path.write_text(dump_document(family_to_dict(family)))
     return str(path)
@@ -185,6 +191,23 @@ def test_bifurcation_oscillator_layout(tmp_path, capsys):
     assert "det D = -2" in out
 
 
+def test_family_without_parameters_is_its_field(tmp_path, capsys):
+    # n = 1, p = 0: D = [lambda], and the suspension is the field itself
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps({
+        "dim": 1, "order": 2, "params": {"names": [], "matrix": [["2"]]},
+        "terms": [{"coeff": "1", "exps": [2], "comp": 1}]}))
+    assert main(["bifurcation", "--family", str(path), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["D"] == [["2"]]
+    assert report["determinant"] == "2"
+    assert report["nonsingular"] is True
+    assert main(["suspend", "--family", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "dim": 1, "order": 2, "vars": ["x1"], "eigenvalues": ["2"],
+        "terms": [{"coeff": "1", "exps": [2], "comp": 1}]}
+
+
 def test_suspend_then_normalize(hopf_path, tmp_path, capsys):
     target = tmp_path / "suspended.json"
     assert main(["suspend", "--family", hopf_path, "--out", str(target)]) == 0
@@ -289,8 +312,48 @@ def test_diagnose_refuses_a_symmetry_that_moves_the_origin(tmp_path, capsys):
                  "--symmetry", str(symmetry)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("dulac: error [dimension-mismatch]: commuting "
-                            "field must vanish at the origin\n")
+    assert captured.err == (f"dulac: error [dimension-mismatch]: {symmetry}: "
+                            "commuting field must vanish at the origin\n")
+
+
+def test_diagnose_names_a_symmetry_of_another_dimension(tmp_path, capsys):
+    field = tmp_path / "zero.json"
+    field.write_text(json.dumps({"dim": 2, "order": 2,
+                                 "eigenvalues": ["0", "0"], "terms": []}))
+    symmetry = tmp_path / "line.json"
+    symmetry.write_text(json.dumps({"dim": 1, "order": 2,
+                                    "eigenvalues": ["1"], "terms": []}))
+    assert main(["diagnose", "--input", str(field), "--order", "2",
+                 "--symmetry", str(symmetry)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"dulac: error [dimension-mismatch]: {symmetry}: commuting field "
+        "dimension differs from the input field\n")
+
+
+@pytest.mark.parametrize("degree", ["-2", "9"])
+@pytest.mark.parametrize("symmetry_terms", [
+    [{"coeff": "1", "exps": [1, 0], "comp": 1}],   # (x1, 0): does not commute
+    [],                                           # zero field: commutes
+], ids=["non-commuting", "commuting"])
+def test_diagnose_refuses_a_centralizer_degree_outside_the_order(
+        tmp_path, capsys, degree, symmetry_terms):
+    field = tmp_path / "field.json"
+    field.write_text(json.dumps({
+        "dim": 2, "order": 4, "eigenvalues": ["1", "-1"],
+        "terms": [{"coeff": "1", "exps": [2, 0], "comp": 1}]}))
+    symmetry = tmp_path / "symmetry.json"
+    symmetry.write_text(json.dumps({"dim": 2, "order": 4,
+                                    "terms": symmetry_terms}))
+    assert main(["diagnose", "--input", str(field), "--order", "4",
+                 "--symmetry", str(symmetry),
+                 "--centralizer-degree", degree]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"dulac: error [truncation-order]: centralizer degree {degree} "
+        "outside 1..4\n")
 
 
 def test_singular_linear_matrix_is_refused(tmp_path, capsys):
@@ -302,7 +365,8 @@ def test_singular_linear_matrix_is_refused(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "dulac: error [singular-linear-part]: linear part is singular\n")
+        f"dulac: error [singular-linear-part]: {path}.linear_matrix: "
+        "linear part is singular\n")
 
 
 def test_field_document_given_to_bifurcation(normal_form_path, capsys):

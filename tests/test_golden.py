@@ -105,7 +105,8 @@ TEXT_CASES = ([(name, command) for name in ORDERS for command in COMMANDS]
               + [(name, "kernel-intersection") for name in JOINT])
 # family input name -> the corpus builder its document is written from
 FAMILY_BUILDERS = {"hopf": hopf_family, "oscillator": oscillator_family}
-# bifurcation snapshot name -> (family input, extra flags)
+# bifurcation snapshot name -> (family input, extra flags); certify.py
+# reads this table with ast.literal_eval too
 BIFURCATIONS = {
     "hopf": ("hopf", ()),
     "oscillator": ("oscillator", ()),

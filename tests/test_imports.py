@@ -1,5 +1,5 @@
 """Every name a module of ``src/dulac`` or ``tests`` imports is used in
-that module.
+that module, and ``tests/certify.py`` imports the standard library alone.
 
 A name counts as used when the module reads it (``name`` or
 ``name.attr``) or lists it in ``__all__``.  An import on a line marked
@@ -8,6 +8,7 @@ never reads it.  ``from __future__`` imports are not names.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -55,3 +56,18 @@ def test_unused_import_is_caught_unless_marked():
               "import json\n"
               "print(sep, json.dumps)\n")
     assert unused_imports(source) == [(1, "path")]
+
+
+def test_certificate_imports_the_standard_library_alone():
+    # CI runs it under python -S, but only there would a stray import show
+    tree = ast.parse((TESTS / "certify.py").read_text())
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            # a relative import names no standard module
+            modules.add("." * node.level + (node.module or "").split(".")[0])
+    assert modules
+    assert "dulac" not in modules
+    assert modules <= sys.stdlib_module_names

@@ -153,13 +153,6 @@ def test_partial_derivative():
     assert p.partial(1) == (x1 * x1 + PolyScalar.constant(2, 4, 2)).truncated(3)
 
 
-def test_lift_renames_variables():
-    p = V(2, 4, 0) * V(2, 4, 1)
-    lifted = p.lift(3, (0, 2))
-    assert lifted.dim == 3
-    assert lifted.coefficient((1, 0, 1)) == ONE
-
-
 def test_restrict_to_axis():
     x1, x2 = V(2, 4, 0), V(2, 4, 1)
     p = x1 + 2 * (x1 * x1) + x1 * x2 + 5 * (x1 * x1 * x1)

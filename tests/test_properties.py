@@ -67,6 +67,11 @@
   denominators (also when they cancel to nothing), and the round trip
   from and back to terms, with exponents equal to the order.  Every part
   it returns is reduced and holds no cancelled entry.
+* A family is held as its suspension: a family document in the form
+  ``family_to_dict`` writes, with n 1-3, p 0-2 and order 1-3, comes back
+  byte for byte through ``family_from_dict``, and ``suspend`` gives the
+  field built here from the document alone, each cell term c * eta^e
+  as c * x_j * eta^e in component i, cut at the order.
 """
 
 import itertools
@@ -77,7 +82,9 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from dulac.bifurcation import suspend
 from dulac.centralizer import centralizer_basis
+from dulac.fieldfile import dump_document, family_from_dict, family_to_dict
 from dulac.linalg import identity_matrix, mat_det, nullspace
 from dulac.maps import NearIdentityMap, pull_back
 from dulac.normalizer import normalize
@@ -89,6 +96,7 @@ from dulac.poly import (
     apply_derivation,
     enumerate_monomials,
     enumerate_monomials_upto,
+    grlex_key,
     lie_bracket,
     linear_field,
 )
@@ -964,3 +972,74 @@ def test_series_parts_that_cancel_are_empty():
                                    (Series.scalar(-half), one.parts[1])]) is None
     assert Series.sum_of_products([]) is None
     assert Series.scalar(ZERO) is None
+
+
+def _monomials(dim, low, high):
+    """Every exponent tuple over ``dim`` variables of degree low..high."""
+    return [e for e in itertools.product(range(high + 1), repeat=dim)
+            if low <= sum(e) <= high]
+
+
+def _some(draw, options):
+    """Up to three distinct picks from ``options``, which may be empty."""
+    if not options:
+        return []
+    return draw(st.lists(st.sampled_from(options), unique=True, max_size=3))
+
+
+def _entry(exps, coeff):
+    return {"coeff": str(coeff), "exps": list(exps)}
+
+
+@st.composite
+def family_documents(draw):
+    """A family document as ``family_to_dict`` writes it: n 1-3, p 0-2,
+    order 1-3, every cell a grlex-sorted list of terms in eta through
+    eta-degree ``order`` (no constant off the diagonal), and terms of
+    x-degree >= 2 through joint degree ``order``, component by component
+    in grlex order."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    p = draw(st.integers(min_value=0, max_value=2))
+    order = draw(st.integers(min_value=1, max_value=3))
+    matrix = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            exps = _some(draw, _monomials(p, 0 if i == j else 1, order))
+            row.append([_entry(e, draw(nonzero_scalars))
+                        for e in sorted(exps, key=grlex_key)])
+        matrix.append(row)
+    terms = []
+    candidates = [e for e in _monomials(n + p, 2, order) if sum(e[:n]) >= 2]
+    for comp in range(1, n + 1):
+        exps = _some(draw, candidates)
+        terms += [dict(_entry(e, draw(nonzero_scalars)), comp=comp)
+                  for e in sorted(exps, key=grlex_key)]
+    return {"dim": n, "order": order,
+            "params": {"names": [f"eta{k + 1}" for k in range(p)],
+                       "matrix": matrix},
+            "terms": terms}
+
+
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(family_documents())
+def test_family_document_round_trips_through_its_suspension(doc):
+    family, _, _ = family_from_dict(doc)
+    assert dump_document(family_to_dict(family)) == dump_document(doc)
+    # the suspension built here from the document alone: cell (i, j) term
+    # c * eta^e is c * x_j * eta^e in component i, cut at the order
+    n, order = doc["dim"], doc["order"]
+    expected = {}
+    for i, row in enumerate(doc["params"]["matrix"]):
+        for j, cell in enumerate(row):
+            for entry in cell:
+                exps = (tuple(int(k == j) for k in range(n))
+                        + tuple(entry["exps"]))
+                if sum(exps) <= order:
+                    expected[(i, exps)] = GaussianRational(entry["coeff"])
+    for entry in doc["terms"]:
+        expected[(entry["comp"] - 1, tuple(entry["exps"]))] = (
+            GaussianRational(entry["coeff"]))
+    suspended = suspend(family)
+    assert (suspended.dim, suspended.order) == (n + family.p, order)
+    assert {(i, e): c for i, e, c in suspended.terms()} == expected
