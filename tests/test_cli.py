@@ -299,6 +299,128 @@ def test_diagnose_accepts_a_non_diagonal_symmetry(tmp_path, capsys):
             ) in out
 
 
+# (field, commuting field) pairs whose linear parts are (a) the identity,
+# (b) diagonal but not the identity, (c) not diagonal, (d) zero; each
+# commutes with its field through order 4
+SYMMETRY_CASES = {
+    "identity": ({"dim": 2, "order": 4, "eigenvalues": ["1", "i"]},
+                 {"dim": 2, "order": 4, "eigenvalues": ["1", "1"]}),
+    "diagonal": ({"dim": 2, "order": 4, "eigenvalues": ["1", "2"],
+                  "terms": [{"coeff": "1", "exps": [2, 0], "comp": 2}]},
+                 {"dim": 2, "order": 4, "eigenvalues": ["3", "6"]}),
+    "shear": ({"dim": 2, "order": 4, "eigenvalues": ["1", "1"]},
+              {"dim": 2, "order": 4,
+               "terms": [{"coeff": "1", "exps": [0, 1], "comp": 1}]}),
+    "zero": ({"dim": 2, "order": 4, "eigenvalues": ["1", "2"],
+              "terms": [{"coeff": "1", "exps": [2, 0], "comp": 2}]},
+             {"dim": 2, "order": 4,
+              "terms": [{"coeff": "1", "exps": [2, 0], "comp": 2}]}),
+}
+# the four symmetry-criteria blocks of each case's text report
+SYMMETRY_BLOCKS = {
+    'identity': (
+        '  joint-kernel-linearization: hypotheses-verified-to-order-4\n'
+        '    conclusion: the field is linearizable by a convergent '
+        'transformation and both fields become linear\n'
+        '    truncated: the two fields commute through degree 4\n'
+        '    truncated: the joint resonance kernel is empty through degree 4\n'
+        '    assumed: analyticity of the supplied commuting field (not '
+        'decidable from a truncation)\n'
+        '  identity-symmetry-linearization: hypotheses-verified-to-order-4\n'
+        '    conclusion: the field is formally linearizable; an analytic '
+        'symmetry makes a convergent transformation to normal form exist\n'
+        "    exact: the supplied field's linear part is the identity\n"
+        '    truncated: the two fields commute through degree 4\n'
+        '    assumed: analyticity of the supplied commuting field (not '
+        'decidable from a truncation)\n'
+        '  planar-analytic-symmetry: hypotheses-verified-to-order-4\n'
+        '    conclusion: a convergent normalizing transformation exists\n'
+        '    truncated: the two fields commute through degree 4\n'
+        '    truncated: the supplied field is not a scalar multiple of the '
+        'input (checked at truncation)\n'
+        '    assumed: analyticity of the supplied commuting field (not '
+        'decidable from a truncation)\n'
+        '  centralizer-span: not-applicable\n'
+        "    detail: the supplied field's linear part is not a scalar "
+        'multiple of the diagonal linear part\n'
+    ),
+    'diagonal': (
+        '  joint-kernel-linearization: hypothesis-failed\n'
+        '    detail: the joint resonance kernel contains (2, 0) -> comp 2\n'
+        '    truncated: the two fields commute through degree 4\n'
+        '  identity-symmetry-linearization: not-applicable\n'
+        "    detail: the supplied field's linear part is not the identity\n"
+        '  planar-analytic-symmetry: hypotheses-verified-to-order-4\n'
+        '    conclusion: a convergent normalizing transformation exists\n'
+        '    truncated: the two fields commute through degree 4\n'
+        '    truncated: the supplied field is not a scalar multiple of the '
+        'input (checked at truncation)\n'
+        '    assumed: analyticity of the supplied commuting field (not '
+        'decidable from a truncation)\n'
+        '  centralizer-span: hypotheses-verified-to-order-4\n'
+        '    conclusion: a convergent normalizing transformation exists\n'
+        "    exact: the supplied field's linear part equals 3 times the "
+        'diagonal linear part\n'
+        '    truncated: the two fields commute through degree 4\n'
+        '    truncated: the centralizer through degree 4 has dimension 2: 1 '
+        'linear plus 1 spanned by the normal form\n'
+        '    assumed: analyticity of the supplied commuting field (not '
+        'decidable from a truncation)\n'
+    ),
+    'shear': (
+        '  joint-kernel-linearization: not-applicable\n'
+        "    detail: the supplied field's linear part is not diagonal\n"
+        '  identity-symmetry-linearization: not-applicable\n'
+        "    detail: the supplied field's linear part is not the identity\n"
+        '  planar-analytic-symmetry: hypotheses-verified-to-order-4\n'
+        '    conclusion: a convergent normalizing transformation exists\n'
+        '    truncated: the two fields commute through degree 4\n'
+        '    truncated: the supplied field is not a scalar multiple of the '
+        'input (checked at truncation)\n'
+        '    assumed: analyticity of the supplied commuting field (not '
+        'decidable from a truncation)\n'
+        '  centralizer-span: not-applicable\n'
+        "    detail: the supplied field's linear part is not a scalar "
+        'multiple of the diagonal linear part\n'
+    ),
+    'zero': (
+        '  joint-kernel-linearization: hypothesis-failed\n'
+        '    detail: the joint resonance kernel contains (2, 0) -> comp 2\n'
+        '    truncated: the two fields commute through degree 4\n'
+        '  identity-symmetry-linearization: not-applicable\n'
+        "    detail: the supplied field's linear part is not the identity\n"
+        '  planar-analytic-symmetry: hypotheses-verified-to-order-4\n'
+        '    conclusion: a convergent normalizing transformation exists\n'
+        '    truncated: the two fields commute through degree 4\n'
+        '    truncated: the supplied field is not a scalar multiple of the '
+        'input (checked at truncation)\n'
+        '    assumed: analyticity of the supplied commuting field (not '
+        'decidable from a truncation)\n'
+        '  centralizer-span: hypotheses-verified-to-order-4\n'
+        '    conclusion: a convergent normalizing transformation exists\n'
+        "    exact: the supplied field's linear part equals 0 times the "
+        'diagonal linear part\n'
+        '    truncated: the two fields commute through degree 4\n'
+        '    truncated: the centralizer through degree 4 has dimension 2: 1 '
+        'linear plus 1 spanned by the normal form\n'
+        '    assumed: analyticity of the supplied commuting field (not '
+        'decidable from a truncation)\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("case", SYMMETRY_CASES)
+def test_diagnose_prints_the_symmetry_criteria_blocks(tmp_path, capsys, case):
+    field, symmetry = (tmp_path / "field.json", tmp_path / "symmetry.json")
+    for path, document in zip((field, symmetry), SYMMETRY_CASES[case]):
+        path.write_text(json.dumps(document))
+    assert main(["diagnose", "--input", str(field), "--order", "4",
+                 "--symmetry", str(symmetry)]) == 0
+    out = capsys.readouterr().out
+    start = out.index("  joint-kernel-linearization:")
+    assert out[start:out.index("summary:")] == SYMMETRY_BLOCKS[case]
+
+
 def test_diagnose_refuses_a_symmetry_that_moves_the_origin(tmp_path, capsys):
     # the degree-2 bracket would read the input's unknown degree-3 terms
     field = tmp_path / "zero.json"

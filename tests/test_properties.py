@@ -3,6 +3,9 @@
 * A ``NearIdentityMap`` is its component polynomials: rebuilding it
   from them gives the same map, the linear part of its inverse is L^-1,
   and composition is associative.
+* ``invert_to_order`` and ``pull_back`` refuse a singular linear part
+  with ``SingularLinearPartError`` before any other work: the map's
+  monomial table stays empty.
 * ``invert_to_order`` is a two-sided inverse through the truncation order,
   also when the linear part is neither the identity nor diagonal, so
   that every graded pass runs under a mixing L^-1.  Both this property
@@ -71,7 +74,10 @@
   ``family_to_dict`` writes, with n 1-3, p 0-2 and order 1-3, comes back
   byte for byte through ``family_from_dict``, and ``suspend`` gives the
   field built here from the document alone, each cell term c * eta^e
-  as c * x_j * eta^e in component i, cut at the order.
+  as c * x_j * eta^e in component i, cut at the order.  Its
+  ``eigenvalues`` are the constant terms of the diagonal cells, zero
+  where a cell has none, and the coefficients of x_i in component i of
+  the suspension, also with no parameters.
 """
 
 import itertools
@@ -84,6 +90,7 @@ from hypothesis import strategies as st
 
 from dulac.bifurcation import suspend
 from dulac.centralizer import centralizer_basis
+from dulac.errors import SingularLinearPartError
 from dulac.fieldfile import dump_document, family_from_dict, family_to_dict
 from dulac.linalg import identity_matrix, mat_det, nullspace
 from dulac.maps import NearIdentityMap, pull_back
@@ -256,6 +263,35 @@ def test_map_is_its_components_with_the_inverse_linear_part(psi):
     product = [[sum((x * y for x, y in zip(row, col)), ZERO)
                 for col in zip(*inverse)] for row in linear]
     assert product == identity_matrix(psi.dim)
+
+
+@st.composite
+def singular_maps(draw):
+    """Lx + h(x) with L singular: its last row is a multiple of its first,
+    zero included; h of degree >= 2, sometimes zero."""
+    dim = draw(st.integers(min_value=2, max_value=3))
+    order = draw(st.integers(min_value=2, max_value=4))
+    linear = [[GaussianRational(draw(small_ints)) for _ in range(dim)]
+              for _ in range(dim - 1)]
+    multiple = draw(small_ints)
+    linear.append([c * multiple for c in linear[0]])
+    h = PolyVectorField.from_terms(dim, order, draw(terms(dim, 2, order, 3)))
+    return NearIdentityMap([
+        sum((PolyScalar.variable(dim, order, j) * linear[i][j]
+             for j in range(dim)), h.components[i])
+        for i in range(dim)])
+
+
+@PROPERTY_SETTINGS
+@given(singular_maps(), st.data())
+def test_solves_refuse_a_singular_linear_part_before_any_work(psi, data):
+    with pytest.raises(SingularLinearPartError):
+        psi.invert_to_order()
+    f = data.draw(linear_part_fields(psi.dim, psi.order))
+    with pytest.raises(SingularLinearPartError):
+        pull_back(psi, f)
+    # refused before the substitution: no monomial of the map was built
+    assert psi._table == {}
 
 
 @st.composite
@@ -1043,3 +1079,24 @@ def test_family_document_round_trips_through_its_suspension(doc):
     suspended = suspend(family)
     assert (suspended.dim, suspended.order) == (n + family.p, order)
     assert {(i, e): c for i, e, c in suspended.terms()} == expected
+
+
+@PROPERTY_SETTINGS
+@given(family_documents())
+def test_family_eigenvalues_are_the_diagonal_of_a_at_zero(doc):
+    # read off the document: the constant term of each diagonal cell, zero
+    # when the cell has none
+    family, _, _ = family_from_dict(doc)
+    p = family.p
+    expected = [ZERO] * doc["dim"]
+    for i, row in enumerate(doc["params"]["matrix"]):
+        for entry in row[i]:
+            if not any(entry["exps"]):
+                expected[i] = GaussianRational(entry["coeff"])
+    assert list(family.eigenvalues()) == expected
+    # and the coefficient of x_i in component i of the suspension
+    dim = doc["dim"] + p
+    assert expected == [
+        family.field.components[i].coefficient(
+            tuple(int(k == i) for k in range(dim)))
+        for i in range(doc["dim"])]
