@@ -27,7 +27,7 @@ from .errors import (
     ParameterCountError,
 )
 from .linalg import mat_det
-from .poly import PolyVectorField, Spectrum, _unit
+from .poly import PolyVectorField, Spectrum
 from .scalars import GaussianRational, as_scalar
 
 
@@ -75,10 +75,9 @@ class ParamFamily:
         return self.field.order - 1
 
     def eigenvalues(self) -> Spectrum:
-        """Diagonal of A(0): of the field's linear part."""
-        dim = self.field.dim
-        return Spectrum(self.field.components[i].coefficient(_unit(dim, i))
-                        for i in range(self.n))
+        """Diagonal of A(0): the first n entries of the field's spectrum,
+        which the constructor's checks keep diagonal."""
+        return Spectrum(self.field.spectrum.values[:self.n])
 
 
 @dataclass(frozen=True)

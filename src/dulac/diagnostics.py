@@ -43,7 +43,6 @@ from .poly import (
     Exponents,
     PolyScalar,
     PolyVectorField,
-    Spectrum,
     apply_derivation,
     format_monomial,
     format_poly,
@@ -403,19 +402,18 @@ def _symmetry_criteria(field: PolyVectorField, fhat: PolyVectorField,
                 for name in names]
     commute_note = (f"the two fields commute through degree "
                     f"{min(field.order, symmetry.order)}")
-    matrix = symmetry.linear_matrix()
+    # None exactly when the linear part is not diagonal: the symmetry has
+    # no constant term
+    spec_b = symmetry.spectrum
     dim = field.dim
     checks = []
 
     # joint kernel of the two linear parts
-    diagonal = all(matrix[i][j] == ZERO
-                   for i in range(dim) for j in range(dim) if i != j)
-    if not diagonal:
+    if spec_b is None:
         checks.append(CriterionCheck(
             names[0], "not-applicable",
             detail="the supplied field's linear part is not diagonal"))
     else:
-        spec_b = Spectrum(matrix[i][i] for i in range(dim))
         joint = kernel_intersection(spectrum, spec_b, order)
         if joint:
             checks.append(CriterionCheck(
@@ -434,9 +432,7 @@ def _symmetry_criteria(field: PolyVectorField, fhat: PolyVectorField,
                 assumed=(_ANALYTICITY,)))
 
     # identity linear part
-    identity = all(matrix[i][j] == (1 if i == j else 0)
-                   for i in range(dim) for j in range(dim))
-    if identity:
+    if spec_b is not None and all(lam == 1 for lam in spec_b):
         checks.append(CriterionCheck(
             names[1], "hypotheses-verified", checked_to_order=order,
             conclusion=("the field is formally linearizable; an analytic "

@@ -66,9 +66,7 @@ from .poly import (
     DEFAULT_TUPLE_BUDGET,
     PolyScalar,
     PolyVectorField,
-    Spectrum,
     _unit,
-    linear_field,
 )
 from .scalars import GaussianRational, as_scalar
 
@@ -214,8 +212,8 @@ def _header(data: Any, keys: set, where: str
 def field_from_dict(data: Any, where: str = "field") -> Tuple[PolyVectorField, Tuple[str, ...]]:
     """Build a vector field from a parsed JSON object.
 
-    Returns the field together with the variable names.  With
-    ``eigenvalues`` the linear part is built from them, so the field's
+    Returns the field together with the variable names.  Declared
+    ``eigenvalues`` are the field's diagonal terms lambda_j x_j, so its
     spectrum is exactly the one declared; otherwise the terms, conjugated
     by ``linear_matrix`` when one is given, carry the whole field, and a
     linear part that is not diagonal is left for the caller to reject
@@ -226,13 +224,14 @@ def field_from_dict(data: Any, where: str = "field") -> Tuple[PolyVectorField, T
         _fail(where, "eigenvalues and linear_matrix cannot both be given; "
                      "eigenvalues already fix the linear part")
 
-    spectrum = None
+    diagonal = []
     if "eigenvalues" in data:
         eig = data["eigenvalues"]
         if not isinstance(eig, list) or len(eig) != dim:
             _fail(f"{where}.eigenvalues", f"expected {dim} entries")
-        spectrum = Spectrum(_parse_scalar(v, f"{where}.eigenvalues[{k}]")
-                            for k, v in enumerate(eig))
+        diagonal = [(j, _unit(dim, j),
+                     _parse_scalar(v, f"{where}.eigenvalues[{j}]"))
+                    for j, v in enumerate(eig)]
 
     triples = []
     for idx, item in enumerate(raw_terms):
@@ -242,16 +241,15 @@ def field_from_dict(data: Any, where: str = "field") -> Tuple[PolyVectorField, T
         if degree > order:
             _fail(f"{where}.terms[{idx}].exps",
                   f"degree {degree} exceeds the truncation order {order}")
-        if spectrum is not None and degree < 2:
+        if diagonal and degree < 2:
             _fail(f"{where}.terms[{idx}].exps",
                   "terms must have degree at least 2 when eigenvalues "
                   "imply the linear part")
         triples.append((comp, exps, coeff))
 
-    field = PolyVectorField.from_terms(dim, order, triples)
-    if spectrum is not None:
-        field = field + linear_field(spectrum, order)
-    elif "linear_matrix" in data:
+    # declared eigenvalues are the diagonal terms of the field
+    field = PolyVectorField.from_terms(dim, order, triples + diagonal)
+    if "linear_matrix" in data:
         matrix = _parse_matrix(data["linear_matrix"], dim,
                                f"{where}.linear_matrix")
         try:

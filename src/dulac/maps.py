@@ -1,8 +1,10 @@
 """Polynomial coordinate changes with invertible linear part.
 
 A near-identity map y = Psi(x) = Lx + h(x), with L invertible and h of
-degree >= 2, is held as its n component polynomials Psi_1..Psi_n and
-nothing else; ``invert_to_order`` and ``pull_back`` each compute L^-1
+degree >= 2, is a coordinate change held as a field: ``NearIdentityMap``
+is the ``PolyVectorField`` of its n components Psi_1..Psi_n, equal to
+and hashed like that field, plus a table of monomials.  L is the field's
+``linear_matrix``; ``invert_to_order`` and ``pull_back`` each invert it
 once per call, and refuse a singular L.  Maps compose, invert to the
 truncation order, and transport vector fields:
 
@@ -56,25 +58,18 @@ from .poly import (Exponents, PolyScalar, PolyVectorField, Series,
                    _monomial_chain, _unit)
 
 
-class NearIdentityMap:
-    """y = Psi(x) given by its components, L = DPsi(0) invertible."""
+class NearIdentityMap(PolyVectorField):
+    """y = Psi(x) as the field of its components, L = DPsi(0) invertible."""
 
     # _table: the monomials x^m(components) that substitutions of the
     # components at the map's own order have built, keyed by m
-    __slots__ = ("dim", "order", "components", "_table")
+    __slots__ = ("_table",)
 
     def __init__(self, components: Sequence[PolyScalar]):
-        # one dimension and one truncation order for all n components
-        field = PolyVectorField(components)
-        if any(c.coefficient((0,) * field.dim) for c in field.components):
+        super().__init__(components)
+        if any(c.coefficient((0,) * self.dim) for c in self.components):
             raise DimensionMismatchError("coordinate changes must fix the origin")
-        object.__setattr__(self, "dim", field.dim)
-        object.__setattr__(self, "order", field.order)
-        object.__setattr__(self, "components", field.components)
         object.__setattr__(self, "_table", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NearIdentityMap is immutable")
 
     @classmethod
     def identity(cls, dim: int, order: int) -> "NearIdentityMap":
@@ -119,7 +114,7 @@ class NearIdentityMap:
         """
         dim, order = self.dim, self.order
         # raises SingularLinearPartError if L is not invertible
-        linv = mat_inverse(PolyVectorField(self.components).linear_matrix())
+        linv = mat_inverse(self.linear_matrix())
         # phi[i].parts[d]: the degree-d terms of Phi_i, for d below the pass
         phi = [Series.of(PolyScalar(dim, order, {_unit(dim, j): c
                                                  for j, c in enumerate(row)}),
@@ -154,15 +149,6 @@ class NearIdentityMap:
                      if power.parts[work]]))
         return NearIdentityMap([series.to_poly() for series in phi])
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, NearIdentityMap):
-            return NotImplemented
-        return self.components == other.components
-
-    def __repr__(self) -> str:
-        return (f"NearIdentityMap(dim={self.dim}, order={self.order}, "
-                f"components={[str(c) for c in self.components]})")
-
 
 def pull_back(phi_map: NearIdentityMap, f: PolyVectorField) -> PolyVectorField:
     """Field in y-coordinates when x = Phi(y) and xdot = f(x).
@@ -179,7 +165,7 @@ def pull_back(phi_map: NearIdentityMap, f: PolyVectorField) -> PolyVectorField:
     comps = [c.truncated(order) for c in phi_map.components]
     table = phi_map._table_at(order)
     # raises SingularLinearPartError if L is not invertible
-    linv = mat_inverse(PolyVectorField(phi_map.components).linear_matrix())
+    linv = mat_inverse(phi_map.linear_matrix())
     rhs = [Series.of(c.substitute(comps, table), order) for c in f.components]
     # b_i = sum_k Linv[i][k] rhs_k, the rhs side of g_i's sum at each degree
     b_rows = [[(Series.scalar(c), series) for c, series in zip(row, rhs) if c]

@@ -796,7 +796,8 @@ class PolyVectorField:
         return "(" + ", ".join(format_poly(c) for c in self.components) + ")"
 
     def __repr__(self) -> str:
-        return f"PolyVectorField(dim={self.dim}, order={self.order}, {self})"
+        return (f"{type(self).__name__}(dim={self.dim}, order={self.order}, "
+                f"{self})")
 
 
 def linear_field(spectrum: Spectrum, order: int) -> PolyVectorField:

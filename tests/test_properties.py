@@ -1,8 +1,9 @@
 """Property tests for the identities that the normalizing pipeline leans on.
 
-* A ``NearIdentityMap`` is its component polynomials: rebuilding it
-  from them gives the same map, the linear part of its inverse is L^-1,
-  and composition is associative.
+* A ``NearIdentityMap`` is the field of its component polynomials: it
+  equals and hashes like that ``PolyVectorField``, rebuilding it from
+  them gives the same map, the linear part of its inverse is L^-1, and
+  composition is associative.
 * ``invert_to_order`` and ``pull_back`` refuse a singular linear part
   with ``SingularLinearPartError`` before any other work: the map's
   monomial table stays empty.
@@ -258,11 +259,20 @@ def test_invert_to_order_is_a_two_sided_inverse(psi):
 @given(near_identity_maps())
 def test_map_is_its_components_with_the_inverse_linear_part(psi):
     assert NearIdentityMap(psi.components) == psi
-    linear = PolyVectorField(psi.components).linear_matrix()
-    inverse = PolyVectorField(psi.invert_to_order().components).linear_matrix()
+    linear = psi.linear_matrix()
+    inverse = psi.invert_to_order().linear_matrix()
     product = [[sum((x * y for x, y in zip(row, col)), ZERO)
                 for col in zip(*inverse)] for row in linear]
     assert product == identity_matrix(psi.dim)
+
+
+@PROPERTY_SETTINGS
+@given(near_identity_maps())
+def test_map_equals_and_hashes_like_the_field_of_its_components(psi):
+    field = PolyVectorField(psi.components)
+    assert psi == field and field == psi
+    assert hash(psi) == hash(field)
+    assert {field: "field"}[psi] == "field"
 
 
 @st.composite
