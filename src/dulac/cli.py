@@ -446,8 +446,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     except DulacError as exc:
-        code = getattr(exc, "code", type(exc).__name__)
-        print(f"dulac: error [{code}]: {exc}", file=sys.stderr)
+        print(f"dulac: error [{exc.code}]: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive
         print(f"dulac: internal error: {type(exc).__name__}: {exc}",

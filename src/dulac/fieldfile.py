@@ -12,14 +12,18 @@ A field document looks like
 
 Coefficients and eigenvalues are exact-scalar strings ("3/4", "-2+1/3*i");
 plain integers are also accepted on input.  Components are 1-based in
-files and 0-based inside the library.  When ``eigenvalues`` is present the
-linear part is the implied diagonal and every listed term must have degree
-at least 2.  Without ``eigenvalues`` the terms carry the whole field, and
-an optional ``linear_matrix`` T asks for the conjugation y = Tx before any
-further work.  The spectrum is not stored with the field but read off its
-linear part, so ``field_to_dict`` writes ``eigenvalues`` for every field
-with a diagonal linear part and no constant term.  A family document
-replaces ``eigenvalues`` with a ``params`` block:
+files and 0-based inside the library.  Declared ``eigenvalues`` are the
+field's diagonal terms lambda_j x_j, built with the listed terms in one
+``from_terms`` call, and every listed term must then have degree at least
+2.  Without ``eigenvalues`` the terms carry the whole field, and an
+optional ``linear_matrix`` T asks for the conjugation y = Tx before any
+further work, through the coordinate change x = T^-1 y, which like every
+coordinate change is the field of its components.  No term may exceed
+the order, in either kind of document.  The spectrum is not stored with
+the field but read off its linear part, so ``field_to_dict`` writes
+``eigenvalues`` for every field with a diagonal linear part and no
+constant term.  A family document replaces ``eigenvalues`` with a
+``params`` block:
 
     {
       "dim": 2,
@@ -38,8 +42,9 @@ Matrix entries are either a bare scalar (constant) or a list of
 exponent tuples over (x, eta) jointly.  A family is held as its
 suspension, a field over (x, eta) known through order + 1: each matrix
 term c * eta^e of cell (i, j) becomes the term c * x_j * eta^e of
-component i, and ``family_to_dict`` regroups the terms of x-degree 1
-into the cells.  All parse failures raise InputFormatError naming the
+component i, so a cell term may reach eta-degree ``order`` and no
+further, and ``family_to_dict`` regroups the terms of x-degree 1 into
+the cells.  All parse failures raise InputFormatError naming the
 JSON path of the offending value.
 
 This module owns the term entry {"coeff", "exps", "comp"} both ways:
@@ -139,10 +144,12 @@ def _parse_exps(value: Any, length: int, where: str) -> Tuple[int, ...]:
     return tuple(value)
 
 
-def _parse_entry(item: Any, exps_len: int, where: str, keys: Tuple[str, ...]
+def _parse_entry(item: Any, exps_len: int, order: int, where: str,
+                 keys: Tuple[str, ...]
                  ) -> Tuple[Tuple[int, ...], GaussianRational]:
     """Check an object with exactly ``keys``, coeff and exps among them,
-    and read its exponents and coefficient."""
+    and read its coefficient and its exponents, of degree at most
+    ``order``."""
     if not isinstance(item, dict):
         _fail(where, f"expected an object with {', '.join(keys[:-1])} "
                      f"and {keys[-1]}")
@@ -153,12 +160,17 @@ def _parse_entry(item: Any, exps_len: int, where: str, keys: Tuple[str, ...]
     if extra:
         _fail(where, f"unknown keys {sorted(extra)}")
     coeff = _parse_scalar(item["coeff"], f"{where}.coeff")
-    return _parse_exps(item["exps"], exps_len, f"{where}.exps"), coeff
+    exps = _parse_exps(item["exps"], exps_len, f"{where}.exps")
+    if sum(exps) > order:
+        _fail(f"{where}.exps",
+              f"degree {sum(exps)} exceeds the truncation order {order}")
+    return exps, coeff
 
 
-def _parse_term(item: Any, exps_len: int, max_comp: int,
+def _parse_term(item: Any, exps_len: int, max_comp: int, order: int,
                 where: str) -> Tuple[int, Tuple[int, ...], GaussianRational]:
-    exps, coeff = _parse_entry(item, exps_len, where, ("coeff", "exps", "comp"))
+    exps, coeff = _parse_entry(item, exps_len, order, where,
+                               ("coeff", "exps", "comp"))
     comp = item["comp"]
     if not isinstance(comp, int) or isinstance(comp, bool):
         _fail(f"{where}.comp", "expected an integer component")
@@ -235,19 +247,14 @@ def field_from_dict(data: Any, where: str = "field") -> Tuple[PolyVectorField, T
 
     triples = []
     for idx, item in enumerate(raw_terms):
-        comp, exps, coeff = _parse_term(item, dim, dim,
+        comp, exps, coeff = _parse_term(item, dim, dim, order,
                                         f"{where}.terms[{idx}]")
-        degree = sum(exps)
-        if degree > order:
-            _fail(f"{where}.terms[{idx}].exps",
-                  f"degree {degree} exceeds the truncation order {order}")
-        if diagonal and degree < 2:
+        if diagonal and sum(exps) < 2:
             _fail(f"{where}.terms[{idx}].exps",
                   "terms must have degree at least 2 when eigenvalues "
                   "imply the linear part")
         triples.append((comp, exps, coeff))
 
-    # declared eigenvalues are the diagonal terms of the field
     field = PolyVectorField.from_terms(dim, order, triples + diagonal)
     if "linear_matrix" in data:
         matrix = _parse_matrix(data["linear_matrix"], dim,
@@ -263,7 +270,8 @@ def field_from_dict(data: Any, where: str = "field") -> Tuple[PolyVectorField, T
 def family_from_dict(data: Any, where: str = "family"
                      ) -> Tuple[ParamFamily, Tuple[str, ...], Tuple[str, ...]]:
     """Build a parameter family, held as its suspension, from a parsed
-    JSON object; ``terms`` of joint degree above the order are dropped."""
+    JSON object.  A ``terms`` entry of joint degree above the order, or a
+    matrix-cell term of eta-degree above it, is refused."""
     dim, order, var_names, raw_terms = _header(data, _FAMILY_KEYS, where)
     params = data.get("params")
     if not isinstance(params, dict):
@@ -298,19 +306,19 @@ def family_from_dict(data: Any, where: str = "family"
                 _fail(cell_where, "expected a scalar or a list of "
                                   "{coeff, exps} terms in the parameters")
             for k, item in enumerate(cell):
-                exps, coeff = _parse_entry(item, p, f"{cell_where}[{k}]",
+                exps, coeff = _parse_entry(item, p, order,
+                                           f"{cell_where}[{k}]",
                                            ("coeff", "exps"))
                 triples.append((i, x_j + exps, coeff))
 
     for idx, item in enumerate(raw_terms):
-        comp, exps, coeff = _parse_term(item, dim + p, dim,
+        comp, exps, coeff = _parse_term(item, dim + p, dim, order,
                                         f"{where}.terms[{idx}]")
         if sum(exps[:dim]) < 2:
             _fail(f"{where}.terms[{idx}].exps",
                   "family terms must have x-degree at least 2; linear-in-x "
                   "behavior belongs to the matrix")
-        if sum(exps) <= order:
-            triples.append((comp, exps, coeff))
+        triples.append((comp, exps, coeff))
 
     field = PolyVectorField.from_terms(dim + p, order + 1, triples)
     return ParamFamily(field, p), var_names, param_names

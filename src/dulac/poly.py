@@ -259,10 +259,9 @@ class PolyScalar:
         picked = {e: c for e, c in self.terms.items() if sum(e) == degree}
         return PolyScalar._canonical(self.dim, self.order, picked)
 
-    def degree_range(self, low: int, high: Optional[int] = None) -> "PolyScalar":
-        """Terms with low <= degree <= high (high defaults to the order)."""
-        top = self.order if high is None else high
-        picked = {e: c for e, c in self.terms.items() if low <= sum(e) <= top}
+    def degree_range(self, low: int) -> "PolyScalar":
+        """Terms of degree at least ``low``."""
+        picked = {e: c for e, c in self.terms.items() if low <= sum(e)}
         return PolyScalar._canonical(self.dim, self.order, picked)
 
     def sorted_terms(self) -> List[Tuple[Exponents, GaussianRational]]:

@@ -14,8 +14,11 @@ y = Psi(x):
 This certifies a correct normal form and transformation, not the
 distinguished choice among them; the goldens pin that choice.  The input
 is a field document whose linear part is diagonal: given by
-``eigenvalues``, or by degree-1 terms.  Documents with a ``linear_matrix``
-are refused as out of scope.
+``eigenvalues``, or by degree-1 terms, after the conjugation y = Tx when
+the document has a ``linear_matrix`` T.  That conjugation, T f(T^-1 y),
+is done here with T^-1 found by Gauss-Jordan elimination, so the
+package's ``from_linear``, ``invert_to_order`` and ``pull_back``, which
+it runs on such a document, are checked by an independent route.
 
 A ``centralizer --json`` report is accepted through its degree bound d
 when, for the normal-form document it was computed from:
@@ -51,7 +54,7 @@ imports nothing from ``dulac``, so an error in the package's arithmetic
 cannot hide itself here.
 
 Run ``python -S tests/certify.py`` to certify every normalize golden
-whose input has a diagonal linear part, every ``DIGESTS`` case of
+(Horn's among them, through its ``linear_matrix``), every ``DIGESTS`` case of
 ``test_golden.py``, every centralizer golden, restricted and
 unrestricted, against the normal form it was computed from, and every
 bifurcation and suspend golden against its family document.  The
@@ -160,11 +163,67 @@ def unit(dim, k):
     return tuple(int(i == k) for i in range(dim))
 
 
+def substitute(polys, values, order):
+    """Each polynomial with values[k] put in for x_k, through the order;
+    the powers of each value are built once for all of them."""
+    dim = len(values)
+    powers = [[{(0,) * dim: ONE}] for _ in values]
+    out = []
+    for poly in polys:
+        total = {}
+        for exps, c in poly.items():
+            term = {(0,) * dim: c}
+            for k, e in enumerate(exps):
+                while len(powers[k]) <= e:
+                    powers[k].append(product(powers[k][-1], values[k], order))
+                term = product(term, powers[k][e], order)
+            for key, value in term.items():
+                accumulate(total, key, value)
+        out.append(total)
+    return out
+
+
+def matrix_inverse(matrix):
+    """The inverse of a square matrix of pairs, by Gauss-Jordan
+    elimination; raises ValueError when it is singular."""
+    n = len(matrix)
+    rows = [list(row) + [ONE if i == j else ZERO for j in range(n)]
+            for i, row in enumerate(matrix)]
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if rows[r][k] != ZERO), None)
+        if pivot is None:
+            raise ValueError("the linear_matrix is singular")
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        scale = inverse(rows[k][k])
+        rows[k] = [mul(scale, v) for v in rows[k]]
+        for r in range(n):
+            if r != k and rows[r][k] != ZERO:
+                factor = neg(rows[r][k])
+                rows[r] = [add(a, mul(factor, b))
+                           for a, b in zip(rows[r], rows[k])]
+    return [row[n:] for row in rows]
+
+
+def conjugate(f, matrix, order):
+    """The field f in the coordinates y = Tx: T f(T^-1 y)."""
+    dim = len(f)
+    at_tinv = substitute(f, [{unit(dim, j): c for j, c in enumerate(row)
+                              if c != ZERO}
+                             for row in matrix_inverse(matrix)], order)
+    out = []
+    for row in matrix:
+        total = {}
+        for c, comp in zip(row, at_tinv):
+            for exps, value in comp.items():
+                accumulate(total, exps, mul(c, value))
+        out.append(total)
+    return out
+
+
 def input_field(document, order):
     """(eigenvalues, components of f) of a field document, through the
-    order; raises ValueError when the linear part is not diagonal."""
-    if "linear_matrix" in document:
-        raise ValueError("linear_matrix documents are out of scope")
+    order, conjugated by its ``linear_matrix`` when it has one; raises
+    ValueError when the linear part is not diagonal."""
     dim = document["dim"]
     f = components(document["terms"], dim, order)
     if "eigenvalues" in document:
@@ -172,6 +231,9 @@ def input_field(document, order):
         for j, lam in enumerate(eigenvalues):
             accumulate(f[j], unit(dim, j), lam)
         return eigenvalues, f
+    if "linear_matrix" in document:
+        f = conjugate(f, [[parse_scalar(v) for v in row]
+                          for row in document["linear_matrix"]], order)
     for j, comp in enumerate(f):
         if any(sum(e) == 1 and e != unit(dim, j) for e in comp):
             raise ValueError("the linear part is not diagonal")
@@ -208,20 +270,7 @@ def certify_normalize(document, report):
             for exps, c in product(derivative(comp, k), f[k], order).items():
                 accumulate(total, exps, c)
         left.append(total)
-    # f_hat(Psi(x)), with the powers of each Psi_k built once
-    powers = [[{(0,) * dim: ONE}] for _ in range(dim)]
-    right = []
-    for comp in fhat:
-        total = {}
-        for exps, c in comp.items():
-            term = {(0,) * dim: c}
-            for k, e in enumerate(exps):
-                while len(powers[k]) <= e:
-                    powers[k].append(product(powers[k][-1], psi[k], order))
-                term = product(term, powers[k][e], order)
-            for key, value in term.items():
-                accumulate(total, key, value)
-        right.append(total)
+    right = substitute(fhat, psi, order)   # f_hat(Psi(x))
     for i, (lhs, rhs) in enumerate(zip(left, right)):
         differ = [e for e in set(lhs) | set(rhs)
                   if lhs.get(e, ZERO) != rhs.get(e, ZERO)]
@@ -416,14 +465,11 @@ def pinned_digests():
 
 
 def golden_pairs():
-    """(name, input path, report path) of every normalize golden whose
-    input has a diagonal linear part."""
+    """(name, input path, report path) of every normalize golden."""
     out = []
     for report in sorted(GOLDEN.glob("*.normalize.json")):
         name = report.name[:-len(".normalize.json")]
-        source = INPUTS / f"{name}.json"
-        if "linear_matrix" not in json.loads(source.read_text()):
-            out.append((name, source, report))
+        out.append((name, INPUTS / f"{name}.json", report))
     return out
 
 
@@ -470,11 +516,16 @@ def _run_normalize(source, order, out):
 
 def certify_report(document, report):
     """The check that the report's ``command`` picks; a suspend document
-    is a field document, which names no command."""
+    is a field document, which names no command.  A field whose linear
+    part is not diagonal, or a singular ``linear_matrix``, is a refusal
+    too."""
     command = report.get("command", "suspend")
     if command not in CERTIFIERS:
         return f"no certificate for the command {command!r}"
-    return CERTIFIERS[command](document, report)
+    try:
+        return CERTIFIERS[command](document, report)
+    except ValueError as exc:
+        return str(exc)
 
 
 def _check(label, source, report_bytes):

@@ -1,12 +1,14 @@
 """The independent certificate of ``certify.py`` on ``normalize``,
 ``centralizer``, ``bifurcation`` and ``suspend`` reports.
 
-It certifies every normalize golden whose input has a diagonal linear
-part and the report of every ``DIGESTS`` case, accepts ``normalize``'s
-report on random fields, and refuses each such report after one change
-that breaks it: any normal-form coefficient, or a transformation
-coefficient that is not resonant (adding a resonant term to Psi gives
-another valid normal form, so that change is not an error).
+It certifies every normalize golden and the report of every
+``DIGESTS`` case, accepts ``normalize``'s report on random fields, and
+refuses each such report after one change that breaks it: any
+normal-form coefficient, or a transformation coefficient that is not
+resonant (adding a resonant term to Psi gives another valid normal form,
+so that change is not an error).  Horn's input is conjugated by its
+``linear_matrix`` T before the check; its report is refused after such
+a change too, and so is the input after one changed entry of T.
 
 It certifies every centralizer golden, restricted and unrestricted, and
 ``centralizer``'s report on the normal forms of random fields.  It
@@ -38,7 +40,8 @@ from dulac.fieldfile import dump_document, field_from_dict, field_to_dict
 from dulac.poly import PolyVectorField, Spectrum, lie_bracket, linear_field
 from dulac.scalars import GaussianRational
 
-INPUTS = Path(__file__).parent / "golden" / "inputs"
+GOLDEN = Path(__file__).parent / "golden"
+INPUTS = GOLDEN / "inputs"
 GOLDENS = golden_pairs()
 CENTRALIZER_GOLDENS = centralizer_pairs()
 FAMILY_GOLDENS = family_pairs()
@@ -64,10 +67,22 @@ def test_digest_report_is_certified(name, digest_report):
     assert certify_normalize(json.loads(source.read_text()), report) is None
 
 
-def test_horn_is_out_of_scope():
+def test_horn_certificate_refuses_one_change():
+    # the Horn input is conjugated by its linear_matrix T before the check;
+    # changing T, or any entry no valid report may change, is refused
     document = json.loads((INPUTS / "horn.json").read_text())
-    with pytest.raises(ValueError, match="linear_matrix"):
-        certify_normalize(document, {"order": 2})
+    report = json.loads((GOLDEN / "horn.normalize.json").read_text())
+    assert certify_report(document, report) is None
+    for entry in _breaking_entries(report):
+        old = entry["coeff"]
+        entry["coeff"] = str(GaussianRational(old) + 1)
+        assert certify_report(document, report) is not None
+        entry["coeff"] = old
+    for row in document["linear_matrix"]:
+        for j, old in enumerate(row):
+            row[j] = old + 1
+            assert certify_report(document, report) is not None
+            row[j] = old
 
 
 def _gap(exps, component, eigenvalues):

@@ -208,6 +208,33 @@ def test_family_without_parameters_is_its_field(tmp_path, capsys):
         "terms": [{"coeff": "1", "exps": [2], "comp": 1}]}
 
 
+# order 2: the cell term 5*eta^3 and the term x1^2*x2 lie above it
+OVER_ORDER_CELL = {
+    "dim": 2, "order": 2,
+    "params": {"names": ["eta"],
+               "matrix": [[[{"coeff": "1", "exps": [0]},
+                            {"coeff": "5", "exps": [3]}], 0], [0, -1]]},
+    "terms": [{"coeff": "7", "exps": [2, 1, 0], "comp": 1}]}
+OVER_ORDER_TERM = dict(OVER_ORDER_CELL, params={
+    "names": ["eta"], "matrix": [[1, 0], [0, -1]]})
+
+
+@pytest.mark.parametrize("document,where", [
+    (OVER_ORDER_CELL, "params.matrix[0][0][1].exps"),
+    (OVER_ORDER_TERM, "terms[0].exps"),
+], ids=["cell", "term"])
+def test_family_refuses_a_term_above_its_order(tmp_path, capsys, document,
+                                               where):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(document))
+    assert main(["suspend", "--family", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"dulac: error [input-format]: {path}.{where}: degree 3 exceeds the "
+        "truncation order 2\n")
+
+
 def test_suspend_then_normalize(hopf_path, tmp_path, capsys):
     target = tmp_path / "suspended.json"
     assert main(["suspend", "--family", hopf_path, "--out", str(target)]) == 0

@@ -272,7 +272,6 @@ def test_map_equals_and_hashes_like_the_field_of_its_components(psi):
     field = PolyVectorField(psi.components)
     assert psi == field and field == psi
     assert hash(psi) == hash(field)
-    assert {field: "field"}[psi] == "field"
 
 
 @st.composite
@@ -878,12 +877,11 @@ def test_products_and_substitutions_are_canonical(polys_, factor):
 @PROPERTY_SETTINGS
 @given(st.integers(min_value=1, max_value=3).flatmap(
     lambda dim: polys(dim, 6, max_terms=6)),
-    st.integers(0, 7), st.integers(0, 7), st.integers(0, 6))
-def test_subsets_of_terms_match_the_validating_constructor(p, low, high, order):
+    st.integers(0, 7), st.integers(0, 6))
+def test_subsets_of_terms_match_the_validating_constructor(p, low, order):
     for got, keep, expected_order in (
             (p.degree_part(low), lambda d: d == low, p.order),
             (p.degree_range(low), lambda d: low <= d, p.order),
-            (p.degree_range(low, high), lambda d: low <= d <= high, p.order),
             (p.truncated(order), lambda d: True, order)):
         expected = PolyScalar(p.dim, expected_order,
                               {e: c for e, c in p.terms.items()
