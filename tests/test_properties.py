@@ -151,11 +151,15 @@ def near_identity_maps(draw, dim=None, max_order=None):
     assume(mat_det(linear))
     h = PolyVectorField.from_terms(dim, order, draw(terms(dim, 2, order, 3)))
     assume(not h.is_zero())
-    # component i is row i of L times x, plus h_i
+    return linear_plus(linear, h)
+
+
+def linear_plus(linear, h):
+    """The map whose component i is row i of L times x, plus h_i."""
     return NearIdentityMap([
-        sum((PolyScalar.variable(dim, order, j) * linear[i][j]
-             for j in range(dim)), h.components[i])
-        for i in range(dim)])
+        sum((PolyScalar.variable(h.dim, h.order, j) * c
+             for j, c in enumerate(row)), h_i)
+        for row, h_i in zip(linear, h.components)])
 
 
 @st.composite
@@ -285,10 +289,7 @@ def singular_maps(draw):
     multiple = draw(small_ints)
     linear.append([c * multiple for c in linear[0]])
     h = PolyVectorField.from_terms(dim, order, draw(terms(dim, 2, order, 3)))
-    return NearIdentityMap([
-        sum((PolyScalar.variable(dim, order, j) * linear[i][j]
-             for j in range(dim)), h.components[i])
-        for i in range(dim)])
+    return linear_plus(linear, h)
 
 
 @PROPERTY_SETTINGS
