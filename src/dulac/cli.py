@@ -1,6 +1,8 @@
 """Command line front end.
 
-Exit codes: 0 on success, 1 when --strict was given and a checked
+Each command builds one payload, its JSON report.  ``main`` prints it as
+JSON under --json, else renders it as text, and reads the exit status off
+it.  Exit codes: 0 on success, 1 when --strict was given and a checked
 hypothesis failed, 2 for input problems (unreadable files, malformed
 documents, fields that violate a command's preconditions), 3 for
 internal errors.
@@ -17,22 +19,12 @@ from .bifurcation import build_D, build_oscillator_D, suspend
 from .centralizer import centralizer_basis, kernel_intersection
 from .corpus import run_corpus
 from .diagnostics import diagnose
-from .errors import (
-    DimensionMismatchError,
-    DulacError,
-    InputFormatError,
-    NonDiagonalLinearPartError,
-)
-from .fieldfile import (
-    component_terms,
-    dump_document,
-    field_to_dict,
-    load_document,
-    term_list,
-)
+from .errors import (DimensionMismatchError, DulacError, InputFormatError,
+                     NonDiagonalLinearPartError)
+from .fieldfile import component_terms, field_to_dict, load_document, term_list
 from .normalizer import normalize
-from .poly import PolyVectorField, Spectrum, format_poly
-from .resonance import ResonanceRelation, resonant_monomials
+from .poly import PolyVectorField, Spectrum, format_terms
+from .resonance import resonant_monomials
 from .scalars import GaussianRational, ScalarParseError
 
 
@@ -93,261 +85,334 @@ def _parse_spectrum(text: str, flag: str) -> Spectrum:
 
 def _emit(text: str, out: Optional[str]) -> None:
     if out is None:
-        print(text, end="" if text.endswith("\n") else "\n")
+        print(text)
         return
     try:
         with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text if text.endswith("\n") else text + "\n")
+            handle.write(text + "\n")
     except OSError as exc:
         raise InputFormatError(f"{out}: {exc.strerror or exc}") from exc
 
 
-def _relation_line(rel: ResonanceRelation) -> str:
-    exps = ",".join(str(e) for e in rel.exps)
-    return f"({exps}) -> comp {rel.component + 1}"
+# -- subcommands: each returns its payload, the JSON report -----------
 
 
-# -- subcommands -------------------------------------------------------
+def _relation_entries(relations) -> list:
+    return [{"exps": list(rel.exps), "comp": rel.component + 1}
+            for rel in relations]
 
 
-def _cmd_normalize(args) -> int:
+def _cmd_normalize(args) -> dict:
     field = _load_field(args.input)
     result = normalize(field, args.order)
-    if args.json:
-        payload = {
-            "version": __version__,
-            "command": "normalize",
-            "order": args.order,
-            "style": "distinguished",
-            "eigenvalues": [str(v) for v in field.spectrum],
-            "normal_form": field_to_dict(result.normal_form),
-            "transformation": {
-                "convention": "y = Psi(x); the normal form is the "
-                              "push-forward of the input along Psi",
-                "components": [
-                    component_terms(poly, i) for i, poly in
-                    enumerate(result.transformation.components)],
-            },
-            "per_degree": [
-                {"degree": rec.degree, "resonant_dimension": rec.kernel_dim,
-                 "removed_terms": rec.removed_dim}
-                for rec in result.per_degree],
-        }
-        _emit(json.dumps(payload, indent=2), args.out)
-        return 0
-    lines = [f"dulac {__version__} normalization report",
-             f"order: {args.order}",
-             "style: distinguished",
-             "eigenvalues: " + ", ".join(str(v) for v in field.spectrum),
-             "normal form:"]
-    for i, poly in enumerate(result.normal_form.components):
-        lines.append(f"  dx{i + 1}/dt = {format_poly(poly)}")
-    lines.append("transformation y = Psi(x) (normal form = push-forward "
-                 "of the input):")
-    for i, poly in enumerate(result.transformation.components):
-        lines.append(f"  y{i + 1} = {format_poly(poly)}")
-    lines.append("per-degree summary:")
-    for rec in result.per_degree:
-        lines.append(f"  degree {rec.degree}: resonant dimension "
-                     f"{rec.kernel_dim}, removed terms {rec.removed_dim}")
-    _emit("\n".join(lines), args.out)
-    return 0
+    return {
+        "version": __version__,
+        "command": "normalize",
+        "order": args.order,
+        "style": "distinguished",
+        "eigenvalues": [str(v) for v in field.spectrum],
+        "normal_form": field_to_dict(result.normal_form),
+        "transformation": {
+            "convention": "y = Psi(x); the normal form is the "
+                          "push-forward of the input along Psi",
+            "components": [component_terms(poly, i) for i, poly in
+                           enumerate(result.transformation.components)],
+        },
+        "per_degree": [
+            {"degree": rec.degree, "resonant_dimension": rec.kernel_dim,
+             "removed_terms": rec.removed_dim}
+            for rec in result.per_degree],
+    }
 
 
-def _cmd_resonances(args) -> int:
+def _cmd_resonances(args) -> dict:
+    spectrum = _load_field(args.input).spectrum
+    return {
+        "version": __version__,
+        "command": "resonances",
+        "max_degree": args.max_degree,
+        "eigenvalues": [str(v) for v in spectrum],
+        "relations": _relation_entries(
+            resonant_monomials(spectrum, args.max_degree)),
+    }
+
+
+def _cmd_diagnose(args) -> dict:
     field = _load_field(args.input)
-    spectrum = field.spectrum
-    relations = resonant_monomials(spectrum, args.max_degree)
-    if args.json:
-        payload = {
-            "version": __version__,
-            "command": "resonances",
-            "max_degree": args.max_degree,
-            "eigenvalues": [str(v) for v in spectrum],
-            "relations": [{"exps": list(rel.exps), "comp": rel.component + 1}
-                          for rel in relations],
-        }
-        _emit(json.dumps(payload, indent=2), args.out)
-        return 0
-    lines = [f"dulac {__version__} resonance listing",
-             "eigenvalues: " + ", ".join(str(v) for v in spectrum),
-             f"degrees 2..{args.max_degree}: "
-             f"{len(relations)} resonant monomial(s)"]
-    for rel in relations:
-        lines.append(_relation_line(rel))
-    _emit("\n".join(lines), args.out)
-    return 0
+    symmetry = (None if args.symmetry is None
+                else _load_symmetry(args.symmetry, field.dim))
+    return diagnose(field, args.order, symmetry=symmetry,
+                    omega_max_k=args.omega_k,
+                    centralizer_degree=args.centralizer_degree).to_dict()
 
 
-def _cmd_diagnose(args) -> int:
-    field = _load_field(args.input)
-    symmetry = None
-    if args.symmetry is not None:
-        symmetry = _load_symmetry(args.symmetry, field.dim)
-    report = diagnose(field, args.order, symmetry=symmetry,
-                      omega_max_k=args.omega_k,
-                      centralizer_degree=args.centralizer_degree)
-    if args.json:
-        _emit(json.dumps(report.to_dict(), indent=2), args.out)
-    else:
-        _emit(report.to_text(), args.out)
-    if args.strict and not report.applicable():
-        return 1
-    return 0
-
-
-def _cmd_centralizer(args) -> int:
+def _cmd_centralizer(args) -> dict:
     field = _load_field(args.input)
     basis = centralizer_basis(field, args.degree,
                               restrict_to_kernel=not args.unrestricted)
-    if args.json:
-        payload = {
-            "version": __version__,
-            "command": "centralizer",
-            "degree": args.degree,
-            "dimension": basis.dimension,
-            "restricted_to_resonant_kernel": basis.restricted,
-            "elements": [
-                {"terms": term_list(elem.components),
-                 "confirmed": not unconfirmed}
-                for elem, unconfirmed in zip(basis.elements,
-                                             basis.unconfirmed)],
-        }
-        _emit(json.dumps(payload, indent=2), args.out)
-        return 0
-    lines = [f"dulac {__version__} centralizer basis",
-             f"degree bound: {args.degree}",
-             f"dimension: {basis.dimension}"]
-    for elem, unconfirmed in zip(basis.elements, basis.unconfirmed):
-        marker = "boundary-unconfirmed" if unconfirmed else "confirmed"
-        lines.append(f"  [{marker}] {elem}")
-    if any(basis.unconfirmed):
-        lines.append("boundary-unconfirmed elements satisfy every imposed "
-                     "equation but keep constraints beyond the degree "
-                     "bound; raise the bound to settle them")
-    _emit("\n".join(lines), args.out)
-    return 0
+    return {
+        "version": __version__,
+        "command": "centralizer",
+        "degree": args.degree,
+        "dimension": basis.dimension,
+        "restricted_to_resonant_kernel": basis.restricted,
+        "elements": [
+            {"terms": term_list(elem.components),
+             "confirmed": not unconfirmed}
+            for elem, unconfirmed in zip(basis.elements, basis.unconfirmed)],
+    }
 
 
-def _cmd_kernel_intersection(args) -> int:
+def _cmd_kernel_intersection(args) -> dict:
     spec_a = _parse_spectrum(args.spec_a, "--spec-a")
     spec_b = _parse_spectrum(args.spec_b, "--spec-b")
     if len(spec_a) != len(spec_b):
         raise InputFormatError("--spec-a and --spec-b must have the same "
                                "number of eigenvalues")
     relations = kernel_intersection(spec_a, spec_b, args.max_degree)
-    if args.json:
-        payload = {
-            "version": __version__,
-            "command": "kernel-intersection",
-            "max_degree": args.max_degree,
-            "eigenvalues_a": [str(v) for v in spec_a],
-            "eigenvalues_b": [str(v) for v in spec_b],
-            "relations": [{"exps": list(rel.exps), "comp": rel.component + 1}
-                          for rel in relations],
-            "empty": not relations,
-        }
-        _emit(json.dumps(payload, indent=2), args.out)
-        return 0
-    lines = [f"dulac {__version__} joint resonance kernel",
-             "eigenvalues a: " + ", ".join(str(v) for v in spec_a),
-             "eigenvalues b: " + ", ".join(str(v) for v in spec_b)]
-    if relations:
-        lines.append(f"{len(relations)} joint resonant monomial(s) through "
-                     f"degree {args.max_degree}:")
-        for rel in relations:
-            lines.append(_relation_line(rel))
-    else:
-        lines.append(f"empty through degree {args.max_degree}: only linear "
-                     "fields commute with both linear parts to this order, "
-                     "so the joint-kernel linearization hypothesis holds")
-    _emit("\n".join(lines), args.out)
-    return 0
+    return {
+        "version": __version__,
+        "command": "kernel-intersection",
+        "max_degree": args.max_degree,
+        "eigenvalues_a": [str(v) for v in spec_a],
+        "eigenvalues_b": [str(v) for v in spec_b],
+        "relations": _relation_entries(relations),
+        "empty": not relations,
+    }
 
 
-def _cmd_bifurcation(args) -> int:
-    doc = _load_family(args.family)
-    family = doc.family
+def _cmd_bifurcation(args) -> dict:
+    family = _load_family(args.family).family
     matrix = (build_oscillator_D(family) if args.layout == "oscillator"
               else build_D(family))
     det = matrix.determinant()
-    nonsingular = det != 0
-    verdict = "nonsingular" if nonsingular else "singular"
-    if args.json:
-        payload = {
-            "version": __version__,
-            "command": "bifurcation",
-            "layout": matrix.layout,
-            "eigenvalues": [str(v) for v in family.eigenvalues()],
-            "D": [[str(v) for v in row] for row in matrix.entries],
-            "determinant": str(det),
-            "nonsingular": nonsingular,
-        }
-        _emit(json.dumps(payload, indent=2), args.out)
-    else:
-        lines = [f"dulac {__version__} bifurcation nondegeneracy",
-                 "eigenvalues: " + ", ".join(str(v)
-                                             for v in family.eigenvalues()),
-                 f"layout: {matrix.layout}",
-                 "D matrix:"]
-        widths = [max(len(str(matrix.entries[i][j]))
-                      for i in range(len(matrix.entries)))
-                  for j in range(len(matrix.entries[0]))]
-        for row in matrix.entries:
-            cells = [str(v).rjust(w) for v, w in zip(row, widths)]
-            lines.append("  [ " + "  ".join(cells) + " ]")
-        lines.append(f"det D = {det}")
-        lines.append(f"verdict: {verdict}")
-        _emit("\n".join(lines), args.out)
-    if args.strict and not nonsingular:
-        return 1
-    return 0
+    return {
+        "version": __version__,
+        "command": "bifurcation",
+        "layout": matrix.layout,
+        "eigenvalues": [str(v) for v in family.eigenvalues()],
+        "D": [[str(v) for v in row] for row in matrix.entries],
+        "determinant": str(det),
+        "nonsingular": det != 0,
+    }
 
 
-def _cmd_suspend(args) -> int:
+def _cmd_suspend(args) -> dict:
     doc = _load_family(args.family)
-    suspended = suspend(doc.family)
     names = list(doc.var_names) + list(doc.param_names)
-    _emit(dump_document(field_to_dict(suspended, var_names=names)), args.out)
-    return 0
+    return field_to_dict(suspend(doc.family), var_names=names)
 
 
-def _cmd_corpus(args) -> int:
+def _cmd_corpus(args) -> dict:
     results = run_corpus(args.filter)
     if not results:
-        raise InputFormatError(
-            f"no corpus entry matches {args.filter!r}")
-    failures = sum(1 for r in results if not r.passed)
-    if args.json:
-        payload = {
-            "version": __version__,
-            "command": "corpus",
-            "results": [
-                {"id": r.entry_id, "description": r.description,
-                 "passed": r.passed, "seconds": round(r.seconds, 4),
-                 "note": r.note, "detail": list(r.lines)}
-                for r in results],
-            "failures": failures,
-        }
-        _emit(json.dumps(payload, indent=2), args.out)
-        return 1 if failures else 0
-    lines = [f"dulac {__version__} corpus run"]
-    width = max(len(r.entry_id) for r in results)
+        raise InputFormatError(f"no corpus entry matches {args.filter!r}")
+    return {
+        "version": __version__,
+        "command": "corpus",
+        "results": [
+            {"id": r.entry_id, "description": r.description,
+             "passed": r.passed, "seconds": round(r.seconds, 4),
+             "note": r.note, "detail": list(r.lines)}
+            for r in results],
+        "failures": sum(1 for r in results if not r.passed),
+    }
+
+
+# -- text renderers: each reads the payload its command built ---------
+
+# The text report prints a growth estimate at or above this in exponent
+# form, since fixed point spells out every integer digit of the float and
+# those past the 16th are noise; below it, three decimals.
+ESTIMATE_EXPONENT_FROM = 1e6
+
+
+def _components(entries, dim: int) -> list:
+    """The (exponents, coefficient text) pairs of each component of a term
+    list, in the list's order: what ``format_terms`` prints."""
+    return [[(e["exps"], e["coeff"]) for e in entries if e["comp"] == j]
+            for j in range(1, dim + 1)]
+
+
+def _relation_lines(relations) -> list:
+    return [f"({','.join(str(e) for e in rel['exps'])}) -> comp {rel['comp']}"
+            for rel in relations]
+
+
+def _text_normalize(data: dict) -> str:
+    lines = [f"dulac {data['version']} normalization report",
+             f"order: {data['order']}",
+             f"style: {data['style']}",
+             "eigenvalues: " + ", ".join(data["eigenvalues"]),
+             "normal form:"]
+    dim = len(data["eigenvalues"])
+    comps = _components(data["normal_form"]["terms"], dim)
+    for i, (value, terms) in enumerate(zip(data["eigenvalues"], comps)):
+        # the diagonal linear term leads: it is the component's only
+        # degree-1 term, and the terms list holds the higher degrees
+        diagonal = [] if value == "0" else [
+            ([int(k == i) for k in range(dim)], value)]
+        lines.append(f"  dx{i + 1}/dt = {format_terms(diagonal + terms)}")
+    lines.append("transformation y = Psi(x) (normal form = push-forward "
+                 "of the input):")
+    psi = [entry for comp in data["transformation"]["components"]
+           for entry in comp]
+    for i, terms in enumerate(_components(psi, dim), 1):
+        lines.append(f"  y{i} = {format_terms(terms)}")
+    lines.append("per-degree summary:")
+    lines += [f"  degree {rec['degree']}: resonant dimension "
+              f"{rec['resonant_dimension']}, removed terms "
+              f"{rec['removed_terms']}" for rec in data["per_degree"]]
+    return "\n".join(lines)
+
+
+def _text_resonances(data: dict) -> str:
+    relations = data["relations"]
+    return "\n".join([f"dulac {data['version']} resonance listing",
+                      "eigenvalues: " + ", ".join(data["eigenvalues"]),
+                      f"degrees 2..{data['max_degree']}: "
+                      f"{len(relations)} resonant monomial(s)"]
+                     + _relation_lines(relations))
+
+
+def _text_diagnose(data: dict) -> str:
+    lines = [f"normal form diagnostics (dulac {data['version']})",
+             f"truncation order: {data['order']}",
+             "eigenvalues: " + ", ".join(data["eigenvalues"]),
+             "normal form:"]
+    for i, comp in enumerate(data["normal_form"], 1):
+        lines.append(f"  x{i}' = {comp}")
+    ca = data["condition_a"]
+    if ca["satisfied"]:
+        flags = ", ".join(f"{key}={'yes' if val else 'no'}"
+                          for key, val in ca["checks"].items())
+        lines.append(f"condition A: satisfied, alpha = {ca['alpha']} "
+                     f"({flags})")
+    else:
+        wit = ca["witness"]
+        lines.append(f"condition A: violated at degree "
+                     f"{wit['degree']}: {wit['reason']}")
+    lines.append("linear normal form: " +
+                 ("yes" if data["linear_normal_form"] else "no"))
+    lines.append("poincare domain: " +
+                 ("yes" if data["poincare_domain"] else "no"))
+    om = data["small_divisors"]
+    lines.append(f"small divisors: {om['verdict']} "
+                 f"(omega_k^2 >= {om['rational_bound_sq']}, "
+                 f"{om['tuples_scanned']} tuples scanned)")
+    lines += [f"  k={rec['k']}: omega_k^2 = {rec['omega_sq'] or 'n/a'}, "
+              f"partial sum = {rec['partial_sum']:.6f}"
+              for rec in om["records"]]
+    growth = data["growth"]
+    if growth is None:
+        lines.append("growth: no classifiable coefficient run")
+    else:
+        estimate = growth["estimate"]
+        shown = "" if estimate is None else ", estimate " + format(
+            estimate, ".3e" if estimate >= ESTIMATE_EXPONENT_FROM else ".3f")
+        lines.append(
+            f"growth: {growth['kind']} over degrees "
+            f"{growth['degrees'][0]}..{growth['degrees'][1]}{shown}"
+            f" ({growth['note']})")
+    lines.append("criteria:")
+    for crit in data["criteria"]:
+        lines.append(f"  {crit['name']}: {crit['verdict']}")
+        if crit["conclusion"]:
+            lines.append(f"    conclusion: {crit['conclusion']}")
+        if crit["detail"]:
+            lines.append(f"    detail: {crit['detail']}")
+        lines += [f"    {kind}: {item}" for kind in
+                  ("exact", "truncated", "assumed") for item in crit[kind]]
+    lines.append("summary: " + data["summary"])
+    return "\n".join(lines)
+
+
+def _text_centralizer(data: dict) -> str:
+    lines = [f"dulac {data['version']} centralizer basis",
+             f"degree bound: {data['degree']}",
+             f"dimension: {data['dimension']}"]
+    for elem in data["elements"]:
+        marker = "confirmed" if elem["confirmed"] else "boundary-unconfirmed"
+        # an element is nonzero, and its dimension is that of its exponents
+        comps = _components(elem["terms"], len(elem["terms"][0]["exps"]))
+        lines.append(f"  [{marker}] ({', '.join(map(format_terms, comps))})")
+    if not all(elem["confirmed"] for elem in data["elements"]):
+        lines.append("boundary-unconfirmed elements satisfy every imposed "
+                     "equation but keep constraints beyond the degree "
+                     "bound; raise the bound to settle them")
+    return "\n".join(lines)
+
+
+def _text_kernel_intersection(data: dict) -> str:
+    lines = [f"dulac {data['version']} joint resonance kernel",
+             "eigenvalues a: " + ", ".join(data["eigenvalues_a"]),
+             "eigenvalues b: " + ", ".join(data["eigenvalues_b"])]
+    if data["empty"]:
+        lines.append(f"empty through degree {data['max_degree']}: only "
+                     "linear fields commute with both linear parts to this "
+                     "order, so the joint-kernel linearization hypothesis "
+                     "holds")
+    else:
+        lines.append(f"{len(data['relations'])} joint resonant monomial(s) "
+                     f"through degree {data['max_degree']}:")
+        lines += _relation_lines(data["relations"])
+    return "\n".join(lines)
+
+
+def _text_bifurcation(data: dict) -> str:
+    rows = data["D"]
+    lines = [f"dulac {data['version']} bifurcation nondegeneracy",
+             "eigenvalues: " + ", ".join(data["eigenvalues"]),
+             f"layout: {data['layout']}",
+             "D matrix:"]
+    widths = [max(len(row[j]) for row in rows) for j in range(len(rows[0]))]
+    for row in rows:
+        cells = [v.rjust(w) for v, w in zip(row, widths)]
+        lines.append("  [ " + "  ".join(cells) + " ]")
+    lines.append(f"det D = {data['determinant']}")
+    lines.append("verdict: " + ("nonsingular" if data["nonsingular"]
+                                else "singular"))
+    return "\n".join(lines)
+
+
+def _text_corpus(data: dict) -> str:
+    results = data["results"]
+    lines = [f"dulac {data['version']} corpus run"]
+    width = max(len(r["id"]) for r in results)
     for r in results:
-        mark = "PASS" if r.passed else "FAIL"
-        lines.append(f"{mark}  {r.entry_id.ljust(width)}  "
-                     f"{r.seconds:6.2f}s  {r.note}")
-        for extra in r.lines:
-            lines.append(" " * (width + 8) + extra)
-    lines.append(f"{len(results) - failures} passed, {failures} failed")
-    _emit("\n".join(lines), args.out)
-    return 1 if failures else 0
+        lines.append(f"{'PASS' if r['passed'] else 'FAIL'}  {r['id']:{width}}"
+                     f"  {r['seconds']:6.2f}s  {r['note']}")
+        lines += [" " * (width + 8) + extra for extra in r["detail"]]
+    lines.append(f"{len(results) - data['failures']} passed, "
+                 f"{data['failures']} failed")
+    return "\n".join(lines)
+
+
+# command -> its text renderer; suspend writes a field document, JSON only
+TEXT_RENDERERS = {
+    "normalize": _text_normalize, "resonances": _text_resonances,
+    "diagnose": _text_diagnose, "centralizer": _text_centralizer,
+    "kernel-intersection": _text_kernel_intersection,
+    "bifurcation": _text_bifurcation, "corpus": _text_corpus}
+# command -> the payload flag whose falsity fails --strict
+_STRICT = {"diagnose": "applicable", "bifurcation": "nonsingular"}
+
+
+def _status(args, payload: dict) -> int:
+    """1 for a failed corpus entry, or a failed hypothesis under --strict."""
+    if args.command == "corpus":
+        return 1 if payload["failures"] else 0
+    flag = _STRICT.get(args.command)
+    return 1 if flag and args.strict and not payload[flag] else 0
 
 
 # -- parser ------------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser, strict: bool = False) -> None:
+def _add_common(parser: argparse.ArgumentParser, func,
+                strict: bool = False) -> None:
+    """The payload builder ``func`` and the output options."""
+    parser.set_defaults(func=func)
     parser.add_argument("--json", action="store_true",
                         help="emit a structured JSON report")
     parser.add_argument("--out", metavar="FILE",
@@ -373,15 +438,13 @@ def build_parser() -> argparse.ArgumentParser:
                                          "and the transformation behind it")
     p.add_argument("--input", required=True, metavar="FILE")
     p.add_argument("--order", required=True, type=int)
-    _add_common(p)
-    p.set_defaults(func=_cmd_normalize)
+    _add_common(p, _cmd_normalize)
 
     p = sub.add_parser("resonances", help="list resonant monomials of the "
                                           "input's eigenvalues")
     p.add_argument("--input", required=True, metavar="FILE")
     p.add_argument("--max-degree", required=True, type=int)
-    _add_common(p)
-    p.set_defaults(func=_cmd_resonances)
+    _add_common(p, _cmd_resonances)
 
     p = sub.add_parser("diagnose", help="normalize and evaluate every "
                                         "convergence criterion")
@@ -394,8 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--centralizer-degree", type=int, default=None,
                    help="degree bound for the centralizer comparison "
                         "(defaults to --order)")
-    _add_common(p, strict=True)
-    p.set_defaults(func=_cmd_diagnose)
+    _add_common(p, _cmd_diagnose, strict=True)
 
     p = sub.add_parser("centralizer", help="basis of the fields commuting "
                                            "with a normal form")
@@ -404,8 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--unrestricted", action="store_true",
                    help="solve over all polynomial fields instead of the "
                         "resonant kernel (slower cross-check)")
-    _add_common(p)
-    p.set_defaults(func=_cmd_centralizer)
+    _add_common(p, _cmd_centralizer)
 
     p = sub.add_parser("kernel-intersection",
                        help="joint resonant monomials of two spectra")
@@ -413,30 +474,27 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated eigenvalues, e.g. 1,-3,9")
     p.add_argument("--spec-b", required=True, metavar="LIST")
     p.add_argument("--max-degree", required=True, type=int)
-    _add_common(p)
-    p.set_defaults(func=_cmd_kernel_intersection)
+    _add_common(p, _cmd_kernel_intersection)
 
     p = sub.add_parser("bifurcation", help="nondegeneracy determinant of a "
                                            "parameter family")
     p.add_argument("--family", required=True, metavar="FILE")
     p.add_argument("--layout", choices=["standard", "oscillator"],
                    default="standard")
-    _add_common(p, strict=True)
-    p.set_defaults(func=_cmd_bifurcation)
+    _add_common(p, _cmd_bifurcation, strict=True)
 
     p = sub.add_parser("suspend", help="turn a family into a single field "
                                        "with frozen parameter directions")
     p.add_argument("--family", required=True, metavar="FILE")
     p.add_argument("--out", metavar="FILE",
                    help="write the suspended field document to FILE")
-    p.set_defaults(func=_cmd_suspend, json=False)
+    p.set_defaults(func=_cmd_suspend, json=True)  # a field document
 
     p = sub.add_parser("corpus", help="run the built-in worked examples")
     p.add_argument("action", choices=["run"])
     p.add_argument("--filter", metavar="PATTERN",
                    help="only entries whose id contains PATTERN")
-    _add_common(p)
-    p.set_defaults(func=_cmd_corpus)
+    _add_common(p, _cmd_corpus)
 
     return parser
 
@@ -444,7 +502,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        payload = args.func(args)
+        _emit(json.dumps(payload, indent=2) if args.json
+              else TEXT_RENDERERS[args.command](payload), args.out)
+        return _status(args, payload)
     except DulacError as exc:
         print(f"dulac: error [{exc.code}]: {exc}", file=sys.stderr)
         return 2

@@ -10,8 +10,8 @@ Checks implemented here:
   to the resonance module),
 * heuristic growth classification of transformation coefficients,
 * diagnose(), which normalizes a field, runs every criterion, and
-  assembles a report whose text and dict renderings carry identical
-  content.
+  assembles a report; its dict is what the command line prints, as JSON
+  or rendered as text.
 
 Criterion entries separate exact checks (decided in exact arithmetic),
 truncated checks (verified through the working order only), and
@@ -64,11 +64,6 @@ from .scalars import ZERO, GaussianRational, as_scalar
 # (geometric-like growth).  Comparisons run on exact squared moduli.
 FACTORIAL_SLOPE_WINDOW = (Fraction(1, 2), Fraction(2, 1))
 GEOMETRIC_RATIO_SPREAD = Fraction(2, 1)
-
-# The text report prints a growth estimate at or above this in exponent
-# form, since fixed point spells out every integer digit of the float and
-# those past the 16th are noise; below it, three decimals.
-ESTIMATE_EXPONENT_FROM = 1e6
 
 _ANALYTICITY = ("analyticity of the supplied commuting field "
                 "(not decidable from a truncation)")
@@ -515,8 +510,8 @@ def _symmetry_criteria(field: PolyVectorField, fhat: PolyVectorField,
 class DiagnosticsReport:
     """Joint outcome of every criterion on one normalized field.
 
-    ``to_dict`` and ``to_text`` render identical content; the text form
-    is line oriented for terminals, the dict form is JSON-ready.
+    ``to_dict`` gives the JSON-ready report that ``diagnose`` prints; its
+    text form is rendered from that dict by the command line.
     """
 
     version: str
@@ -617,66 +612,6 @@ class DiagnosticsReport:
             "applicable": self.applicable(),
             "summary": self.summary(),
         }
-
-    def to_text(self) -> str:
-        data = self.to_dict()
-        lines = [f"normal form diagnostics (dulac {data['version']})",
-                 f"truncation order: {data['order']}",
-                 "eigenvalues: " + ", ".join(data["eigenvalues"]),
-                 "normal form:"]
-        for i, comp in enumerate(data["normal_form"], 1):
-            lines.append(f"  x{i}' = {comp}")
-        ca = data["condition_a"]
-        if ca["satisfied"]:
-            checks = ca["checks"]
-            flags = ", ".join(f"{key}={'yes' if val else 'no'}"
-                              for key, val in checks.items())
-            lines.append(f"condition A: satisfied, alpha = {ca['alpha']} "
-                         f"({flags})")
-        else:
-            wit = ca["witness"]
-            lines.append(f"condition A: violated at degree "
-                         f"{wit['degree']}: {wit['reason']}")
-        lines.append("linear normal form: " +
-                     ("yes" if data["linear_normal_form"] else "no"))
-        lines.append("poincare domain: " +
-                     ("yes" if data["poincare_domain"] else "no"))
-        om = data["small_divisors"]
-        lines.append(f"small divisors: {om['verdict']} "
-                     f"(omega_k^2 >= {om['rational_bound_sq']}, "
-                     f"{om['tuples_scanned']} tuples scanned)")
-        for rec in om["records"]:
-            omega_sq = rec["omega_sq"]
-            lines.append(f"  k={rec['k']}: omega_k^2 = "
-                         f"{'n/a' if omega_sq is None else omega_sq}, "
-                         f"partial sum = {rec['partial_sum']:.6f}")
-        growth = data["growth"]
-        if growth is None:
-            lines.append("growth: no classifiable coefficient run")
-        else:
-            estimate = growth["estimate"]
-            if estimate is None:
-                shown = ""
-            elif estimate >= ESTIMATE_EXPONENT_FROM:
-                shown = f", estimate {estimate:.3e}"
-            else:
-                shown = f", estimate {estimate:.3f}"
-            lines.append(
-                f"growth: {growth['kind']} over degrees "
-                f"{growth['degrees'][0]}..{growth['degrees'][1]}{shown}"
-                f" ({growth['note']})")
-        lines.append("criteria:")
-        for crit in data["criteria"]:
-            lines.append(f"  {crit['name']}: {crit['verdict']}")
-            if crit["conclusion"]:
-                lines.append(f"    conclusion: {crit['conclusion']}")
-            if crit["detail"]:
-                lines.append(f"    detail: {crit['detail']}")
-            for kind in ("exact", "truncated", "assumed"):
-                for item in crit[kind]:
-                    lines.append(f"    {kind}: {item}")
-        lines.append("summary: " + data["summary"])
-        return "\n".join(lines)
 
 
 def _prefer(current: Optional[GrowthClassification],

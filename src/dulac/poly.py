@@ -452,28 +452,30 @@ class PolyScalar:
         return f"PolyScalar(dim={self.dim}, order={self.order}, {format_poly(self)})"
 
 
-def format_monomial(exps: Exponents) -> str:
+def format_monomial(exps: Sequence[int]) -> str:
     """The text x1^2*x3 of the exponent tuple (2, 0, 1); 1 for the constant."""
     factors = [f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
                for i, e in enumerate(exps) if e]
     return "*".join(factors) or "1"
 
 
-def format_poly(p: PolyScalar) -> str:
-    if p.is_zero():
-        return "0"
+def format_terms(terms: Iterable[Tuple[Sequence[int], str]]) -> str:
+    """The text of (exponents, coefficient text) pairs, in the order given,
+    as ``format_poly`` prints a polynomial; 0 when there are none."""
     pieces = []
-    for exps, coeff in p.sorted_terms():
-        coeff_str = str(coeff)
-        needs_parens = ("+" in coeff_str[1:]) or ("-" in coeff_str[1:])
-        if needs_parens:
-            coeff_str = f"({coeff_str})"
+    for exps, coeff in terms:
+        if "+" in coeff[1:] or "-" in coeff[1:]:
+            coeff = f"({coeff})"
         if any(exps):
             body = format_monomial(exps)
-            pieces.append(body if coeff == 1 else f"{coeff_str}*{body}")
+            pieces.append(body if coeff == "1" else f"{coeff}*{body}")
         else:
-            pieces.append(coeff_str)
-    return " + ".join(pieces)
+            pieces.append(coeff)
+    return " + ".join(pieces) or "0"
+
+
+def format_poly(p: PolyScalar) -> str:
+    return format_terms((exps, str(coeff)) for exps, coeff in p.sorted_terms())
 
 
 class Series:

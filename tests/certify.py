@@ -1,4 +1,4 @@
-"""An independent certificate for ``normalize`` and ``centralizer`` reports.
+"""An independent certificate for the exact reports of the command line.
 
 A ``normalize --json`` report is accepted through its order N when, for
 the input field f, the printed normal form f_hat and transformation
@@ -47,6 +47,19 @@ accepted when it is the field over (x, eta) with eta' = 0 built here
 from the family: each cell term c * eta^e of A_ij becomes c * x_j * eta^e
 in component i, the family's terms stay, and both are cut at the order.
 
+A ``resonances --json`` report is accepted when its ``eigenvalues`` are
+the input field's, read off its diagonal linear part as for normalize,
+and its ``relations`` are exactly the pairs (m, j) with
+<m, lambda> = lambda_j at degrees 2 through its ``max_degree``, found
+here by enumerating every exponent tuple of each degree.  A
+``kernel-intersection --json`` report is accepted when its spectra and
+``max_degree`` are those of its input, the command's flags written as
+``{"spec_a": "1,-3,9", "spec_b": "1,-2,4", "max_degree": 10}``, its
+``relations`` are exactly the pairs resonant for both spectra, found the
+same way, and ``empty`` says whether there are none.  Both compare the
+relations as a set, with no pair listed twice: they certify the listing,
+not its order, which the goldens pin.
+
 Everything here is the standard library: its own scalar parser, Gaussian
 rationals as pairs of ``Fraction``, and polynomials as plain dicts from
 exponent tuples to such pairs, multiplied term by term and truncated.  It
@@ -56,7 +69,9 @@ cannot hide itself here.
 Run ``python -S tests/certify.py`` to certify every normalize golden
 (Horn's among them, through its ``linear_matrix``), every ``DIGESTS`` case of
 ``test_golden.py``, every centralizer golden, restricted and
-unrestricted, against the normal form it was computed from, and every
+unrestricted, against the normal form it was computed from, every
+resonances golden against its field, every kernel-intersection golden
+against its entry of ``JOINT`` in ``test_golden.py``, and every
 bifurcation and suspend golden against its family document.  The
 ``DIGESTS`` cases are produced by ``python -S -m dulac.cli`` in a
 subprocess (with ``src`` put on ``PYTHONPATH``) and must also match their
@@ -68,6 +83,7 @@ exit status is 1 when any report is refused.
 
 import ast
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -240,6 +256,14 @@ def input_field(document, order):
     return [f[j].get(unit(dim, j), ZERO) for j in range(dim)], f
 
 
+def weight(exps, eigenvalues):
+    """<m, lambda>: the eigenvalue of x^m under the linear part."""
+    total = ZERO
+    for e, lam in zip(exps, eigenvalues):
+        total = add(total, mul((Fraction(e), Fraction(0)), lam))
+    return total
+
+
 def certify_normalize(document, report):
     """None when the report is certified through its order, else why not."""
     order = report["order"]
@@ -253,10 +277,7 @@ def certify_normalize(document, report):
                       for entry in comp], dim, order)
     for j, comp in enumerate(fhat):
         for exps in comp:
-            weight = ZERO
-            for e, lam in zip(exps, eigenvalues):
-                weight = add(weight, mul((Fraction(e), Fraction(0)), lam))
-            if weight != eigenvalues[j]:
+            if weight(exps, eigenvalues) != eigenvalues[j]:
                 return f"normal-form term {exps} of component {j + 1} is not resonant"
     for i, comp in enumerate(psi):
         linear = {e: c for e, c in comp.items() if sum(e) <= 1}
@@ -339,6 +360,64 @@ def certify_centralizer(document, report):
         return (f"{len(vectors)} elements of rank {found}, "
                 f"not the dimension {report['dimension']}")
     return None
+
+
+def resonant_pairs(spectra, max_degree):
+    """The set of (m, j), j counted from 1, with <m, lambda> = lambda_j for
+    every spectrum lambda, over every exponent tuple m of degree 2
+    through max_degree."""
+    dim = len(spectra[0])
+    found = set()
+    for degree in range(2, max_degree + 1):
+        for variables in itertools.combinations_with_replacement(range(dim),
+                                                                 degree):
+            exps = tuple(variables.count(k) for k in range(dim))
+            for j in range(dim):
+                if all(weight(exps, lam) == lam[j] for lam in spectra):
+                    found.add((exps, j + 1))
+    return found
+
+
+def certify_relations(report, spectra):
+    """None when the report's relations are exactly the pairs resonant for
+    every spectrum through its ``max_degree``, each listed once."""
+    listed = [(tuple(r["exps"]), r["comp"]) for r in report["relations"]]
+    if len(set(listed)) != len(listed):
+        return "a relation is listed twice"
+    expected = resonant_pairs(spectra, report["max_degree"])
+    missing = sorted(expected - set(listed))
+    if missing:
+        return f"the resonant relation {missing[0]} is missing"
+    extra = sorted(set(listed) - expected)
+    if extra:
+        return f"the relation {extra[0]} is not resonant"
+    return None
+
+
+def certify_resonances(document, report):
+    """None when the report lists the resonances of the input field's
+    eigenvalues, else why not."""
+    eigenvalues, _ = input_field(document, 1)
+    if [parse_scalar(v) for v in report["eigenvalues"]] != eigenvalues:
+        return "the eigenvalues are not the input's"
+    return certify_relations(report, [eigenvalues])
+
+
+def certify_kernel_intersection(document, report):
+    """None when the report lists the joint resonances of the two spectra
+    of its input, else why not."""
+    spectra = [[parse_scalar(v) for v in document[key].split(",")]
+               for key in ("spec_a", "spec_b")]
+    for name, spectrum in zip(("eigenvalues_a", "eigenvalues_b"), spectra):
+        if [parse_scalar(v) for v in report[name]] != spectrum:
+            return f"{name} are not the input's"
+    if report["max_degree"] != document["max_degree"]:
+        return "max_degree is not the input's"
+    reason = certify_relations(report, spectra)
+    empty = not report["relations"]
+    if reason is None and report["empty"] is not empty:
+        return f"empty should read {empty}"
+    return reason
 
 
 def family_cells(document):
@@ -444,6 +523,8 @@ def certify_suspend(document, report):
 
 CERTIFIERS = {"normalize": certify_normalize,
               "centralizer": certify_centralizer,
+              "resonances": certify_resonances,
+              "kernel-intersection": certify_kernel_intersection,
               "bifurcation": certify_bifurcation,
               "suspend": certify_suspend}
 
@@ -483,6 +564,26 @@ def centralizer_pairs():
         name = report.name[:-len(".centralizer.json")]
         field = snapshots.get(name, (name,))[0]
         out.append((name, INPUTS / f"{field}.normal-form.json", report))
+    return out
+
+
+def resonances_pairs():
+    """(name, input path, report path) of every resonances golden."""
+    out = []
+    for report in sorted(GOLDEN.glob("*.resonances.json")):
+        name = report.name[:-len(".resonances.json")]
+        out.append((name, INPUTS / f"{name}.json", report))
+    return out
+
+
+def joint_cases():
+    """(name, input document, report path) of every kernel-intersection
+    golden, whose input is its entry of ``JOINT`` in ``test_golden.py``."""
+    out = []
+    for name, (spec_a, spec_b, degree) in sorted(golden_table("JOINT").items()):
+        out.append((name, {"spec_a": spec_a, "spec_b": spec_b,
+                           "max_degree": int(degree)},
+                    GOLDEN / f"{name}.kernel-intersection.json"))
     return out
 
 
@@ -529,8 +630,10 @@ def certify_report(document, report):
 
 
 def _check(label, source, report_bytes):
-    reason = certify_report(json.loads(Path(source).read_text()),
-                            json.loads(report_bytes))
+    """Certify a report against its input, a document or its path."""
+    document = (source if isinstance(source, dict)
+                else json.loads(Path(source).read_text()))
+    reason = certify_report(document, json.loads(report_bytes))
     print(f"{label}: {'certified' if reason is None else 'REFUSED: ' + reason}")
     return reason is None
 
@@ -558,6 +661,11 @@ def main(argv):
                 ok &= _check(f"digest {name}", source, data)
     for name, source, report in centralizer_pairs():
         ok &= _check(f"centralizer {name}", source, report.read_bytes())
+    for name, source, report in resonances_pairs():
+        ok &= _check(f"resonances {name}", source, report.read_bytes())
+    for name, document, report in joint_cases():
+        ok &= _check(f"kernel-intersection {name}", document,
+                     report.read_bytes())
     for name, source, report in family_pairs():
         ok &= _check(f"family {name}", source, report.read_bytes())
     return 0 if ok else 1

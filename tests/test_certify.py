@@ -1,5 +1,6 @@
 """The independent certificate of ``certify.py`` on ``normalize``,
-``centralizer``, ``bifurcation`` and ``suspend`` reports.
+``centralizer``, ``resonances``, ``kernel-intersection``,
+``bifurcation`` and ``suspend`` reports.
 
 It certifies every normalize golden and the report of every
 ``DIGESTS`` case, accepts ``normalize``'s report on random fields, and
@@ -18,12 +19,19 @@ any other coefficient adds an element of the centralizer, which is not
 an error), and when an element repeats another or the printed dimension
 is off by one.
 
+It certifies every resonances golden against its field and every
+kernel-intersection golden against its flags, and refuses such a report
+after one dropped relation, one added non-resonant relation, one
+relation listed twice or moved to another component, and a flipped
+``empty``.
+
 It certifies every bifurcation and suspend golden against its family
 document, and refuses a bifurcation report after one changed entry of D
 or a flipped ``nonsingular``, and a suspension after one changed
 coefficient.
 """
 
+import itertools
 import json
 import tempfile
 from pathlib import Path
@@ -34,7 +42,7 @@ from hypothesis import strategies as st
 
 from certify import (certify_centralizer, certify_normalize, certify_report,
                      centralizer_pairs, family_pairs, golden_pairs,
-                     pinned_digests)
+                     joint_cases, pinned_digests, resonances_pairs)
 from dulac.cli import main
 from dulac.fieldfile import dump_document, field_from_dict, field_to_dict
 from dulac.poly import PolyVectorField, Spectrum, lie_bracket, linear_field
@@ -45,6 +53,11 @@ INPUTS = GOLDEN / "inputs"
 GOLDENS = golden_pairs()
 CENTRALIZER_GOLDENS = centralizer_pairs()
 FAMILY_GOLDENS = family_pairs()
+# (name, input document, report path) of every resonances and
+# kernel-intersection golden
+RELATION_GOLDENS = ([(name, json.loads(source.read_text()), report)
+                     for name, source, report in resonances_pairs()]
+                    + joint_cases())
 
 
 def _normalize(source: Path, order: int, out: Path) -> dict:
@@ -255,3 +268,54 @@ def test_suspend_certificate_refuses_one_changed_term(name, source, report):
         entry["coeff"] = str(GaussianRational(old) + 1)
         assert "suspension" in certify_report(document, data)
         entry["coeff"] = old
+
+
+@pytest.mark.parametrize("name,document,report", RELATION_GOLDENS,
+                         ids=[name for name, _, _ in RELATION_GOLDENS])
+def test_relation_golden_is_certified(name, document, report):
+    assert certify_report(document, json.loads(report.read_text())) is None
+
+
+def _non_resonant_relation(data):
+    """A relation entry of degree 2 through ``max_degree`` that some
+    spectrum of the report does not make resonant, or None."""
+    spectra = [[GaussianRational(v) for v in data[key]]
+               for key in ("eigenvalues", "eigenvalues_a", "eigenvalues_b")
+               if key in data]
+    dim = len(spectra[0])
+    for exps in itertools.product(range(data["max_degree"] + 1), repeat=dim):
+        for j in range(dim):
+            if (2 <= sum(exps) <= data["max_degree"]
+                    and any(_gap(exps, j, lam) for lam in spectra)):
+                return {"exps": list(exps), "comp": j + 1}
+    return None
+
+
+@pytest.mark.parametrize("name,document,report", RELATION_GOLDENS,
+                         ids=[name for name, _, _ in RELATION_GOLDENS])
+def test_relation_certificate_refuses_one_change(name, document, report):
+    data = json.loads(report.read_text())
+    relations = data["relations"]
+    for k, relation in enumerate(list(relations)):
+        del relations[k]
+        assert "missing" in certify_report(document, data)
+        relations.insert(k, relation)
+        relations.append(relation)
+        assert "twice" in certify_report(document, data)
+        relations.pop()
+        old = relation["comp"]
+        relation["comp"] = old % len(relation["exps"]) + 1
+        assert certify_report(document, data) is not None
+        relation["comp"] = old
+    extra = _non_resonant_relation(data)
+    # every monomial is resonant for the zero spectrum of holomorphic
+    assert extra is not None or name == "holomorphic"
+    if extra is not None:
+        relations.append(extra)
+        assert "not resonant" in certify_report(document, data)
+        relations.pop()
+    if "empty" in data:
+        data["empty"] = not data["empty"]
+        assert "empty" in certify_report(document, data)
+        data["empty"] = not data["empty"]
+    assert certify_report(document, data) is None

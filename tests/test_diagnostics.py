@@ -2,6 +2,7 @@
 
 import pytest
 
+from dulac.cli import TEXT_RENDERERS
 from dulac.diagnostics import (
     condition_a,
     diagnose,
@@ -243,7 +244,7 @@ def test_report_dict_and_text():
     assert data["applicable"] == report.applicable()
     assert data["summary"] == report.summary()
 
-    text = report.to_text()
+    text = TEXT_RENDERERS["diagnose"](data)
     assert "condition A: satisfied, alpha = 0" in text
     assert "small divisors: holds-by-rational-bound (omega_k^2 >= 1, 116 tuples scanned)" in text
     assert "bruno-small-divisors: hypotheses-verified-to-order-8" in text

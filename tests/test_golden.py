@@ -28,6 +28,10 @@ session fixture ``digest_report`` in ``conftest.py``, which
 corpus builders; ``bifurcation`` runs on them in both formats (the
 oscillator family also in its own layout) and ``suspend`` turns each
 into a field document.
+Every text snapshot has a JSON twin, and the command line renders its
+text report from the JSON payload; rendering the parsed twin must give
+the text snapshot's bytes, so the certificate's checks of the JSON
+reports cover the text ones too.
 Exact arithmetic makes every report a function of its input, so any
 change in these bytes is a change in behaviour.
 
@@ -43,7 +47,7 @@ from pathlib import Path
 
 import pytest
 
-from dulac.cli import main
+from dulac.cli import TEXT_RENDERERS, main
 from dulac.corpus import hopf_family, oscillator_family
 from dulac.fieldfile import dump_document, family_to_dict
 
@@ -170,6 +174,23 @@ def test_text_report_matches_snapshot(name, command, tmp_path):
     out = tmp_path / "report.txt"
     assert main(_argv(name, command, out, "txt")) == 0
     assert out.read_bytes() == _snapshot(name, command, "txt").read_bytes()
+
+
+TEXT_SNAPSHOTS = sorted(GOLDEN.glob("*.txt"))
+
+
+def test_every_text_snapshot_has_a_json_twin():
+    assert len(TEXT_SNAPSHOTS) == len(TEXT_CASES) + len(BIFURCATIONS) == 33
+    assert all(path.with_suffix(".json").exists() for path in TEXT_SNAPSHOTS)
+
+
+@pytest.mark.parametrize("snapshot", TEXT_SNAPSHOTS,
+                         ids=[path.stem for path in TEXT_SNAPSHOTS])
+def test_text_snapshot_is_rendered_from_its_json_twin(snapshot):
+    command = snapshot.stem.rsplit(".", 1)[1]
+    payload = json.loads(snapshot.with_suffix(".json").read_text())
+    rendered = TEXT_RENDERERS[command](payload) + "\n"
+    assert rendered.encode() == snapshot.read_bytes()
 
 
 def _family_document(name: str) -> str:
