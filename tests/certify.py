@@ -545,11 +545,12 @@ def pinned_digests():
     return golden_table("DIGESTS")
 
 
-def golden_pairs():
-    """(name, input path, report path) of every normalize golden."""
+def golden_pairs(command):
+    """(name, input path, report path) of every golden of ``command``,
+    normalize or resonances, whose input is the field named after it."""
     out = []
-    for report in sorted(GOLDEN.glob("*.normalize.json")):
-        name = report.name[:-len(".normalize.json")]
+    for report in sorted(GOLDEN.glob(f"*.{command}.json")):
+        name = report.name[:-len(f".{command}.json")]
         out.append((name, INPUTS / f"{name}.json", report))
     return out
 
@@ -564,15 +565,6 @@ def centralizer_pairs():
         name = report.name[:-len(".centralizer.json")]
         field = snapshots.get(name, (name,))[0]
         out.append((name, INPUTS / f"{field}.normal-form.json", report))
-    return out
-
-
-def resonances_pairs():
-    """(name, input path, report path) of every resonances golden."""
-    out = []
-    for report in sorted(GOLDEN.glob("*.resonances.json")):
-        name = report.name[:-len(".resonances.json")]
-        out.append((name, INPUTS / f"{name}.json", report))
     return out
 
 
@@ -646,7 +638,7 @@ def main(argv):
         for source, report in zip(argv[::2], argv[1::2]):
             ok &= _check(report, source, Path(report).read_bytes())
         return 0 if ok else 1
-    for name, source, report in golden_pairs():
+    for name, source, report in golden_pairs("normalize"):
         ok &= _check(f"golden {name}", source, report.read_bytes())
     with tempfile.TemporaryDirectory() as work:
         for name, (order, digest) in pinned_digests().items():
@@ -661,7 +653,7 @@ def main(argv):
                 ok &= _check(f"digest {name}", source, data)
     for name, source, report in centralizer_pairs():
         ok &= _check(f"centralizer {name}", source, report.read_bytes())
-    for name, source, report in resonances_pairs():
+    for name, source, report in golden_pairs("resonances"):
         ok &= _check(f"resonances {name}", source, report.read_bytes())
     for name, document, report in joint_cases():
         ok &= _check(f"kernel-intersection {name}", document,

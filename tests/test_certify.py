@@ -42,7 +42,7 @@ from hypothesis import strategies as st
 
 from certify import (certify_centralizer, certify_normalize, certify_report,
                      centralizer_pairs, family_pairs, golden_pairs,
-                     joint_cases, pinned_digests, resonances_pairs)
+                     joint_cases, pinned_digests)
 from dulac.cli import main
 from dulac.fieldfile import dump_document, field_from_dict, field_to_dict
 from dulac.poly import PolyVectorField, Spectrum, lie_bracket, linear_field
@@ -50,14 +50,14 @@ from dulac.scalars import GaussianRational
 
 GOLDEN = Path(__file__).parent / "golden"
 INPUTS = GOLDEN / "inputs"
-GOLDENS = golden_pairs()
+GOLDENS = golden_pairs("normalize")
 CENTRALIZER_GOLDENS = centralizer_pairs()
 FAMILY_GOLDENS = family_pairs()
 # (name, input document, report path) of every resonances and
 # kernel-intersection golden
 RELATION_GOLDENS = ([(name, json.loads(source.read_text()), report)
-                     for name, source, report in resonances_pairs()]
-                    + joint_cases())
+                     for name, source, report
+                     in golden_pairs("resonances")] + joint_cases())
 
 
 def _normalize(source: Path, order: int, out: Path) -> dict:
