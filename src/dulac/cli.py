@@ -4,8 +4,8 @@ Each command builds one payload, its JSON report.  ``main`` prints it as
 JSON under --json, else renders it as text, and reads the exit status off
 it.  Exit codes: 0 on success, 1 when --strict was given and a checked
 hypothesis failed, 2 for input problems (unreadable files, malformed
-documents, fields that violate a command's preconditions), 3 for
-internal errors.
+documents, fields that violate a command's preconditions) and usage
+errors, 3 for internal errors.
 """
 
 import argparse
@@ -423,9 +423,18 @@ def _add_common(parser: argparse.ArgumentParser, func,
                                  "hypotheses fail")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors carry the ``[usage]`` slug;
+    its subcommand parsers are of this class too."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(2, f"dulac: error [usage]: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dulac",
         description="Truncated normal forms, symmetries and convergence "
                     "diagnostics for polynomial vector fields, in exact "

@@ -28,11 +28,19 @@ when, for the normal-form document it was computed from:
   normal form is truncated at d: fields vanish at the origin, so the
   degree-k part of the bracket needs both fields only through degree k);
 * the elements are linearly independent over Q(i) and there are
-  ``dimension`` of them.
+  ``dimension`` of them;
+* they span the truncated centralizer: over the unknowns x^m e_j with
+  1 <= |m| <= d and <m, lambda> = lambda_j, found here by the same
+  weight test as the resonances, the number of unknowns less the rank
+  of their bracket columns is ``dimension``.  A field commuting with a
+  normal form has no non-resonant component, so these unknowns carry
+  the whole centralizer (``certify_centralizer`` says why); the input
+  must therefore be a normal form, every term resonant, with no
+  constant term.
 
-This certifies that the elements lie in the truncated centralizer and
-span a space of the printed dimension, not that they span all of it, nor
-the ``confirmed`` flags; the goldens pin those.
+This certifies the elements as a basis of the truncated centralizer, not
+the distinguished basis nor the ``confirmed`` flags; the goldens pin
+those.
 
 A ``bifurcation --json`` report is accepted when, for the family
 document it was computed from, its ``eigenvalues`` are the diagonal of
@@ -64,7 +72,8 @@ Everything here is the standard library: its own scalar parser, Gaussian
 rationals as pairs of ``Fraction``, and polynomials as plain dicts from
 exponent tuples to such pairs, multiplied term by term and truncated.  It
 imports nothing from ``dulac``, so an error in the package's arithmetic
-cannot hide itself here.
+cannot hide itself here.  The property tests of ``test_properties.py``
+take their expected values from these same functions.
 
 Run ``python -S tests/certify.py`` to certify every normalize golden
 (Horn's among them, through its ``linear_matrix``), every ``DIGESTS`` case of
@@ -77,8 +86,10 @@ bifurcation and suspend golden against its family document.  The
 subprocess (with ``src`` put on ``PYTHONPATH``) and must also match their
 pinned sha256.  ``python -S tests/certify.py INPUT REPORT ...`` certifies
 the given pairs of files; the report's ``command`` picks the check, and a
-report without one is taken for a ``suspend`` document.  The
-exit status is 1 when any report is refused.
+report without one is taken for a ``suspend`` document when its input is
+a family document.  Any other report, a ``diagnose`` report among them,
+is refused in one line as a report with no check here.  The exit status
+is 1 when any report is refused.
 """
 
 import ast
@@ -122,7 +133,12 @@ def add(x, y):
 
 
 def mul(x, y):
-    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+    (a, b), (c, d) = x, y
+    if not b:
+        return (a * c, a * d)
+    if not d:
+        return (a * c, b * c)
+    return (a * c - b * d, a * d + b * c)
 
 
 def neg(x):
@@ -135,7 +151,8 @@ def inverse(x):
 
 
 def accumulate(acc, key, value):
-    total = add(acc.get(key, ZERO), value)
+    old = acc.get(key)
+    total = value if old is None else add(old, value)
     if total == ZERO:
         acc.pop(key, None)
     else:
@@ -181,20 +198,23 @@ def unit(dim, k):
 
 def substitute(polys, values, order):
     """Each polynomial with values[k] put in for x_k, through the order;
-    the powers of each value are built once for all of them."""
-    dim = len(values)
-    powers = [[{(0,) * dim: ONE}] for _ in values]
+    the value of each monomial x^m is built once for all of them, as the
+    value of x^m / x_k times values[k] for the last variable x_k in m."""
+    monomials = {(0,) * len(values): {(0,) * len(values): ONE}}
+
+    def monomial(exps):
+        if exps not in monomials:
+            k = max(i for i, e in enumerate(exps) if e)
+            lower = exps[:k] + (exps[k] - 1,) + exps[k + 1:]
+            monomials[exps] = product(monomial(lower), values[k], order)
+        return monomials[exps]
+
     out = []
     for poly in polys:
         total = {}
         for exps, c in poly.items():
-            term = {(0,) * dim: c}
-            for k, e in enumerate(exps):
-                while len(powers[k]) <= e:
-                    powers[k].append(product(powers[k][-1], values[k], order))
-                term = product(term, powers[k][e], order)
-            for key, value in term.items():
-                accumulate(total, key, value)
+            for key, value in monomial(exps).items():
+                accumulate(total, key, mul(c, value))
         out.append(total)
     return out
 
@@ -260,8 +280,19 @@ def weight(exps, eigenvalues):
     """<m, lambda>: the eigenvalue of x^m under the linear part."""
     total = ZERO
     for e, lam in zip(exps, eigenvalues):
-        total = add(total, mul((Fraction(e), Fraction(0)), lam))
+        if e:
+            total = add(total, (e * lam[0], e * lam[1]))
     return total
+
+
+def non_resonant_term(f, eigenvalues):
+    """(m, j), j counted from 1, of a term c x^m e_j of f with
+    <m, lambda> != lambda_j, or None when every term is resonant."""
+    for j, comp in enumerate(f):
+        for exps in comp:
+            if weight(exps, eigenvalues) != eigenvalues[j]:
+                return exps, j + 1
+    return None
 
 
 def certify_normalize(document, report):
@@ -275,22 +306,15 @@ def certify_normalize(document, report):
     _, fhat = input_field(report["normal_form"], order)
     psi = components([entry for comp in report["transformation"]["components"]
                       for entry in comp], dim, order)
-    for j, comp in enumerate(fhat):
-        for exps in comp:
-            if weight(exps, eigenvalues) != eigenvalues[j]:
-                return f"normal-form term {exps} of component {j + 1} is not resonant"
+    term = non_resonant_term(fhat, eigenvalues)
+    if term:
+        return "normal-form term {} of component {} is not resonant".format(
+            *term)
     for i, comp in enumerate(psi):
         linear = {e: c for e, c in comp.items() if sum(e) <= 1}
         if linear != {unit(dim, i): ONE}:
             return f"Psi_{i + 1} is not x{i + 1} plus terms of degree >= 2"
-    # DPsi(x) f(x), component by component
-    left = []
-    for comp in psi:
-        total = {}
-        for k in range(dim):
-            for exps, c in product(derivative(comp, k), f[k], order).items():
-                accumulate(total, exps, c)
-        left.append(total)
+    left = [derivation(f, comp, order) for comp in psi]   # DPsi(x) f(x)
     right = substitute(fhat, psi, order)   # f_hat(Psi(x))
     for i, (lhs, rhs) in enumerate(zip(left, right)):
         differ = [e for e in set(lhs) | set(rhs)
@@ -302,16 +326,23 @@ def certify_normalize(document, report):
     return None
 
 
+def derivation(f, phi, order):
+    """X_f(phi) = sum over k of f_k * d(phi)/dx_k, through the order."""
+    total = {}
+    for k, f_k in enumerate(f):
+        for exps, c in product(f_k, derivative(phi, k), order).items():
+            accumulate(total, exps, c)
+    return total
+
+
 def bracket(f, g, order):
-    """[f, g] = Dg f - Df g through the order, component by component."""
+    """[f, g] = Dg f - Df g through the order, component by component:
+    X_f(g_i) - X_g(f_i)."""
     out = []
     for f_i, g_i in zip(f, g):
-        total = {}
-        for k, (f_k, g_k) in enumerate(zip(f, g)):
-            for exps, c in product(f_k, derivative(g_i, k), order).items():
-                accumulate(total, exps, c)
-            for exps, c in product(g_k, derivative(f_i, k), order).items():
-                accumulate(total, exps, neg(c))
+        total = derivation(f, g_i, order)
+        for exps, c in derivation(g, f_i, order).items():
+            accumulate(total, exps, neg(c))
         out.append(total)
     return out
 
@@ -334,14 +365,46 @@ def rank(vectors):
     return len(basis)
 
 
+def kernel_dimension(fhat, unknowns, degree):
+    """The dimension of the fields over the unknowns (m, j), each standing
+    for x^m e_j with j counted from 1, whose bracket with fhat vanishes
+    through the degree: the number of unknowns less the rank of their
+    bracket columns."""
+    columns = []
+    for exps, j in unknowns:
+        g = [{} for _ in fhat]
+        g[j - 1][exps] = ONE
+        columns.append({(i, e): c
+                        for i, comp in enumerate(bracket(fhat, g, degree))
+                        for e, c in comp.items()})
+    return len(columns) - rank(columns)
+
+
 def certify_centralizer(document, report):
     """None when the report is certified through its degree bound, else
-    why not."""
+    why not.
+
+    The spanning check counts the centralizer over its own restricted
+    system: the unknowns x^m e_j with 1 <= |m| <= d and
+    <m, lambda> = lambda_j.  That count is the dimension of the whole
+    truncated centralizer by the theorem that a field commuting with a
+    normal form has no non-resonant component.  For the linear part
+    Lambda x, [Lambda x, x^m e_j] = (<m, lambda> - lambda_j) x^m e_j, and
+    [Lambda x, f_hat] = 0 for a normal form, so ad_f_hat commutes with
+    ad_Lambda and each weight part of an element commutes with f_hat too;
+    a part of weight mu != 0 whose lowest-degree part is g_k would leave
+    mu g_k in the bracket at degree k, so it is zero.  The theorem needs a
+    normal form that vanishes at the origin, so every term of the
+    document must be resonant and of degree >= 1.
+    """
     degree = report["degree"]
     if degree > document["order"]:
         return f"degree bound {degree} exceeds the normal form's order"
     dim = document["dim"]
-    _, fhat = input_field(document, degree)
+    eigenvalues, fhat = input_field(document, degree)
+    if non_resonant_term(fhat, eigenvalues) or any((0,) * dim in comp
+                                                   for comp in fhat):
+        return "the input is no normal form that vanishes at the origin"
     vectors = []
     for n, element in enumerate(report["elements"], 1):
         if any(not 1 <= sum(entry["exps"]) <= degree
@@ -359,21 +422,27 @@ def certify_centralizer(document, report):
     if not len(vectors) == found == report["dimension"]:
         return (f"{len(vectors)} elements of rank {found}, "
                 f"not the dimension {report['dimension']}")
+    spanned = kernel_dimension(
+        fhat, resonant_pairs([eigenvalues], degree, 1), degree)
+    if spanned != found:
+        return (f"the {found} elements do not span the centralizer, "
+                f"whose dimension is {spanned}")
     return None
 
 
-def resonant_pairs(spectra, max_degree):
+def resonant_pairs(spectra, max_degree, min_degree=2):
     """The set of (m, j), j counted from 1, with <m, lambda> = lambda_j for
-    every spectrum lambda, over every exponent tuple m of degree 2
-    through max_degree."""
+    every spectrum lambda, over every exponent tuple m of degree
+    min_degree through max_degree."""
     dim = len(spectra[0])
     found = set()
-    for degree in range(2, max_degree + 1):
+    for degree in range(min_degree, max_degree + 1):
         for variables in itertools.combinations_with_replacement(range(dim),
                                                                  degree):
             exps = tuple(variables.count(k) for k in range(dim))
+            weights = [weight(exps, lam) for lam in spectra]
             for j in range(dim):
-                if all(weight(exps, lam) == lam[j] for lam in spectra):
+                if all(w == lam[j] for w, lam in zip(weights, spectra)):
                     found.add((exps, j + 1))
     return found
 
@@ -609,10 +678,15 @@ def _run_normalize(source, order, out):
 
 def certify_report(document, report):
     """The check that the report's ``command`` picks; a suspend document
-    is a field document, which names no command.  A field whose linear
-    part is not diagonal, or a singular ``linear_matrix``, is a refusal
-    too."""
-    command = report.get("command", "suspend")
+    is a field document, which names no command, made from a family
+    document.  A report with no check here, a field whose linear part is
+    not diagonal, or a singular ``linear_matrix``, is a refusal too."""
+    command = report.get("command")
+    if command is None and "params" in document:
+        command = "suspend"
+    if command is None:
+        return ("no check for this report: it names no command, and its "
+                "input is no family document, so it is no suspension")
     if command not in CERTIFIERS:
         return f"no certificate for the command {command!r}"
     try:

@@ -16,8 +16,9 @@ It certifies every centralizer golden, restricted and unrestricted, and
 refuses such a report after one change to an element coefficient whose
 monomial field x^m e_j does not commute with the normal form (changing
 any other coefficient adds an element of the centralizer, which is not
-an error), and when an element repeats another or the printed dimension
-is off by one.
+an error), when an element repeats another or the printed dimension
+is off by one, and when one element is dropped and the dimension lowered
+to match, since the rest no longer span the centralizer.
 
 It certifies every resonances golden against its field and every
 kernel-intersection golden against its flags, and refuses such a report
@@ -28,7 +29,8 @@ relation listed twice or moved to another component, and a flipped
 It certifies every bifurcation and suspend golden against its family
 document, and refuses a bifurcation report after one changed entry of D
 or a flipped ``nonsingular``, and a suspension after one changed
-coefficient.
+coefficient.  Given a report it has no check for, a ``diagnose`` report,
+the command line prints one line and exits 1.
 """
 
 import itertools
@@ -43,6 +45,7 @@ from hypothesis import strategies as st
 from certify import (certify_centralizer, certify_normalize, certify_report,
                      centralizer_pairs, family_pairs, golden_pairs,
                      joint_cases, pinned_digests)
+from certify import main as certify_main
 from dulac.cli import main
 from dulac.fieldfile import dump_document, field_from_dict, field_to_dict
 from dulac.poly import PolyVectorField, Spectrum, lie_bracket, linear_field
@@ -204,6 +207,23 @@ def test_centralizer_certificate_refuses_a_wrong_rank(name, source, report):
     if len(data["elements"]) > 1:
         data["elements"][-1] = data["elements"][0]
         assert "rank" in certify_centralizer(document, data)
+
+
+@pytest.mark.parametrize("name,source,report", CENTRALIZER_GOLDENS,
+                         ids=[name for name, _, _ in CENTRALIZER_GOLDENS])
+def test_centralizer_certificate_refuses_a_dropped_element(name, source,
+                                                           report):
+    document, data = _load_pair(source, report)
+    data["elements"].pop()
+    data["dimension"] -= 1
+    assert "do not span" in certify_centralizer(document, data)
+
+
+def test_certificate_refuses_a_report_it_has_no_check_for(capsys):
+    report = str(GOLDEN / "so2.diagnose.json")
+    assert certify_main([str(INPUTS / "so2.json"), report]) == 1
+    line, = capsys.readouterr().out.splitlines()
+    assert line.startswith(f"{report}: REFUSED: no check for this report")
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None,

@@ -578,6 +578,27 @@ def test_version(capsys):
     assert capsys.readouterr().out.strip() == "dulac 0.1.0"
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["normalize", "--input", "x.json", "--order", "abc"],
+     "argument --order: invalid int value: 'abc'"),
+    (["suspend", "--json"], "the following arguments are required: --family"),
+    (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+], ids=["bad-int", "missing-flag", "unknown-subcommand"])
+def test_usage_error_carries_a_slug(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith("dulac: error [usage]: ") and message in last
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["normalize", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: dulac normalize")
+
+
 def test_decimal_coefficient_is_an_input_format_error(tmp_path, capsys):
     path = tmp_path / "decimal.json"
     path.write_text(json.dumps({
