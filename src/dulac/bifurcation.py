@@ -93,7 +93,7 @@ class DMatrix:
     layout: str
 
     def determinant(self) -> GaussianRational:
-        return mat_det([list(row) for row in self.entries])
+        return mat_det(self.entries)
 
 
 def _diagonal_derivatives(family: ParamFamily) -> List[List[GaussianRational]]:
@@ -111,17 +111,13 @@ def _require_shape(family: ParamFamily) -> Spectrum:
             f"the nondegeneracy matrix needs p = n - 1 parameters; "
             f"got n = {family.n}, p = {family.p}")
     spec = family.eigenvalues()
-    values = list(spec)
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            if values[i] == values[j]:
-                raise DegenerateEigenvaluesError(
-                    "repeated critical eigenvalues; such degeneracies "
-                    "call for symmetry arguments outside this test")
-    for lam in values:
-        if lam.real != 0 and lam.imag != 0:
-            raise DegenerateEigenvaluesError(
-                "critical eigenvalues must be real or purely imaginary")
+    if len(set(spec)) < len(spec):
+        raise DegenerateEigenvaluesError(
+            "repeated critical eigenvalues; such degeneracies "
+            "call for symmetry arguments outside this test")
+    if any(lam.real and lam.imag for lam in spec):
+        raise DegenerateEigenvaluesError(
+            "critical eigenvalues must be real or purely imaginary")
     return spec
 
 

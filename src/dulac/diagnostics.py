@@ -23,6 +23,7 @@ heuristic evidence and the summary says so explicitly.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -131,9 +132,8 @@ def condition_a(fhat: PolyVectorField) -> ConditionAResult:
         return ConditionAResult(
             False, fhat.order, witness=(exps, j + 1, j + 1),
             witness_reason=reason, violated_degree=sum(exps))
-    candidates = set()
-    for j, exps, _ in fnl.terms():
-        candidates.add(exps[:j] + (exps[j] - 1,) + exps[j + 1:])
+    candidates = {exps[:j] + (exps[j] - 1,) + exps[j + 1:]
+                  for j, exps, _ in fnl.terms()}
     alpha_terms: Dict[Exponents, GaussianRational] = {}
     for m in sorted(candidates, key=grlex_key):
         pinned: Optional[GaussianRational] = None
@@ -231,21 +231,15 @@ def growth_classify(coefficients: Sequence) -> GrowthClassification:
     factor of GEOMETRIC_RATIO_SPREAD of each other.
     """
     sizes = [_abs2(c) for c in coefficients]
-    best: Optional[Tuple[int, int]] = None
-    start: Optional[int] = None
-    for k in range(len(sizes) + 1):
-        if k < len(sizes) and sizes[k] > 0:
-            if start is None:
-                start = k
-        elif start is not None:
-            if best is None or k - start >= best[1] - best[0]:
-                best = (start, k)
-            start = None
-    if best is None or best[1] - best[0] < 6:
+    lo = hi = end = 0
+    for nonzero, run in itertools.groupby(sizes, key=bool):
+        start, end = end, end + len(list(run))
+        if nonzero and end - start >= hi - lo:
+            lo, hi = start, end
+    if hi - lo < 6:
         raise TruncationOrderError(
             "growth classification needs at least 6 consecutive "
             "nonzero coefficients")
-    lo, hi = best
     ratio_degrees = list(range(lo, hi - 1))
     tail = ratio_degrees[len(ratio_degrees) // 2:]
     w_lo, w_hi = FACTORIAL_SLOPE_WINDOW
@@ -380,14 +374,6 @@ def _symmetry_criteria(field: PolyVectorField, fhat: PolyVectorField,
         return [CriterionCheck(name, "not-applicable",
                                detail="no commuting field supplied")
                 for name in names]
-    if symmetry.dim != field.dim:
-        raise DimensionMismatchError(
-            "commuting field dimension differs from the input field")
-    # the bracket reads both fields through degree d only when both
-    # vanish at the origin
-    if any(c.coefficient((0,) * field.dim) for c in symmetry.components):
-        raise DimensionMismatchError(
-            "commuting field must vanish at the origin")
     spectrum = fhat.spectrum
     commutes, first, _ = check_commute(field, symmetry)
     if not commutes:
@@ -614,31 +600,24 @@ class DiagnosticsReport:
         }
 
 
-def _prefer(current: Optional[GrowthClassification],
-            candidate: GrowthClassification) -> GrowthClassification:
-    rank = {"factorial": 2, "geometric": 1, "inconclusive": 0}
-    if current is None or rank[candidate.kind] > rank[current.kind]:
-        return candidate
-    return current
-
-
 def _transformation_growth(
         result: NormalFormResult) -> Optional[GrowthClassification]:
     """Strongest growth signal over both transformation directions.
 
     Scans every component of the normalizing map and of its inverse
-    along every axis; factorial beats geometric beats inconclusive.
+    along every axis; factorial beats geometric beats inconclusive, and
+    of equal kinds the first found wins.
     """
-    best: Optional[GrowthClassification] = None
+    found: List[GrowthClassification] = []
     for nmap in (result.transformation, result.inverse):
         for comp in nmap.components:
             for axis in range(comp.dim):
                 try:
-                    found = growth_classify(restrict_to_axis(comp, axis))
+                    found.append(growth_classify(restrict_to_axis(comp, axis)))
                 except TruncationOrderError:
-                    continue
-                best = _prefer(best, found)
-    return best
+                    pass
+    rank = {"factorial": 2, "geometric": 1, "inconclusive": 0}
+    return max(found, key=lambda g: rank[g.kind], default=None)
 
 
 def diagnose(f: PolyVectorField, order: int,
@@ -650,11 +629,21 @@ def diagnose(f: PolyVectorField, order: int,
     The field needs a diagonal linear part and no constant term.  A
     commuting field makes the symmetry criteria checkable; without one
     they report not-applicable.  The centralizer degree defaults to the
-    working order, and a given one must lie in 1..order.
+    working order.  A degree outside 1..order, or a commuting field of
+    another dimension or with a constant term, is refused before any work.
     """
     if centralizer_degree is not None and not 1 <= centralizer_degree <= order:
         raise TruncationOrderError(
             f"centralizer degree {centralizer_degree} outside 1..{order}")
+    if symmetry is not None:
+        if symmetry.dim != f.dim:
+            raise DimensionMismatchError(
+                "commuting field dimension differs from the input field")
+        # the bracket reads both fields through degree d only when both
+        # vanish at the origin
+        if any(c.coefficient((0,) * f.dim) for c in symmetry.components):
+            raise DimensionMismatchError(
+                "commuting field must vanish at the origin")
     result = normalize(f, order)
     fhat = result.normal_form
     spectrum = fhat.spectrum

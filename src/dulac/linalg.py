@@ -1,15 +1,15 @@
 """Exact dense and sparse linear algebra over the Gaussian rationals.
 
-Small and purpose-built: matrix inversion and determinants for the
-constant linear parts (dimension stays in single digits), and a sparse
-reduced-row-echelon nullspace for the graded centralizer systems.  Being
-over a field, plain Gaussian elimination is exact; pivots are chosen by
-first nonzero position so results are deterministic.
+Small and purpose-built: one Gauss-Jordan pass for the inverse and the
+determinant of a constant linear part (dimension stays in single
+digits), and a sparse reduced-row-echelon nullspace for the graded
+centralizer systems.  Being over a field, plain elimination is exact;
+pivots are chosen by first nonzero position so results are deterministic.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .errors import SingularLinearPartError
 from .scalars import ONE, ZERO, GaussianRational, add_scaled
@@ -22,41 +22,40 @@ def identity_matrix(n: int) -> Matrix:
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
-def mat_inverse(matrix: Sequence[Sequence[GaussianRational]]) -> Matrix:
+def _gauss_jordan(matrix: Sequence[Sequence[GaussianRational]]
+                  ) -> Tuple[GaussianRational, Optional[Matrix]]:
+    """(det, inverse), reducing [matrix | I] to [I | inverse]: det is the
+    product of the pivots, negated per row swap.  (ZERO, None) when the
+    matrix is singular."""
     n = len(matrix)
     work = [list(row) + unit for row, unit in zip(matrix, identity_matrix(n))]
+    det = ONE
     for col in range(n):
         pivot_row = next((r for r in range(col, n) if work[r][col]), None)
         if pivot_row is None:
-            raise SingularLinearPartError("linear part is singular")
-        work[col], work[pivot_row] = work[pivot_row], work[col]
+            return ZERO, None
+        if pivot_row != col:
+            work[col], work[pivot_row] = work[pivot_row], work[col]
+            det = -det
+        det = det * work[col][col]
         inv = work[col][col].inverse()
         work[col] = [v * inv for v in work[col]]
         for r in range(n):
             if r != col and work[r][col]:
                 factor = work[r][col]
                 work[r] = [v - factor * p for v, p in zip(work[r], work[col])]
-    return [row[n:] for row in work]
+    return det, [row[n:] for row in work]
+
+
+def mat_inverse(matrix: Sequence[Sequence[GaussianRational]]) -> Matrix:
+    inverse = _gauss_jordan(matrix)[1]
+    if inverse is None:
+        raise SingularLinearPartError("linear part is singular")
+    return inverse
 
 
 def mat_det(matrix: Sequence[Sequence[GaussianRational]]) -> GaussianRational:
-    n = len(matrix)
-    work = [list(row) for row in matrix]
-    det = ONE
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if work[r][col]), None)
-        if pivot_row is None:
-            return ZERO
-        if pivot_row != col:
-            work[col], work[pivot_row] = work[pivot_row], work[col]
-            det = -det
-        det = det * work[col][col]
-        inv = work[col][col].inverse()
-        for r in range(col + 1, n):
-            if work[r][col]:
-                factor = work[r][col] * inv
-                work[r] = [v - factor * p for v, p in zip(work[r], work[col])]
-    return det
+    return _gauss_jordan(matrix)[0]
 
 
 def nullspace(rows: Sequence[SparseRow], ncols: int) -> List[SparseRow]:

@@ -105,8 +105,12 @@ def enumerate_monomials(dim: int, degree: int) -> Iterator[Exponents]:
 
     Stars and bars: cut points 0 <= c_1 <= ... <= c_(dim-1) <= degree, in
     lexicographic order, give the tuples (c_1, c_2 - c_1, ..., degree -
-    c_(dim-1)) in lexicographic order, each in O(dim).
+    c_(dim-1)) in lexicographic order, each in O(dim).  Dimension 1 has
+    no cuts, and its one tuple skips the O(degree) copy of the pool.
     """
+    if dim == 1:
+        yield (degree,)
+        return
     sub = operator.sub
     top = (degree,)
     for cuts in itertools.combinations_with_replacement(range(degree + 1),
@@ -293,7 +297,10 @@ class PolyScalar:
         order = min(self.order, other.order)
         out = dict(self.terms)
         add_scaled(out, other.terms)
-        return PolyScalar(self.dim, order, out)
+        if self.order != other.order:
+            out = {e: c for e, c in out.items() if sum(e) <= order}
+        # both operands' terms are canonical, and so is their sum
+        return PolyScalar._canonical(self.dim, order, out)
 
     __radd__ = __add__
 

@@ -7,16 +7,19 @@ Three questions about an eigenvalue tuple L = (lambda_1 .. lambda_n):
   ``resonant_pairs`` lists the pairs resonant for several spectra at
   once, which is how every joint kernel here is computed);
 * does the convex hull of the eigenvalues, as points of the plane, avoid
-  the origin (``poincare_domain``, the classical Poincare convergence domain);
+  the origin (``poincare_domain``, the classical Poincare convergence
+  domain, decided by a half-plane test);
 * how small do the divisors <Q, L> - lambda_j get as the degree range
   doubles (``omega_condition``, Bruno's small-divisor condition).
 
 Every decision reads the spectrum's integer form: with q =
 ``Spectrum.scale``, ``Spectrum.integral`` holds each q * lambda_j as an
-int pair, so every divisor <m, L> - lambda_j is an int pair over q and a
-nonzero one has modulus at least 1/q.  That certifies the summability
-condition outright; the per-k scan over squared moduli, compared as
-ints, is still performed for the requested range as reported evidence.
+int pair.  Scaling by q > 0 keeps each point on its ray, so the
+half-plane test runs on exact ints.  Every divisor <m, L> - lambda_j is
+an int pair over q and a nonzero one has modulus at least 1/q.  That
+certifies the summability condition outright; the per-k scan over
+squared moduli, compared as ints, is still performed for the requested
+range as reported evidence.
 Every scan walks exponent tuples through ``poly.enumerate_monomials_upto``,
 under its one budget.
 """
@@ -111,61 +114,24 @@ def kernel_dimension_at_degree(spectrum: Spectrum, degree: int) -> int:
 # -- Poincare domain -------------------------------------------------
 
 
-Point = Tuple[int, int]
-
-
-def _cross(o: Point, a: Point, b: Point) -> int:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def _convex_hull(points: List[Point]) -> List[Point]:
-    """Monotone-chain hull, counterclockwise, no duplicate endpoints."""
-    pts = sorted(set(points))
-    if len(pts) <= 2:
-        return pts
-    lower: List[Point] = []
-    for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: List[Point] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
-
-
-def _origin_in_hull(points: List[Point]) -> bool:
-    origin = (0, 0)
-    hull = _convex_hull(points)
-    if not hull:
-        return False
-    if len(hull) == 1:
-        return hull[0] == origin
-    if len(hull) == 2:
-        a, b = hull
-        if _cross(a, b, origin) != 0:
-            return False
-        # on the supporting line: inside the segment's bounding box
-        return (min(a[0], b[0]) <= 0 <= max(a[0], b[0])
-                and min(a[1], b[1]) <= 0 <= max(a[1], b[1]))
-    for i in range(len(hull)):
-        a = hull[i]
-        b = hull[(i + 1) % len(hull)]
-        if _cross(a, b, origin) < 0:
-            return False
-    return True
-
-
 def poincare_domain(spectrum: Spectrum) -> bool:
-    """True when the convex hull of the eigenvalues excludes the origin.
+    """True when the closed convex hull of the eigenvalues excludes the origin.
 
-    Eigenvalues on the boundary of a hull through 0 count as containing
-    it, so the answer is False there.  Decided on the int points of
-    ``spectrum.integral``: scaling by q > 0 keeps the origin where it is.
+    A hull whose boundary passes through 0 contains it.  Decided on the
+    int points of ``spectrum.integral`` by a half-plane test: 0 is outside
+    exactly when some point p has, for every point q, cross(p, q) > 0, or
+    cross(p, q) = 0 and dot(p, q) > 0.  Such points lie in the open
+    half-plane left of p's line through 0 joined with p's open ray, a
+    convex set without 0; conversely, the points of a hull that misses 0
+    span an angle below pi, and the first clockwise is such a p.  The
+    products are ints, so the test is exact; no points leave 0 outside.
     """
-    return not _origin_in_hull(list(spectrum.integral))
+    points = spectrum.integral
+    return not points or any(
+        all(px * qy - py * qx > 0
+            or (px * qy == py * qx and px * qx + py * qy > 0)
+            for qx, qy in points)
+        for px, py in points)
 
 
 # -- Bruno's small-divisor condition ----------------------------------

@@ -68,6 +68,17 @@ same way, and ``empty`` says whether there are none.  Both compare the
 relations as a set, with no pair listed twice: they certify the listing,
 not its order, which the goldens pin.
 
+A ``diagnose --json`` report, which carries no ``command`` and is told
+by its ``poincare_domain`` and ``criteria`` keys, is accepted when its
+``eigenvalues`` are the input field's, read off its diagonal linear part
+as for normalize, and its ``poincare_domain`` verdict says whether the
+origin lies outside their closed convex hull.  That is decided here by
+Caratheodory's theorem over ``Fraction`` pairs: 0 is in the hull exactly
+when it is one of the eigenvalues, on a segment between two, or in a
+triangle of three.  The package decides it by another route, a
+half-plane test on integer points.  The other criteria are not checked;
+the goldens pin them.
+
 Everything here is the standard library: its own scalar parser, Gaussian
 rationals as pairs of ``Fraction``, and polynomials as plain dicts from
 exponent tuples to such pairs, multiplied term by term and truncated.  It
@@ -80,16 +91,18 @@ Run ``python -S tests/certify.py`` to certify every normalize golden
 ``test_golden.py``, every centralizer golden, restricted and
 unrestricted, against the normal form it was computed from, every
 resonances golden against its field, every kernel-intersection golden
-against its entry of ``JOINT`` in ``test_golden.py``, and every
-bifurcation and suspend golden against its family document.  The
+against its entry of ``JOINT`` in ``test_golden.py``, every
+bifurcation and suspend golden against its family document, and the
+Poincare verdict of every diagnose golden against its field.  The
 ``DIGESTS`` cases are produced by ``python -S -m dulac.cli`` in a
 subprocess (with ``src`` put on ``PYTHONPATH``) and must also match their
 pinned sha256.  ``python -S tests/certify.py INPUT REPORT ...`` certifies
-the given pairs of files; the report's ``command`` picks the check, and a
+the given pairs of files; the report's ``command`` picks the check.  A
 report without one is taken for a ``suspend`` document when its input is
-a family document.  Any other report, a ``diagnose`` report among them,
-is refused in one line as a report with no check here.  The exit status
-is 1 when any report is refused.
+a family document, and for a ``diagnose`` report when it has that
+report's verdict keys.  Any other report is refused in one line as a
+report with no check here.  The exit status is 1 when any report is
+refused.
 """
 
 import ast
@@ -590,12 +603,52 @@ def certify_suspend(document, report):
     return None
 
 
+def cross(p, q):
+    return p[0] * q[1] - p[1] * q[0]
+
+
+def origin_in_hull(points):
+    """Whether 0 lies in the closed convex hull of the points, pairs of
+    ``Fraction``.  By Caratheodory's theorem in the plane it does exactly
+    when it is one of them, lies on the segment between two of them, or
+    lies in the triangle of three of them: 0 is on the segment [a, b] when
+    a, b and 0 are collinear with a and b not on one open ray, and in a
+    triangle that is not flat when it lies on no side's far side."""
+    if ZERO in points:
+        return True
+    for a, b in itertools.combinations(points, 2):
+        if cross(a, b) == 0 and a[0] * b[0] + a[1] * b[1] <= 0:
+            return True
+    for a, b, c in itertools.combinations(points, 3):
+        # cross(a, b) has the sign of the side of a -> b that 0 is on; a
+        # flat triangle has all three zero or both nonzero signs
+        sides = {(s > 0) - (s < 0)
+                 for s in (cross(a, b), cross(b, c), cross(c, a))}
+        if sides in ({1}, {-1}, {0, 1}, {0, -1}):
+            return True
+    return False
+
+
+def certify_diagnose(document, report):
+    """None when the report's eigenvalues are the input field's, read off
+    its diagonal linear part as for normalize, and its ``poincare_domain``
+    says whether 0 lies outside their convex hull, else why not."""
+    eigenvalues, _ = input_field(document, 1)
+    if [parse_scalar(v) for v in report["eigenvalues"]] != eigenvalues:
+        return "the eigenvalues are not the input's"
+    outside = not origin_in_hull(eigenvalues)
+    if report["poincare_domain"] is not outside:
+        return f"poincare_domain should read {outside}"
+    return None
+
+
 CERTIFIERS = {"normalize": certify_normalize,
               "centralizer": certify_centralizer,
               "resonances": certify_resonances,
               "kernel-intersection": certify_kernel_intersection,
               "bifurcation": certify_bifurcation,
-              "suspend": certify_suspend}
+              "suspend": certify_suspend,
+              "diagnose": certify_diagnose}
 
 
 def golden_table(name):
@@ -616,7 +669,8 @@ def pinned_digests():
 
 def golden_pairs(command):
     """(name, input path, report path) of every golden of ``command``,
-    normalize or resonances, whose input is the field named after it."""
+    normalize, resonances or diagnose, whose input is the field named
+    after it."""
     out = []
     for report in sorted(GOLDEN.glob(f"*.{command}.json")):
         name = report.name[:-len(f".{command}.json")]
@@ -679,14 +733,19 @@ def _run_normalize(source, order, out):
 def certify_report(document, report):
     """The check that the report's ``command`` picks; a suspend document
     is a field document, which names no command, made from a family
-    document.  A report with no check here, a field whose linear part is
-    not diagonal, or a singular ``linear_matrix``, is a refusal too."""
+    document, and a diagnose report, which names none either, is told by
+    its verdict keys.  A report with no check here, a field whose linear
+    part is not diagonal, or a singular ``linear_matrix``, is a refusal
+    too."""
     command = report.get("command")
     if command is None and "params" in document:
         command = "suspend"
+    elif command is None and {"poincare_domain", "criteria"} <= report.keys():
+        command = "diagnose"
     if command is None:
-        return ("no check for this report: it names no command, and its "
-                "input is no family document, so it is no suspension")
+        return ("no check for this report: it names no command, is no "
+                "diagnose report, and its input is no family document, so "
+                "it is no suspension")
     if command not in CERTIFIERS:
         return f"no certificate for the command {command!r}"
     try:
@@ -734,6 +793,8 @@ def main(argv):
                      report.read_bytes())
     for name, source, report in family_pairs():
         ok &= _check(f"family {name}", source, report.read_bytes())
+    for name, source, report in golden_pairs("diagnose"):
+        ok &= _check(f"diagnose {name}", source, report.read_bytes())
     return 0 if ok else 1
 
 

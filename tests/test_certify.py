@@ -1,6 +1,6 @@
 """The independent certificate of ``certify.py`` on ``normalize``,
 ``centralizer``, ``resonances``, ``kernel-intersection``,
-``bifurcation`` and ``suspend`` reports.
+``bifurcation``, ``suspend`` and ``diagnose`` reports.
 
 It certifies every normalize golden and the report of every
 ``DIGESTS`` case, accepts ``normalize``'s report on random fields, and
@@ -29,8 +29,12 @@ relation listed twice or moved to another component, and a flipped
 It certifies every bifurcation and suspend golden against its family
 document, and refuses a bifurcation report after one changed entry of D
 or a flipped ``nonsingular``, and a suspension after one changed
-coefficient.  Given a report it has no check for, a ``diagnose`` report,
-the command line prints one line and exits 1.
+coefficient.
+
+It certifies the Poincare verdict of every diagnose golden against its
+field, and its command line exits 1 on a copy with that verdict flipped.
+Given a report it has no check for, a field document, the command line
+prints one line and exits 1.
 """
 
 import itertools
@@ -55,6 +59,7 @@ GOLDEN = Path(__file__).parent / "golden"
 INPUTS = GOLDEN / "inputs"
 GOLDENS = golden_pairs("normalize")
 CENTRALIZER_GOLDENS = centralizer_pairs()
+DIAGNOSE_GOLDENS = golden_pairs("diagnose")
 FAMILY_GOLDENS = family_pairs()
 # (name, input document, report path) of every resonances and
 # kernel-intersection golden
@@ -220,10 +225,32 @@ def test_centralizer_certificate_refuses_a_dropped_element(name, source,
 
 
 def test_certificate_refuses_a_report_it_has_no_check_for(capsys):
-    report = str(GOLDEN / "so2.diagnose.json")
+    # a field document names no command and has no diagnose verdict keys
+    report = str(INPUTS / "so2.normal-form.json")
     assert certify_main([str(INPUTS / "so2.json"), report]) == 1
     line, = capsys.readouterr().out.splitlines()
     assert line.startswith(f"{report}: REFUSED: no check for this report")
+
+
+@pytest.mark.parametrize("name,source,report", DIAGNOSE_GOLDENS,
+                         ids=[name for name, _, _ in DIAGNOSE_GOLDENS])
+def test_diagnose_golden_is_certified(name, source, report):
+    assert certify_report(*_load_pair(source, report)) is None
+
+
+@pytest.mark.parametrize("name,source,report", DIAGNOSE_GOLDENS,
+                         ids=[name for name, _, _ in DIAGNOSE_GOLDENS])
+def test_diagnose_certificate_refuses_a_flipped_poincare_verdict(
+        tmp_path, capsys, name, source, report):
+    data = json.loads(report.read_text())
+    assert certify_main([str(source), str(report)]) == 0
+    data["poincare_domain"] = not data["poincare_domain"]
+    flipped = tmp_path / report.name
+    flipped.write_text(json.dumps(data))
+    assert certify_main([str(source), str(flipped)]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"{flipped}: REFUSED: poincare_domain should read "
+        f"{not data['poincare_domain']}")
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None,

@@ -220,6 +220,21 @@ def test_diagnose_refuses_a_symmetry_that_moves_the_origin():
         diagnose(field, 2, symmetry=symmetry)
 
 
+@pytest.mark.parametrize("symmetry,reason", [
+    (linear_field(Spectrum([1, 1, 1]), 2), "dimension differs"),
+    (PolyVectorField.from_terms(2, 2, [(0, (0, 0), 1)]),
+     "vanish at the origin"),
+])
+def test_diagnose_refuses_a_bad_symmetry_before_it_normalizes(
+        monkeypatch, symmetry, reason):
+    def fail(*args):
+        raise AssertionError("normalize ran before the refusal")
+
+    monkeypatch.setattr("dulac.diagnostics.normalize", fail)
+    with pytest.raises(DimensionMismatchError, match=reason):
+        diagnose(linear_field(Spectrum([1, -1]), 2), 2, symmetry=symmetry)
+
+
 def test_report_dict_and_text():
     field = linearizable_3d_field(8)
     spec = LINEARIZABLE_3D_SYMMETRY_SPECTRUM

@@ -7,12 +7,12 @@ pairs of ``Fraction`` (``add``, ``neg``, ``mul``, ``inverse``), its
 polynomials dicts of such pairs (``product``, ``derivative``,
 ``derivation``, ``bracket``, ``substitute``), and it has ``rank``,
 ``kernel_dimension``, ``resonant_pairs``, ``matrix_inverse``,
-``family_cells`` and the checks ``certify_centralizer`` and
-``certify_suspend``.  A polynomial reaches them through ``read_poly``,
-which reads its printed term entries (``fieldfile.component_terms``) back
-with ``certify.components``, and a scalar through ``read_scalar``, which
-parses its printed text.  The one reference kept here is ``ref_str``,
-for the printer that certify lacks.
+``origin_in_hull``, ``family_cells`` and the checks
+``certify_centralizer`` and ``certify_suspend``.  A polynomial reaches
+them through ``read_poly``, which reads its printed term entries
+(``fieldfile.component_terms``) back with ``certify.components``, and a
+scalar through ``read_scalar``, which parses its printed text.  The one
+reference kept here is ``ref_str``, for the printer that certify lacks.
 
 * A ``NearIdentityMap`` is the field of its component polynomials: it
   equals and hashes like that ``PolyVectorField``, rebuilding it from
@@ -67,6 +67,11 @@ for the printer that certify lacks.
 * ``resonant_pairs``, the one resonance enumerator, lists each pair that
   certify's scan over all exponent tuples finds, once, in order of
   degree, exponents and component.
+* ``poincare_domain``, a half-plane test on integer points, is True
+  exactly when certify's ``origin_in_hull`` (Caratheodory's theorem:
+  0 is an eigenvalue, on a segment of two, or in a triangle of three)
+  finds 0 outside the hull of 1-5 eigenvalues, among them zero,
+  repeated, opposite and collinear ones.
 * ``PolyScalar.substitute`` with one monomial table shared by several
   polynomials agrees with certify's term-by-term expansion, and every
   monomial in the table is the power product it stands for.  Values
@@ -78,9 +83,11 @@ for the printer that certify lacks.
 * ``PolyScalar.__mul__``, which stops each row at the order, equals
   certify's product of operands of different orders, with terms past the
   smaller order and coefficients 1, -1, i and general complex values.
-* Products, substitutions, derivatives and negations, which skip the
-  checks of ``PolyScalar.__init__``, are canonical: the public
-  constructor gives the same terms back.  ``degree_part``,
+* Products, substitutions, derivatives, negations and sums, which skip
+  the checks of ``PolyScalar.__init__``, are canonical: the public
+  constructor gives the same terms back.  A sum or difference of
+  operands of different orders is what the public constructor makes of
+  the summed terms at the smaller order.  ``degree_part``,
   ``degree_range`` and ``truncated``, which skip them too, give the terms
   and order that the public constructor gives on the same terms.
 * ``Series``, the graded storage of the inversion and the pull-back,
@@ -103,7 +110,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from dulac.bifurcation import suspend
@@ -124,7 +131,7 @@ from dulac.poly import (
     lie_bracket,
     linear_field,
 )
-from dulac.resonance import resonant_pairs
+from dulac.resonance import poincare_domain, resonant_pairs
 from dulac.scalars import ONE, ZERO, GaussianRational, add_scaled
 
 import certify
@@ -632,6 +639,30 @@ def test_resonant_pairs_match_a_naive_scan(spectra, low, high):
         certify.resonant_pairs(spectra, high, low)
 
 
+def hull_points(*values):
+    return [(Fraction(re), Fraction(im)) for re, im in values]
+
+
+# zero, opposite values, and values on lines through 0 and off them
+HULL_POINTS = hull_points(
+    (0, 0), (1, 0), (-1, 0), (2, 0), (Fraction(1, 2), 0), (0, 1), (0, -1),
+    (1, 1), (-1, -1), (2, 2), (1, -1), (-2, 1), (1, 2))
+
+
+@settings(PROPERTY_SETTINGS, max_examples=300)
+@given(st.lists(st.one_of(st.sampled_from(HULL_POINTS), pairs),
+                min_size=1, max_size=5))
+@example(hull_points((0, 0)))
+@example(hull_points((1, 1), (1, 1)))                   # repeated
+@example(hull_points((1, 1), (-1, -1)))                 # opposite
+@example(hull_points((2, 1), (4, 2), (Fraction(1, 2), Fraction(1, 4))))
+@example(hull_points((1, 1), (1, -1), (1, 2)))          # a line off 0
+@example(hull_points((-1, 0), (1, 0), (0, 1)))          # 0 on an edge
+def test_poincare_domain_matches_a_caratheodory_test(values):
+    spectrum = Spectrum(GaussianRational(*value) for value in values)
+    assert poincare_domain(spectrum) is not certify.origin_in_hull(values)
+
+
 @st.composite
 def polys(draw, dim, order, min_degree=0, max_terms=4, coefficients=scalars):
     """A PolyScalar with up to ``max_terms`` terms of degree >= min_degree."""
@@ -825,6 +856,15 @@ def test_products_and_substitutions_are_canonical(polys_, factor):
                    apply_derivation(g, a),
                    *lie_bracket(f, g).components):
         assert_canonical(result)
+    # sums wrap their terms unchecked too, at the smaller order: a has
+    # order 4 and b order 6
+    keys = {*a.terms, *b.terms}
+    total = {e: a.coefficient(e) + b.coefficient(e) for e in keys}
+    difference = {e: a.coefficient(e) - b.coefficient(e) for e in keys}
+    for got, terms in ((a + b, total), (b + a, total), (a - b, difference),
+                       (b - a, {e: -c for e, c in difference.items()})):
+        assert_canonical(got)
+        assert (got.order, got.terms) == (4, PolyScalar(a.dim, 4, terms).terms)
 
 
 @PROPERTY_SETTINGS

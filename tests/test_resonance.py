@@ -1,7 +1,11 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +24,8 @@ from dulac.resonance import (
 from dulac.scalars import GaussianRational, I, as_scalar
 
 from oracle import spectrum_dot
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def spec(*values):
@@ -203,6 +209,19 @@ def test_omega_condition_fractional_bound():
 def test_omega_condition_budget():
     with pytest.raises(BudgetExceededError):
         omega_condition(spec(1, -1, 2, -2), 9)
+
+
+def test_omega_scan_in_dimension_one_is_linear_in_its_degree():
+    # each degree of dimension 1 holds one tuple; when every degree copied
+    # a pool of its own size, this scan through degree 2**16 - 1 took 54 s
+    code = ("from dulac.poly import Spectrum\n"
+            "from dulac.resonance import omega_condition\n"
+            "print(omega_condition(Spectrum([3]), 16).tuples_scanned)\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=10)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"{2 ** 16 - 2}\n"
 
 
 def test_omega_tuples_scanned_reported():
