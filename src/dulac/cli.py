@@ -18,7 +18,7 @@ from ._version import __version__
 from .bifurcation import build_D, build_oscillator_D, suspend
 from .centralizer import centralizer_basis, kernel_intersection
 from .corpus import run_corpus
-from .diagnostics import diagnose
+from .diagnostics import check_commuting_field, diagnose
 from .errors import (DimensionMismatchError, DulacError, InputFormatError,
                      NonDiagonalLinearPartError)
 from .fieldfile import component_terms, field_to_dict, load_document, term_list
@@ -50,14 +50,10 @@ def _load_symmetry(path: str, dim: int) -> PolyVectorField:
     """A field that should commute with an input over ``dim`` variables,
     refused with its path when the bracket cannot compare the two."""
     symmetry = _field_document(path)
-    if symmetry.dim != dim:
-        raise DimensionMismatchError(
-            f"{path}: commuting field dimension differs from the input field")
-    # the bracket reads both fields through degree d only when both
-    # vanish at the origin
-    if any(c.coefficient((0,) * dim) for c in symmetry.components):
-        raise DimensionMismatchError(
-            f"{path}: commuting field must vanish at the origin")
+    try:
+        check_commuting_field(symmetry, dim)
+    except DimensionMismatchError as exc:
+        raise DimensionMismatchError(f"{path}: {exc}") from exc
     return symmetry
 
 

@@ -54,6 +54,7 @@ from .poly import (
 )
 from .resonance import (
     OmegaReport,
+    check_omega_range,
     omega_condition,
     poincare_domain,
 )
@@ -620,6 +621,18 @@ def _transformation_growth(
     return max(found, key=lambda g: rank[g.kind], default=None)
 
 
+def check_commuting_field(symmetry: PolyVectorField, dim: int) -> None:
+    """Refuse a commuting field of another dimension or with a constant term."""
+    if symmetry.dim != dim:
+        raise DimensionMismatchError(
+            "commuting field dimension differs from the input field")
+    # the bracket reads both fields through degree d only when both
+    # vanish at the origin
+    if any(c.coefficient((0,) * dim) for c in symmetry.components):
+        raise DimensionMismatchError(
+            "commuting field must vanish at the origin")
+
+
 def diagnose(f: PolyVectorField, order: int,
              symmetry: Optional[PolyVectorField] = None,
              omega_max_k: int = 3,
@@ -629,21 +642,16 @@ def diagnose(f: PolyVectorField, order: int,
     The field needs a diagonal linear part and no constant term.  A
     commuting field makes the symmetry criteria checkable; without one
     they report not-applicable.  The centralizer degree defaults to the
-    working order.  A degree outside 1..order, or a commuting field of
-    another dimension or with a constant term, is refused before any work.
+    working order.  A degree outside 1..order is refused before any work,
+    and so is what ``check_commuting_field`` or ``check_omega_range``
+    refuses.
     """
     if centralizer_degree is not None and not 1 <= centralizer_degree <= order:
         raise TruncationOrderError(
             f"centralizer degree {centralizer_degree} outside 1..{order}")
     if symmetry is not None:
-        if symmetry.dim != f.dim:
-            raise DimensionMismatchError(
-                "commuting field dimension differs from the input field")
-        # the bracket reads both fields through degree d only when both
-        # vanish at the origin
-        if any(c.coefficient((0,) * f.dim) for c in symmetry.components):
-            raise DimensionMismatchError(
-                "commuting field must vanish at the origin")
+        check_commuting_field(symmetry, f.dim)
+    check_omega_range(f.dim, omega_max_k)
     result = normalize(f, order)
     fhat = result.normal_form
     spectrum = fhat.spectrum

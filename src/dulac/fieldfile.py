@@ -72,6 +72,7 @@ from .poly import (
     PolyScalar,
     PolyVectorField,
     _unit,
+    check_scan_budget,
 )
 from .scalars import GaussianRational, as_scalar
 
@@ -196,10 +197,12 @@ _FAMILY_KEYS = {"dim", "order", "vars", "params", "terms"}
 
 
 def _check_size(n: int, where: str) -> None:
-    if n * (n + 1) > DEFAULT_TUPLE_BUDGET:
+    try:
+        check_scan_budget(n, 1)
+    except BudgetExceededError as exc:
         raise BudgetExceededError(
             f"{where}: {n} variables have more monomial-vector pairs through "
-            f"degree 1 than the budget of {DEFAULT_TUPLE_BUDGET}")
+            f"degree 1 than the budget of {DEFAULT_TUPLE_BUDGET}") from exc
 
 
 def _header(data: Any, keys: set, where: str

@@ -24,7 +24,8 @@ from typing import List, Optional, Tuple
 
 from .errors import NonDiagonalLinearPartError, TruncationOrderError
 from .maps import NearIdentityMap, pull_back
-from .poly import PolyScalar, PolyVectorField, _unit, lie_bracket
+from .poly import (PolyScalar, PolyVectorField, _unit, check_scan_budget,
+                   lie_bracket)
 from .resonance import kernel_dimension_at_degree
 from .scalars import ONE
 
@@ -52,7 +53,7 @@ def normalize(f: PolyVectorField, order: int) -> NormalFormResult:
     Requires a diagonal linear part and order >= 2; the field must be
     known at least to that order.  Each step x = y + h_k(y) has h_k of
     degree k >= 2, so the normal form keeps the linear part, and with it
-    the spectrum, of f.
+    the spectrum, of f.  An order past the scan budget is refused first.
     """
     spectrum = f.spectrum
     if spectrum is None:
@@ -64,6 +65,7 @@ def normalize(f: PolyVectorField, order: int) -> NormalFormResult:
         raise TruncationOrderError(
             f"field is only known to order {f.order}, requested {order}")
     dim = f.dim
+    check_scan_budget(dim, order)
     cur = f.truncated(order)
     phi_total = NearIdentityMap.identity(dim, order)
     records: List[DegreeRecord] = []

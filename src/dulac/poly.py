@@ -24,11 +24,9 @@ Substitution builds the monomials x^m of its values by one rule,
 ``_monomial_chain``: x^m = x^(m - e_i) * values[i], i the last variable
 with a nonzero exponent.  ``PolyScalar.substitute`` takes each such
 product whole, as one ``PolyScalar`` product, into a table that the
-caller passes.  ``compose`` and ``pull_back`` pass the table that the map
-of the values keeps for its own order, so one table serves every
-component in both, and the monomials of a normalizing step are built
-once for the pull-back and the composite.  ``substitute``
-builds only the monomials that can differ from x^m through the order N.
+caller passes; ``maps`` passes the one that the map of the values keeps
+(see there).  ``substitute`` builds only the monomials that can differ
+from x^m through the order N.
 Values that vanish at the origin send every x^m with |m| > N past the
 order.  Values x_i + w_i, with x_i at coefficient exactly 1 and every
 w_i of degree >= v >= 2, fix every x^m with |m| > N - v + 1: each other
@@ -118,18 +116,21 @@ def enumerate_monomials(dim: int, degree: int) -> Iterator[Exponents]:
         yield tuple(map(sub, cuts + top, (0,) + cuts))
 
 
-def enumerate_monomials_upto(dim: int, max_degree: int,
-                             min_degree: int = 0) -> Iterator[Exponents]:
-    """Exponent tuples with min_degree <= total degree <= max_degree, graded lex.
-
-    Raises before the first tuple when the dim * C(dim + max_degree, dim)
-    monomial-vector pairs through max_degree outnumber DEFAULT_TUPLE_BUDGET:
-    pairs, because a scan may test or keep every component of every tuple.
-    """
+def check_scan_budget(dim: int, max_degree: int) -> None:
+    """Refuse a scan whose dim * C(dim + max_degree, dim) monomial-vector
+    pairs through max_degree outnumber DEFAULT_TUPLE_BUDGET: pairs,
+    because a scan may test or keep every component of every tuple."""
     if dim * math.comb(dim + max_degree, dim) > DEFAULT_TUPLE_BUDGET:
         raise BudgetExceededError(
             f"scan through degree {max_degree} in dimension {dim} needs more "
             f"than the budget of {DEFAULT_TUPLE_BUDGET} monomial-vector pairs")
+
+
+def enumerate_monomials_upto(dim: int, max_degree: int,
+                             min_degree: int = 0) -> Iterator[Exponents]:
+    """Exponent tuples with min_degree <= total degree <= max_degree, graded
+    lex; ``check_scan_budget`` refuses the scan before the first tuple."""
+    check_scan_budget(dim, max_degree)
     return itertools.chain.from_iterable(
         enumerate_monomials(dim, degree)
         for degree in range(min_degree, max_degree + 1))
@@ -394,22 +395,16 @@ class PolyScalar:
         The result is correct to min(self.order, min of value orders) and
         carries that order.  Values must share a common dimension.
 
-        Two rules spare monomials x^m of degree |m| above a bound, with N
-        the result's order.  Values that vanish at the origin drop every
-        x^m with |m| > N.  Values x_i + w_i over the same variables, x_i
-        at coefficient exactly 1 and no w_i with a term of degree below 2,
-        leave x^m(values) = x^m through N for |m| > N - v + 1, v the
-        lowest degree in any w_i (every x^m when all w_i are zero); such
-        a term goes into the result with its own coefficient.
+        Values that vanish at the origin drop every x^m with |m| past the
+        result's order; values x_i + w_i leave x^m as it is above the
+        degree that ``_fixed_above`` gives, with its own coefficient.
 
         ``table`` holds the monomials x^m of ``values`` built so far, keyed
         by m; monomials this call needs are added to it, each as one
         product along ``_monomial_chain``.  Callers that substitute the
         same values into several polynomials of one order pass one dict to
-        every call, so each monomial is built once; ``compose`` and
-        ``pull_back`` pass the one that the map of the values keeps, so
-        the table also outlives a single call.  A table whose monomials
-        carry another dimension or order raises.
+        every call, so each monomial is built once.  A table whose
+        monomials carry another dimension or order raises.
         """
         if len(values) != self.dim:
             raise DimensionMismatchError(

@@ -37,6 +37,7 @@ from .poly import (
     DEFAULT_TUPLE_BUDGET,
     Exponents,
     Spectrum,
+    check_scan_budget,
     enumerate_monomials_upto,
 )
 
@@ -175,26 +176,31 @@ def _log_inverse_root(square: Fraction) -> float:
     return (math.log(square.denominator) - math.log(square.numerator)) / 2
 
 
-def omega_condition(spectrum: Spectrum, max_k: int) -> OmegaReport:
-    """Scan the smallest divisors over degree ranges 1 < |Q| < 2**k.
-
-    One pass over degrees 2 .. 2**max_k - 1 (the ranges nest; degree d
-    belongs to step k = d.bit_length()), under the budget of
-    ``enumerate_monomials_upto``; exceeding it raises rather than silently
-    degrading.  The verdict is ``holds-by-rational-bound``: every nonzero
-    divisor is an int pair over q = ``spectrum.scale``, so its squared
-    modulus is at least 1/q**2 and the doubling-weighted series is
-    bounded by ln(q).
-    """
+def check_omega_range(dim: int, max_k: int) -> None:
+    """Refuse an ``omega_condition`` scan that the budget cannot cover."""
     if max_k < 1:
         raise TruncationOrderError("need at least one doubling step")
-    n = len(spectrum)
     # At least 2**max_k pairs (their number in dimension 1): refuse a max_k
     # past the budget's bit length before 2**max_k is built.
     if max_k >= DEFAULT_TUPLE_BUDGET.bit_length():
         raise BudgetExceededError(
-            f"scan to k = {max_k} in dimension {n} needs more than the "
+            f"scan to k = {max_k} in dimension {dim} needs more than the "
             f"budget of {DEFAULT_TUPLE_BUDGET} monomial-vector pairs")
+    check_scan_budget(dim, 2 ** max_k - 1)
+
+
+def omega_condition(spectrum: Spectrum, max_k: int) -> OmegaReport:
+    """Scan the smallest divisors over degree ranges 1 < |Q| < 2**k.
+
+    One pass over degrees 2 .. 2**max_k - 1 (the ranges nest; degree d
+    belongs to step k = d.bit_length()), refused by ``check_omega_range``
+    past the budget rather than silently degraded.  The verdict is
+    ``holds-by-rational-bound``: every nonzero divisor is an int pair over
+    q = ``spectrum.scale``, so its squared modulus is at least 1/q**2 and
+    the doubling-weighted series is bounded by ln(q).
+    """
+    n = len(spectrum)
+    check_omega_range(n, max_k)
     # <m, qL> - q lambda_j is an int pair; squared moduli compare as ints.
     q = spectrum.scale
     eigen = spectrum.integral

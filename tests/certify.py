@@ -102,7 +102,8 @@ report without one is taken for a ``suspend`` document when its input is
 a family document, and for a ``diagnose`` report when it has that
 report's verdict keys.  Any other report is refused in one line as a
 report with no check here.  The exit status is 1 when any report is
-refused.
+refused.  The command line renders each text report from the document
+it prints under ``--json``, so these checks cover the text goldens too.
 """
 
 import ast

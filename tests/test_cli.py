@@ -778,6 +778,46 @@ def test_small_divisor_scan_past_the_budget_is_a_budget_error(
     assert captured.out == ""
 
 
+def _fail(*args):
+    raise AssertionError("the solve ran before the refusal")
+
+
+_PAIRS = "needs more than the budget of 10000000 monomial-vector pairs"
+
+
+@pytest.mark.parametrize("omega_k, message", [
+    ("0", "[truncation-order]: need at least one doubling step"),
+    ("12", f"[enumeration-budget-exceeded]: scan through degree 4095 in "
+           f"dimension 2 {_PAIRS}"),
+    ("30", f"[enumeration-budget-exceeded]: scan to k = 30 in dimension 2 "
+           f"{_PAIRS}"),
+], ids=["below-one", "pairs-past-the-budget", "k-past-the-bit-length"])
+def test_diagnose_refuses_a_bad_omega_k_before_it_normalizes(
+        normal_form_path, monkeypatch, capsys, omega_k, message):
+    monkeypatch.setattr("dulac.diagnostics.normalize", _fail)
+    assert main(["diagnose", "--input", normal_form_path, "--order", "3",
+                 "--omega-k", omega_k]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"dulac: error {message}\n"
+
+
+def test_normalize_refuses_an_order_past_the_budget_before_the_first_step(
+        tmp_path, monkeypatch, capsys):
+    # 30 * C(36, 30) = 58.4 M pairs through degree 6; degree 5 has 9.7 M
+    path = tmp_path / "dim30.json"
+    path.write_text(json.dumps({
+        "dim": 30, "order": 6,
+        "eigenvalues": [str(k) for k in range(1, 31)], "terms": []}))
+    monkeypatch.setattr("dulac.normalizer.kernel_dimension_at_degree", _fail)
+    assert main(["normalize", "--input", str(path), "--order", "6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "dulac: error [enumeration-budget-exceeded]: scan through degree 6 "
+        f"in dimension 30 {_PAIRS}\n")
+
+
 def test_kernel_intersection_past_the_budget_is_a_budget_error(capsys):
     assert main(["kernel-intersection", "--spec-a", "1,2,3", "--spec-b",
                  "1,2,4", "--max-degree", "100000"]) == 2
