@@ -134,6 +134,8 @@ def _cmd_resonances(args) -> dict:
 
 
 def _cmd_diagnose(args) -> dict:
+    if args.centralizer_degree is not None and args.symmetry is None:
+        raise InputFormatError("--centralizer-degree needs --symmetry")
     field = _load_field(args.input)
     symmetry = (None if args.symmetry is None
                 else _load_symmetry(args.symmetry, field.dim))
@@ -461,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="check small divisors omega_k for k up to this")
     p.add_argument("--centralizer-degree", type=int, default=None,
                    help="degree bound for the centralizer comparison "
-                        "(defaults to --order)")
+                        "with --symmetry (defaults to --order)")
     _add_common(p, _cmd_diagnose, strict=True)
 
     p = sub.add_parser("centralizer", help="basis of the fields commuting "

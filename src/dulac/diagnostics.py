@@ -13,6 +13,11 @@ Checks implemented here:
   assembles a report; its dict is what the command line prints, as JSON
   or rendered as text.
 
+The report lists the three classical criteria (Poincare domain, Bruno,
+Pliss) and four that read a supplied commuting field (joint resonance
+kernel, identity linear part, planar field, centralizer span), each
+built by ``_verified``, ``_failed`` or ``_not_applicable``.
+
 Criterion entries separate exact checks (decided in exact arithmetic),
 truncated checks (verified through the working order only), and
 assumptions (properties of user-supplied data that no finite computation
@@ -106,7 +111,6 @@ class ConditionAResult:
     witness: Optional[Tuple[Exponents, int, int]] = None
     witness_reason: str = ""
     violated_degree: Optional[int] = None
-    reconstruction_exact: bool = False
     constant_along_field: bool = False
     constant_along_linear: bool = False
 
@@ -168,11 +172,8 @@ def condition_a(fhat: PolyVectorField) -> ConditionAResult:
         if pinned is not None and pinned != ZERO:
             alpha_terms[m] = pinned
     alpha = PolyScalar(dim, fhat.order, alpha_terms)
-    residual = fnl - lin.scalar_mul(alpha)
-    reconstruction = residual.is_zero()
     return ConditionAResult(
-        reconstruction, fhat.order, alpha=alpha,
-        reconstruction_exact=reconstruction,
+        (fnl - lin.scalar_mul(alpha)).is_zero(), fhat.order, alpha=alpha,
         constant_along_field=apply_derivation(fhat, alpha).is_zero(),
         constant_along_linear=apply_derivation(lin, alpha).is_zero())
 
@@ -203,10 +204,6 @@ class GrowthClassification:
     note: str = ""
 
 
-def _abs2(value) -> Fraction:
-    return as_scalar(value).abs2()
-
-
 def _root(square: Fraction) -> float:
     """sqrt(square), through logarithms where square passes the float
     range; inf where the root passes it too."""
@@ -231,7 +228,7 @@ def growth_classify(coefficients: Sequence) -> GrowthClassification:
     FACTORIAL_SLOPE_WINDOW; geometric means the ratios stay within a
     factor of GEOMETRIC_RATIO_SPREAD of each other.
     """
-    sizes = [_abs2(c) for c in coefficients]
+    sizes = [as_scalar(c).abs2() for c in coefficients]
     lo = hi = end = 0
     for nonzero, run in itertools.groupby(sizes, key=bool):
         start, end = end, end + len(list(run))
@@ -270,12 +267,17 @@ def growth_classify(coefficients: Sequence) -> GrowthClassification:
 # -- criterion catalogue -----------------------------------------------
 
 
+VERIFIED = "hypotheses-verified"
+_CONVERGES = "a convergent normalizing transformation exists"
+
+
 @dataclass(frozen=True)
 class CriterionCheck:
     """One convergence criterion with its verdict and evidence kinds.
 
     ``verdict`` is hypotheses-verified, hypothesis-failed, or
-    not-applicable.  The string lists in ``exact``, ``truncated`` and
+    not-applicable, set by ``_verified``, ``_failed`` or
+    ``_not_applicable``.  The string lists in ``exact``, ``truncated`` and
     ``assumed`` say which hypotheses were decided exactly, which only
     through the working order, and which rest on unverifiable properties
     of user-supplied data.
@@ -291,64 +293,61 @@ class CriterionCheck:
     assumed: Tuple[str, ...] = ()
 
     def verdict_string(self) -> str:
-        if self.verdict == "hypotheses-verified" and \
-                self.checked_to_order is not None:
-            return f"hypotheses-verified-to-order-{self.checked_to_order}"
+        if self.verdict == VERIFIED and self.checked_to_order is not None:
+            return f"{VERIFIED}-to-order-{self.checked_to_order}"
         return self.verdict
 
 
-def _small_divisor_text(omega: OmegaReport) -> str:
-    return (f"small divisors obey omega_k^2 >= "
-            f"{as_scalar(omega.rational_bound_sq)} "
-            f"for every k (common-denominator bound)")
+# The only constructors that set a verdict; ``evidence`` takes the exact,
+# truncated and assumed lists.
+def _verified(name: str, order: Optional[int], conclusion: str = _CONVERGES,
+              **evidence) -> CriterionCheck:
+    return CriterionCheck(name, VERIFIED, order, conclusion=conclusion,
+                          **evidence)
 
 
-def _poincare_criterion(in_domain: bool) -> CriterionCheck:
-    exact = ("origin-in-convex-hull decided in exact rational geometry",)
-    if in_domain:
-        return CriterionCheck(
-            "poincare-domain", "hypotheses-verified",
-            conclusion="a convergent normalizing transformation exists",
-            exact=exact)
-    return CriterionCheck(
-        "poincare-domain", "hypothesis-failed",
-        detail="the convex hull of the eigenvalues contains the origin",
-        exact=exact)
+def _failed(name: str, detail: str, order: Optional[int] = None,
+            **evidence) -> CriterionCheck:
+    return CriterionCheck(name, "hypothesis-failed", order, detail=detail,
+                          **evidence)
 
 
-def _bruno_criterion(cond_a: ConditionAResult, omega: OmegaReport,
-                     order: int) -> CriterionCheck:
-    name = "bruno-small-divisors"
-    exact = (_small_divisor_text(omega),)
-    if cond_a.satisfied:
-        return CriterionCheck(
-            name, "hypotheses-verified", checked_to_order=order,
-            conclusion="a convergent normalizing transformation exists",
-            exact=exact,
-            truncated=(f"the normal form matches alpha*Ax through "
-                       f"order {order} (Condition A)",))
-    return CriterionCheck(
-        name, "hypothesis-failed", checked_to_order=order,
-        detail=f"Condition A fails: {cond_a.witness_reason}",
-        exact=exact)
+def _not_applicable(name: str, detail: str) -> CriterionCheck:
+    return CriterionCheck(name, "not-applicable", detail=detail)
 
 
-def _pliss_criterion(linear: bool, omega: OmegaReport, order: int,
-                     fhat: PolyVectorField) -> CriterionCheck:
-    name = "pliss-linearity"
-    exact = (_small_divisor_text(omega),)
-    if linear:
-        return CriterionCheck(
-            name, "hypotheses-verified", checked_to_order=order,
-            conclusion="a convergent linearizing transformation exists",
-            exact=exact,
-            truncated=(f"the normal form is linear through order {order}",))
-    low = fhat.nonlinear_part().min_degree()
-    return CriterionCheck(
-        name, "hypothesis-failed", checked_to_order=order,
-        detail=(f"the normal form keeps nonlinear terms "
-                f"(lowest degree {low})"),
-        exact=exact)
+def _classical_criteria(fhat: PolyVectorField, cond_a: ConditionAResult,
+                        linear: bool, in_domain: bool, omega: OmegaReport,
+                        order: int) -> List[CriterionCheck]:
+    """Poincare domain, Bruno's Condition A with the small-divisor bound,
+    and Pliss linearity, in that order."""
+    hull = ("origin-in-convex-hull decided in exact rational geometry",)
+    divisors = (f"small divisors obey omega_k^2 >= "
+                f"{as_scalar(omega.rational_bound_sq)} "
+                f"for every k (common-denominator bound)",)
+    return [
+        _verified("poincare-domain", None, exact=hull) if in_domain
+        else _failed("poincare-domain",
+                     "the convex hull of the eigenvalues contains the origin",
+                     exact=hull),
+        _verified("bruno-small-divisors", order, exact=divisors,
+                  truncated=(f"the normal form matches alpha*Ax through "
+                             f"order {order} (Condition A)",))
+        if cond_a.satisfied
+        else _failed("bruno-small-divisors",
+                     f"Condition A fails: {cond_a.witness_reason}", order,
+                     exact=divisors),
+        _verified("pliss-linearity", order,
+                  "a convergent linearizing transformation exists",
+                  exact=divisors,
+                  truncated=(f"the normal form is linear through order "
+                             f"{order}",))
+        if linear
+        else _failed("pliss-linearity",
+                     f"the normal form keeps nonlinear terms (lowest degree "
+                     f"{fhat.nonlinear_part().min_degree()})", order,
+                     exact=divisors),
+    ]
 
 
 def _scalar_multiple_of(g: PolyVectorField,
@@ -369,124 +368,106 @@ def _scalar_multiple_of(g: PolyVectorField,
 def _symmetry_criteria(field: PolyVectorField, fhat: PolyVectorField,
                        symmetry: Optional[PolyVectorField], order: int,
                        cz_degree: int) -> List[CriterionCheck]:
+    """The four criteria on a supplied commuting field: joint resonance
+    kernel, identity linear part, planar commuting field, and centralizer
+    spanned by the normal form."""
     names = ("joint-kernel-linearization", "identity-symmetry-linearization",
              "planar-analytic-symmetry", "centralizer-span")
     if symmetry is None:
-        return [CriterionCheck(name, "not-applicable",
-                               detail="no commuting field supplied")
+        return [_not_applicable(name, "no commuting field supplied")
                 for name in names]
-    spectrum = fhat.spectrum
     commutes, first, _ = check_commute(field, symmetry)
     if not commutes:
         detail = (f"the supplied field does not commute with the input: "
                   f"bracket residual first appears at degree {first}")
-        return [CriterionCheck(name, "hypothesis-failed", detail=detail)
-                for name in names]
-    commute_note = (f"the two fields commute through degree "
-                    f"{min(field.order, symmetry.order)}")
+        return [_failed(name, detail) for name in names]
+    joint_name, identity_name, planar_name, span_name = names
+    # the facts about the commuting field that the four criteria read
+    commuted = (f"the two fields commute through degree "
+                f"{min(field.order, symmetry.order)}",)
+    assumed = (_ANALYTICITY,)
     # None exactly when the linear part is not diagonal: the symmetry has
     # no constant term
     spec_b = symmetry.spectrum
-    dim = field.dim
+    multiple = _scalar_multiple_of(symmetry, field)
+    same_field = f"the supplied field equals {multiple} times the input field"
+    beta = _scalar_multiple_of(symmetry.degree_part(1),
+                               linear_field(fhat.spectrum, symmetry.order))
     checks = []
 
     # joint kernel of the two linear parts
     if spec_b is None:
-        checks.append(CriterionCheck(
-            names[0], "not-applicable",
-            detail="the supplied field's linear part is not diagonal"))
+        checks.append(_not_applicable(
+            joint_name, "the supplied field's linear part is not diagonal"))
+    elif joint := kernel_intersection(fhat.spectrum, spec_b, order):
+        checks.append(_failed(
+            joint_name, f"the joint resonance kernel contains {joint[0]}",
+            order, truncated=commuted))
     else:
-        joint = kernel_intersection(spectrum, spec_b, order)
-        if joint:
-            checks.append(CriterionCheck(
-                names[0], "hypothesis-failed", checked_to_order=order,
-                detail=(f"the joint resonance kernel contains "
-                        f"{joint[0]}"),
-                truncated=(commute_note,)))
-        else:
-            checks.append(CriterionCheck(
-                names[0], "hypotheses-verified", checked_to_order=order,
-                conclusion=("the field is linearizable by a convergent "
-                            "transformation and both fields become linear"),
-                truncated=(commute_note,
-                           f"the joint resonance kernel is empty through "
-                           f"degree {order}"),
-                assumed=(_ANALYTICITY,)))
+        checks.append(_verified(
+            joint_name, order,
+            "the field is linearizable by a convergent transformation and "
+            "both fields become linear",
+            truncated=commuted + (f"the joint resonance kernel is empty "
+                                  f"through degree {order}",),
+            assumed=assumed))
 
     # identity linear part
     if spec_b is not None and all(lam == 1 for lam in spec_b):
-        checks.append(CriterionCheck(
-            names[1], "hypotheses-verified", checked_to_order=order,
-            conclusion=("the field is formally linearizable; an analytic "
-                        "symmetry makes a convergent transformation to "
-                        "normal form exist"),
+        checks.append(_verified(
+            identity_name, order,
+            "the field is formally linearizable; an analytic symmetry makes "
+            "a convergent transformation to normal form exist",
             exact=("the supplied field's linear part is the identity",),
-            truncated=(commute_note,),
-            assumed=(_ANALYTICITY,)))
+            truncated=commuted, assumed=assumed))
     else:
-        checks.append(CriterionCheck(
-            names[1], "not-applicable",
-            detail="the supplied field's linear part is not the identity"))
+        checks.append(_not_applicable(
+            identity_name,
+            "the supplied field's linear part is not the identity"))
 
     # planar nontrivial commuting field
-    multiple = _scalar_multiple_of(symmetry, field)
-    if dim != 2:
-        checks.append(CriterionCheck(
-            names[2], "not-applicable",
-            detail="the planar criterion needs dimension 2"))
+    if field.dim != 2:
+        checks.append(_not_applicable(
+            planar_name, "the planar criterion needs dimension 2"))
     elif multiple is not None:
-        checks.append(CriterionCheck(
-            names[2], "not-applicable",
-            detail=(f"the supplied field equals {multiple} times the "
-                    f"input field")))
+        checks.append(_not_applicable(planar_name, same_field))
     else:
-        checks.append(CriterionCheck(
-            names[2], "hypotheses-verified", checked_to_order=order,
-            conclusion="a convergent normalizing transformation exists",
-            truncated=(commute_note,
-                       "the supplied field is not a scalar multiple of "
-                       "the input (checked at truncation)"),
-            assumed=(_ANALYTICITY,)))
+        checks.append(_verified(
+            planar_name, order,
+            truncated=commuted + ("the supplied field is not a scalar "
+                                  "multiple of the input (checked at "
+                                  "truncation)",),
+            assumed=assumed))
 
     # centralizer spanned by the normal form and linear fields
     basis = centralizer_basis(fhat, cz_degree)
     dim_lin = basis.linear_dimension
-    work = fhat.truncated(cz_degree)
-    expected = dim_lin + (0 if work.nonlinear_part().is_zero() else 1)
-    span_note = (f"the centralizer through degree {cz_degree} has "
-                 f"dimension {basis.dimension}: {dim_lin} linear plus "
-                 f"{expected - dim_lin} spanned by the normal form")
+    expected = dim_lin + (
+        0 if fhat.truncated(cz_degree).nonlinear_part().is_zero() else 1)
     if basis.dimension != expected:
-        unconfirmed = sum(1 for u in basis.unconfirmed if u)
-        checks.append(CriterionCheck(
-            names[3], "hypothesis-failed", checked_to_order=cz_degree,
-            detail=(f"{basis.dimension - expected} centralizer directions "
-                    f"lie outside the span of the normal form and linear "
-                    f"fields ({unconfirmed} of {basis.dimension} elements "
-                    f"unconfirmed at the truncation)"),
-            truncated=(commute_note,)))
+        checks.append(_failed(
+            span_name,
+            f"{basis.dimension - expected} centralizer directions lie "
+            f"outside the span of the normal form and linear fields "
+            f"({sum(basis.unconfirmed)} of {basis.dimension} "
+            f"elements unconfirmed at the truncation)",
+            cz_degree, truncated=commuted))
+    elif beta is None:
+        checks.append(_not_applicable(
+            span_name, "the supplied field's linear part is not a scalar "
+                       "multiple of the diagonal linear part"))
+    elif multiple is not None:
+        checks.append(_not_applicable(span_name, same_field))
     else:
-        beta = _scalar_multiple_of(symmetry.degree_part(1),
-                                   linear_field(spectrum, symmetry.order))
-        if beta is None:
-            checks.append(CriterionCheck(
-                names[3], "not-applicable",
-                detail=("the supplied field's linear part is not a scalar "
-                        "multiple of the diagonal linear part")))
-        elif multiple is not None:
-            checks.append(CriterionCheck(
-                names[3], "not-applicable",
-                detail=(f"the supplied field equals {multiple} times the "
-                        f"input field")))
-        else:
-            checks.append(CriterionCheck(
-                names[3], "hypotheses-verified", checked_to_order=cz_degree,
-                conclusion=("a convergent normalizing transformation "
-                            "exists"),
-                exact=(f"the supplied field's linear part equals {beta} "
-                       f"times the diagonal linear part",),
-                truncated=(commute_note, span_note),
-                assumed=(_ANALYTICITY,)))
+        checks.append(_verified(
+            span_name, cz_degree,
+            exact=(f"the supplied field's linear part equals {beta} times "
+                   f"the diagonal linear part",),
+            truncated=commuted + (
+                f"the centralizer through degree {cz_degree} has dimension "
+                f"{basis.dimension}: {dim_lin} linear plus "
+                f"{expected - dim_lin} spanned by the normal form",),
+            assumed=assumed))
     return checks
 
 
@@ -498,13 +479,11 @@ class DiagnosticsReport:
     """Joint outcome of every criterion on one normalized field.
 
     ``to_dict`` gives the JSON-ready report that ``diagnose`` prints; its
-    text form is rendered from that dict by the command line.
+    text form is rendered from that dict by the command line.  The order
+    and the eigenvalues it prints are the normal form's.
     """
 
-    version: str
-    order: int
     centralizer_degree: Optional[int]
-    eigenvalues: Tuple[GaussianRational, ...]
     condition_a: ConditionAResult
     pliss: bool
     poincare: bool
@@ -514,12 +493,10 @@ class DiagnosticsReport:
     normal_form: PolyVectorField
 
     def applicable(self) -> List[str]:
-        return [c.name for c in self.criteria
-                if c.verdict == "hypotheses-verified"]
+        return [c.name for c in self.criteria if c.verdict == VERIFIED]
 
     def summary(self) -> str:
-        verified = [c for c in self.criteria
-                    if c.verdict == "hypotheses-verified"]
+        verified = [c for c in self.criteria if c.verdict == VERIFIED]
         if verified:
             text = ("a convergent normalizing transformation is "
                     "guaranteed (" +
@@ -541,7 +518,7 @@ class DiagnosticsReport:
         if ca.satisfied:
             ca_dict["alpha"] = format_poly(ca.alpha)
             ca_dict["checks"] = {
-                "reconstruction_exact": ca.reconstruction_exact,
+                "reconstruction_exact": ca.satisfied,
                 "constant_along_field": ca.constant_along_field,
                 "constant_along_linear": ca.constant_along_linear,
             }
@@ -583,13 +560,13 @@ class DiagnosticsReport:
             "truncated": list(c.truncated),
             "assumed": list(c.assumed),
         } for c in self.criteria]
+        fhat = self.normal_form
         return {
-            "version": self.version,
-            "order": self.order,
+            "version": __version__,
+            "order": fhat.order,
             "centralizer_degree": self.centralizer_degree,
-            "eigenvalues": [str(v) for v in self.eigenvalues],
-            "normal_form": [format_poly(c)
-                            for c in self.normal_form.components],
+            "eigenvalues": [str(v) for v in fhat.spectrum],
+            "normal_form": [format_poly(c) for c in fhat.components],
             "condition_a": ca_dict,
             "linear_normal_form": self.pliss,
             "poincare_domain": self.poincare,
@@ -654,30 +631,21 @@ def diagnose(f: PolyVectorField, order: int,
     check_omega_range(f.dim, omega_max_k)
     result = normalize(f, order)
     fhat = result.normal_form
-    spectrum = fhat.spectrum
     cond_a = condition_a(fhat)
     linear = pliss_linear(fhat)
-    in_domain = poincare_domain(spectrum)
-    omega = omega_condition(spectrum, omega_max_k)
-    growth = _transformation_growth(result)
+    in_domain = poincare_domain(fhat.spectrum)
+    omega = omega_condition(fhat.spectrum, omega_max_k)
     cz_degree = order if centralizer_degree is None else centralizer_degree
-    criteria = [
-        _poincare_criterion(in_domain),
-        _bruno_criterion(cond_a, omega, order),
-        _pliss_criterion(linear, omega, order, fhat),
-    ]
-    criteria.extend(
-        _symmetry_criteria(f, fhat, symmetry, order, cz_degree))
+    criteria = (
+        _classical_criteria(fhat, cond_a, linear, in_domain, omega, order)
+        + _symmetry_criteria(f, fhat, symmetry, order, cz_degree))
     return DiagnosticsReport(
-        version=__version__,
-        order=order,
         centralizer_degree=cz_degree if symmetry is not None else None,
-        eigenvalues=tuple(spectrum),
         condition_a=cond_a,
         pliss=linear,
         poincare=in_domain,
         omega=omega,
-        growth=growth,
+        growth=_transformation_growth(result),
         criteria=tuple(criteria),
         normal_form=fhat,
     )

@@ -76,8 +76,15 @@ origin lies outside their closed convex hull.  That is decided here by
 Caratheodory's theorem over ``Fraction`` pairs: 0 is in the hull exactly
 when it is one of the eigenvalues, on a segment between two, or in a
 triangle of three.  The package decides it by another route, a
-half-plane test on integer points.  The other criteria are not checked;
-the goldens pin them.
+half-plane test on integer points.  Its ``small_divisors`` block, with K
+records, is accepted when, over every exponent tuple m with
+2 <= |m| <= 2^K - 1, enumerated here as a multiset of eigenvalue indices:
+``tuples_scanned`` is their number; record k holds the least nonzero
+|<m, lambda> - lambda_j|^2 over |m| < 2^k, or null when there is none;
+and ``rational_bound_sq`` is 1/q^2, with q the lcm of the eigenvalues'
+denominators.  The package scans by another route, degree by degree over
+integer pairs scaled by q.  The other criteria are not checked; the
+goldens pin them.
 
 Everything here is the standard library: its own scalar parser, Gaussian
 rationals as pairs of ``Fraction``, and polynomials as plain dicts from
@@ -93,7 +100,8 @@ unrestricted, against the normal form it was computed from, every
 resonances golden against its field, every kernel-intersection golden
 against its entry of ``JOINT`` in ``test_golden.py``, every
 bifurcation and suspend golden against its family document, and the
-Poincare verdict of every diagnose golden against its field.  The
+Poincare verdict and small-divisor records of every diagnose golden
+against its field.  The
 ``DIGESTS`` cases are produced by ``python -S -m dulac.cli`` in a
 subprocess (with ``src`` put on ``PYTHONPATH``) and must also match their
 pinned sha256.  ``python -S tests/certify.py INPUT REPORT ...`` certifies
@@ -110,6 +118,7 @@ import ast
 import hashlib
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -630,17 +639,56 @@ def origin_in_hull(points):
     return False
 
 
+def certify_small_divisors(eigenvalues, block):
+    """None when the ``small_divisors`` block of a diagnose report is the
+    scan of the eigenvalues, else why not.  With K records, every m with
+    2 <= |m| <= 2^K - 1 is enumerated as a multiset of eigenvalue indices;
+    record k holds the least nonzero |<m, lambda> - lambda_j|^2 over
+    |m| < 2^k, or null when there is none."""
+    records = block["records"]
+    scanned = 0
+    least = {}  # degree -> least nonzero squared divisor of that degree
+    for degree in range(2, 2 ** len(records)):
+        for picked in itertools.combinations_with_replacement(eigenvalues,
+                                                               degree):
+            scanned += 1
+            total = ZERO
+            for lam in picked:
+                total = add(total, lam)
+            for lam in eigenvalues:
+                re, im = add(total, neg(lam))
+                size = re * re + im * im
+                if size and (degree not in least or size < least[degree]):
+                    least[degree] = size
+    if block["tuples_scanned"] != scanned:
+        return f"tuples_scanned should read {scanned}"
+    for k, record in enumerate(records, start=1):
+        sizes = [v for d, v in least.items() if d < 2 ** k]
+        want = min(sizes) if sizes else None
+        got = record["omega_sq"]
+        if (got is None) is not (want is None) or (
+                want is not None and parse_scalar(got) != (want, 0)):
+            return (f"omega_sq of k = {k} should read "
+                    f"{'null' if want is None else want}")
+    scale = math.lcm(*[math.lcm(re.denominator, im.denominator)
+                       for re, im in eigenvalues])
+    if parse_scalar(block["rational_bound_sq"]) != (Fraction(1, scale ** 2), 0):
+        return f"rational_bound_sq should read {Fraction(1, scale ** 2)}"
+    return None
+
+
 def certify_diagnose(document, report):
     """None when the report's eigenvalues are the input field's, read off
-    its diagonal linear part as for normalize, and its ``poincare_domain``
-    says whether 0 lies outside their convex hull, else why not."""
+    its diagonal linear part as for normalize, its ``poincare_domain``
+    says whether 0 lies outside their convex hull, and its small-divisor
+    records are their scan, else why not."""
     eigenvalues, _ = input_field(document, 1)
     if [parse_scalar(v) for v in report["eigenvalues"]] != eigenvalues:
         return "the eigenvalues are not the input's"
     outside = not origin_in_hull(eigenvalues)
     if report["poincare_domain"] is not outside:
         return f"poincare_domain should read {outside}"
-    return None
+    return certify_small_divisors(eigenvalues, report["small_divisors"])
 
 
 CERTIFIERS = {"normalize": certify_normalize,

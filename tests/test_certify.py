@@ -31,8 +31,10 @@ document, and refuses a bifurcation report after one changed entry of D
 or a flipped ``nonsingular``, and a suspension after one changed
 coefficient.
 
-It certifies the Poincare verdict of every diagnose golden against its
-field, and its command line exits 1 on a copy with that verdict flipped.
+It certifies the Poincare verdict and the small-divisor records of every
+diagnose golden against its field; its command line exits 1 on a copy
+with that verdict flipped, and it refuses a copy with one changed
+``omega_sq``.
 Given a report it has no check for, a field document, the command line
 prints one line and exits 1.
 """
@@ -40,6 +42,7 @@ prints one line and exits 1.
 import itertools
 import json
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -251,6 +254,20 @@ def test_diagnose_certificate_refuses_a_flipped_poincare_verdict(
     assert capsys.readouterr().out.splitlines()[-1] == (
         f"{flipped}: REFUSED: poincare_domain should read "
         f"{not data['poincare_domain']}")
+
+
+@pytest.mark.parametrize("name,source,report", DIAGNOSE_GOLDENS,
+                         ids=[name for name, _, _ in DIAGNOSE_GOLDENS])
+def test_diagnose_certificate_refuses_one_changed_omega_sq(name, source,
+                                                           report):
+    document, data = _load_pair(source, report)
+    last = data["small_divisors"]["records"][-1]
+    want = last["omega_sq"]
+    # a null record becomes 1, a value becomes its double
+    last["omega_sq"] = "1" if want is None else str(Fraction(want) * 2)
+    assert certify_report(document, data) == (
+        f"omega_sq of k = {last['k']} should read "
+        f"{'null' if want is None else want}")
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None,

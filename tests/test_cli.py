@@ -20,6 +20,8 @@ from dulac.fieldfile import (
     field_to_dict,
 )
 
+INPUTS = Path(__file__).parent / "golden" / "inputs"
+
 
 @pytest.fixture
 def saddle_path(tmp_path):
@@ -138,6 +140,17 @@ def test_centralizer_rejects_non_normal_form(saddle_path, capsys):
     assert main(["centralizer", "--input", saddle_path, "--degree", "3"]) == 2
     err = capsys.readouterr().err
     assert "dulac: error [not-in-normal-form]:" in err
+
+
+def test_centralizer_refuses_a_degree_above_the_order(capsys):
+    source = INPUTS / "saddle.normal-form.json"
+    assert main(["centralizer", "--input", str(source),
+                 "--degree", "30"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "dulac: error [truncation-order]: field is only known to order 7, "
+        "requested degree bound 30\n")
 
 
 def test_kernel_intersection_empty(capsys):
@@ -503,6 +516,60 @@ def test_diagnose_refuses_a_centralizer_degree_outside_the_order(
     assert captured.err == (
         f"dulac: error [truncation-order]: centralizer degree {degree} "
         "outside 1..4\n")
+
+
+def test_diagnose_refuses_a_centralizer_degree_without_a_symmetry(
+        tmp_path, capsys):
+    # refused before the input is read, so a missing file is not named
+    absent = tmp_path / "absent.json"
+    assert main(["diagnose", "--input", str(absent), "--order", "8",
+                 "--centralizer-degree", "3", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("dulac: error [input-format]: "
+                            "--centralizer-degree needs --symmetry\n")
+
+
+HORN = INPUTS / "horn.json"
+_NOT_COMMUTING = ("the supplied field does not commute with the input: "
+                  "bracket residual first appears at degree 1")
+# the symmetry of Horn's field, given as a document of the same terms with
+# or without its linear_matrix -> (name, verdict, detail) of each symmetry
+# criterion; each document's linear_matrix conjugates that document alone
+HORN_SYMMETRY_CRITERIA = {
+    "same-matrix": [
+        ("joint-kernel-linearization", "hypothesis-failed",
+         "the joint resonance kernel contains (1, 1) -> comp 2"),
+        ("identity-symmetry-linearization", "not-applicable",
+         "the supplied field's linear part is not the identity"),
+        ("planar-analytic-symmetry", "not-applicable",
+         "the supplied field equals 1 times the input field"),
+        ("centralizer-span", "hypothesis-failed",
+         "2 centralizer directions lie outside the span of the normal form "
+         "and linear fields (2 of 4 elements unconfirmed at the "
+         "truncation)"),
+    ],
+    "no-matrix": [
+        (name, "hypothesis-failed", _NOT_COMMUTING)
+        for name in ("joint-kernel-linearization",
+                     "identity-symmetry-linearization",
+                     "planar-analytic-symmetry", "centralizer-span")],
+}
+
+
+@pytest.mark.parametrize("case", HORN_SYMMETRY_CRITERIA)
+def test_diagnose_reads_each_symmetry_document_in_its_own_coordinates(
+        tmp_path, capsys, case):
+    document = json.loads(HORN.read_text())
+    if case == "no-matrix":
+        del document["linear_matrix"]
+    symmetry = tmp_path / "symmetry.json"
+    symmetry.write_text(json.dumps(document))
+    assert main(["diagnose", "--input", str(HORN), "--order", "12",
+                 "--symmetry", str(symmetry), "--json"]) == 0
+    criteria = json.loads(capsys.readouterr().out)["criteria"][3:]
+    assert [(c["name"], c["verdict"], c["detail"]) for c in criteria] == (
+        HORN_SYMMETRY_CRITERIA[case])
 
 
 def test_singular_linear_matrix_is_refused(tmp_path, capsys):

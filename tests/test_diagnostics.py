@@ -36,7 +36,6 @@ def test_condition_a_pure_linear():
     result = condition_a(normal_form_field([], (1, -1)))
     assert result.satisfied
     assert result.alpha.is_zero()
-    assert result.reconstruction_exact
     assert result.constant_along_field
     assert result.constant_along_linear
     assert result.witness is None
@@ -48,7 +47,6 @@ def test_condition_a_recovers_alpha():
     assert result.satisfied
     assert str(result.alpha) == "x1*x2"
     assert result.order == 7
-    assert result.reconstruction_exact
     assert result.constant_along_field
     assert result.constant_along_linear
 
