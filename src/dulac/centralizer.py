@@ -83,9 +83,6 @@ class CentralizerBasis:
         """
         return sum(1 for e in self.elements if e.max_degree() == 1)
 
-    def confirmed_elements(self) -> List[PolyVectorField]:
-        return [e for e, u in zip(self.elements, self.unconfirmed) if not u]
-
 
 def _unknown_pairs(spectrum: Spectrum, degree_bound: int,
                    restrict: bool) -> List[Tuple[Exponents, int]]:

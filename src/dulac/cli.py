@@ -15,10 +15,10 @@ import sys
 from typing import Optional, Sequence
 
 from ._version import __version__
-from .bifurcation import build_D, build_oscillator_D, suspend
+from .bifurcation import ParamFamily, build_D, build_oscillator_D, suspend
 from .centralizer import centralizer_basis, kernel_intersection
-from .corpus import run_corpus
-from .diagnostics import check_commuting_field, diagnose
+from .diagnostics import (check_centralizer_degree, check_commuting_field,
+                          diagnose)
 from .errors import (DimensionMismatchError, DulacError, InputFormatError,
                      NonDiagonalLinearPartError)
 from .fieldfile import component_terms, field_to_dict, load_document, term_list
@@ -98,13 +98,13 @@ def _relation_entries(relations) -> list:
             for rel in relations]
 
 
-def _cmd_normalize(args) -> dict:
-    field = _load_field(args.input)
-    result = normalize(field, args.order)
+def normalize_payload(field: PolyVectorField, order: int) -> dict:
+    """The ``normalize`` report of a field with a diagonal linear part."""
+    result = normalize(field, order)
     return {
         "version": __version__,
         "command": "normalize",
-        "order": args.order,
+        "order": order,
         "style": "distinguished",
         "eigenvalues": [str(v) for v in field.spectrum],
         "normal_form": field_to_dict(result.normal_form),
@@ -121,6 +121,10 @@ def _cmd_normalize(args) -> dict:
     }
 
 
+def _cmd_normalize(args) -> dict:
+    return normalize_payload(_load_field(args.input), args.order)
+
+
 def _cmd_resonances(args) -> dict:
     spectrum = _load_field(args.input).spectrum
     return {
@@ -134,8 +138,9 @@ def _cmd_resonances(args) -> dict:
 
 
 def _cmd_diagnose(args) -> dict:
-    if args.centralizer_degree is not None and args.symmetry is None:
-        raise InputFormatError("--centralizer-degree needs --symmetry")
+    # refused before any document is read
+    check_centralizer_degree(args.centralizer_degree, args.order,
+                             args.symmetry is not None)
     field = _load_field(args.input)
     symmetry = (None if args.symmetry is None
                 else _load_symmetry(args.symmetry, field.dim))
@@ -144,14 +149,15 @@ def _cmd_diagnose(args) -> dict:
                     centralizer_degree=args.centralizer_degree).to_dict()
 
 
-def _cmd_centralizer(args) -> dict:
-    field = _load_field(args.input)
-    basis = centralizer_basis(field, args.degree,
-                              restrict_to_kernel=not args.unrestricted)
+def centralizer_payload(field: PolyVectorField, degree: int,
+                        unrestricted: bool = False) -> dict:
+    """The ``centralizer`` report of a normal form to degree ``degree``."""
+    basis = centralizer_basis(field, degree,
+                              restrict_to_kernel=not unrestricted)
     return {
         "version": __version__,
         "command": "centralizer",
-        "degree": args.degree,
+        "degree": degree,
         "dimension": basis.dimension,
         "restricted_to_resonant_kernel": basis.restricted,
         "elements": [
@@ -159,6 +165,11 @@ def _cmd_centralizer(args) -> dict:
              "confirmed": not unconfirmed}
             for elem, unconfirmed in zip(basis.elements, basis.unconfirmed)],
     }
+
+
+def _cmd_centralizer(args) -> dict:
+    return centralizer_payload(_load_field(args.input), args.degree,
+                               args.unrestricted)
 
 
 def _cmd_kernel_intersection(args) -> dict:
@@ -179,9 +190,9 @@ def _cmd_kernel_intersection(args) -> dict:
     }
 
 
-def _cmd_bifurcation(args) -> dict:
-    family = _load_family(args.family).family
-    matrix = (build_oscillator_D(family) if args.layout == "oscillator"
+def bifurcation_payload(family: ParamFamily, layout: str = "standard") -> dict:
+    """The ``bifurcation`` report of a family in the given layout."""
+    matrix = (build_oscillator_D(family) if layout == "oscillator"
               else build_D(family))
     det = matrix.determinant()
     return {
@@ -195,6 +206,10 @@ def _cmd_bifurcation(args) -> dict:
     }
 
 
+def _cmd_bifurcation(args) -> dict:
+    return bifurcation_payload(_load_family(args.family).family, args.layout)
+
+
 def _cmd_suspend(args) -> dict:
     doc = _load_family(args.family)
     names = list(doc.var_names) + list(doc.param_names)
@@ -202,6 +217,7 @@ def _cmd_suspend(args) -> dict:
 
 
 def _cmd_corpus(args) -> dict:
+    from .corpus import run_corpus  # it imports this module's builders
     results = run_corpus(args.filter)
     if not results:
         raise InputFormatError(f"no corpus entry matches {args.filter!r}")

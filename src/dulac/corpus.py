@@ -1,9 +1,23 @@
-"""Built-in worked examples with frozen expected outcomes.
+"""Built-in worked examples, each read off the commands' own payloads.
 
-Every entry rebuilds a small vector field or family from scratch, runs a
-fixed pipeline on it, and compares against values that were computed once
-and pinned down here.  The builders are exported so the test suite can
-reuse the same constructions.
+Every entry builds a small field or family (the builders are exported
+for the tests), runs commands on it through their payload builders, the
+path that the goldens pin and ``tests/certify.py`` checks, and reads a
+few facts off the payloads:
+
+* horn: ``normalize`` of Horn's ``linear_matrix`` document; the normal
+  form (x1^2, x2) and Psi's x1^k coefficients of y2, -(k-1)!;
+* linearizable-3d: ``diagnose --symmetry`` with diag(1, -2, 4); the
+  ``joint-kernel-linearization`` verdict and ``linear_normal_form``;
+* so2: ``normalize``, then ``centralizer`` to degree 5 on its normal
+  form, restricted and unrestricted; the degree-4 part of the normal
+  form, both dimensions and the confirmed elements;
+* holomorphic: ``diagnose --symmetry`` of z^2 with its rotated partner;
+  the ``planar-analytic-symmetry`` verdict;
+* saddle-centralizer: ``centralizer`` to degree 7; its elements;
+* oscillator-d: ``bifurcation`` in both layouts; both determinants;
+* hopf-transversality: ``bifurcation`` and the ``suspend`` document; the
+  determinant, the suspension's eigenvalues and its eta component.
 """
 
 import math
@@ -11,27 +25,12 @@ import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
-from .bifurcation import (
-    ParamFamily,
-    build_D,
-    build_oscillator_D,
-    oscillator_pattern,
-    suspend,
-)
-from .centralizer import centralizer_basis, kernel_intersection
-from .maps import NearIdentityMap, linear_conjugate
-from .normalizer import check_commute, normalize
-from .poly import (
-    PolyScalar,
-    PolyVectorField,
-    Spectrum,
-    _unit,
-    lie_bracket,
-    linear_field,
-    restrict_to_axis,
-)
-from .resonance import resonant_monomials
-from .scalars import I, ONE, ZERO, as_scalar
+from .bifurcation import ParamFamily, suspend
+from .cli import bifurcation_payload, centralizer_payload, normalize_payload
+from .diagnostics import diagnose
+from .fieldfile import field_from_dict, field_to_dict
+from .poly import PolyScalar, PolyVectorField, Spectrum, _unit, linear_field
+from .scalars import I, ONE, GaussianRational, as_scalar
 
 
 # -- builders ----------------------------------------------------------
@@ -47,6 +46,12 @@ def horn_field(order: int = 12) -> PolyVectorField:
 
 
 HORN_CONJUGATION = ((1, 0), (-1, 1))
+
+
+def horn_document(order: int = 12) -> dict:
+    """Horn's field with the ``linear_matrix`` that diagonalizes it."""
+    return dict(field_to_dict(horn_field(order)),
+                linear_matrix=[list(row) for row in HORN_CONJUGATION])
 
 
 def linearizable_3d_field(order: int = 8) -> PolyVectorField:
@@ -121,142 +126,118 @@ def hopf_family() -> ParamFamily:
     ]), 1)
 
 
-# -- entry runners -----------------------------------------------------
+# -- entry runners: the payloads each runs and the facts it reads -----
 
 
 EntryOutcome = Tuple[bool, str, List[str]]
 
 
+def _verdict(report: dict, name: str) -> Tuple[bool, List[str]]:
+    """Whether a diagnose criterion reads verified; its verdict line."""
+    verdict = next(c["verdict"] for c in report["criteria"]
+                   if c["name"] == name)
+    return (verdict == f"hypotheses-verified-to-order-{report['order']}",
+            [f"{name}: {verdict}"])
+
+
 def _run_horn() -> EntryOutcome:
-    order = 12
-    raw = horn_field(order)
-    conj = linear_conjugate(HORN_CONJUGATION, raw)
-    result = normalize(conj, order)
-    expected_nf = PolyVectorField.from_terms(2, order, [
-        (0, (2, 0), 1), (1, (0, 1), 1)])
-    if result.normal_form != expected_nf:
-        return False, "unexpected normal form", [str(result.normal_form)]
-    # The map to normal coordinates is Psi . T, so its inverse is T^-1 . Phi.
-    t_inverse = NearIdentityMap.from_linear(
-        HORN_CONJUGATION, order).invert_to_order()
-    inverse = t_inverse.compose(result.inverse)
-    coeffs = restrict_to_axis(inverse.components[1], 0)
-    expected = [as_scalar(0)] + [as_scalar(math.factorial(k - 1))
-                                 for k in range(1, order + 1)]
-    table = ", ".join(str(coeffs[k]) for k in range(1, order + 1))
-    if coeffs != expected:
-        return False, "coefficient table mismatch", [table]
-    return True, "inverse transformation coefficients grow like (k-1)!", [
-        "coefficient table: " + table]
+    report = normalize_payload(field_from_dict(horn_document(12))[0], 12)
+    if report["normal_form"] != field_to_dict(PolyVectorField.from_terms(
+            2, 12, [(0, (2, 0), 1), (1, (0, 1), 1)])):
+        return False, "the normal form is not (x1^2, x2)", []
+    y2 = {tuple(t["exps"]): t["coeff"]
+          for t in report["transformation"]["components"][1]}
+    table = [y2.get((k, 0), "0") for k in range(2, 13)]
+    lines = ["coefficient table (x1^k in y2, k = 2..12): " + ", ".join(table)]
+    if table != [str(-math.factorial(k - 1)) for k in range(2, 13)]:
+        return False, "Psi's x1^k coefficients of y2 are not -(k-1)!", lines
+    return True, "normalizing transformation coefficients grow like (k-1)!", lines
 
 
 def _run_linearizable_3d() -> EntryOutcome:
-    f = linearizable_3d_field(8)
     symmetry = linear_field(LINEARIZABLE_3D_SYMMETRY_SPECTRUM, 8)
-    ok, first, _ = check_commute(f, symmetry)
-    if not ok:
-        return False, f"symmetry fails to commute at degree {first}", []
-    spectrum = f.spectrum
-    joint = kernel_intersection(spectrum,
-                                LINEARIZABLE_3D_SYMMETRY_SPECTRUM, 10)
-    if joint:
-        return False, "joint resonance kernel is not trivial", [
-            str(rel) for rel in joint]
-    own_a = resonant_monomials(spectrum, 5)
-    own_b = resonant_monomials(LINEARIZABLE_3D_SYMMETRY_SPECTRUM, 5)
-    if not own_a or not own_b:
-        return False, "an individual kernel is unexpectedly empty", []
-    result = normalize(f, 8)
-    if not result.normal_form.nonlinear_part().is_zero():
-        return False, "normal form is not linear", [str(result.normal_form)]
-    return True, "joint kernel trivial to degree 10; linearized to order 8", [
-        f"individual kernels: {len(own_a)} and {len(own_b)} resonant "
-        "monomials through degree 5"]
+    report = diagnose(linearizable_3d_field(8), 8, symmetry=symmetry).to_dict()
+    verified, lines = _verdict(report, "joint-kernel-linearization")
+    if not verified:
+        return False, "the joint-kernel criterion is not verified", lines
+    if not report["linear_normal_form"]:
+        return False, "the normal form is not linear", report["normal_form"]
+    return True, "joint resonance kernel empty; linear to order 8", lines
 
 
 def _run_so2() -> EntryOutcome:
-    order = 7
-    f = so2_field(order)
-    g = so2_symmetry(order)
-    ok, first, _ = check_commute(f, g)
-    if not ok:
-        return False, f"symmetry fails to commute at degree {first}", []
-    result = normalize(f, order)
-    if result.normal_form.degree_part(4) != g:
-        return False, "degree-4 part of the normal form is off", [
-            str(result.normal_form.degree_part(4))]
-    basis = centralizer_basis(result.normal_form, 5)
-    oracle = centralizer_basis(result.normal_form, 5, restrict_to_kernel=False)
-    if basis.dimension != oracle.dimension or basis.dimension != 13:
-        return False, (f"centralizer dimension {basis.dimension} vs "
-                       f"unrestricted {oracle.dimension}, expected 13"), []
-    confirmed = basis.confirmed_elements()
-    linear_confirmed = [e for e in confirmed
-                        if e.nonlinear_part().is_zero()]
-    if len(confirmed) != 2 or len(linear_confirmed) != 2:
-        return False, "confirmed part should be the two linear symmetries", [
-            str(e) for e in confirmed]
+    report = normalize_payload(so2_field(7), 7)
+    quartic = [t for t in report["normal_form"]["terms"]
+               if sum(t["exps"]) == 4]
+    if quartic != field_to_dict(so2_symmetry(7))["terms"]:
+        return False, "degree-4 part of the normal form is off", []
+    normal_form, _ = field_from_dict(report["normal_form"])
+    basis, oracle = (centralizer_payload(normal_form, 5, unrestricted)
+                     for unrestricted in (False, True))
+    if basis["dimension"] != oracle["dimension"] or basis["dimension"] != 13:
+        return False, (f"centralizer dimension {basis['dimension']} vs "
+                       f"unrestricted {oracle['dimension']}, expected 13"), []
+    confirmed = [e["terms"] for e in basis["elements"] if e["confirmed"]]
+    if len(confirmed) != 2 or any(sum(t["exps"]) != 1
+                                  for terms in confirmed for t in terms):
+        return False, "confirmed part should be the two linear symmetries", []
     return True, ("normal form keeps rho*x3*(I+L)x; centralizer dimension "
                   "13 agrees with the unrestricted oracle"), [
-        "confirmed linear symmetries: " + "; ".join(str(e) for e in confirmed),
-        f"boundary-unconfirmed directions: {sum(basis.unconfirmed)}"]
+        "confirmed: the 2 linear symmetries",
+        f"boundary-unconfirmed directions: {13 - len(confirmed)}"]
 
 
 def _run_holomorphic() -> EntryOutcome:
     f, g = holomorphic_pair(6)
-    if not lie_bracket(f, g).is_zero():
-        return False, "bracket does not vanish", [str(lie_bracket(f, g))]
-    return True, "holomorphic field commutes with its rotated partner", [
-        "no linear data; this entry checks the bracket only"]
+    verified, lines = _verdict(diagnose(f, 6, symmetry=g).to_dict(),
+                               "planar-analytic-symmetry")
+    if not verified:
+        return False, "the planar criterion is not verified", lines
+    return True, "commuting, no multiple: the planar criterion holds", lines
 
 
 def _run_saddle_centralizer() -> EntryOutcome:
-    f = saddle_field(7)
-    basis = centralizer_basis(f, 7)
-    expected = {
-        PolyVectorField.from_terms(2, 7, [(0, (1 + l, l), 1)])
-        for l in range(4)
-    } | {
-        PolyVectorField.from_terms(2, 7, [(1, (l, 1 + l), 1)])
-        for l in range(4)
-    }
-    if set(basis.elements) != expected or any(basis.unconfirmed):
-        return False, f"unexpected basis of dimension {basis.dimension}", [
-            str(e) for e in basis.elements]
+    report = centralizer_payload(saddle_field(7), 7)
+    found = sorted([(t["coeff"], tuple(t["exps"]), t["comp"])
+                    for t in e["terms"]] for e in report["elements"])
+    expected = sorted([[("1", (1 + l, l), 1)] for l in range(4)]
+                      + [[("1", (l, 1 + l), 2)] for l in range(4)])
+    if found != expected or not all(e["confirmed"]
+                                    for e in report["elements"]):
+        return False, f"unexpected basis of dimension {len(found)}", []
     return True, ("saddle centralizer is the 8 powers (x1*x2)^l times "
                   "the diagonal directions"), [
-        f"dimension {basis.dimension} at degree 7, all confirmed"]
+        "dimension 8 at degree 7, all confirmed"]
 
 
 def _run_oscillator_d() -> EntryOutcome:
-    family = oscillator_family()
-    spec = family.eigenvalues()
-    pattern = oscillator_pattern(spec)
-    if pattern is None or pattern[1] != 2:
-        return False, "oscillator pattern not recognized", [str(spec)]
-    det_std = build_D(family).determinant()
-    det_osc = build_oscillator_D(family).determinant()
+    standard, oscillator = (bifurcation_payload(oscillator_family(), layout)
+                            for layout in ("standard", "oscillator"))
+    lam = [GaussianRational.parse(v) for v in standard["eigenvalues"]]
+    det_std, det_osc = (GaussianRational.parse(p["determinant"])
+                        for p in (standard, oscillator))
+    lines = [f"det standard = {det_std}, det oscillator = {det_osc}"]
     if det_std == 0 or det_osc == 0:
-        return False, "a determinant vanished", [str(det_std), str(det_osc)]
-    if det_std != -pattern[0] * det_osc:
-        return False, "determinant layouts disagree", [
-            f"standard {det_std}, oscillator {det_osc}"]
-    return True, "both determinant layouts agree and are nonzero", [
-        f"det standard = {det_std}, det oscillator = {det_osc}"]
+        return False, "a determinant vanished", lines
+    if lam[2] != 2 * lam[0]:
+        return False, "not a 1:2 oscillator pair", lines
+    # the oscillator layout divides the eigenvalue column by lambda_1
+    if det_std != -lam[0] * det_osc:
+        return False, "determinant layouts disagree", lines
+    return True, "both determinant layouts agree and are nonzero", lines
 
 
 def _run_hopf() -> EntryOutcome:
-    family = hopf_family()
-    det = build_D(family).determinant()
-    if str(det) != "2*i":
+    det = bifurcation_payload(hopf_family())["determinant"]
+    if det != "2*i":
         return False, f"expected det D = 2*i, got {det}", []
-    suspended = suspend(family)
-    if suspended.spectrum != Spectrum([I, -I, ZERO]):
-        return False, "suspension spectrum is off", [str(suspended.spectrum)]
-    if not suspended.components[2].is_zero():
+    suspended = field_to_dict(suspend(hopf_family()))
+    if suspended.get("eigenvalues") != ["1*i", "-1*i", "0"]:
+        return False, "suspension spectrum is off", []
+    if any(t["comp"] == 3 for t in suspended["terms"]):
         return False, "parameter direction must stay constant", []
     return True, "transversality determinant 2*i; suspension keeps eta frozen", [
-        f"suspension: {suspended}"]
+        "suspension eigenvalues: 1*i, -1*i, 0; no term in the eta component"]
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,7 @@ from ._version import __version__
 from .centralizer import centralizer_basis, kernel_intersection
 from .errors import (
     DimensionMismatchError,
+    InputFormatError,
     NonDiagonalLinearPartError,
     NotInNormalFormError,
     TruncationOrderError,
@@ -610,6 +611,16 @@ def check_commuting_field(symmetry: PolyVectorField, dim: int) -> None:
             "commuting field must vanish at the origin")
 
 
+def check_centralizer_degree(centralizer_degree: Optional[int], order: int,
+                             has_symmetry: bool) -> None:
+    """Refuse a centralizer degree without a symmetry or outside 1..order."""
+    if centralizer_degree is not None and not has_symmetry:
+        raise InputFormatError("--centralizer-degree needs --symmetry")
+    if centralizer_degree is not None and not 1 <= centralizer_degree <= order:
+        raise TruncationOrderError(
+            f"centralizer degree {centralizer_degree} outside 1..{order}")
+
+
 def diagnose(f: PolyVectorField, order: int,
              symmetry: Optional[PolyVectorField] = None,
              omega_max_k: int = 3,
@@ -619,13 +630,11 @@ def diagnose(f: PolyVectorField, order: int,
     The field needs a diagonal linear part and no constant term.  A
     commuting field makes the symmetry criteria checkable; without one
     they report not-applicable.  The centralizer degree defaults to the
-    working order.  A degree outside 1..order is refused before any work,
-    and so is what ``check_commuting_field`` or ``check_omega_range``
-    refuses.
+    working order.  What ``check_centralizer_degree``,
+    ``check_commuting_field`` or ``check_omega_range`` refuses is refused
+    before any work.
     """
-    if centralizer_degree is not None and not 1 <= centralizer_degree <= order:
-        raise TruncationOrderError(
-            f"centralizer degree {centralizer_degree} outside 1..{order}")
+    check_centralizer_degree(centralizer_degree, order, symmetry is not None)
     if symmetry is not None:
         check_commuting_field(symmetry, f.dim)
     check_omega_range(f.dim, omega_max_k)

@@ -399,7 +399,3 @@ def family_to_dict(family: ParamFamily,
     data["params"] = {"names": list(param_names), "matrix": matrix}
     data["terms"] = terms
     return data
-
-
-def dump_document(data: dict) -> str:
-    return json.dumps(data, indent=2) + "\n"

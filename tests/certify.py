@@ -101,7 +101,8 @@ resonances golden against its field, every kernel-intersection golden
 against its entry of ``JOINT`` in ``test_golden.py``, every
 bifurcation and suspend golden against its family document, and the
 Poincare verdict and small-divisor records of every diagnose golden
-against its field.  The
+against its field, which ``SYMMETRY_DIAGNOSES`` of ``test_golden.py``
+names for a golden named after its symmetry.  The
 ``DIGESTS`` cases are produced by ``python -S -m dulac.cli`` in a
 subprocess (with ``src`` put on ``PYTHONPATH``) and must also match their
 pinned sha256.  ``python -S tests/certify.py INPUT REPORT ...`` certifies
@@ -719,11 +720,14 @@ def pinned_digests():
 def golden_pairs(command):
     """(name, input path, report path) of every golden of ``command``,
     normalize, resonances or diagnose, whose input is the field named
-    after it."""
+    after it; ``SYMMETRY_DIAGNOSES`` of ``test_golden.py`` names the field
+    of a diagnose golden named after its symmetry."""
+    fields = (golden_table("SYMMETRY_DIAGNOSES") if command == "diagnose"
+              else {})
     out = []
     for report in sorted(GOLDEN.glob(f"*.{command}.json")):
         name = report.name[:-len(f".{command}.json")]
-        out.append((name, INPUTS / f"{name}.json", report))
+        out.append((name, INPUTS / f"{fields.get(name, name)}.json", report))
     return out
 
 

@@ -4,8 +4,11 @@
 ``DIGESTS`` case of ``test_golden.py`` once per session: ``test_golden``
 checks its sha256 and ``test_certify`` certifies it, so the two share
 one run of the largest ``normalize`` jobs in the suite.
+``dump_document`` writes a field or family dict as a document file holds
+it: indented JSON and a final newline, as the golden inputs are written.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -14,6 +17,10 @@ from certify import pinned_digests
 from dulac.cli import main
 
 INPUTS = Path(__file__).parent / "golden" / "inputs"
+
+
+def dump_document(data: dict) -> str:
+    return json.dumps(data, indent=2) + "\n"
 
 
 def write_digest_report(name: str, out: Path) -> Path:

@@ -127,7 +127,8 @@ def test_criterion_4_rotation_symmetric_normal_form_and_centralizer():
         assert basis.dimension == 13
         assert oracle.dimension == 13
         assert set(basis.elements) == set(oracle.elements)
-        confirmed = basis.confirmed_elements()
+        confirmed = [e for e, u in zip(basis.elements, basis.unconfirmed)
+                     if not u]
         assert len(confirmed) == 2
         assert all(e.nonlinear_part().is_zero() for e in confirmed)
 

@@ -53,8 +53,9 @@ from certify import (certify_centralizer, certify_normalize, certify_report,
                      centralizer_pairs, family_pairs, golden_pairs,
                      joint_cases, pinned_digests)
 from certify import main as certify_main
+from conftest import dump_document
 from dulac.cli import main
-from dulac.fieldfile import dump_document, field_from_dict, field_to_dict
+from dulac.fieldfile import field_from_dict, field_to_dict
 from dulac.poly import PolyVectorField, Spectrum, lie_bracket, linear_field
 from dulac.scalars import GaussianRational
 

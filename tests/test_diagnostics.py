@@ -17,6 +17,7 @@ from dulac.corpus import (
 )
 from dulac.errors import (
     DimensionMismatchError,
+    InputFormatError,
     NonDiagonalLinearPartError,
     NotInNormalFormError,
     TruncationOrderError,
@@ -138,6 +139,20 @@ def test_growth_needs_six_consecutive():
         growth_classify([1, 2, 3, 4, 5])
     with pytest.raises(TruncationOrderError):
         growth_classify([1, 2, 0, 3, 4, 0, 5, 6])
+
+
+def test_diagnose_refuses_a_centralizer_degree_without_a_symmetry():
+    # the degree bounds only the symmetry's centralizer comparison, so it
+    # is refused, as on the command line, not checked and dropped
+    field = linear_field(Spectrum([1, -1]), 7)
+    with pytest.raises(InputFormatError) as refused:
+        diagnose(field, 7, centralizer_degree=3)
+    assert str(refused.value) == "--centralizer-degree needs --symmetry"
+    with pytest.raises(InputFormatError):
+        diagnose(field, 7, centralizer_degree=99)
+    assert diagnose(field, 7).to_dict()["centralizer_degree"] is None
+    report = diagnose(field, 7, symmetry=field, centralizer_degree=3)
+    assert report.to_dict()["centralizer_degree"] == 3
 
 
 def test_diagnose_poincare_domain():

@@ -5,10 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from conftest import dump_document
 from dulac.corpus import hopf_family, so2_field
 from dulac.errors import InputFormatError
 from dulac.fieldfile import (
-    dump_document,
     family_from_dict,
     family_to_dict,
     field_from_dict,
@@ -194,11 +194,3 @@ def test_load_document_bad_json(tmp_path):
 def test_load_document_missing_file(tmp_path):
     with pytest.raises(InputFormatError, match="No such file"):
         load_document(str(tmp_path / "absent.json"))
-
-
-def test_dump_document_is_json_with_newline(tmp_path):
-    import json
-
-    text = dump_document(field_to_dict(so2_field(7)))
-    assert text.endswith("\n")
-    assert json.loads(text)["dim"] == 3

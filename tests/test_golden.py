@@ -5,14 +5,16 @@ builders in ``dulac.corpus``) and four grid fields.  ``normalize``
 and ``diagnose`` run on each field at its own truncation order,
 ``diagnose`` with the commuting field where the corpus has one, and
 ``centralizer`` runs on the normal form that ``normalize`` printed for
-it; ``CENTRALIZERS`` adds solves over the unrestricted space, at a
-bound below the field's order, and on the two dim-4 normal forms of the
-benchmark's centralizer-solve workload, whose input documents are copied
-byte for byte from ``bench/workloads.py`` at seed 7.  Every unrestricted
-solve with a restricted twin on the same field and bound must print the
-twin's dimension.  ``resonances`` lists each field's resonances through
-its order, and ``kernel-intersection`` runs on the spectrum pairs in
-``JOINT``.
+it; ``SYMMETRY_DIAGNOSES`` adds ``diagnose`` of a field with its
+symmetry, named after the symmetry's input, for a field whose plain
+``diagnose`` is pinned too; ``CENTRALIZERS`` adds solves over the
+unrestricted space, at a bound below the field's order, and on the two
+dim-4 normal forms of the benchmark's centralizer-solve workload, whose
+input documents are copied byte for byte from ``bench/workloads.py`` at
+seed 7.  Every unrestricted solve with a restricted twin on the same
+field and bound must print the twin's dimension.  ``resonances`` lists
+each field's resonances through its order, and ``kernel-intersection``
+runs on the spectrum pairs in ``JOINT``.
 The fields in ``DEEP`` run ``normalize`` only: its report prints the
 normalizing transformation's coefficients, whose growth with the order
 is what the convergence verdicts read.  The fields in ``DIGESTS`` do the
@@ -47,9 +49,10 @@ from pathlib import Path
 
 import pytest
 
+from conftest import dump_document
 from dulac.cli import TEXT_RENDERERS, main
 from dulac.corpus import hopf_family, oscillator_family
-from dulac.fieldfile import dump_document, family_to_dict
+from dulac.fieldfile import family_to_dict
 
 GOLDEN = Path(__file__).parent / "golden"
 INPUTS = GOLDEN / "inputs"
@@ -95,6 +98,10 @@ CENTRALIZERS = {
     "solve-s2-unrestricted": ("solve-s2", 9, ("--unrestricted",)),
 }
 WITH_SYMMETRY = {"so2", "holomorphic"}
+# diagnose only: symmetry input name -> the field it commutes with; the
+# paper's joint-kernel linearization, diag(1, -2, 4) with a field of
+# spectrum (1, -3, 9); certify.py reads this table with ast.literal_eval too
+SYMMETRY_DIAGNOSES = {"linearizable-3d-symmetry": "linearizable-3d"}
 COMMANDS = ("normalize", "diagnose", "centralizer", "resonances")
 # snapshot name -> (spectrum a, spectrum b, maximum degree)
 JOINT = {
@@ -104,8 +111,10 @@ JOINT = {
 CASES = ([(name, command) for name in ORDERS for command in COMMANDS]
          + [(name, "normalize") for name in DEEP]
          + [(name, "centralizer") for name in CENTRALIZERS]
+         + [(name, "diagnose") for name in SYMMETRY_DIAGNOSES]
          + [(name, "kernel-intersection") for name in JOINT])
 TEXT_CASES = ([(name, command) for name in ORDERS for command in COMMANDS]
+              + [(name, "diagnose") for name in SYMMETRY_DIAGNOSES]
               + [(name, "kernel-intersection") for name in JOINT])
 # family input name -> the corpus builder its document is written from
 FAMILY_BUILDERS = {"hopf": hopf_family, "oscillator": oscillator_family}
@@ -144,6 +153,11 @@ def _argv(name: str, command: str, out: Path, fmt: str = "json") -> list:
                                                 (name, ORDERS.get(name), ()))
         return [command, "--input", str(INPUTS / f"{field}.normal-form.json"),
                 "--degree", str(degree), *flags, *tail]
+    if name in SYMMETRY_DIAGNOSES:
+        field = SYMMETRY_DIAGNOSES[name]
+        return [command, "--input", str(INPUTS / f"{field}.json"),
+                "--order", str(ORDERS[field]),
+                "--symmetry", str(INPUTS / f"{name}.json"), *tail]
     order = str(ORDERS.get(name) or DEEP[name])
     if command == "resonances":
         argv = [command, "--input", str(INPUTS / f"{name}.json"),
@@ -180,7 +194,7 @@ TEXT_SNAPSHOTS = sorted(GOLDEN.glob("*.txt"))
 
 
 def test_every_text_snapshot_has_a_json_twin():
-    assert len(TEXT_SNAPSHOTS) == len(TEXT_CASES) + len(BIFURCATIONS) == 33
+    assert len(TEXT_SNAPSHOTS) == len(TEXT_CASES) + len(BIFURCATIONS) == 34
     assert all(path.with_suffix(".json").exists() for path in TEXT_SNAPSHOTS)
 
 

@@ -113,10 +113,11 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import dump_document
 from dulac.bifurcation import suspend
 from dulac.centralizer import centralizer_basis
 from dulac.errors import SingularLinearPartError
-from dulac.fieldfile import (component_terms, dump_document, family_from_dict,
+from dulac.fieldfile import (component_terms, family_from_dict,
                              family_to_dict, field_to_dict, term_list)
 from dulac.linalg import mat_det, nullspace
 from dulac.maps import NearIdentityMap, pull_back
