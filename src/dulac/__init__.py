@@ -11,10 +11,8 @@ runs over Gaussian rationals; nothing is ever rounded.
 
 from ._version import __version__
 from .bifurcation import (
-    DMatrix,
     ParamFamily,
     build_D,
-    build_oscillator_D,
     oscillator_pattern,
     suspend,
 )
@@ -47,7 +45,6 @@ from .errors import (
     TruncationOrderError,
 )
 from .fieldfile import (
-    Document,
     family_from_dict,
     family_to_dict,
     field_from_dict,
@@ -87,11 +84,9 @@ __all__ = [
     "CentralizerBasis",
     "ConditionAResult",
     "CriterionCheck",
-    "DMatrix",
     "DegenerateEigenvaluesError",
     "DiagnosticsReport",
     "DimensionMismatchError",
-    "Document",
     "DulacError",
     "GaussianRational",
     "GrowthClassification",
@@ -113,7 +108,6 @@ __all__ = [
     "apply_derivation",
     "as_scalar",
     "build_D",
-    "build_oscillator_D",
     "centralizer_basis",
     "check_commute",
     "condition_a",

@@ -6,7 +6,9 @@ the n x n matrix whose first column holds the critical eigenvalues and
 whose remaining columns hold the partial derivatives of the diagonal
 entries of A at eta = 0 must be nonsingular.  A variant layout covers the
 resonant pair of oscillators with frequency ratio 1:m, where the
-eigenvalue column is divided by i*omega_0 and moved last.
+eigenvalue column is divided by i*omega_0 and moved last.  ``build_D``
+returns the rows in the layout the command line calls ``standard`` or
+``oscillator``; ``LAYOUT_NAMES`` gives the name each report prints.
 
 A family is held as its suspension: the autonomous field on (x, eta)-space
 with eta' = 0, so the parameter-dependent normal form machinery reduces
@@ -26,7 +28,6 @@ from .errors import (
     InputFormatError,
     ParameterCountError,
 )
-from .linalg import mat_det
 from .poly import PolyVectorField, Spectrum
 from .scalars import GaussianRational, as_scalar
 
@@ -80,22 +81,6 @@ class ParamFamily:
         return Spectrum(self.field.spectrum.values[:self.n])
 
 
-@dataclass(frozen=True)
-class DMatrix:
-    """Nondegeneracy matrix of a family at the critical parameter value.
-
-    ``layout`` is eigenvalue-first (eigenvalues in column 1, then the
-    partial derivatives of the diagonal of A) or oscillator (derivative
-    columns first, the integer pattern (1, -1, m, -m) last).
-    """
-
-    entries: Tuple[Tuple[GaussianRational, ...], ...]
-    layout: str
-
-    def determinant(self) -> GaussianRational:
-        return mat_det(self.entries)
-
-
 def _diagonal_derivatives(family: ParamFamily) -> List[List[GaussianRational]]:
     """d A_ii / d eta_k at eta = 0: the coefficient of x_i * eta_k in
     component i."""
@@ -121,20 +106,6 @@ def _require_shape(family: ParamFamily) -> Spectrum:
     return spec
 
 
-def build_D(family: ParamFamily) -> DMatrix:
-    """Assemble the eigenvalue-first nondegeneracy matrix.
-
-    Column 1 holds the critical eigenvalues; column k+1 holds the exact
-    partial derivative of each diagonal entry of A with respect to the
-    k-th parameter at eta = 0.
-    """
-    spec = _require_shape(family)
-    partials = _diagonal_derivatives(family)
-    entries = tuple(tuple([spec[i]] + partials[i])
-                    for i in range(family.n))
-    return DMatrix(entries, "eigenvalue-first")
-
-
 def oscillator_pattern(spectrum: Spectrum) -> Optional[Tuple[GaussianRational, int]]:
     """Detect eigenvalues (i*w0, -i*w0, m*i*w0, -m*i*w0), m integer >= 2.
 
@@ -155,24 +126,32 @@ def oscillator_pattern(spectrum: Spectrum) -> Optional[Tuple[GaussianRational, i
     return base, int(ratio.real)
 
 
-def build_oscillator_D(family: ParamFamily) -> DMatrix:
-    """Assemble the 1:m resonant-oscillator variant of the matrix.
+# layout -> the name the bifurcation report prints for it
+LAYOUT_NAMES = {"standard": "eigenvalue-first", "oscillator": "oscillator"}
 
-    Requires the complexified eigenvalue pattern (i*w0, -i*w0, m*i*w0,
-    -m*i*w0); the eigenvalue column, divided by i*w0, becomes the integer
-    pattern (1, -1, m, -m) and moves to the last position.
+
+def build_D(family: ParamFamily,
+            layout: str = "standard") -> List[List[GaussianRational]]:
+    """The rows of the nondegeneracy matrix in the given layout.
+
+    Standard (eigenvalue-first): column 1 holds the critical eigenvalues;
+    column k+1 holds the exact partial derivative of each diagonal entry
+    of A with respect to the k-th parameter at eta = 0.  Oscillator: the
+    complexified eigenvalues must read (i*w0, -i*w0, m*i*w0, -m*i*w0);
+    the eigenvalue column, divided by i*w0, becomes the integer pattern
+    (1, -1, m, -m) and moves to the last position.
     """
     spec = _require_shape(family)
+    partials = _diagonal_derivatives(family)
+    if layout != "oscillator":
+        return [[lam] + row for lam, row in zip(spec, partials)]
     pattern = oscillator_pattern(spec)
     if pattern is None:
         raise DegenerateEigenvaluesError(
             "the oscillator layout needs eigenvalues "
             "(i*w0, -i*w0, m*i*w0, -m*i*w0) with integer m >= 2")
     _, m = pattern
-    partials = _diagonal_derivatives(family)
-    tail = [as_scalar(v) for v in (1, -1, m, -m)]
-    entries = tuple(tuple(partials[i] + [tail[i]]) for i in range(4))
-    return DMatrix(entries, "oscillator")
+    return [row + [as_scalar(v)] for row, v in zip(partials, (1, -1, m, -m))]
 
 
 def suspend(family: ParamFamily) -> PolyVectorField:

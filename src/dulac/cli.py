@@ -2,26 +2,29 @@
 
 Each command builds one payload, its JSON report.  ``main`` prints it as
 JSON under --json, else renders it as text, and reads the exit status off
-it.  Exit codes: 0 on success, 1 when --strict was given and a checked
-hypothesis failed, 2 for input problems (unreadable files, malformed
-documents, fields that violate a command's preconditions) and usage
-errors, 3 for internal errors.
+it.  ``fieldfile.load_document`` reads every document; the field
+commands refuse a ``ParamFamily`` from it, and ``bifurcation`` and
+``suspend`` refuse anything else.  Exit codes: 0 on success, 1 when
+--strict was given and a checked hypothesis failed, 2 for input problems
+(unreadable files, malformed documents, fields that violate a command's
+preconditions) and usage errors, 3 for internal errors.
 """
 
 import argparse
 import functools
 import json
 import sys
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 from ._version import __version__
-from .bifurcation import ParamFamily, build_D, build_oscillator_D, suspend
+from .bifurcation import LAYOUT_NAMES, ParamFamily, build_D, suspend
 from .centralizer import centralizer_basis, kernel_intersection
 from .diagnostics import (check_centralizer_degree, check_commuting_field,
                           diagnose)
 from .errors import (DimensionMismatchError, DulacError, InputFormatError,
                      NonDiagonalLinearPartError)
 from .fieldfile import component_terms, field_to_dict, load_document, term_list
+from .linalg import mat_det
 from .normalizer import normalize
 from .poly import PolyVectorField, Spectrum, format_terms
 from .resonance import resonant_monomials
@@ -29,12 +32,12 @@ from .scalars import GaussianRational, ScalarParseError
 
 
 def _field_document(path: str) -> PolyVectorField:
-    doc = load_document(path)
-    if doc.kind != "field":
+    field, _ = load_document(path)
+    if isinstance(field, ParamFamily):
         raise InputFormatError(
             f"{path}: expected a vector field document, found a family; "
             "use the family commands for it")
-    return doc.field
+    return field
 
 
 def _load_field(path: str) -> PolyVectorField:
@@ -57,12 +60,12 @@ def _load_symmetry(path: str, dim: int) -> PolyVectorField:
     return symmetry
 
 
-def _load_family(path: str):
-    doc = load_document(path)
-    if doc.kind != "family":
+def _load_family(path: str) -> Tuple[ParamFamily, Tuple[str, ...]]:
+    family, names = load_document(path)
+    if not isinstance(family, ParamFamily):
         raise InputFormatError(
             f"{path}: expected a family document with a params block")
-    return doc
+    return family, names
 
 
 def _parse_spectrum(text: str, flag: str) -> Spectrum:
@@ -192,28 +195,26 @@ def _cmd_kernel_intersection(args) -> dict:
 
 def bifurcation_payload(family: ParamFamily, layout: str = "standard") -> dict:
     """The ``bifurcation`` report of a family in the given layout."""
-    matrix = (build_oscillator_D(family) if layout == "oscillator"
-              else build_D(family))
-    det = matrix.determinant()
+    rows = build_D(family, layout)
+    det = mat_det(rows)
     return {
         "version": __version__,
         "command": "bifurcation",
-        "layout": matrix.layout,
+        "layout": LAYOUT_NAMES[layout],
         "eigenvalues": [str(v) for v in family.eigenvalues()],
-        "D": [[str(v) for v in row] for row in matrix.entries],
+        "D": [[str(v) for v in row] for row in rows],
         "determinant": str(det),
         "nonsingular": det != 0,
     }
 
 
 def _cmd_bifurcation(args) -> dict:
-    return bifurcation_payload(_load_family(args.family).family, args.layout)
+    return bifurcation_payload(_load_family(args.family)[0], args.layout)
 
 
 def _cmd_suspend(args) -> dict:
-    doc = _load_family(args.family)
-    names = list(doc.var_names) + list(doc.param_names)
-    return field_to_dict(suspend(doc.family), var_names=names)
+    family, names = _load_family(args.family)
+    return field_to_dict(suspend(family), var_names=names)
 
 
 def _cmd_corpus(args) -> dict:
@@ -502,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bifurcation", help="nondegeneracy determinant of a "
                                            "parameter family")
     p.add_argument("--family", required=True, metavar="FILE")
-    p.add_argument("--layout", choices=["standard", "oscillator"],
+    p.add_argument("--layout", choices=list(LAYOUT_NAMES),
                    default="standard")
     _add_common(p, _cmd_bifurcation, strict=True)
 

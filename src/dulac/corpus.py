@@ -133,11 +133,10 @@ EntryOutcome = Tuple[bool, str, List[str]]
 
 
 def _verdict(report: dict, name: str) -> Tuple[bool, List[str]]:
-    """Whether a diagnose criterion reads verified; its verdict line."""
+    """Whether a diagnose criterion is applicable; its verdict line."""
     verdict = next(c["verdict"] for c in report["criteria"]
                    if c["name"] == name)
-    return (verdict == f"hypotheses-verified-to-order-{report['order']}",
-            [f"{name}: {verdict}"])
+    return name in report["applicable"], [f"{name}: {verdict}"]
 
 
 def _run_horn() -> EntryOutcome:

@@ -97,13 +97,14 @@ def _undivided_term(fnl: PolyVectorField
 class ConditionAResult:
     """Outcome of matching the nonlinear part against alpha(x) * Ax.
 
-    When satisfied, ``alpha`` is the recovered scalar series and the two
-    derivative flags record that alpha is constant along the field and
-    along its linear part.  When violated, ``witness`` holds the scalar
-    monomial m and the 1-based components (j, jprime) whose coefficients
-    cannot come from a single alpha; j == jprime marks a constraint that
-    is impossible inside one component (zero eigenvalue, or a term not
-    divisible by its own variable, as ``witness_reason`` explains).
+    When satisfied, ``alpha`` is the recovered scalar series, with
+    F = alpha * Ax through the order, and the two derivative flags record
+    that alpha is constant along the field and along its linear part.
+    When violated, ``witness`` holds the scalar monomial m and the
+    1-based components (j, jprime) whose coefficients cannot come from a
+    single alpha; j == jprime marks a constraint that is impossible
+    inside one component (zero eigenvalue, or a term not divisible by its
+    own variable, as ``witness_reason`` explains).
     """
 
     satisfied: bool
@@ -174,7 +175,7 @@ def condition_a(fhat: PolyVectorField) -> ConditionAResult:
             alpha_terms[m] = pinned
     alpha = PolyScalar(dim, fhat.order, alpha_terms)
     return ConditionAResult(
-        (fnl - lin.scalar_mul(alpha)).is_zero(), fhat.order, alpha=alpha,
+        True, fhat.order, alpha=alpha,
         constant_along_field=apply_derivation(fhat, alpha).is_zero(),
         constant_along_linear=apply_derivation(lin, alpha).is_zero())
 
@@ -318,7 +319,7 @@ def _not_applicable(name: str, detail: str) -> CriterionCheck:
 
 
 def _classical_criteria(fhat: PolyVectorField, cond_a: ConditionAResult,
-                        linear: bool, in_domain: bool, omega: OmegaReport,
+                        omega: OmegaReport,
                         order: int) -> List[CriterionCheck]:
     """Poincare domain, Bruno's Condition A with the small-divisor bound,
     and Pliss linearity, in that order."""
@@ -327,7 +328,8 @@ def _classical_criteria(fhat: PolyVectorField, cond_a: ConditionAResult,
                 f"{as_scalar(omega.rational_bound_sq)} "
                 f"for every k (common-denominator bound)",)
     return [
-        _verified("poincare-domain", None, exact=hull) if in_domain
+        _verified("poincare-domain", None, exact=hull)
+        if poincare_domain(fhat.spectrum)
         else _failed("poincare-domain",
                      "the convex hull of the eigenvalues contains the origin",
                      exact=hull),
@@ -343,7 +345,7 @@ def _classical_criteria(fhat: PolyVectorField, cond_a: ConditionAResult,
                   exact=divisors,
                   truncated=(f"the normal form is linear through order "
                              f"{order}",))
-        if linear
+        if pliss_linear(fhat)
         else _failed("pliss-linearity",
                      f"the normal form keeps nonlinear terms (lowest degree "
                      f"{fhat.nonlinear_part().min_degree()})", order,
@@ -481,13 +483,13 @@ class DiagnosticsReport:
 
     ``to_dict`` gives the JSON-ready report that ``diagnose`` prints; its
     text form is rendered from that dict by the command line.  The order
-    and the eigenvalues it prints are the normal form's.
+    and the eigenvalues it prints are the normal form's, and its
+    ``linear_normal_form`` and ``poincare_domain`` keys say whether
+    ``applicable`` lists pliss-linearity and poincare-domain.
     """
 
     centralizer_degree: Optional[int]
     condition_a: ConditionAResult
-    pliss: bool
-    poincare: bool
     omega: OmegaReport
     growth: Optional[GrowthClassification]
     criteria: Tuple[CriterionCheck, ...]
@@ -562,6 +564,7 @@ class DiagnosticsReport:
             "assumed": list(c.assumed),
         } for c in self.criteria]
         fhat = self.normal_form
+        applicable = self.applicable()
         return {
             "version": __version__,
             "order": fhat.order,
@@ -569,12 +572,12 @@ class DiagnosticsReport:
             "eigenvalues": [str(v) for v in fhat.spectrum],
             "normal_form": [format_poly(c) for c in fhat.components],
             "condition_a": ca_dict,
-            "linear_normal_form": self.pliss,
-            "poincare_domain": self.poincare,
+            "linear_normal_form": "pliss-linearity" in applicable,
+            "poincare_domain": "poincare-domain" in applicable,
             "small_divisors": omega,
             "growth": growth,
             "criteria": criteria,
-            "applicable": self.applicable(),
+            "applicable": applicable,
             "summary": self.summary(),
         }
 
@@ -641,18 +644,13 @@ def diagnose(f: PolyVectorField, order: int,
     result = normalize(f, order)
     fhat = result.normal_form
     cond_a = condition_a(fhat)
-    linear = pliss_linear(fhat)
-    in_domain = poincare_domain(fhat.spectrum)
     omega = omega_condition(fhat.spectrum, omega_max_k)
     cz_degree = order if centralizer_degree is None else centralizer_degree
-    criteria = (
-        _classical_criteria(fhat, cond_a, linear, in_domain, omega, order)
-        + _symmetry_criteria(f, fhat, symmetry, order, cz_degree))
+    criteria = (_classical_criteria(fhat, cond_a, omega, order)
+                + _symmetry_criteria(f, fhat, symmetry, order, cz_degree))
     return DiagnosticsReport(
         centralizer_degree=cz_degree if symmetry is not None else None,
         condition_a=cond_a,
-        pliss=linear,
-        poincare=in_domain,
         omega=omega,
         growth=_transformation_growth(result),
         criteria=tuple(criteria),

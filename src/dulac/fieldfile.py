@@ -44,8 +44,11 @@ suspension, a field over (x, eta) known through order + 1: each matrix
 term c * eta^e of cell (i, j) becomes the term c * x_j * eta^e of
 component i, so a cell term may reach eta-degree ``order`` and no
 further, and ``family_to_dict`` regroups the terms of x-degree 1 into
-the cells.  All parse failures raise InputFormatError naming the
-JSON path of the offending value.
+the cells.  ``load_document`` reads a file as a family when it has a
+``params`` block and as a field otherwise, and returns it with its
+names: the variables of a field, the state variables and then the
+parameters of a family.  All parse failures raise InputFormatError
+naming the JSON path of the offending value.
 
 This module owns the term entry {"coeff", "exps", "comp"} both ways:
 ``component_terms`` and ``term_list`` write it for documents and reports,
@@ -56,8 +59,7 @@ makes, exceed the work budget.
 """
 
 import json
-from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple, Union
 
 from .bifurcation import ParamFamily
 from .errors import (
@@ -75,17 +77,6 @@ from .poly import (
     check_scan_budget,
 )
 from .scalars import GaussianRational, as_scalar
-
-
-@dataclass(frozen=True)
-class Document:
-    """One parsed input file: a plain field or a parameter family."""
-
-    kind: str  # "field" or "family"
-    field: Optional[PolyVectorField]
-    family: Optional[ParamFamily]
-    var_names: Tuple[str, ...]
-    param_names: Tuple[str, ...]
 
 
 def _fail(where: str, message: str) -> None:
@@ -327,8 +318,10 @@ def family_from_dict(data: Any, where: str = "family"
     return ParamFamily(field, p), var_names, param_names
 
 
-def load_document(path: str) -> Document:
-    """Read a JSON document from ``path`` and parse it as field or family."""
+def load_document(path: str) -> Tuple[Union[PolyVectorField, ParamFamily],
+                                      Tuple[str, ...]]:
+    """Read the JSON document at ``path``: a field or a family, with its
+    names."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
@@ -345,9 +338,8 @@ def load_document(path: str) -> Document:
         raise InputFormatError(f"{path}: {exc}") from exc
     if isinstance(data, dict) and "params" in data:
         family, var_names, param_names = family_from_dict(data, where=path)
-        return Document("family", None, family, var_names, param_names)
-    field, var_names = field_from_dict(data, where=path)
-    return Document("field", field, None, var_names, ())
+        return family, var_names + param_names
+    return field_from_dict(data, where=path)
 
 
 def component_terms(poly: PolyScalar, comp: int) -> List[dict]:

@@ -41,8 +41,9 @@ def _frac(text: str) -> Fraction:
             f"bad rational {text!r}: expected an integer or a/b")
     try:
         return Fraction(text)
-    except ZeroDivisionError as exc:
-        raise ScalarParseError(f"bad rational {text!r}: {exc}") from None
+    except ZeroDivisionError:
+        raise ScalarParseError(
+            f"bad rational {text!r}: zero denominator") from None
     except ValueError as exc:
         # more digits than int() converts; too long to echo back
         raise ScalarParseError(

@@ -153,6 +153,8 @@ def _change_planar_verdict(report):
     for criterion in report["criteria"]:
         if criterion["name"] == "planar-analytic-symmetry":
             criterion["verdict"] = "hypothesis-failed"
+    report["applicable"] = [name for name in report["applicable"]
+                            if name != "planar-analytic-symmetry"]
 
 
 def _change_oscillator_determinant(report):

@@ -164,7 +164,7 @@ def test_diagnose_poincare_domain():
         "a convergent normalizing transformation is guaranteed (poincare-domain)"
     )
     assert [str(p) for p in report.normal_form.components] == ["x1", "2*x2 + x1^2"]
-    assert report.poincare
+    assert report.to_dict()["poincare_domain"]
     assert report.growth is None
 
 
@@ -181,8 +181,9 @@ def test_diagnose_divergent_horn():
     assert report.growth.estimate == pytest.approx(1.0)
     assert not report.condition_a.satisfied
     assert report.condition_a.witness == ((1, 0), 1, 1)
-    assert not report.pliss
-    assert not report.poincare
+    report_dict = report.to_dict()
+    assert not report_dict["linear_normal_form"]
+    assert not report_dict["poincare_domain"]
 
 
 def test_diagnose_with_symmetry():
@@ -195,7 +196,7 @@ def test_diagnose_with_symmetry():
         "pliss-linearity",
         "joint-kernel-linearization",
     ]
-    assert report.pliss
+    assert report.to_dict()["linear_normal_form"]
     assert report.omega.verdict == "holds-by-rational-bound"
     assert report.centralizer_degree == 8
     verdicts = {check.name: check.verdict for check in report.criteria}

@@ -50,8 +50,8 @@ def test_eigenvalues_imply_linear_part():
     ids=lambda p: p.stem)
 def test_golden_input_loads_with_its_declared_spectrum(path):
     declared = json.loads(path.read_text())["eigenvalues"]
-    doc = load_document(str(path))
-    assert doc.field.spectrum == Spectrum(
+    field, _ = load_document(str(path))
+    assert field.spectrum == Spectrum(
         GaussianRational.parse(v) for v in declared)
 
 
@@ -97,7 +97,9 @@ def test_imaginary_eigenvalues_round_trip():
     assert out["terms"] == [{"coeff": "1-2*i", "exps": [2, 1], "comp": 1}]
 
 
+# each case edits the base document, or is a whole document in its place
 @pytest.mark.parametrize("mutate,message", [
+    ([], "field: expected a JSON object"),
     (lambda d: d.pop("dim"), "field: missing required key 'dim'"),
     (lambda d: d.update(dim=0), "field.dim: must be at least 1"),
     (lambda d: d.update(dim=True), "field.dim: expected an integer"),
@@ -105,18 +107,28 @@ def test_imaginary_eigenvalues_round_trip():
     (lambda d: d.update(eigenvalues=["1"]), "field.eigenvalues: expected 2 entries"),
     (lambda d: d.update(eigenvalues=["1", "oops"]),
      "field.eigenvalues[1]: bad rational 'oops'"),
+    (lambda d: d.update(eigenvalues=["1", "1/0"]),
+     "field.eigenvalues[1]: bad rational '1/0': zero denominator"),
     (lambda d: d.update(vars=["u", "u"]), "field.vars: names must be distinct"),
     (lambda d: d.update(vars=["u"]), "field.vars: expected 2 names, found 1"),
     (lambda d: d.update(linear_matrix=[["1", "0"], ["0", "-1"]]),
      "field: eigenvalues and linear_matrix cannot both be given"),
+    (lambda d: [d.pop("eigenvalues"),
+                d.update(linear_matrix=[["1", "0"], ["0"]])],
+     "field.linear_matrix[1]: expected 2 entries"),
+    (lambda d: d.update(terms={}), "field.terms: expected a list of terms"),
     (lambda d: d.update(terms=[{"coeff": 1.5, "exps": [2, 1], "comp": 1}]),
      "field.terms[0].coeff: scalars must be exact strings or integers, not floats"),
     (lambda d: d.update(terms=[{"coeff": "1", "exps": [2], "comp": 1}]),
      "field.terms[0].exps: expected 2 exponents, found 1"),
+    (lambda d: d.update(terms=[{"coeff": "1", "exps": 3, "comp": 1}]),
+     "field.terms[0].exps: expected a list of exponents"),
     (lambda d: d.update(terms=[{"coeff": "1", "exps": [2, -1], "comp": 1}]),
      "field.terms[0].exps[1]: exponents must be nonnegative integers"),
     (lambda d: d.update(terms=[{"coeff": "1", "exps": [2, 1], "comp": 3}]),
      "field.terms[0].comp: component must be between 1 and 2"),
+    (lambda d: d.update(terms=[{"coeff": "1", "exps": [2, 1], "comp": "1"}]),
+     "field.terms[0].comp: expected an integer component"),
     (lambda d: d.update(terms=[{"coeff": "1", "exps": [2, 1], "comp": 1, "x": 0}]),
      "field.terms[0]: unknown keys ['x']"),
     (lambda d: d.update(terms=[{"coeff": "1", "exps": [1, 0], "comp": 1}]),
@@ -127,7 +139,10 @@ def test_imaginary_eigenvalues_round_trip():
 ])
 def test_field_error_paths(mutate, message):
     data = base_field_dict()
-    mutate(data)
+    if callable(mutate):
+        mutate(data)
+    else:
+        data = mutate
     with pytest.raises(InputFormatError) as err:
         field_from_dict(data)
     assert str(err.value).startswith(message)
@@ -143,8 +158,17 @@ def test_family_round_trip_matches_builder():
 
 
 @pytest.mark.parametrize("mutate,message", [
+    (lambda d: d.update(params=[]),
+     "family.params: expected an object with names and matrix"),
     (lambda d: d["params"].pop("matrix"),
      "family.params: missing required key 'matrix'"),
+    (lambda d: d["params"]["matrix"].pop(),
+     "family.params.matrix: expected 2 rows"),
+    (lambda d: d["params"]["matrix"][1].pop(),
+     "family.params.matrix[1]: expected 2 entries"),
+    (lambda d: d["params"]["matrix"][0].__setitem__(1, {"coeff": "0"}),
+     "family.params.matrix[0][1]: expected a scalar or a list of "
+     "{coeff, exps} terms in the parameters"),
     (lambda d: d["params"].update(names=["a", "a"]),
      "family.params.names: names must be distinct"),
     (lambda d: d["params"].update(names=3),
@@ -170,17 +194,14 @@ def test_family_error_paths(mutate, message):
 def test_load_document_kinds(tmp_path):
     field_path = tmp_path / "field.json"
     field_path.write_text(dump_document(field_to_dict(so2_field(7))))
-    doc = load_document(str(field_path))
-    assert doc.kind == "field"
-    assert doc.field == so2_field(7)
-    assert doc.family is None
+    assert load_document(str(field_path)) == (so2_field(7),
+                                              ("x1", "x2", "x3"))
 
+    # a family's names are its state variables, then its parameters
     family_path = tmp_path / "family.json"
     family_path.write_text(dump_document(hopf_dict()))
-    doc2 = load_document(str(family_path))
-    assert doc2.kind == "family"
-    assert doc2.field is None
-    assert doc2.param_names == ("eta",)
+    assert load_document(str(family_path)) == (hopf_family(),
+                                               ("x1", "x2", "eta"))
 
 
 def test_load_document_bad_json(tmp_path):

@@ -1,5 +1,7 @@
 """Every name a module of ``src/dulac`` or ``tests`` imports is used in
-that module, and ``tests/certify.py`` imports the standard library alone.
+that module, ``tests/certify.py`` imports the standard library alone, and
+``dulac.__all__`` lists exactly the names the package ``__init__``
+imports, each of which resolves.
 
 A name counts as used when the module reads it (``name`` or
 ``name.attr``) or lists it in ``__all__``.  An import on a line marked
@@ -12,6 +14,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import dulac
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "dulac"
@@ -71,3 +75,14 @@ def test_certificate_imports_the_standard_library_alone():
     assert modules
     assert "dulac" not in modules
     assert modules <= sys.stdlib_module_names
+
+
+def test_package_exports_exactly_what_it_imports():
+    # a name left in __all__ after its definition is gone would fail
+    # only at `from dulac import *`
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert sorted(dulac.__all__) == sorted(imported)
+    for name in dulac.__all__:
+        assert hasattr(dulac, name), name

@@ -56,6 +56,12 @@ reference kept here is ``ref_str``, for the printer that certify lacks.
   that system, is the dimension of the linear fields commuting with the
   normal form, which ``kernel_dimension`` finds from the degree-1
   resonant unknowns alone.
+* ``condition_a`` returns no witness only when F = alpha * Ax through
+  the order, checked with certify's ``product``, which is why it builds
+  no residual; on normal forms of the form alpha * Ax, of random
+  resonant terms or of both, a witness (m, j, j') with j != j' names
+  components whose coefficients at x^(m+e_j) over lambda_j differ, and
+  one with j = j' a zero lambda_j under a term or an undivided term.
 * ``nullspace`` returns the same basis whatever the order of its rows.
 * ``add_scaled``, through which every coefficient sum of the kernel runs,
   is the sum certify's ``accumulate`` builds, zeros dropped, and never
@@ -116,6 +122,7 @@ from hypothesis import strategies as st
 from conftest import dump_document
 from dulac.bifurcation import suspend
 from dulac.centralizer import centralizer_basis
+from dulac.diagnostics import condition_a
 from dulac.errors import SingularLinearPartError
 from dulac.fieldfile import (component_terms, family_from_dict,
                              family_to_dict, field_to_dict, term_list)
@@ -460,6 +467,71 @@ def test_centralizer_columns_match_whole_brackets(f):
                   "elements": [{"terms": term_list(g.components)}
                                for g in restricted]}
         assert certify.certify_centralizer(document, report) is None
+
+
+@st.composite
+def condition_a_cases(draw):
+    """(Ax + F, proportional): a normal form whose F is alpha * Ax for a
+    first integral alpha of Ax (proportional), or random resonant terms,
+    or the sum of both.  The spectra are those of ``resonant_fields``."""
+    values = draw(st.sampled_from([(1, 1, -2), (1, -1), (1, 2), (0, 0),
+                                   (0, 0, 1), (1, -1, 0)]))
+    dim = len(values)
+    order = draw(st.integers(min_value=2, max_value=6))
+    resonant = sorted(certify.resonant_pairs(
+        [[certify.parse_scalar(v) for v in values]], order))
+    # m - e_j of a resonant pair (m, j) with m_j > 0 has weight zero
+    integrals = sorted({m[:j - 1] + (m[j - 1] - 1,) + m[j:]
+                        for m, j in resonant if m[j - 1]})
+    kind = draw(st.sampled_from(["proportional", "resonant", "both"]))
+    lin = linear_field(Spectrum(values), order)
+    field = lin
+    if kind != "resonant" and integrals:
+        alpha = PolyScalar(dim, order, {
+            m: draw(nonzero_scalars) for m in draw(st.lists(
+                st.sampled_from(integrals), min_size=1, max_size=3,
+                unique=True))})
+        field = field + lin.scalar_mul(alpha)
+    if kind != "proportional" and resonant:
+        field = field + PolyVectorField.from_terms(dim, order, [
+            (j - 1, m, draw(nonzero_scalars)) for m, j in draw(st.lists(
+                st.sampled_from(resonant), min_size=1, max_size=3,
+                unique=True))])
+    return field, kind == "proportional"
+
+
+@settings(PROPERTY_SETTINGS, max_examples=150)
+@given(condition_a_cases())
+def test_condition_a_finds_a_witness_or_alpha_times_the_linear_part(case):
+    fhat, proportional = case
+    result = condition_a(fhat)
+    order, dim = fhat.order, fhat.dim
+    lam = [read_scalar(v) for v in fhat.spectrum]
+    nonlinear = read_field(fhat.nonlinear_part())
+    if result.witness is None:
+        # F = alpha * Ax through the order, term by term
+        assert result.satisfied
+        alpha = read_poly(result.alpha)
+        assert nonlinear == [
+            certify.product(alpha, {certify.unit(dim, j): lam[j]}, order)
+            for j in range(dim)]
+        return
+    assert not result.satisfied and not proportional
+    m, j, k = result.witness
+
+    def coefficient(comp):
+        target = tuple(e + (i == comp - 1) for i, e in enumerate(m))
+        return nonlinear[comp - 1].get(target, certify.ZERO)
+
+    if j != k:
+        # the named components need different alpha_m
+        assert (certify.mul(coefficient(j), certify.inverse(lam[j - 1]))
+                != certify.mul(coefficient(k), certify.inverse(lam[k - 1])))
+    elif m[j - 1] == 0 and m in nonlinear[j - 1]:
+        pass  # a term of component j without an x_j factor
+    else:
+        assert lam[j - 1] == certify.ZERO
+        assert coefficient(j) != certify.ZERO
 
 
 @st.composite
