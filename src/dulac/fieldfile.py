@@ -59,6 +59,7 @@ makes, exceed the work budget.
 """
 
 import json
+import sys
 from typing import Any, List, Optional, Sequence, Tuple, Union
 
 from .bifurcation import ParamFamily
@@ -333,9 +334,11 @@ def load_document(path: str) -> Tuple[Union[PolyVectorField, ParamFamily],
         raise InputFormatError(
             f"{path}: invalid JSON at line {exc.lineno}, column "
             f"{exc.colno}: {exc.msg}") from exc
-    except ValueError as exc:
+    except ValueError:
         # an integer literal with more digits than int() converts
-        raise InputFormatError(f"{path}: {exc}") from exc
+        raise InputFormatError(
+            f"{path}: an integer has more than "
+            f"{sys.get_int_max_str_digits()} digits") from None
     if isinstance(data, dict) and "params" in data:
         family, var_names, param_names = family_from_dict(data, where=path)
         return family, var_names + param_names

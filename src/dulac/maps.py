@@ -19,7 +19,8 @@ Every operation rests on two private primitives.
 ``_evaluate`` substitutes a map's components into a field's, through the
 smaller of the two orders: ``compose`` evaluates the outer map at the
 inner one, ``pull_back`` the field at Phi.  The n substitutions share one
-table of the monomials x^m(Phi) (see ``PolyScalar.substitute``), and each
+table of the monomials x^m(Phi) (see ``PolyScalar.substitute``) and the
+degree through which that table is built, found once per evaluation; each
 map keeps the table for its own order, so in ``normalize``
 ``pull_back(step, f)`` and ``phi.compose(step)`` multiply out each
 monomial of a step once for both calls.  A substitution at another order
@@ -37,8 +38,20 @@ w; a finished degree is never recomputed (van der Hoeven's relaxed
 evaluation, "Relax, but don't be too lazy", JSC 2002).  The inversion
 reads the monomials x^m(Phi), which a hook extends to degree w by
 ``Series.product_part`` before each pass; the pull-back reads f(Phi) from
-``_evaluate`` and the unknown itself.  This module holds no polynomial
-or term arithmetic of its own and only picks which parts meet.
+``_evaluate`` and the unknown itself.
+
+Both solves build their rows straight from the map's terms.  Row i of
+the inversion holds -Linv[i][k] c at the monomial x^m(Phi) for each term
+c x^m of h_k, and Phi's degree-1 parts are the rows of Linv
+(``Series.linear``).  Row i of the pull-back holds Linv[i][k] at f_k(Phi)
+and, at shift a, Linv[i][k] times part a of -d_j h_k, for each j and a;
+``Series.negated_gradient`` builds every part of -Dh_k in one pass over
+the terms of h_k.  An entry 1 of Linv, as in every map that
+``normalize`` builds, multiplies nothing: the inversion's product
+Linv[i][k] c hands back c itself, and the pull-back's factors are the
+parts of -Dh_k as built, since ``Series.sum_of_products`` hands back the
+part of a lone pair with the unit factor.  This module holds no
+polynomial or term arithmetic of its own and only picks which parts meet.
 """
 
 from __future__ import annotations
@@ -48,7 +61,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from .errors import DimensionMismatchError
 from .linalg import mat_inverse
 from .poly import (Part, PolyScalar, PolyVectorField, Series,
-                   _monomial_chain, _unit)
+                   _built_through, _monomial_chain, _unit)
 
 
 class NearIdentityMap(PolyVectorField):
@@ -100,8 +113,7 @@ class NearIdentityMap(PolyVectorField):
         # raises SingularLinearPartError if L is not invertible
         linv = mat_inverse(self.linear_matrix())
         # phi[i].parts[d]: the degree-d terms of Phi_i, from Phi_1 = Linv y
-        phi = [Series.of(comp, order)
-               for comp in NearIdentityMap.from_linear(linv, order).components]
+        phi = [Series.linear(row, order) for row in linv]
         # h's terms c x^m with degree |m| >= 2, by component
         h_terms = [[(exps, coeff) for exps, coeff in comp.terms.items()
                     if sum(exps) >= 2] for comp in self.components]
@@ -120,8 +132,9 @@ class NearIdentityMap(PolyVectorField):
                 if work >= degree:
                     series.parts.append(lower.product_part(factor, work))
 
-        # Phi_i = -sum_k Linv[i][k] h_k(Phi) above degree 1
-        rows = [[(Series.scalar(-lc * coeff), powers[exps], 0)
+        # Phi_i = -sum_k Linv[i][k] h_k(Phi) above degree 1; the product
+        # hands back coeff itself for an entry 1
+        rows = [[(Series.scalar(-(lc * coeff)), powers[exps], 0)
                  for lc, terms in zip(row, h_terms) if lc
                  for exps, coeff in terms]
                 for row in linv]
@@ -131,8 +144,10 @@ class NearIdentityMap(PolyVectorField):
 def _evaluate(phi_map: NearIdentityMap, f: PolyVectorField) -> List[PolyScalar]:
     """Each f_i(Phi) through the smaller order, all from one table: the
     map's own when that order is the map's, else a fresh one."""
+    values = phi_map.components
     table = phi_map._table if f.order >= phi_map.order else {}
-    return [c.substitute(phi_map.components, table) for c in f.components]
+    built = _built_through(values, min(f.order, phi_map.order))
+    return [c.substitute(values, table, _built=built) for c in f.components]
 
 
 def _solve_by_degree(unknowns: List[Series],
@@ -175,18 +190,23 @@ def pull_back(phi_map: NearIdentityMap, f: PolyVectorField) -> PolyVectorField:
     # raises SingularLinearPartError if L is not invertible
     linv = mat_inverse(phi_map.linear_matrix())
     rhs = [Series.of(value, order) for value in _evaluate(phi_map, f)]
-    # the parts of DPhi above degree 0, which is L, are Dh's, exact because
-    # map components are exact polynomials
-    dh = [[Series.of(comp.partial(j), order).parts for j in range(dim)]
-          for comp in phi_map.components]
+    # -Dh by degree: the parts of DPhi above degree 0, which is L, exact
+    # because map components are exact polynomials
+    neg_dh = [Series.negated_gradient(comp, order)
+              for comp in phi_map.components]
     g = [Series(dim, order) for _ in range(dim)]
-    # g_i = sum_k Linv[i][k] (f_k(Phi) - sum_j,a [d_j h_k]_a g_j at shift a)
-    rows = [[(Series.scalar(c), series, 0) for c, series in zip(row, rhs) if c]
-            + [(Series.sum_of_products([(Series.scalar(-c), part)]), g[j], a)
-               for c, dh_k in zip(row, dh) if c
-               for j, parts in enumerate(dh_k)
-               for a, part in enumerate(parts) if a and part]
-            for row in linv]
+    # g_i = sum_k Linv[i][k] (f_k(Phi) - sum_j,a [d_j h_k]_a g_j at shift a);
+    # an entry 1 keeps the parts of -Dh_k as they are
+    rows = []
+    for row in linv:
+        factors = [Series.scalar(c) for c in row]
+        rows.append(
+            [(factor, series, 0) for factor, series in zip(factors, rhs)
+             if factor]
+            + [(Series.sum_of_products([(factor, part)]), g[j], a)
+               for factor, grad in zip(factors, neg_dh) if factor
+               for j, entry in enumerate(grad)
+               for a, part in enumerate(entry.parts) if part])
     return PolyVectorField(_solve_by_degree(g, rows, 0))
 
 

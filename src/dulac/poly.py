@@ -83,6 +83,8 @@ Exponents = Tuple[int, ...]
 TermMap = Dict[Exponents, GaussianRational]
 # The degree-d terms of a Series: (den, {packed key: (re, im)}), see Series.
 Part = Tuple[int, Dict[int, Tuple[int, int]]]
+# A reduced coefficient (re + im*i)/den as GaussianRational._t holds it.
+Triple = Tuple[int, int, int]
 Link = Tuple[Exponents, Exponents, int]   # m, m - e_i, i
 
 _COEFF_TYPES = (GaussianRational, int, Fraction)
@@ -166,15 +168,18 @@ def _monomial_chain(monomials: Iterable[Exponents],
     return links
 
 
-def _fixed_above(values: Sequence["PolyScalar"], order: int) -> Optional[int]:
-    """The degree above which x^m(values) = x^m through ``order``, or None.
+def _built_through(values: Sequence["PolyScalar"], order: int) -> float:
+    """The highest degree |m| at which ``substitute`` builds x^m(values).
 
+    Above it, x^m(values) is x^m through ``order`` or passes the order.
     When every values[i] is x_i + w_i, x_i with coefficient exactly 1 and
     no w_i with a term of degree below 2, each term of the product
     x^m(values) other than x^m trades some x_i for a w_i, so it has degree
     at least |m| - 1 + v, v the lowest degree in any w_i.  Such terms pass
     the order once |m| > order - v + 1.  A w_i term above the order counts
-    as degree order + 1, so with every w_i zero the bound is 0.
+    as degree order + 1, so with every w_i zero the bound is 0.  Other
+    values give the order when they vanish at the origin, since then
+    x^m(values) has no term below degree |m|, and math.inf when not.
     """
     dim = len(values)
     low = order + 1
@@ -182,14 +187,15 @@ def _fixed_above(values: Sequence["PolyScalar"], order: int) -> Optional[int]:
         unit = _unit(dim, i)
         # values over another number of variables hold no key ``unit``
         if value.terms.get(unit) != ONE:
-            return None
-        for exps in value.terms:
-            if exps != unit:
-                degree = sum(exps)
-                if degree < 2:
-                    return None
-                low = min(low, degree)
-    return order - low + 1
+            break
+        degrees = [sum(exps) for exps in value.terms if exps != unit]
+        if degrees and min(degrees) < 2:
+            break
+        low = min([low] + degrees)
+    else:
+        return order - low + 1
+    origin = (0,) * values[0].dim
+    return math.inf if any(origin in v.terms for v in values) else order
 
 
 class PolyScalar:
@@ -388,16 +394,19 @@ class PolyScalar:
         return PolyScalar._canonical(self.dim, max(self.order - 1, 0), out)
 
     def substitute(self, values: Sequence["PolyScalar"],
-                   table: Optional[Dict[Exponents, "PolyScalar"]] = None
-                   ) -> "PolyScalar":
+                   table: Optional[Dict[Exponents, "PolyScalar"]] = None,
+                   *, _built: Optional[float] = None) -> "PolyScalar":
         """Substitute ``values[i]`` for variable i, truncating exactly.
 
         The result is correct to min(self.order, min of value orders) and
         carries that order.  Values must share a common dimension.
 
         Values that vanish at the origin drop every x^m with |m| past the
-        result's order; values x_i + w_i leave x^m as it is above the
-        degree that ``_fixed_above`` gives, with its own coefficient.
+        result's order; values x_i + w_i leave x^m as it is above a lower
+        degree, with its own coefficient.  ``_built_through`` gives the
+        degree through which x^m is built; a caller that substitutes the
+        same values into several polynomials passes it once computed, as
+        ``_built``.
 
         ``table`` holds the monomials x^m of ``values`` built so far, keyed
         by m; monomials this call needs are added to it, each as one
@@ -421,19 +430,15 @@ class PolyScalar:
         if built is not None and (built.dim, built.order) != (vdim, order):
             raise DimensionMismatchError(
                 "substitution table was built for other values")
-        # x^m(values) is built for |m| <= fixed; above, it is x^m through
-        # the order or it passes the order
-        fixed = _fixed_above(values, order)
-        if fixed is None:
-            no_constants = all(not v.coefficient((0,) * vdim) for v in values)
-            fixed = order if no_constants else math.inf
+        if _built is None:
+            _built = _built_through(values, order)
         acc: TermMap = {}
         needed = []
         for exps, coeff in self.terms.items():
             degree = sum(exps)
             if not degree:
                 acc[(0,) * vdim] = coeff
-            elif degree <= fixed:
+            elif degree <= _built:
                 needed.append(exps)
             elif degree <= order:
                 acc[exps] = coeff
@@ -492,6 +497,10 @@ class Series:
     m_i * (order + 1)**i.  No exponent of a monomial within the order
     passes the order, so the key of a product of two such monomials is
     the sum of their keys, with no carry.
+
+    No part is changed once built, so one part may sit in several series
+    and be handed on as it is: ``sum_of_products`` returns the part of a
+    single pair with the unit factor itself.
     """
 
     __slots__ = ("dim", "order", "parts")
@@ -507,14 +516,54 @@ class Series:
         """The terms of ``poly`` of degree <= order, split by degree up to
         the highest degree that has one."""
         weights = [(order + 1) ** i for i in range(poly.dim)]
-        raw: List[Dict[int, GaussianRational]] = [{} for _ in range(order + 1)]
-        top = -1
+        raw: Dict[int, Dict[int, Triple]] = {}
         for exps, coeff in poly.terms.items():
             degree = sum(exps)
             if degree <= order:
-                raw[degree][sum(map(operator.mul, exps, weights))] = coeff
-                top = max(top, degree)
-        return cls(poly.dim, order, [_part(terms) for terms in raw[:top + 1]])
+                terms = raw.get(degree)
+                if terms is None:
+                    terms = raw[degree] = {}
+                terms[sum(map(operator.mul, exps, weights))] = coeff._t
+        return cls(poly.dim, order, _parts(raw))
+
+    @classmethod
+    def linear(cls, row: Sequence[GaussianRational], order: int) -> "Series":
+        """sum_j row[j] x_j, for an order >= 1: one degree-1 part."""
+        return cls(len(row), order, [None, _part({
+            (order + 1) ** j: c._t for j, c in enumerate(row) if c})])
+
+    @classmethod
+    def negated_gradient(cls, poly: PolyScalar,
+                         order: int) -> List["Series"]:
+        """-d(poly)/dx_j for each variable j, its terms of degree 1 to
+        ``order``, from one pass over the terms of poly.
+
+        A term c x^m with 2 <= |m| <= order + 1 adds -m_j c at x^(m - e_j)
+        to part |m| - 1 of entry j; terms of degree 0 and 1 add nothing.
+        Dividing m_j and the reduced c's denominator by their gcd keeps
+        each coefficient reduced.
+        """
+        dim = poly.dim
+        weights = [(order + 1) ** i for i in range(dim)]
+        # raw[j][d]: the terms of part d of entry j, by packed key
+        raw: List[Dict[int, Dict[int, Triple]]] = [{} for _ in range(dim)]
+        for exps, coeff in poly.terms.items():
+            degree = sum(exps) - 1
+            if not 1 <= degree <= order:
+                continue
+            # m - e_j packs to key - weights[j], even when m itself has an
+            # exponent order + 1
+            key = sum(map(operator.mul, exps, weights))
+            re, im, den = coeff._t
+            for j, e in enumerate(exps):
+                if e:
+                    g = math.gcd(e, den)
+                    terms = raw[j].get(degree)
+                    if terms is None:
+                        terms = raw[j][degree] = {}
+                    terms[key - weights[j]] = (-e // g * re, -e // g * im,
+                                               den // g)
+        return [cls(dim, order, _parts(by_degree)) for by_degree in raw]
 
     def product_part(self, other: "Series", degree: int) -> Optional[Part]:
         """[self * other]_degree, from the parts both series hold."""
@@ -528,8 +577,11 @@ class Series:
     @staticmethod
     def scalar(value: GaussianRational) -> Optional[Part]:
         """A coefficient as a degree-0 part, the factor of a linear
-        combination."""
-        return _part({0: value} if value else {})
+        combination, read off its reduced triple."""
+        if not value:
+            return None
+        re, im, den = value._t
+        return den, {0: (re, im)}
 
     @staticmethod
     def sum_of_products(pairs: Sequence[Tuple[Part, Part]]) -> Optional[Part]:
@@ -539,10 +591,13 @@ class Series:
         combination of parts.  Every product is taken over the lcm of the
         pairs' products of denominators; entries that cancel are dropped,
         and the sum is divided by the gcd of that lcm and its numerators.
-        None when nothing is left.
+        None when nothing is left.  A single pair whose factor is the unit
+        scalar gives its other part back, not a copy.
         """
         if not pairs:
             return None
+        if len(pairs) == 1 and pairs[0][0] == _UNIT:
+            return pairs[0][1]
         den = math.lcm(*[dl * dr for (dl, _), (dr, _) in pairs])
         acc: Dict[int, Tuple[int, int]] = {}
         get = acc.get
@@ -590,19 +645,31 @@ class Series:
         return PolyScalar._canonical(dim, self.order, terms)
 
 
-def _part(terms: Dict[int, GaussianRational]) -> Optional[Part]:
+def _part(terms: Dict[int, Triple]) -> Optional[Part]:
     """The part of the given nonzero coefficients, by packed key, over the
-    lcm of their denominators.  Each coefficient is reduced, so for every
-    prime of the lcm some numerator pair is not divisible by it."""
+    lcm of their denominators.  Each coefficient triple is reduced, so for
+    every prime of the lcm some numerator pair is not divisible by it."""
     if not terms:
         return None
-    den = math.lcm(*[c._t[2] for c in terms.values()])
+    den = math.lcm(*[d for _, _, d in terms.values()])
     nums = {}
-    for key, coeff in terms.items():
-        re, im, d = coeff._t
+    for key, (re, im, d) in terms.items():
         scale = den // d
         nums[key] = (re * scale, im * scale)
     return den, nums
+
+
+def _parts(raw: Dict[int, Dict[int, Triple]]) -> List[Optional[Part]]:
+    """Parts 0 up to the highest degree in ``raw``, a degree it lacks
+    counting as empty."""
+    parts: List[Optional[Part]] = [None] * (max(raw) + 1 if raw else 0)
+    for degree, terms in raw.items():
+        parts[degree] = _part(terms)
+    return parts
+
+
+# the scalar 1 as a degree-0 part
+_UNIT: Part = (1, {0: (1, 0)})
 
 
 class Spectrum:

@@ -44,10 +44,11 @@ def _frac(text: str) -> Fraction:
     except ZeroDivisionError:
         raise ScalarParseError(
             f"bad rational {text!r}: zero denominator") from None
-    except ValueError as exc:
+    except ValueError:
         # more digits than int() converts; too long to echo back
         raise ScalarParseError(
-            f"bad rational of {len(text)} characters: {exc}") from None
+            f"bad rational of {len(text)} characters: an integer in it has "
+            f"more than {sys.get_int_max_str_digits()} digits") from None
 
 
 class GaussianRational:

@@ -83,8 +83,15 @@ records, is accepted when, over every exponent tuple m with
 |<m, lambda> - lambda_j|^2 over |m| < 2^k, or null when there is none;
 and ``rational_bound_sq`` is 1/q^2, with q the lcm of the eigenvalues'
 denominators.  The package scans by another route, degree by degree over
-integer pairs scaled by q.  The other criteria are not checked; the
-goldens pin them.
+integer pairs scaled by q.  Its ``pliss-linearity`` criterion must read
+verified, and its ``linear_normal_form`` true, exactly when the normal
+form has no term of degree >= 2 through the report's order.  That normal
+form is read from the normalize golden of the same input at that order,
+or else from the report of ``normalize`` run on the input at that order,
+once ``certify_normalize`` accepts it.  Every normal form of a field through
+an order is linear when one is: ad A is semisimple, so the lowest
+nonlinear term of a normal form cannot be removed.  The other criteria
+are not checked; the goldens pin them.
 
 Everything here is the standard library: its own scalar parser, Gaussian
 rationals as pairs of ``Fraction``, and polynomials as plain dicts from
@@ -100,9 +107,9 @@ unrestricted, against the normal form it was computed from, every
 resonances golden against its field, every kernel-intersection golden
 against its entry of ``JOINT`` in ``test_golden.py``, every
 bifurcation and suspend golden against its family document, and the
-Poincare verdict and small-divisor records of every diagnose golden
-against its field, which ``SYMMETRY_DIAGNOSES`` of ``test_golden.py``
-names for a golden named after its symmetry.  The
+Poincare verdict, small-divisor records and Pliss verdict of every
+diagnose golden against its field, which ``SYMMETRY_DIAGNOSES`` of
+``test_golden.py`` names for a golden named after its symmetry.  The
 ``DIGESTS`` cases are produced by ``python -S -m dulac.cli`` in a
 subprocess (with ``src`` put on ``PYTHONPATH``) and must also match their
 pinned sha256.  ``python -S tests/certify.py INPUT REPORT ...`` certifies
@@ -678,17 +685,58 @@ def certify_small_divisors(eigenvalues, block):
     return None
 
 
+def certified_normal_form(document, order):
+    """The normal form, as components, of ``document`` through ``order``,
+    read from a normalize report once ``certify_normalize`` accepts it:
+    the normalize golden of the same input at that order when there is
+    one, else what ``python -S -m dulac.cli normalize`` writes; raises
+    ValueError when the report is refused or normalize fails."""
+    for name, source, report in golden_pairs("normalize"):
+        if json.loads(source.read_text()) == document:
+            data = json.loads(report.read_text())
+            if data["order"] == order:
+                label = f"normalize golden {name}"
+                break
+    else:
+        label = f"normalize at order {order}"
+        with tempfile.TemporaryDirectory() as work:
+            source, out = Path(work) / "input.json", Path(work) / "out.json"
+            source.write_text(json.dumps(document))
+            try:
+                _run_normalize(source, order, out)
+            except subprocess.CalledProcessError as exc:
+                raise ValueError(f"{label} exited {exc.returncode}") from None
+            data = json.loads(out.read_text())
+    reason = certify_normalize(document, data)
+    if reason is not None:
+        raise ValueError(f"{label}: {reason}")
+    return input_field(data["normal_form"], order)[1]
+
+
 def certify_diagnose(document, report):
     """None when the report's eigenvalues are the input field's, read off
     its diagonal linear part as for normalize, its ``poincare_domain``
-    says whether 0 lies outside their convex hull, and its small-divisor
-    records are their scan, else why not."""
+    says whether 0 lies outside their convex hull, its small-divisor
+    records are their scan, and its Pliss verdict and
+    ``linear_normal_form`` say whether the certified normal form of the
+    same input at the report's order is linear, else why not."""
     eigenvalues, _ = input_field(document, 1)
     if [parse_scalar(v) for v in report["eigenvalues"]] != eigenvalues:
         return "the eigenvalues are not the input's"
     outside = not origin_in_hull(eigenvalues)
     if report["poincare_domain"] is not outside:
         return f"poincare_domain should read {outside}"
+    linear = not any(sum(exps) >= 2
+                     for comp in certified_normal_form(document,
+                                                       report["order"])
+                     for exps in comp)
+    pliss, = [c["verdict"] for c in report["criteria"]
+              if c["name"] == "pliss-linearity"]
+    if pliss.startswith("hypotheses-verified") is not linear:
+        return ("pliss-linearity should read "
+                + ("verified" if linear else "hypothesis-failed"))
+    if report["linear_normal_form"] is not linear:
+        return f"linear_normal_form should read {linear}"
     return certify_small_divisors(eigenvalues, report["small_divisors"])
 
 

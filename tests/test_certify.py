@@ -31,10 +31,12 @@ document, and refuses a bifurcation report after one changed entry of D
 or a flipped ``nonsingular``, and a suspension after one changed
 coefficient.
 
-It certifies the Poincare verdict and the small-divisor records of every
-diagnose golden against its field; its command line exits 1 on a copy
-with that verdict flipped, and it refuses a copy with one changed
-``omega_sq``.
+It certifies the Poincare verdict, the small-divisor records and the
+Pliss verdict of every diagnose golden against its field; its command
+line exits 1 on a copy with the Poincare verdict flipped, and it refuses
+a copy with one changed ``omega_sq`` or with the ``pliss-linearity``
+verdict or ``linear_normal_form`` flipped.  For an input with no
+normalize golden it reads the normal form off its own normalize run.
 Given a report it has no check for, a field document, the command line
 prints one line and exits 1.
 """
@@ -269,6 +271,43 @@ def test_diagnose_certificate_refuses_one_changed_omega_sq(name, source,
     assert certify_report(document, data) == (
         f"omega_sq of k = {last['k']} should read "
         f"{'null' if want is None else want}")
+
+
+@pytest.mark.parametrize("key", ["pliss-linearity", "linear_normal_form"])
+@pytest.mark.parametrize("name,source,report", DIAGNOSE_GOLDENS,
+                         ids=[name for name, _, _ in DIAGNOSE_GOLDENS])
+def test_diagnose_certificate_refuses_a_flipped_pliss_verdict(name, source,
+                                                              report, key):
+    document, data = _load_pair(source, report)
+    linear = data["linear_normal_form"]
+    if key == "linear_normal_form":
+        data[key] = not linear
+        want = f"linear_normal_form should read {linear}"
+    else:
+        pliss, = [c for c in data["criteria"] if c["name"] == key]
+        pliss["verdict"] = ("hypothesis-failed" if linear else
+                            f"hypotheses-verified-to-order-{data['order']}")
+        want = ("pliss-linearity should read "
+                + ("verified" if linear else "hypothesis-failed"))
+    assert certify_report(document, data) == want
+
+
+def test_diagnose_certificate_runs_normalize_for_an_input_with_no_golden(
+        tmp_path, capsys):
+    # no normalize golden has this input, so certify.py reads the normal
+    # form off its own normalize run
+    source = INPUTS / "deep-d2-o10.json"
+    assert not [name for name, golden, _ in GOLDENS
+                if golden.read_text() == source.read_text()]
+    report = tmp_path / "deep-d2-o10.diagnose.json"
+    assert main(["diagnose", "--input", str(source), "--order", "10",
+                 "--json", "--out", str(report)]) == 0
+    assert certify_main([str(source), str(report)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"{report}: certified"
+    data = json.loads(report.read_text())
+    data["linear_normal_form"] = not data["linear_normal_form"]
+    assert certify_report(json.loads(source.read_text()), data) == (
+        f"linear_normal_form should read {not data['linear_normal_form']}")
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None,

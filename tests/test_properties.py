@@ -22,15 +22,17 @@ reference kept here is ``ref_str``, for the printer that certify lacks.
   with ``SingularLinearPartError`` before any other work: the map's
   monomial table stays empty.
 * ``invert_to_order`` is a two-sided inverse through the truncation order,
-  also when the linear part is neither the identity nor diagonal, so
-  that every graded pass runs under a mixing L^-1.  Both this property
-  and the ``pull_back`` one below check against certify's term-by-term
+  both when L = I, the only linear part ``normalize`` inverts, and when
+  the linear part is neither the identity nor diagonal, so that every
+  graded pass runs under a mixing L^-1.  Both this property and the
+  ``pull_back`` one below check against certify's term-by-term
   substitution, not against ``substitute`` or ``compose``, which share
   their monomial chain with the inversion and feed the pull-back.
 * ``pull_back`` solves its defining equation DPhi(y) g(y) = f(Phi(y))
   through the truncation order, checked with certify's derivation and
-  substitution alone, for non-diagonal maps and fields with a linear
-  part and sometimes a constant one.
+  substitution alone, for fields with a linear part and sometimes a
+  constant one, pulled back along maps with L = I and h over several
+  degrees, as in every ``normalize`` step, and along non-diagonal maps.
 * A map keeps the monomials that substitutions of its components at its
   own order have built, and ``pull_back`` and ``compose`` share them: a
   step x + h pulled back and then composed gives what two fresh, equal
@@ -170,13 +172,18 @@ def terms(draw, dim, min_degree, max_degree, max_terms):
     return out
 
 
-@st.composite
-def near_identity_maps(draw, dim=None, max_order=None):
-    """Lx + h(x) with L invertible, non-diagonal, and h nonzero."""
+def _dim_and_order(draw, dim, max_order):
     dim = dim or draw(st.integers(min_value=2, max_value=4))
     # dense dim-4 maps at order 6 cost seconds per example to compose
     order = draw(st.integers(min_value=2,
                              max_value=max_order or (6 if dim < 4 else 5)))
+    return dim, order
+
+
+@st.composite
+def near_identity_maps(draw, dim=None, max_order=None):
+    """Lx + h(x) with L invertible, non-diagonal, and h nonzero."""
+    dim, order = _dim_and_order(draw, dim, max_order)
     linear = [[GaussianRational(draw(small_ints)) for _ in range(dim)]
               for _ in range(dim)]
     assume(any(linear[i][j] for i in range(dim) for j in range(dim) if i != j))
@@ -184,6 +191,25 @@ def near_identity_maps(draw, dim=None, max_order=None):
     h = PolyVectorField.from_terms(dim, order, draw(terms(dim, 2, order, 3)))
     assume(not h.is_zero())
     return linear_plus(linear, h)
+
+
+@st.composite
+def identity_linear_maps(draw):
+    """x + h(x), as every map that ``normalize`` builds, with h nonzero:
+    terms of degree 2 and, from order 3, of a higher degree too."""
+    dim, order = _dim_and_order(draw, None, None)
+    h_terms = draw(terms(dim, 2, 2, 2))
+    if order >= 3:
+        h_terms += draw(terms(dim, 3, order, 3))
+    h = PolyVectorField.from_terms(dim, order, h_terms)
+    assume(not h.is_zero())
+    return linear_plus([[GaussianRational(int(i == j)) for j in range(dim)]
+                        for i in range(dim)], h)
+
+
+# L = I about one map in three, a non-diagonal L otherwise
+mixed_linear_maps = st.integers(0, 2).flatmap(
+    lambda k: identity_linear_maps() if k == 0 else near_identity_maps())
 
 
 def linear_plus(linear, h):
@@ -264,7 +290,7 @@ def read_substitute(polys, values, order):
 
 
 @PROPERTY_SETTINGS
-@given(near_identity_maps())
+@given(mixed_linear_maps)
 def test_invert_to_order_is_a_two_sided_inverse(psi):
     phi = psi.invert_to_order()
     assert phi.order == psi.order
@@ -333,9 +359,10 @@ def linear_part_fields(draw, dim, order):
 
 @st.composite
 def pull_back_cases(draw):
-    """A non-diagonal map and a field with a linear part, of order <= the
-    map's; about one field in three also has a constant term."""
-    phi = draw(near_identity_maps())
+    """A map, with L = I about one time in three and non-diagonal
+    otherwise, and a field with a linear part, of order <= the map's;
+    about one field in three also has a constant term."""
+    phi = draw(mixed_linear_maps)
     order = draw(st.integers(min_value=1, max_value=phi.order))
     return phi, draw(linear_part_fields(phi.dim, order))
 
