@@ -33,6 +33,12 @@ w_i of degree >= v >= 2, fix every x^m with |m| > N - v + 1: each other
 term of x^m(values) trades some x_i for a w_i and has degree at least
 |m| - 1 + v.  Such monomials keep their own coefficient and are never
 built.
+The sum of c_m * x^m(values) over the built monomials runs on numerators:
+each product of two canonical triples goes into its key's running
+Gaussian-integer numerator pair and denominator, added directly over an
+equal denominator and cross-multiplied otherwise.  Each touched key is
+reduced once at the end, where it merges with the term that the call
+keeps at that key, the constant or a fixed monomial.
 ``invert_to_order`` follows the same links on ``Series``, one degree
 per pass, since Phi is what it solves for.
 
@@ -45,8 +51,9 @@ one gcd per result instead of a reduced fraction per operation;
 ``Series.to_poly`` builds one canonical coefficient per term, the only
 place where a series becomes a ``PolyScalar``.
 
-Every scan over exponent tuples goes through ``enumerate_monomials_upto``,
-which holds the one work budget of the package.
+Every scan over exponent tuples is checked by ``check_scan_budget`` first,
+which holds the one work budget of the package; ``enumerate_monomials_upto``
+runs that check before its first tuple.
 
 A polynomial vector field couples n scalar components over n variables.
 Its spectrum is read off its own terms: the diagonal of the degree-1
@@ -414,6 +421,11 @@ class PolyScalar:
         same values into several polynomials of one order pass one dict to
         every call, so each monomial is built once.  A table whose
         monomials carry another dimension or order raises.
+
+        The terms of c_m * x^m(values) are summed as unreduced triples,
+        with one ``_make`` per key they touch, after the kept constant or
+        fixed monomial at that key is added in.  A key whose sum is zero
+        is dropped; a kept term that no sum touches keeps its object.
         """
         if len(values) != self.dim:
             raise DimensionMismatchError(
@@ -448,8 +460,34 @@ class PolyScalar:
             else:
                 table[exps] = values[i].truncated(order)
 
+        sums: Dict[Exponents, Triple] = {}
+        get = sums.get
         for exps in needed:
-            add_scaled(acc, table[exps].terms, self.terms[exps])
+            a, b, d = self.terms[exps]._t
+            for key, value in table[exps].terms.items():
+                c, e, f = value._t
+                re, im, den = a * c - b * e, a * e + b * c, d * f
+                old = get(key)
+                if old is None:
+                    sums[key] = (re, im, den)
+                elif old[2] == den:
+                    sums[key] = (old[0] + re, old[1] + im, den)
+                else:
+                    r0, i0, d0 = old
+                    sums[key] = (r0 * den + re * d0, i0 * den + im * d0,
+                                 d0 * den)
+        for key, (re, im, den) in sums.items():
+            kept = acc.get(key)
+            if kept is not None:
+                c, e, f = kept._t
+                if f == den:
+                    re, im = re + c, im + e
+                else:
+                    re, im, den = re * f + c * den, im * f + e * den, den * f
+            if re or im:
+                acc[key] = _make(re, im, den)
+            elif kept is not None:
+                del acc[key]
         return PolyScalar._canonical(vdim, order, acc)
 
     def __str__(self) -> str:

@@ -20,16 +20,20 @@ an int pair over q and a nonzero one has modulus at least 1/q.  That
 certifies the summability condition outright; the per-k scan over
 squared moduli, compared as ints, is still performed for the requested
 range as reported evidence.
-Every scan walks exponent tuples through ``poly.enumerate_monomials_upto``,
-under its one budget.
+Every scan is checked by ``poly.check_scan_budget`` first, against the
+package's one work budget: the listings walk exponent tuples through
+``poly.enumerate_monomials_upto``, and ``normalize``'s per-degree count
+sums multisets of eigenvalues instead.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import BudgetExceededError, TruncationOrderError
@@ -107,9 +111,18 @@ def resonant_monomials(spectrum: Spectrum, max_degree: int) -> List[ResonanceRel
 def kernel_dimension_at_degree(spectrum: Spectrum, degree: int) -> int:
     """Number of resonant monomial-vector pairs of exactly this degree.
 
-    Counted as ``resonant_pairs`` enumerates them, without listing them.
+    A multiset of ``degree`` eigenvalue positions is a monomial m, and the
+    sum of its entries of ``Spectrum.integral`` is q * <m, L>.  Those sums
+    are counted where they hit an eigenvalue, without listing any pair,
+    and each component j adds the count at its own eigenvalue.
     """
-    return sum(len(hits) for _, hits in _resonances([spectrum], degree, degree))
+    check_scan_budget(len(spectrum), degree)
+    re_col, im_col = _columns(spectrum)
+    targets = set(spectrum.integral)
+    weights = Counter(filter(targets.__contains__, zip(
+        map(sum, combinations_with_replacement(re_col, degree)),
+        map(sum, combinations_with_replacement(im_col, degree)))))
+    return sum(weights[point] for point in spectrum.integral)
 
 
 # -- Poincare domain -------------------------------------------------

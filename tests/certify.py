@@ -90,8 +90,17 @@ form is read from the normalize golden of the same input at that order,
 or else from the report of ``normalize`` run on the input at that order,
 once ``certify_normalize`` accepts it.  Every normal form of a field through
 an order is linear when one is: ad A is semisimple, so the lowest
-nonlinear term of a normal form cannot be removed.  The other criteria
-are not checked; the goldens pin them.
+nonlinear term of a normal form cannot be removed.  Its ``condition_a``
+block is read from the same normal form.  Condition A is the hypothesis
+on the normal form in Bruno's convergence theorem: the nonlinear part F
+equals alpha(x) * Ax for a scalar series alpha.  ``satisfied`` must say
+whether it does; when it does, the printed alpha must give back F as
+alpha * Ax and its two ``constant_along`` flags must say whether its
+derivation along the normal form and along Ax vanishes; when it does
+not, the witness must name a real violation: a term of component j
+without an x_j factor, a term over a zero eigenvalue, or two components
+that pin different coefficients of alpha at the named monomial.  The
+other criteria are not checked; the goldens pin them.
 
 Everything here is the standard library: its own scalar parser, Gaussian
 rationals as pairs of ``Fraction``, and polynomials as plain dicts from
@@ -107,8 +116,8 @@ unrestricted, against the normal form it was computed from, every
 resonances golden against its field, every kernel-intersection golden
 against its entry of ``JOINT`` in ``test_golden.py``, every
 bifurcation and suspend golden against its family document, and the
-Poincare verdict, small-divisor records and Pliss verdict of every
-diagnose golden against its field, which ``SYMMETRY_DIAGNOSES`` of
+Poincare verdict, small-divisor records, Pliss verdict and Condition A
+of every diagnose golden against its field, which ``SYMMETRY_DIAGNOSES`` of
 ``test_golden.py`` names for a golden named after its symmetry.  The
 ``DIGESTS`` cases are produced by ``python -S -m dulac.cli`` in a
 subprocess (with ``src`` put on ``PYTHONPATH``) and must also match their
@@ -713,23 +722,134 @@ def certified_normal_form(document, order):
     return input_field(data["normal_form"], order)[1]
 
 
+def parse_poly(text, dim):
+    """The polynomial of a printed text such as ``x1*x2``,
+    ``-1/2*x1^2 + (1+2*i)*x2`` or ``0``: terms joined by `` + ``, each a
+    coefficient, a product of factors x_k or x_k^e, or the coefficient,
+    in parentheses when it has two parts, times that product."""
+    out = {}
+    for piece in [] if text == "0" else text.split(" + "):
+        if piece.startswith("("):
+            coeff, _, rest = piece[1:].partition(")")
+            factors = rest[1:].split("*") if rest else []
+        else:
+            tokens = piece.split("*")
+            factors = [t for t in tokens if t.startswith("x")]
+            coeff = "*".join(t for t in tokens if not t.startswith("x"))
+        exps = [0] * dim
+        for factor in factors:
+            var, _, power = factor[1:].partition("^")
+            exps[int(var) - 1] += int(power or 1)
+        accumulate(out, tuple(exps), parse_scalar(coeff or "1"))
+    return out
+
+
+def linear_field(eigenvalues):
+    """The field Ax of the eigenvalues (a zero one as a zero entry)."""
+    return [{unit(len(eigenvalues), j): lam}
+            for j, lam in enumerate(eigenvalues)]
+
+
+def times_linear(alpha, eigenvalues, order):
+    """The field alpha * Ax through the order."""
+    return [product(alpha, comp, order) for comp in linear_field(eigenvalues)]
+
+
+def condition_a_witness(witness, nonlinear, eigenvalues):
+    """None when the witness of a failed Condition A names a real
+    violation of F = alpha * Ax, else why not.  Components (j, j) name a
+    term of F_j at the monomial without an x_j factor, or a term of F_j at
+    the monomial times x_j when lambda_j is zero; components (j, k), j
+    != k, name a monomial m at which F_j / lambda_j and F_k / lambda_k,
+    both eigenvalues nonzero, pin different coefficients of alpha.  The
+    degree is that of the violating term."""
+    m = tuple(witness["monomial"])
+    j, k = (c - 1 for c in witness["components"])
+
+    def pinned(i):
+        """The coefficient of F_i at m * x_i."""
+        return nonlinear[i].get(m[:i] + (m[i] + 1,) + m[i + 1:], ZERO)
+
+    if j == k:
+        kinds = [(m[j] == 0 and m in nonlinear[j], sum(m)),
+                 (eigenvalues[j] == ZERO and pinned(j) != ZERO, sum(m) + 1)]
+    else:
+        kinds = [(ZERO not in (eigenvalues[j], eigenvalues[k])
+                  and mul(pinned(j), inverse(eigenvalues[j]))
+                  != mul(pinned(k), inverse(eigenvalues[k])), sum(m) + 1)]
+    degrees = [degree for real, degree in kinds if real]
+    if not degrees:
+        return "the Condition A witness names no violation"
+    if witness["degree"] not in degrees:
+        return f"the Condition A witness degree should read {degrees[0]}"
+    return None
+
+
+def certify_condition_a(block, eigenvalues, fhat, order):
+    """None when the ``condition_a`` block of a diagnose report is
+    Condition A of the normal form through the order, else why not.
+
+    Condition A is the hypothesis on the normal form in Bruno's
+    convergence theorem (Bruno, *Local Methods in Nonlinear Differential
+    Equations*, 1989): a field whose eigenvalues satisfy Condition omega,
+    the small-divisor condition, and whose normal form is
+    (1 + alpha(x)) Ax for a scalar series alpha, has a convergent
+    normalizing transformation.  So the nonlinear part F of the normal
+    form must equal alpha * Ax.  When some lambda_j is nonzero, alpha is
+    F_j / (lambda_j x_j) through degree N - 1, read here off the first
+    such component, and F = alpha * Ax holds or fails with it; when every
+    eigenvalue is zero, Ax = 0 and it holds exactly when F = 0.  When it
+    holds, the printed alpha must have no term outside degrees 1 through
+    N - 1 and give back F as alpha * Ax (which pins it when some lambda_j
+    is nonzero), and ``constant_along_field`` and ``constant_along_linear``
+    must say whether the derivation of alpha along the normal form and
+    along Ax vanishes through N.  When it fails, the witness must name a
+    real violation (``condition_a_witness``)."""
+    dim = len(eigenvalues)
+    nonlinear = [{e: c for e, c in comp.items() if sum(e) >= 2}
+                 for comp in fhat]
+    alpha = {}
+    for j, lam in enumerate(eigenvalues):
+        if lam != ZERO:
+            for exps, c in nonlinear[j].items():
+                if exps[j]:
+                    lowered = exps[:j] + (exps[j] - 1,) + exps[j + 1:]
+                    alpha[lowered] = mul(c, inverse(lam))
+            break
+    holds = times_linear(alpha, eigenvalues, order) == nonlinear
+    if block["satisfied"] is not holds:
+        return f"condition_a satisfied should read {holds}"
+    if not holds:
+        return condition_a_witness(block["witness"], nonlinear, eigenvalues)
+    printed = parse_poly(block["alpha"], dim)
+    if (any(not 1 <= sum(exps) <= order - 1 for exps in printed)
+            or times_linear(printed, eigenvalues, order) != nonlinear):
+        return "the printed alpha does not give F = alpha * Ax"
+    for key, field in (("constant_along_field", fhat),
+                       ("constant_along_linear", linear_field(eigenvalues))):
+        constant = not derivation(field, printed, order)
+        if block["checks"][key] is not constant:
+            return f"condition_a {key} should read {constant}"
+    return None
+
+
 def certify_diagnose(document, report):
     """None when the report's eigenvalues are the input field's, read off
     its diagonal linear part as for normalize, its ``poincare_domain``
     says whether 0 lies outside their convex hull, its small-divisor
-    records are their scan, and its Pliss verdict and
-    ``linear_normal_form`` say whether the certified normal form of the
-    same input at the report's order is linear, else why not."""
+    records are their scan, its Pliss verdict and ``linear_normal_form``
+    say whether the certified normal form of the same input at the
+    report's order is linear, and its ``condition_a`` block is Condition
+    A of that normal form, else why not."""
     eigenvalues, _ = input_field(document, 1)
     if [parse_scalar(v) for v in report["eigenvalues"]] != eigenvalues:
         return "the eigenvalues are not the input's"
     outside = not origin_in_hull(eigenvalues)
     if report["poincare_domain"] is not outside:
         return f"poincare_domain should read {outside}"
-    linear = not any(sum(exps) >= 2
-                     for comp in certified_normal_form(document,
-                                                       report["order"])
-                     for exps in comp)
+    order = report["order"]
+    fhat = certified_normal_form(document, order)
+    linear = not any(sum(exps) >= 2 for comp in fhat for exps in comp)
     pliss, = [c["verdict"] for c in report["criteria"]
               if c["name"] == "pliss-linearity"]
     if pliss.startswith("hypotheses-verified") is not linear:
@@ -737,6 +857,10 @@ def certify_diagnose(document, report):
                 + ("verified" if linear else "hypothesis-failed"))
     if report["linear_normal_form"] is not linear:
         return f"linear_normal_form should read {linear}"
+    reason = certify_condition_a(report["condition_a"], eigenvalues, fhat,
+                                 order)
+    if reason is not None:
+        return reason
     return certify_small_divisors(eigenvalues, report["small_divisors"])
 
 

@@ -31,11 +31,16 @@ document, and refuses a bifurcation report after one changed entry of D
 or a flipped ``nonsingular``, and a suspension after one changed
 coefficient.
 
-It certifies the Poincare verdict, the small-divisor records and the
-Pliss verdict of every diagnose golden against its field; its command
-line exits 1 on a copy with the Poincare verdict flipped, and it refuses
-a copy with one changed ``omega_sq`` or with the ``pliss-linearity``
-verdict or ``linear_normal_form`` flipped.  For an input with no
+It certifies the Poincare verdict, the small-divisor records, the
+Pliss verdict and Condition A of every diagnose golden against its
+field; its command line exits 1 on a copy with the Poincare verdict
+flipped, and it refuses a copy with one changed ``omega_sq``, with the
+``pliss-linearity`` verdict, ``linear_normal_form`` or Condition A's
+``satisfied`` flipped, or with a Condition A witness moved to the
+monomial 1.  It certifies ``diagnose`` on a normal form with a nonzero
+alpha, F = x1*x2 * Ax, and refuses that report with alpha doubled, and
+on one where two components pin different alpha coefficients, refused
+with the witness's degree or monomial changed.  For an input with no
 normalize golden it reads the normal form off its own normalize run.
 Given a report it has no check for, a field document, the command line
 prints one line and exits 1.
@@ -66,6 +71,11 @@ INPUTS = GOLDEN / "inputs"
 GOLDENS = golden_pairs("normalize")
 CENTRALIZER_GOLDENS = centralizer_pairs()
 DIAGNOSE_GOLDENS = golden_pairs("diagnose")
+# the diagnose goldens whose Condition A fails, with its witness
+WITNESS_GOLDENS = [(name, source, report)
+                   for name, source, report in DIAGNOSE_GOLDENS
+                   if "witness" in json.loads(report.read_text())[
+                       "condition_a"]]
 FAMILY_GOLDENS = family_pairs()
 # (name, input document, report path) of every resonances and
 # kernel-intersection golden
@@ -290,6 +300,74 @@ def test_diagnose_certificate_refuses_a_flipped_pliss_verdict(name, source,
         want = ("pliss-linearity should read "
                 + ("verified" if linear else "hypothesis-failed"))
     assert certify_report(document, data) == want
+
+
+@pytest.mark.parametrize("name,source,report", DIAGNOSE_GOLDENS,
+                         ids=[name for name, _, _ in DIAGNOSE_GOLDENS])
+def test_diagnose_certificate_refuses_a_flipped_condition_a(name, source,
+                                                            report):
+    document, data = _load_pair(source, report)
+    holds = data["condition_a"]["satisfied"]
+    data["condition_a"]["satisfied"] = not holds
+    assert certify_report(document, data) == (
+        f"condition_a satisfied should read {holds}")
+
+
+@pytest.mark.parametrize("name,source,report", WITNESS_GOLDENS,
+                         ids=[name for name, _, _ in WITNESS_GOLDENS])
+def test_diagnose_certificate_refuses_a_witness_at_no_violation(name, source,
+                                                                report):
+    # F has no constant term and no term of degree 1, so the monomial 1
+    # names no violation, whichever components the witness names
+    document, data = _load_pair(source, report)
+    witness = data["condition_a"]["witness"]
+    witness["monomial"] = [0] * len(witness["monomial"])
+    assert certify_report(document, data) == (
+        "the Condition A witness names no violation")
+
+
+def _diagnose_saddle(tmp_path, terms):
+    """(document, diagnose report) of the field of spectrum (1, -1) with
+    the given terms at order 5."""
+    source = tmp_path / "saddle.json"
+    source.write_text(dump_document({"dim": 2, "order": 5,
+                                     "eigenvalues": ["1", "-1"],
+                                     "terms": terms}))
+    report = tmp_path / "saddle.diagnose.json"
+    assert main(["diagnose", "--input", str(source), "--order", "5",
+                 "--json", "--out", str(report)]) == 0
+    return _load_pair(source, report)
+
+
+def test_diagnose_certificate_reads_a_nonzero_alpha(tmp_path):
+    # F = x1*x2 * Ax: both terms are resonant, so the field is its own
+    # normal form and Condition A holds with alpha = x1*x2
+    document, data = _diagnose_saddle(tmp_path, [
+        {"coeff": "1", "exps": [2, 1], "comp": 1},
+        {"coeff": "-1", "exps": [1, 2], "comp": 2}])
+    block = data["condition_a"]
+    assert (block["satisfied"], block["alpha"]) == (True, "x1*x2")
+    assert certify_report(document, data) is None
+    block["alpha"] = "2*x1*x2"
+    assert certify_report(document, data) == (
+        "the printed alpha does not give F = alpha * Ax")
+
+
+def test_diagnose_certificate_checks_two_components_that_pin_alpha(tmp_path):
+    # F = (x1^2*x2, 0): component 1 pins alpha at x1*x2 to 1, component 2
+    # to 0, a violation at degree 3 that no golden shows
+    document, data = _diagnose_saddle(tmp_path, [
+        {"coeff": "1", "exps": [2, 1], "comp": 1}])
+    witness = data["condition_a"]["witness"]
+    assert (witness["monomial"], witness["components"]) == ([1, 1], [1, 2])
+    assert certify_report(document, data) is None
+    witness["degree"] = 2
+    assert certify_report(document, data) == (
+        "the Condition A witness degree should read 3")
+    # at x1^2 both components pin 0
+    witness["monomial"] = [2, 0]
+    assert certify_report(document, data) == (
+        "the Condition A witness names no violation")
 
 
 def test_diagnose_certificate_runs_normalize_for_an_input_with_no_golden(

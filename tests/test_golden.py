@@ -77,6 +77,9 @@ DIGESTS = {
     # the dim-3 grid field of grid-d3-o8 at order 12
     "grid-d3-o12": (12, "fd81cdcc655314bbe6fcef1b15aff118"
                         "e4aa847dcb5092922a5a97375a1be7c3"),
+    # the dim-4 grid field of grid-d4-o10 at order 12
+    "grid-d4-o12": (12, "e1bd587bc47d2575cb6cfa967ba19136"
+                        "dce74083281c87836068a6f28c08094d"),
     # the two highest-order fields of the benchmark's deep-diagnose workload
     # (bench/workloads.py, seed 7), whose diagnose report omits Psi
     "deep-d2-o12": (12, "d2b8aca0b9c81d655ba97e5ff261422a"

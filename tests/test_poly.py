@@ -2,6 +2,7 @@ import itertools
 import math
 import operator
 import random
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -34,6 +35,7 @@ from oracle import (
     sympy_to_poly,
     syms,
 )
+from test_properties import assert_canonical, read_poly, read_substitute
 
 
 def V(dim, order, i):
@@ -142,6 +144,45 @@ def test_substitute_refuses_a_table_of_another_order():
     # as many values, at the same order, of another dimension
     with pytest.raises(DimensionMismatchError):
         V(2, 5, 0).substitute([V(3, 5, 0), V(3, 5, 1)], table)
+
+
+def P(dim, order, terms):
+    return PolyScalar(dim, order, {exps: as_scalar(c) for exps, c in
+                                   terms.items()})
+
+
+def assert_exact_substitution(p, values, expected):
+    """``p.substitute(values)`` has exactly the terms ``expected``, which
+    certify's term-by-term expansion gives too, and is canonical."""
+    got = p.substitute(values)
+    assert got.terms == expected.terms
+    assert read_poly(got) == read_substitute([p], values, got.order)[0]
+    assert_canonical(got)
+
+
+def test_substitute_cancels_a_kept_term_and_stores_no_zero():
+    # x -> x + x^2 fixes x^3 through order 3, so -2x^3 is kept and meets
+    # the 2x^3 of (x + x^2)^2 = x^2 + 2x^3
+    x = V(1, 3, 0)
+    f = P(1, 3, {(2,): 1, (3,): -2})
+    assert_exact_substitution(f, [x + x * x], P(1, 3, {(2,): 1}))
+
+
+def test_substitute_sums_over_distinct_denominators():
+    # values x_i + w_i with w_i of degree 2, so the degree-3 terms of f are
+    # kept: at x1^2, 1/2 * i/3 from x2 meets 1/3 from x1^2; at x1*x2^2 the
+    # kept -1/3 cancels 1/3 from x1^2; at x1^2*x2 the kept i/2 meets
+    # 2/3 * 2i/3 from x2^2
+    x1, x2 = V(2, 3, 0), V(2, 3, 1)
+    values = [x1 + Fraction(1, 2) * (x2 * x2), x2 + (I / 3) * (x1 * x1)]
+    f = P(2, 3, {(1, 0): 1, (0, 1): Fraction(1, 2), (2, 0): Fraction(1, 3),
+                 (0, 2): Fraction(2, 3), (1, 2): Fraction(-1, 3),
+                 (2, 1): I / 2})
+    expected = P(2, 3, {(1, 0): 1, (0, 1): Fraction(1, 2),
+                        (0, 2): Fraction(7, 6),
+                        (2, 0): Fraction(1, 3) + I / 6,
+                        (2, 1): I * Fraction(17, 18)})
+    assert_exact_substitution(f, values, expected)
 
 
 def test_partial_derivative():

@@ -75,6 +75,10 @@ reference kept here is ``ref_str``, for the printer that certify lacks.
 * ``resonant_pairs``, the one resonance enumerator, lists each pair that
   certify's scan over all exponent tuples finds, once, in order of
   degree, exponents and component.
+* ``kernel_dimension_at_degree``, which sums multisets of eigenvalues
+  instead of walking exponent tuples, counts as many pairs at each degree
+  1-8 as certify's scan finds, for spectra of 1-4 eigenvalues with
+  repeated, zero and non-real ones among them.
 * ``poincare_domain``, a half-plane test on integer points, is True
   exactly when certify's ``origin_in_hull`` (Caratheodory's theorem:
   0 is an eigenvalue, on a segment of two, or in a triangle of three)
@@ -82,7 +86,9 @@ reference kept here is ``ref_str``, for the printer that certify lacks.
   repeated, opposite and collinear ones.
 * ``PolyScalar.substitute`` with one monomial table shared by several
   polynomials agrees with certify's term-by-term expansion, and every
-  monomial in the table is the power product it stands for.  Values
+  monomial in the table is the power product it stands for, also for
+  near-identity values with Gaussian coefficients over distinct
+  denominators, where the sums on numerators merge with kept terms.  Values
   x_i + w_i with every w_i of degree >= v leave each monomial of degree
   above N - v + 1 as it is through the order N, so such monomials never
   enter the table; values one change away from that form (x_i doubled, a
@@ -141,7 +147,8 @@ from dulac.poly import (
     lie_bracket,
     linear_field,
 )
-from dulac.resonance import poincare_domain, resonant_pairs
+from dulac.resonance import (kernel_dimension_at_degree, poincare_domain,
+                             resonant_pairs)
 from dulac.scalars import ONE, ZERO, GaussianRational, add_scaled
 
 import certify
@@ -739,6 +746,24 @@ def test_resonant_pairs_match_a_naive_scan(spectra, low, high):
         certify.resonant_pairs(spectra, high, low)
 
 
+# repeated, zero and non-real eigenvalues, also with both parts nonzero
+COUNTED_EIGENVALUES = EIGENVALUES + [(Fraction(1), Fraction(1)),
+                                     (Fraction(1, 2), Fraction(-1))]
+
+
+@settings(PROPERTY_SETTINGS, max_examples=150)
+@given(st.lists(st.sampled_from(COUNTED_EIGENVALUES), min_size=1,
+                max_size=4), st.integers(1, 8))
+@example([(Fraction(0), Fraction(0))] * 3, 8)     # every pair resonates
+@example([(Fraction(0), Fraction(1)), (Fraction(0), Fraction(-1)),
+          (Fraction(0), Fraction(1))], 5)
+def test_kernel_dimension_at_degree_counts_the_resonant_pairs(values,
+                                                              degree):
+    spectrum = Spectrum(GaussianRational(*lam) for lam in values)
+    assert kernel_dimension_at_degree(spectrum, degree) == \
+        len(certify.resonant_pairs([values], degree, degree))
+
+
 def hull_points(*values):
     return [(Fraction(re), Fraction(im)) for re, im in values]
 
@@ -777,21 +802,48 @@ def polys(draw, dim, order, min_degree=0, max_terms=4, coefficients=scalars):
     return PolyScalar(dim, order, terms)
 
 
+# both parts over their own denominators, so products of two such
+# coefficients summed at one key seldom share a denominator
+gaussian_scalars = st.builds(
+    lambda re, re_den, im, im_den: GaussianRational(Fraction(re, re_den),
+                                                    Fraction(im, im_den)),
+    small_ints, st.integers(1, 6), small_ints, st.integers(1, 6))
+
+
 @st.composite
 def substitutions(draw):
-    """Values for ``dim`` variables, each at its own truncation order and
-    about one in three with a constant term, and several polynomials of
-    one order to substitute them into, the zero polynomial last."""
+    """Values for ``dim`` variables, each at its own truncation order, and
+    several polynomials of one order to substitute them into, the zero
+    polynomial last.
+
+    About one draw in three takes near-identity values x_i + w_i, every
+    w_i of lowest degree >= 2, and Gaussian coefficients over distinct
+    denominators throughout: the monomials above the built degree are then
+    kept, and merge with the sums of the built ones.  Otherwise the values
+    are general, over a number of variables of their own, and about one in
+    three has a constant term.
+    """
     dim = draw(st.integers(min_value=1, max_value=3))
-    vdim = draw(st.integers(min_value=1, max_value=3))
     values = []
-    for _ in range(dim):
-        value = draw(polys(vdim, draw(st.integers(1, 5)), min_degree=1))
-        if draw(st.integers(0, 2)) == 0:
-            value = value + draw(scalars.filter(bool))
-        values.append(value)
+    if draw(st.integers(0, 2)) == 0:
+        coefficients = gaussian_scalars
+        for i in range(dim):
+            value_order = draw(st.integers(2, 5))
+            values.append(PolyScalar.variable(dim, value_order, i) + draw(
+                polys(dim, value_order, min_degree=2,
+                      coefficients=coefficients)))
+    else:
+        coefficients = scalars
+        vdim = draw(st.integers(min_value=1, max_value=3))
+        for _ in range(dim):
+            value = draw(polys(vdim, draw(st.integers(1, 5)), min_degree=1))
+            if draw(st.integers(0, 2)) == 0:
+                value = value + draw(scalars.filter(bool))
+            values.append(value)
     order = draw(st.integers(min_value=1, max_value=5))
-    targets = draw(st.lists(polys(dim, order), min_size=1, max_size=3))
+    targets = draw(st.lists(polys(dim, order, max_terms=6,
+                                  coefficients=coefficients),
+                            min_size=1, max_size=3))
     return values, targets + [PolyScalar.zero(dim, order)]
 
 
