@@ -44,8 +44,8 @@ def _load_field(path: str) -> PolyVectorField:
     field = _field_document(path)
     if field.spectrum is None:
         raise NonDiagonalLinearPartError(
-            f"{path}: the linear part is not diagonal; supply eigenvalues "
-            "or a linear_matrix to conjugate with")
+            f"{path}: the linear part is not diagonal; supply eigenvalues, "
+            "or a linear_matrix that diagonalizes it")
     return field
 
 

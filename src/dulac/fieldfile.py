@@ -17,13 +17,12 @@ field's diagonal terms lambda_j x_j, built with the listed terms in one
 ``from_terms`` call, and every listed term must then have degree at least
 2.  Without ``eigenvalues`` the terms carry the whole field, and an
 optional ``linear_matrix`` T asks for the conjugation y = Tx before any
-further work, through the coordinate change x = T^-1 y, which like every
-coordinate change is the field of its components.  No term may exceed
-the order, in either kind of document.  The spectrum is not stored with
-the field but read off its linear part, so ``field_to_dict`` writes
-``eigenvalues`` for every field with a diagonal linear part and no
-constant term.  A family document replaces ``eigenvalues`` with a
-``params`` block:
+further work: T f(T^-1 y), one substitution that keeps each degree.  No
+term may exceed the order, in either kind of document.  The spectrum is
+not stored with the field but read off its linear part, so
+``field_to_dict`` writes ``eigenvalues`` for every field with a diagonal
+linear part and no constant term.  A family document replaces
+``eigenvalues`` with a ``params`` block:
 
     {
       "dim": 2,

@@ -8,19 +8,21 @@ and hashed like that field, plus a table of monomials.  L is the field's
 once per call, and refuse a singular L.  Maps compose, invert to the
 truncation order, and transport vector fields:
 
-    push_forward(Psi, f) is the field g with ydot = g(y) when xdot = f(x),
+    pull_back(Phi, f) is g with ydot = g(y) when x = Phi(y), xdot = f(x),
 
-computed exactly through the truncation order.  Composition convention is
-outermost-last: compose(outer, inner) applies inner first, so the map for
-"step 2 then step 3" is compose(step3, step2).
+computed exactly through the truncation order; ``linear_conjugate``
+takes f through y = Tx by one substitution, with no solve.  Composition
+convention is outermost-last: compose(outer, inner) applies inner first,
+so the map for "step 2 then step 3" is compose(step3, step2).
 
 Every operation rests on two private primitives.
 
 ``_evaluate`` substitutes a map's components into a field's, through the
 smaller of the two orders: ``compose`` evaluates the outer map at the
-inner one, ``pull_back`` the field at Phi.  The n substitutions share one
-table of the monomials x^m(Phi) (see ``PolyScalar.substitute``) and the
-degree through which that table is built, found once per evaluation; each
+inner one, ``pull_back`` the field at Phi, ``linear_conjugate`` the
+field at T^-1 y.  The n substitutions share one table of the monomials
+x^m(Phi) (see ``PolyScalar.substitute``) and the degree through which
+that table is built, found once per evaluation; each
 map keeps the table for its own order, so in ``normalize``
 ``pull_back(step, f)`` and ``phi.compose(step)`` multiply out each
 monomial of a step once for both calls.  A substitution at another order
@@ -210,11 +212,11 @@ def pull_back(phi_map: NearIdentityMap, f: PolyVectorField) -> PolyVectorField:
     return PolyVectorField(_solve_by_degree(g, rows, 0))
 
 
-def push_forward(psi_map: NearIdentityMap, f: PolyVectorField) -> PolyVectorField:
-    """Field in y-coordinates when y = Psi(x) and xdot = f(x)."""
-    return pull_back(psi_map.invert_to_order(), f)
-
-
 def linear_conjugate(matrix: Sequence[Sequence], f: PolyVectorField) -> PolyVectorField:
-    """Transport f through the linear change y = Tx."""
-    return push_forward(NearIdentityMap.from_linear(matrix, f.order), f)
+    """Transport f through the linear change y = Tx: T f(T^-1 y)."""
+    t = NearIdentityMap.from_linear(matrix, f.order).linear_matrix()
+    # raises SingularLinearPartError if T is not invertible
+    values = _evaluate(NearIdentityMap.from_linear(mat_inverse(t), f.order), f)
+    zero = PolyScalar.zero(f.dim, f.order)
+    return PolyVectorField([sum((v * c for c, v in zip(row, values) if c), zero)
+                            for row in t])

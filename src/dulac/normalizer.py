@@ -13,8 +13,8 @@ Both directions of the normalizing map come out of one pass.  The steps
 compose, outermost-last (the highest-degree step is the outermost
 function), into the inverse Phi, x = Phi(y), from normal back to original
 coordinates, so f_hat = pull_back(Phi, f).  One truncated inversion of Phi
-then gives the transformation Psi, y = Psi(x), with f_hat =
-push_forward(Psi, f) through the truncation order.
+then gives the transformation Psi, y = Psi(x), and f_hat is the field
+in the coordinates y through the truncation order.
 """
 
 from __future__ import annotations

@@ -156,22 +156,20 @@ def _monomial_chain(monomials: Iterable[Exponents],
 
     One link (m, lower, i) per monomial not built, lower monomials first:
     x^m = x^lower * values[i], for i the last variable with a nonzero
-    exponent and lower = m - e_i, which is zero when m = e_i.
+    exponent and lower = m - e_i, which is zero when m = e_i.  A loop, not
+    recursion, walks each chain down, so no depth overflows the stack.
     """
     links: List[Link] = []
     added = set()
-
-    def visit(exps: Exponents) -> None:
-        if exps not in built and exps not in added:
+    for exps in monomials:
+        chain = []
+        while any(exps) and exps not in built and exps not in added:
             added.add(exps)
             i = max(k for k, e in enumerate(exps) if e)
             lower = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
-            if any(lower):
-                visit(lower)
-            links.append((exps, lower, i))
-
-    for exps in monomials:
-        visit(exps)
+            chain.append((exps, lower, i))
+            exps = lower
+        links.extend(reversed(chain))
     return links
 
 

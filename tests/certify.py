@@ -16,9 +16,10 @@ distinguished choice among them; the goldens pin that choice.  The input
 is a field document whose linear part is diagonal: given by
 ``eigenvalues``, or by degree-1 terms, after the conjugation y = Tx when
 the document has a ``linear_matrix`` T.  That conjugation, T f(T^-1 y),
-is done here with T^-1 found by Gauss-Jordan elimination, so the
-package's ``from_linear``, ``invert_to_order`` and ``pull_back``, which
-it runs on such a document, are checked by an independent route.
+is done here with T^-1 found by Gauss-Jordan elimination and the
+substitution expanded term by term, so the package's
+``linear_conjugate``, which runs on such a document, is checked by an
+independent route.
 
 A ``centralizer --json`` report is accepted through its degree bound d
 when, for the normal-form document it was computed from:

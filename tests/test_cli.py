@@ -320,8 +320,8 @@ def test_field_without_a_diagonal_linear_part_is_refused(tmp_path, capsys,
     assert captured.out == ""
     assert captured.err == (
         f"dulac: error [non-diagonal-linear-part]: {path}: the linear part "
-        "is not diagonal; supply eigenvalues or a linear_matrix to "
-        "conjugate with\n")
+        "is not diagonal; supply eigenvalues, or a linear_matrix that "
+        "diagonalizes it\n")
 
 
 def test_diagnose_accepts_a_non_diagonal_symmetry(tmp_path, capsys):
@@ -585,6 +585,22 @@ def test_singular_linear_matrix_is_refused(tmp_path, capsys):
     assert captured.err == (
         f"dulac: error [singular-linear-part]: {path}.linear_matrix: "
         "linear part is singular\n")
+
+
+def test_a_huge_order_costs_a_linear_matrix_document_nothing(tmp_path,
+                                                             capsys):
+    # the conjugation y = Tx keeps every degree, so no work on loading the
+    # document runs per degree up to its order
+    reports = []
+    for order in (6, 10 ** 9):
+        document = json.loads(HORN.read_text())
+        document["order"] = order
+        path = tmp_path / f"horn-{order}.json"
+        path.write_text(json.dumps(document))
+        assert main(["normalize", "--input", str(path), "--order", "6",
+                     "--json"]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
 
 
 def test_field_document_given_to_bifurcation(normal_form_path, capsys):

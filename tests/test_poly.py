@@ -13,6 +13,7 @@ from dulac.poly import (
     PolyScalar,
     PolyVectorField,
     Spectrum,
+    _monomial_chain,
     apply_derivation,
     enumerate_monomials,
     enumerate_monomials_upto,
@@ -183,6 +184,17 @@ def test_substitute_sums_over_distinct_denominators():
                         (2, 0): Fraction(1, 3) + I / 6,
                         (2, 1): I * Fraction(17, 18)})
     assert_exact_substitution(f, values, expected)
+
+
+def test_substitute_builds_a_monomial_chain_of_any_depth():
+    # x^1500 at 2x builds x, x^2, ..., x^1500 along one chain 1500 links
+    # deep, lowest first, which a walk recursing once per link could not
+    assert _monomial_chain([(1500,)], {}) == [
+        ((k,), (k - 1,), 0) for k in range(1, 1501)]
+    table = {}
+    got = P(1, 1500, {(1500,): 1}).substitute([P(1, 1500, {(1,): 2})], table)
+    assert got == P(1, 1500, {(1500,): 2 ** 1500})
+    assert len(table) == 1500
 
 
 def test_partial_derivative():

@@ -33,6 +33,11 @@ reference kept here is ``ref_str``, for the printer that certify lacks.
   substitution alone, for fields with a linear part and sometimes a
   constant one, pulled back along maps with L = I and h over several
   degrees, as in every ``normalize`` step, and along non-diagonal maps.
+* ``linear_conjugate`` gives certify's ``conjugate``, T f(T^-1 y), for
+  invertible T over 1-3 variables with Gaussian-rational entries, not
+  diagonal from dimension 2, with one ``mat_inverse`` and neither
+  ``invert_to_order`` nor ``pull_back``, which raise while it runs; a
+  singular T raises ``SingularLinearPartError``.
 * A map keeps the monomials that substitutions of its components at its
   own order have built, and ``pull_back`` and ``compose`` share them: a
   step x + h pulled back and then composed gives what two fresh, equal
@@ -134,8 +139,9 @@ from dulac.diagnostics import condition_a
 from dulac.errors import SingularLinearPartError
 from dulac.fieldfile import (component_terms, family_from_dict,
                              family_to_dict, field_to_dict, term_list)
-from dulac.linalg import mat_det, nullspace
-from dulac.maps import NearIdentityMap, pull_back
+from dulac import maps
+from dulac.linalg import mat_det, mat_inverse, nullspace
+from dulac.maps import NearIdentityMap, linear_conjugate, pull_back
 from dulac.normalizer import normalize
 from dulac.poly import (
     PolyScalar,
@@ -388,6 +394,64 @@ def test_pull_back_solves_its_defining_equation(case):
     assert [certify.derivation(read_field(g), comp, order)
             for comp in comps] == certify.substitute(read_field(f), comps,
                                                      order)
+
+
+@st.composite
+def conjugations(draw):
+    """An invertible T over 1-3 variables with Gaussian-rational entries,
+    not diagonal from dimension 2, and a field with a linear part, about
+    one in three with a constant term too."""
+    dim = draw(st.integers(min_value=1, max_value=3))
+    t = [[draw(scalars) for _ in range(dim)] for _ in range(dim)]
+    assume(dim == 1 or any(t[i][j] for i in range(dim) for j in range(dim)
+                           if i != j))
+    assume(mat_det(t))
+    order = draw(st.integers(min_value=1, max_value=5))
+    return t, draw(linear_part_fields(dim, order))
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("a linear change of coordinates solves nothing")
+
+
+@PROPERTY_SETTINGS
+@given(conjugations())
+def test_linear_conjugate_is_one_substitution(case):
+    t, f = case
+    inverted = []
+
+    def counted_inverse(matrix):
+        inverted.append(matrix)
+        return mat_inverse(matrix)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(NearIdentityMap, "invert_to_order", _no_solve)
+        patch.setattr(maps, "pull_back", _no_solve)
+        patch.setattr(maps, "mat_inverse", counted_inverse)
+        g = linear_conjugate(t, f)
+    assert len(inverted) == 1
+    assert (g.dim, g.order) == (f.dim, f.order)
+    assert read_field(g) == certify.conjugate(read_field(f), read_matrix(t),
+                                              f.order)
+
+
+@st.composite
+def singular_conjugations(draw):
+    """A singular T over 1-3 variables, its last row a multiple of its
+    first (zero in dimension 1), and a field to conjugate by it."""
+    dim = draw(st.integers(min_value=1, max_value=3))
+    t = [[draw(scalars) for _ in range(dim)] for _ in range(dim - 1)]
+    multiple = draw(small_ints)
+    t.append([c * multiple for c in t[0]] if t else [ZERO])
+    return t, draw(linear_part_fields(dim, draw(st.integers(1, 4))))
+
+
+@PROPERTY_SETTINGS
+@given(singular_conjugations())
+def test_linear_conjugate_refuses_a_singular_matrix(case):
+    t, f = case
+    with pytest.raises(SingularLinearPartError):
+        linear_conjugate(t, f)
 
 
 @st.composite
