@@ -60,7 +60,6 @@ class CentralizerBasis:
     fall beyond the truncation (the element may fail to extend).
     """
 
-    degree_bound: int
     elements: Tuple[PolyVectorField, ...]
     unconfirmed: Tuple[bool, ...]
     restricted: bool
@@ -148,8 +147,7 @@ def centralizer_basis(fhat: PolyVectorField, degree_bound: int,
         flags.append(any(k + i - 1 > degree_bound
                          for k in support for i in nonlinear_degrees))
         elements.append(element)
-    return CentralizerBasis(degree_bound, tuple(elements), tuple(flags),
-                            restrict_to_kernel)
+    return CentralizerBasis(tuple(elements), tuple(flags), restrict_to_kernel)
 
 
 def kernel_intersection(spec_a: Spectrum, spec_b: Spectrum,

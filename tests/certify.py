@@ -100,8 +100,14 @@ alpha * Ax and its two ``constant_along`` flags must say whether its
 derivation along the normal form and along Ax vanishes; when it does
 not, the witness must name a real violation: a term of component j
 without an x_j factor, a term over a zero eigenvalue, or two components
-that pin different coefficients of alpha at the named monomial.  The
-other criteria are not checked; the goldens pin them.
+that pin different coefficients of alpha at the named monomial.  Bruno's
+theorem also needs Condition omega, the small-divisor hypothesis, which
+every spectrum over Q(i) meets by the rational bound of the certified
+``small_divisors`` block.  So its ``bruno-small-divisors`` criterion must
+read ``hypotheses-verified-to-order-N`` when the certified Condition A
+holds and ``hypothesis-failed`` when it fails, with ``checked_to_order``
+N either way.  The symmetry criteria are not checked; the goldens pin
+them.
 
 Everything here is the standard library: its own scalar parser, Gaussian
 rationals as pairs of ``Fraction``, and polynomials as plain dicts from
@@ -117,9 +123,10 @@ unrestricted, against the normal form it was computed from, every
 resonances golden against its field, every kernel-intersection golden
 against its entry of ``JOINT`` in ``test_golden.py``, every
 bifurcation and suspend golden against its family document, and the
-Poincare verdict, small-divisor records, Pliss verdict and Condition A
-of every diagnose golden against its field, which ``SYMMETRY_DIAGNOSES`` of
-``test_golden.py`` names for a golden named after its symmetry.  The
+Poincare verdict, small-divisor records, Pliss verdict, Condition A and
+Bruno verdict of every diagnose golden against its field, which
+``SYMMETRY_DIAGNOSES`` of ``test_golden.py`` names for a golden named
+after its symmetry.  The
 ``DIGESTS`` cases are produced by ``python -S -m dulac.cli`` in a
 subprocess (with ``src`` put on ``PYTHONPATH``) and must also match their
 pinned sha256.  ``python -S tests/certify.py INPUT REPORT ...`` certifies
@@ -840,8 +847,9 @@ def certify_diagnose(document, report):
     says whether 0 lies outside their convex hull, its small-divisor
     records are their scan, its Pliss verdict and ``linear_normal_form``
     say whether the certified normal form of the same input at the
-    report's order is linear, and its ``condition_a`` block is Condition
-    A of that normal form, else why not."""
+    report's order is linear, its ``condition_a`` block is Condition A of
+    that normal form, and its Bruno verdict says whether Condition A
+    holds, else why not."""
     eigenvalues, _ = input_field(document, 1)
     if [parse_scalar(v) for v in report["eigenvalues"]] != eigenvalues:
         return "the eigenvalues are not the input's"
@@ -858,11 +866,21 @@ def certify_diagnose(document, report):
                 + ("verified" if linear else "hypothesis-failed"))
     if report["linear_normal_form"] is not linear:
         return f"linear_normal_form should read {linear}"
-    reason = certify_condition_a(report["condition_a"], eigenvalues, fhat,
-                                 order)
+    reason = (certify_condition_a(report["condition_a"], eigenvalues, fhat,
+                                  order)
+              or certify_small_divisors(eigenvalues, report["small_divisors"]))
     if reason is not None:
         return reason
-    return certify_small_divisors(eigenvalues, report["small_divisors"])
+    # Condition omega holds by the certified rational bound, so Bruno's
+    # hypotheses stand or fall with the certified Condition A
+    verdict = (f"hypotheses-verified-to-order-{order}"
+               if report["condition_a"]["satisfied"] else "hypothesis-failed")
+    bruno, = [c for c in report["criteria"]
+              if c["name"] == "bruno-small-divisors"]
+    if (bruno["verdict"], bruno["checked_to_order"]) != (verdict, order):
+        return (f"bruno-small-divisors should read {verdict} with "
+                f"checked_to_order {order}")
+    return None
 
 
 CERTIFIERS = {"normalize": certify_normalize,

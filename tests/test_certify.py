@@ -32,13 +32,14 @@ or a flipped ``nonsingular``, and a suspension after one changed
 coefficient.
 
 It certifies the Poincare verdict, the small-divisor records, the
-Pliss verdict and Condition A of every diagnose golden against its
-field; its command line exits 1 on a copy with the Poincare verdict
-flipped, and it refuses a copy with one changed ``omega_sq``, with the
-``pliss-linearity`` verdict, ``linear_normal_form`` or Condition A's
-``satisfied`` flipped, or with a Condition A witness moved to the
-monomial 1.  It certifies ``diagnose`` on a normal form with a nonzero
-alpha, F = x1*x2 * Ax, and refuses that report with alpha doubled, and
+Pliss verdict, Condition A and the Bruno verdict of every diagnose
+golden against its field; its command line exits 1 on a copy with the
+Poincare verdict flipped, and it refuses a copy with one changed
+``omega_sq``, with the ``pliss-linearity`` verdict,
+``linear_normal_form`` or Condition A's ``satisfied`` flipped, with the
+``bruno-small-divisors`` verdict flipped or its ``checked_to_order``
+lowered by one, or with a Condition A witness moved to the monomial 1.
+It certifies ``diagnose`` on a normal form with a nonzero alpha, F = x1*x2 * Ax, and refuses that report with alpha doubled, and
 on one where two components pin different alpha coefficients, refused
 with the witness's degree or monomial changed.  For an input with no
 normalize golden it reads the normal form off its own normalize run.
@@ -311,6 +312,25 @@ def test_diagnose_certificate_refuses_a_flipped_condition_a(name, source,
     data["condition_a"]["satisfied"] = not holds
     assert certify_report(document, data) == (
         f"condition_a satisfied should read {holds}")
+
+
+@pytest.mark.parametrize("change", ["verdict", "checked_to_order"])
+@pytest.mark.parametrize("name,source,report", DIAGNOSE_GOLDENS,
+                         ids=[name for name, _, _ in DIAGNOSE_GOLDENS])
+def test_diagnose_certificate_refuses_a_changed_bruno_verdict(name, source,
+                                                              report, change):
+    document, data = _load_pair(source, report)
+    bruno, = [c for c in data["criteria"]
+              if c["name"] == "bruno-small-divisors"]
+    want, order = bruno["verdict"], data["order"]
+    if change == "verdict":
+        bruno["verdict"] = ("hypothesis-failed" if want.startswith(
+            "hypotheses-verified") else f"hypotheses-verified-to-order-{order}")
+    else:
+        bruno["checked_to_order"] = order - 1
+    assert certify_report(document, data) == (
+        f"bruno-small-divisors should read {want} with checked_to_order "
+        f"{order}")
 
 
 @pytest.mark.parametrize("name,source,report", WITNESS_GOLDENS,

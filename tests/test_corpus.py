@@ -2,10 +2,8 @@
 
 Every payload an entry builds through ``normalize_payload``,
 ``centralizer_payload``, ``bifurcation_payload`` or ``diagnose`` is
-recorded, and each one that has a golden of the same command on the same
-input must equal it byte for byte; the so2 entry's two centralizer
-solves, at a degree no golden pins, are certified by ``certify.py``
-instead.  One changed fact in one payload fails that entry with its note
+recorded, and each one must equal the golden of the same command on the
+same input byte for byte.  One changed fact in one payload fails that entry with its note
 and no other.
 """
 
@@ -15,7 +13,6 @@ from types import SimpleNamespace
 
 import pytest
 
-from certify import certify_centralizer
 from conftest import dump_document
 from dulac import corpus
 from dulac.fieldfile import field_to_dict
@@ -25,11 +22,12 @@ GOLDEN = Path(__file__).parent / "golden"
 INPUTS = GOLDEN / "inputs"
 
 # entry id -> the golden of each payload it builds, in the order it builds
-# them; None for a payload that no golden pins
+# them
 PAYLOAD_GOLDENS = {
     "horn": ["horn.normalize.json"],
     "linearizable-3d": ["linearizable-3d-symmetry.diagnose.json"],
-    "so2": ["so2.normalize.json", None, None],
+    "so2": ["so2.normalize.json", "so2-bound5.centralizer.json",
+            "so2-bound5-unrestricted.centralizer.json"],
     "holomorphic": ["holomorphic.diagnose.json"],
     "saddle-centralizer": ["saddle.centralizer.json"],
     "oscillator-d": ["oscillator.bifurcation.json",
@@ -130,17 +128,7 @@ def test_entry_payloads_equal_the_goldens(entry_id, payloads):
     assert result.passed, result.note
     assert len(payloads) == len(PAYLOAD_GOLDENS[entry_id])
     for text, golden in zip(payloads, PAYLOAD_GOLDENS[entry_id]):
-        if golden is not None:
-            assert text == (GOLDEN / golden).read_text(), golden
-
-
-def test_so2_centralizer_payloads_are_certified(payloads):
-    corpus.run_corpus("so2")
-    normalize, restricted, unrestricted = map(json.loads, payloads)
-    for report in (restricted, unrestricted):
-        assert certify_centralizer(normalize["normal_form"], report) is None
-    assert [restricted["restricted_to_resonant_kernel"],
-            unrestricted["restricted_to_resonant_kernel"]] == [True, False]
+        assert text == (GOLDEN / golden).read_text(), golden
 
 
 def _change_psi_x1_5(report):

@@ -1,14 +1,18 @@
 """Golden snapshots of the reports, compared byte for byte.
 
 The inputs in ``golden/inputs`` are the corpus fields (written from the
-builders in ``dulac.corpus``) and four grid fields.  ``normalize``
-and ``diagnose`` run on each field at its own truncation order,
+builders in ``dulac.corpus``), four grid fields and ``bruno-saddle``,
+the field of the README's library example.  The ``.normal-form.json``
+input of each ``ORDERS`` field is the normal form that its ``normalize``
+golden prints.  ``normalize`` and ``diagnose`` run on each field at
+its own truncation order,
 ``diagnose`` with the commuting field where the corpus has one, and
 ``centralizer`` runs on the normal form that ``normalize`` printed for
 it; ``SYMMETRY_DIAGNOSES`` adds ``diagnose`` of a field with its
 symmetry, named after the symmetry's input, for a field whose plain
 ``diagnose`` is pinned too; ``CENTRALIZERS`` adds solves over the
-unrestricted space, at a bound below the field's order, and on the two
+unrestricted space, at a bound below the field's order (among them the
+two solves of the so2 corpus entry), and on the two
 dim-4 normal forms of the benchmark's centralizer-solve workload, whose
 input documents are copied byte for byte from ``bench/workloads.py`` at
 seed 7.  Every unrestricted solve with a restricted twin on the same
@@ -66,6 +70,9 @@ ORDERS = {
     "saddle": 7,
     "grid-d2-o6": 6,
     "grid-d3-o6": 6,
+    # the README's library field, whose normal form is (1 + alpha) Ax
+    # with alpha nonzero: Bruno's criterion on a nonlinear normal form
+    "bruno-saddle": 6,
 }
 # normalize only, at a deeper order
 DEEP = {"grid-d3-o8": 8, "grid-d4-o8": 8}
@@ -91,6 +98,9 @@ DIGESTS = {
 # certify.py reads this table with ast.literal_eval too
 CENTRALIZERS = {
     "so2-unrestricted": ("so2", 7, ("--unrestricted",)),
+    # the two solves of the so2 corpus entry
+    "so2-bound5": ("so2", 5, ()),
+    "so2-bound5-unrestricted": ("so2", 5, ("--unrestricted",)),
     "grid-d3-o6-bound4": ("grid-d3-o6", 4, ()),
     "grid-d3-o6-bound4-unrestricted": ("grid-d3-o6", 4, ("--unrestricted",)),
     # the dim-4 normal forms of the benchmark's centralizer-solve workload
@@ -197,7 +207,7 @@ TEXT_SNAPSHOTS = sorted(GOLDEN.glob("*.txt"))
 
 
 def test_every_text_snapshot_has_a_json_twin():
-    assert len(TEXT_SNAPSHOTS) == len(TEXT_CASES) + len(BIFURCATIONS) == 34
+    assert len(TEXT_SNAPSHOTS) == len(TEXT_CASES) + len(BIFURCATIONS) == 38
     assert all(path.with_suffix(".json").exists() for path in TEXT_SNAPSHOTS)
 
 
@@ -208,6 +218,13 @@ def test_text_snapshot_is_rendered_from_its_json_twin(snapshot):
     payload = json.loads(snapshot.with_suffix(".json").read_text())
     rendered = TEXT_RENDERERS[command](payload) + "\n"
     assert rendered.encode() == snapshot.read_bytes()
+
+
+@pytest.mark.parametrize("name", ORDERS)
+def test_normal_form_input_is_the_normalize_golden(name):
+    report = json.loads(_snapshot(name, "normalize").read_text())
+    assert (INPUTS / f"{name}.normal-form.json").read_text() == dump_document(
+        report["normal_form"])
 
 
 def _family_document(name: str) -> str:

@@ -65,7 +65,9 @@ reference kept here is ``ref_str``, for the printer that certify lacks.
   resonant unknowns alone.
 * ``condition_a`` returns no witness only when F = alpha * Ax through
   the order, checked with certify's ``product``, which is why it builds
-  no residual; on normal forms of the form alpha * Ax, of random
+  no residual; alpha is then constant along the normal form and along
+  Ax, checked with certify's ``derivation``, which is why it derives
+  alpha along neither; on normal forms of the form alpha * Ax, of random
   resonant terms or of both, a witness (m, j, j') with j != j' names
   components whose coefficients at x^(m+e_j) over lambda_j differ, and
   one with j = j' a zero lambda_j under a term or an undivided term.
@@ -613,6 +615,9 @@ def test_condition_a_finds_a_witness_or_alpha_times_the_linear_part(case):
         assert nonlinear == [
             certify.product(alpha, {certify.unit(dim, j): lam[j]}, order)
             for j in range(dim)]
+        # [Ax, F] = 0 forces X_A(alpha) = 0, hence X_f(alpha) = 0
+        for field in (read_field(fhat), certify.linear_field(lam)):
+            assert certify.derivation(field, alpha, order) == {}
         return
     assert not result.satisfied and not proportional
     m, j, k = result.witness

@@ -4,9 +4,12 @@ import json
 import shlex
 from pathlib import Path
 
+from conftest import dump_document
 from dulac.cli import main
+from dulac.fieldfile import field_to_dict
 
 README = (Path(__file__).parent.parent / "README.md").read_text()
+INPUTS = Path(__file__).parent / "golden" / "inputs"
 
 
 def _blocks(section: str, language: str):
@@ -25,6 +28,9 @@ def test_library_example_runs():
     assert str(result.normal_form) == (
         "(x1 + -1*x1^2*x2 + -1*x1^3*x2^2, -1*x2 + x1*x2^2 + x1^2*x2^3)")
     assert result.normal_form.spectrum == namespace["spec"]
+    # the goldens pin Bruno's criterion on this field's nonlinear normal form
+    assert dump_document(field_to_dict(namespace["f"])) == (
+        INPUTS / "bruno-saddle.json").read_text()
 
 
 def test_saddle_normalize_example_matches_the_output(tmp_path, capsys):
